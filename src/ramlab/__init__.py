@@ -24,7 +24,15 @@ from .even import (
     progression_totient_mean,
     ramanujan_even,
 )
-from .gensums import CaTable, c_A_core, c_A_divisor, c_A_oracle, partial_sum_cA
+from .gensums import (
+    CaTable,
+    c_A,
+    c_A_column,
+    c_A_core,
+    c_A_divisor,
+    c_A_oracle,
+    partial_sum_cA,
+)
 from .reports import OrthogonalityReport, PartialSumReport
 from .systems import (
     DIRICHLET,

@@ -32,7 +32,18 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _default_format() -> str:
@@ -80,7 +91,8 @@ def _cmd_c(args, out) -> int:
         dv = routes["divisor"]()
         cv = routes["core"]()
         ov = routes["oracle"]()
-        match = dv == cv and abs(ov.imag) <= 1e-6 and abs(ov.real - dv) <= 1e-6
+        kv = gensums.c_A(system, n, r)
+        match = dv == cv == kv and abs(ov.imag) <= 1e-6 and abs(ov.real - dv) <= 1e-6
         rows = [[n, r, dv, cv, format_value(ov.real), "true" if match else "false"]]
         _emit_rows(["n", "r", "divisor", "core", "oracle", "match"], rows, args.format, out)
         return EXIT_OK if match else EXIT_MISMATCH
@@ -99,10 +111,11 @@ def _cmd_table(args, out) -> int:
     system = load_system(args.system)
     if args.what == "cA":
         n_max = args.nmax or args.rmax
+        columns = [gensums.c_A_column(system, r, n_max) for r in range(1, args.rmax + 1)]
         rows = [
-            [n, r, gensums.c_A_divisor(system, n, r)]
+            [n, r, column[n - 1]]
             for n in range(1, n_max + 1)
-            for r in range(1, args.rmax + 1)
+            for r, column in enumerate(columns, 1)
         ]
         _emit_rows(["n", "r", "value"], rows, args.format, out)
         return EXIT_OK
@@ -243,22 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_t = sub.add_parser("table", help="tables of c_A, phi_A, psi_A, gamma_A, mu_A", parents=[common])
     p_t.add_argument("--what", choices=("cA", "phiA", "psiA", "gammaA", "muA"), required=True)
     p_t.add_argument("--system", default="D")
-    p_t.add_argument("--rmax", type=int, required=True)
-    p_t.add_argument("--nmax", type=int, default=None)
+    p_t.add_argument("--rmax", type=_positive_int, required=True)
+    p_t.add_argument("--nmax", type=_positive_int, default=None)
     p_t.set_defaults(func=_cmd_table)
 
     p_v = sub.add_parser("verify", help="run the proposition checkers", parents=[common])
     p_v.add_argument("target", choices=("prop1", "prop2", "prop3", "prop4", "all"))
     p_v.add_argument("--system", default="D")
-    p_v.add_argument("--rmax", type=int, default=50)
-    p_v.add_argument("--xmax", type=int, default=1000)
+    p_v.add_argument("--rmax", type=_positive_int, default=50)
+    p_v.add_argument("--xmax", type=_positive_int, default=1000)
     p_v.add_argument("--even", default=None,
                      help="extra even function literal, e.g. 'r=6; 1:1, 2:-1, 3:0, 6:2'")
     p_v.set_defaults(func=_cmd_verify)
 
     p_e = sub.add_parser("expansion", help="truncated harmonic expansion of sigma(n)/n", parents=[common])
     p_e.add_argument("n", type=int)
-    p_e.add_argument("--terms", type=int, default=1000)
+    p_e.add_argument("--terms", type=_positive_int, default=1000)
     p_e.set_defaults(func=_cmd_expansion)
     return parser
 

@@ -197,7 +197,7 @@ def ramanujan_even(r: int) -> EvenFunction:
 def c_A_even(system: RegularSystem, r: int) -> EvenFunction:
     """c_A(., r) as an A-even-tagged element of the r-even space."""
     return EvenFunction.from_callable(
-        r, lambda n: gensums.c_A_divisor(system, n, r), system=system
+        r, lambda n: gensums.c_A(system, n, r), system=system
     )
 
 

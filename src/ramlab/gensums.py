@@ -1,9 +1,18 @@
-"""Generalized Ramanujan sums c_A(n, r) via three independent routes.
+"""Generalized Ramanujan sums c_A(n, r): one kernel and three cross-checks.
 
-Route 1 (divisor form): sum over d in A(r) with d | n of d * mu_A(r/d).
-Route 2 (core form): sum of classical c(n, d) over d | r divisible by the
-core gamma_A(r). Route 3 is the literal exponential sum over residues k
-with (k, r)_A = 1 -- floating point, test oracle only.
+The kernel (`c_A`, and `c_A_column` for many n at one modulus) is the hot
+path: the CLI's `table --what cA`, the empirical means in `verify` and
+`even.c_A_even` use it. For a regular system c_A(n, r) is
+multiplicative in r, and since mu_A vanishes on p^(jt) for j >= 2, at a
+prime power p^a of type t it is
+
+    c_A(n, p^a) = p^a [p^a | n] - p^(a-t) [p^(a-t) | n].
+
+Three independent routes stay as the references the kernel is checked
+against. Route 1 (divisor form): sum over d in A(r) with d | n of
+d * mu_A(r/d). Route 2 (core form): sum of classical c(n, d) over d | r
+divisible by the core gamma_A(r). Route 3 is the literal exponential sum
+over residues k with (k, r)_A = 1 -- floating point, test oracle only.
 
 The partial-sum checker uses the closed form over A(r), which runs in
 O(|A(r)|) instead of O(x).
@@ -18,9 +27,20 @@ from math import floor
 
 from .arith import divisors, ramanujan_c
 from .reports import PartialSumReport
-from .systems import RegularSystem, _members, gamma_A, gcd_A, mu_A, phi_A, psi_A
+from .systems import (
+    RegularSystem,
+    _members,
+    gamma_A,
+    gcd_A,
+    mu_A,
+    phi_A,
+    prime_power_types,
+    psi_A,
+)
 
 __all__ = [
+    "c_A",
+    "c_A_column",
     "c_A_divisor",
     "c_A_core",
     "c_A_oracle",
@@ -29,17 +49,40 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _c_A_div_residue(system: RegularSystem, m: int, r: int) -> int:
-    # every d in A(r) divides r, so d | n depends on n only through n mod r
-    return sum(d * mu_A(system, r // d) for d in _members(system, r) if m % d == 0)
+def _kernel_terms(system: RegularSystem, r: int) -> list[tuple[int, int]]:
+    # (p^a, p^(a-t)) for each prime power p^a exactly dividing r
+    return [(p**a, p ** (a - t)) for p, a, t in prime_power_types(system, r)]
+
+
+def _kernel_value(terms: list[tuple[int, int]], n: int) -> int:
+    out = 1
+    for high, low in terms:
+        if n % low:
+            return 0
+        out *= high - low if n % high == 0 else -low
+    return out
+
+
+def c_A(system: RegularSystem, n: int, r: int) -> int:
+    """c_A(n, r) by the multiplicative kernel; exact integer."""
+    if n < 1 or r < 1:
+        raise ValueError(f"c_A requires n, r >= 1, got n={n}, r={r}")
+    return _kernel_value(_kernel_terms(system, r), n)
+
+
+def c_A_column(system: RegularSystem, r: int, n_max: int) -> list[int]:
+    """[c_A(n, r) for n = 1..n_max], factorizing r once."""
+    if r < 1:
+        raise ValueError(f"c_A_column requires r >= 1, got r={r}")
+    terms = _kernel_terms(system, r)
+    return [_kernel_value(terms, n) for n in range(1, n_max + 1)]
 
 
 def c_A_divisor(system: RegularSystem, n: int, r: int) -> int:
     """c_A(n, r) by the divisor form; exact integer."""
     if n < 1 or r < 1:
         raise ValueError(f"c_A_divisor requires n, r >= 1, got n={n}, r={r}")
-    return _c_A_div_residue(system, n % r, r)
+    return sum(d * mu_A(system, r // d) for d in _members(system, r) if n % d == 0)
 
 
 def c_A_core(system: RegularSystem, n: int, r: int) -> int:
@@ -101,10 +144,8 @@ class CaTable:
 
     @classmethod
     def build(cls, system: RegularSystem, n_max: int, r_max: int) -> "CaTable":
-        values = tuple(
-            tuple(c_A_divisor(system, n, r) for r in range(1, r_max + 1))
-            for n in range(1, n_max + 1)
-        )
+        columns = [c_A_column(system, r, n_max) for r in range(1, r_max + 1)]
+        values = tuple(zip(*columns))
         return cls(system, n_max, r_max, values)
 
     def at(self, n: int, r: int) -> int:

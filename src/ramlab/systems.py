@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import prod
 from typing import Callable, Sequence
 
 from .arith import factorize
@@ -27,6 +28,7 @@ __all__ = [
     "MIX",
     "DEFAULT_A_MAX",
     "validate",
+    "prime_power_types",
     "divisor_set",
     "gcd_A",
     "convolve_A",
@@ -67,6 +69,28 @@ class RegularSystem:
     a_max: int = DEFAULT_A_MAX
     name: str = ""
 
+    def __post_init__(self):
+        # compiled once: every operation looks types up and hashes the
+        # system as a cache key; the first table entry for p^a wins
+        table: dict[tuple[int, int], int] = {}
+        for p, a, t in self.types:
+            table.setdefault((p, a), t)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.types, self.default, self.a_max, self.name))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # pickle by fields, so the receiving process recomputes the hash
+        return (type(self), (self.kind, self.types, self.default, self.a_max, self.name))
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return tuple(validate(self))
+
     def type_of(self, p: int, a: int) -> int:
         """The type t of p^a: A(p^a) = {1, p^t, ..., p^a}."""
         if a < 1:
@@ -79,9 +103,9 @@ class RegularSystem:
             raise ExponentOutOfScopeError(
                 f"prime power {p}^{a} exceeds declared exponent bound {self.a_max}"
             )
-        for tp, ta, tt in self.types:
-            if tp == p and ta == a:
-                return tt
+        t = self._table.get((p, a))
+        if t is not None:
+            return t
         return a if self.default == "unitary-default" else 1
 
     def label(self) -> str:
@@ -117,11 +141,18 @@ def validate(system: RegularSystem) -> list[str]:
     """
     if system.kind in (DIRICHLET_KIND, UNITARY_KIND):
         return []
+    if isinstance(system.a_max, bool) or not isinstance(system.a_max, int):
+        return [f"declared exponent bound must be an integer, got {system.a_max!r}"]
+    if system.a_max < 1:
+        return [f"declared exponent bound must be >= 1, got {system.a_max}"]
     violations = []
     table = {}
     for p, a, t in system.types:
         if p < 2 or a < 1:
             violations.append(f"malformed entry (p={p}, a={a}, t={t})")
+            continue
+        if factorize(p).factors != ((p, 1),):
+            violations.append(f"entry (p={p}, a={a}, t={t}) names {p}, which is not a prime")
             continue
         if a > system.a_max:
             violations.append(
@@ -156,20 +187,31 @@ def validate(system: RegularSystem) -> list[str]:
     return violations
 
 
-@lru_cache(maxsize=None)
 def _checked(system: RegularSystem) -> RegularSystem:
-    violations = validate(system)
-    if violations:
-        raise InvalidSystemError(violations)
+    if system._violations:
+        raise InvalidSystemError(system._violations)
     return system
+
+
+# bounded: the divisor route asks for mu_A of every r/d, d in A(r), so the
+# same small moduli recur; a long run of distinct moduli cannot grow it
+@lru_cache(maxsize=4096)
+def prime_power_types(system: RegularSystem, n: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, a, t) for each prime power p^a exactly dividing n, t its type.
+
+    The one place where a validated system meets a factorization: every
+    multiplicative function of the system is a product over these triples.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _checked(system)
+    return tuple((p, a, system.type_of(p, a)) for p, a in factorize(n))
 
 
 @lru_cache(maxsize=None)
 def _members(system: RegularSystem, n: int) -> tuple[int, ...]:
-    _checked(system)
     members = [1]
-    for p, a in factorize(n):
-        t = system.type_of(p, a)
+    for p, a, t in prime_power_types(system, n):
         chain = [p ** (i * t) for i in range(a // t + 1)]
         members = [d * e for d in members for e in chain]
     return tuple(sorted(members))
@@ -218,61 +260,30 @@ def convolve_A(
     return out
 
 
-@lru_cache(maxsize=None)
 def mu_A(system: RegularSystem, n: int) -> int:
     """Generalized Moebius function: -1 on A-primitive prime powers, 0 else."""
-    if n < 1:
-        raise ValueError(f"mu_A requires n >= 1, got {n}")
-    _checked(system)
-    out = 1
-    for p, a in factorize(n):
-        if system.type_of(p, a) != a:
-            return 0
-        out = -out
-    return out
+    return prod(-1 if t == a else 0 for _, a, t in prime_power_types(system, n))
 
 
-@lru_cache(maxsize=None)
 def phi_A(system: RegularSystem, r: int) -> int:
     """Generalized Euler function: counts k mod r with (k, r)_A = 1."""
-    if r < 1:
-        raise ValueError(f"phi_A requires r >= 1, got {r}")
-    _checked(system)
-    out = 1
-    for p, a in factorize(r):
-        t = system.type_of(p, a)
-        out *= p**a - p ** (a - t)
-    return out
+    return prod(p**a - p ** (a - t) for p, a, t in prime_power_types(system, r))
 
 
-@lru_cache(maxsize=None)
 def gamma_A(system: RegularSystem, r: int) -> int:
     """Generalized core function, multiplicative with p^a -> p^(a - t + 1)."""
-    if r < 1:
-        raise ValueError(f"gamma_A requires r >= 1, got {r}")
-    _checked(system)
-    out = 1
-    for p, a in factorize(r):
-        t = system.type_of(p, a)
-        out *= p ** (a - t + 1)
-    return out
+    return prod(p ** (a - t + 1) for p, a, t in prime_power_types(system, r))
 
 
-@lru_cache(maxsize=None)
 def psi_A(system: RegularSystem, r: int) -> int:
     """Generalized Dedekind function, multiplicative with p^a -> p^a + p^(a-t)."""
-    if r < 1:
-        raise ValueError(f"psi_A requires r >= 1, got {r}")
-    _checked(system)
-    out = 1
-    for p, a in factorize(r):
-        t = system.type_of(p, a)
-        out *= p**a + p ** (a - t)
-    return out
+    return prod(p**a + p ** (a - t) for p, a, t in prime_power_types(system, r))
 
 
 def system_from_dict(spec: dict, name: str = "") -> RegularSystem:
     """Build a system from its JSON-shaped dict; validates before returning."""
+    if not isinstance(spec, dict):
+        raise InvalidSystemError([f"system spec must be a JSON object, got {type(spec).__name__}"])
     kind = spec.get("kind", CUSTOM_KIND)
     if kind == DIRICHLET_KIND:
         return DIRICHLET
@@ -283,18 +294,16 @@ def system_from_dict(spec: dict, name: str = "") -> RegularSystem:
     default = spec.get("default", "dirichlet-default")
     if default not in ("dirichlet-default", "unitary-default"):
         raise InvalidSystemError([f"unknown default rule {default!r}"])
-    a_max = int(spec.get("a_max", DEFAULT_A_MAX))
+    a_max = spec.get("a_max", DEFAULT_A_MAX)
     try:
         types = tuple(
             sorted((int(e["p"]), int(e["a"]), int(e["t"])) for e in spec.get("types", []))
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSystemError([f"malformed types table: {exc}"]) from exc
-    system = RegularSystem(CUSTOM_KIND, types=types, default=default, a_max=a_max, name=name)
-    violations = validate(system)
-    if violations:
-        raise InvalidSystemError(violations)
-    return system
+    return _checked(
+        RegularSystem(CUSTOM_KIND, types=types, default=default, a_max=a_max, name=name)
+    )
 
 
 def load_system(spec: str) -> RegularSystem:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 from .arith import _divisor_tuple, euler_phi, moebius_sieve, sigma
 from .even import EvenFunction, certified_residual_bound, mean_value
-from .gensums import c_A_divisor
+from .gensums import c_A_column
 from .reports import OrthogonalityReport, PartialSumReport
 from .systems import (
     DIRICHLET_KIND,
@@ -57,7 +57,7 @@ def mean_product_empirical(system: RegularSystem, r: int, s: int, x: int) -> Fra
     equals the exact mean."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    total = sum(c_A_divisor(system, n, r) * c_A_divisor(system, n, s) for n in range(1, x + 1))
+    total = sum(a * b for a, b in zip(c_A_column(system, r, x), c_A_column(system, s, x)))
     return Fraction(total, x)
 
 

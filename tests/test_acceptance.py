@@ -22,7 +22,7 @@ from ramlab.even import (
     progression_totient_even,
     progression_totient_mean,
 )
-from ramlab.gensums import _a_coprime_residues, c_A_core, c_A_divisor
+from ramlab.gensums import _a_coprime_residues, c_A, c_A_core, c_A_divisor
 from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, mu_A, phi_A, psi_A
 from ramlab.verify import (
     additive_closure_witness,
@@ -42,7 +42,7 @@ def _report(num, text):
 
 
 def test_criterion_1_route_agreement():
-    """Divisor route = core route = rounded exponential oracle, n, r <= 300."""
+    """Kernel = divisor route = core route = rounded exponential oracle, n, r <= 300."""
     start = time.monotonic()
     bound = 300
     for name, system in SYSTEMS:
@@ -55,10 +55,11 @@ def test_criterion_1_route_agreement():
             for n in range(1, bound + 1):
                 v = c_A_divisor(system, n, r)
                 assert v == c_A_core(system, n, r), (name, n, r)
+                assert v == c_A(system, n, r), (name, n, r)
                 assert v == rounded[n % r], (name, n, r)
     elapsed = time.monotonic() - start
     assert elapsed < 60
-    _report(1, f"3 routes agree for A in {{D, U, MIX}}, n, r <= {bound} ({elapsed:.1f}s)")
+    _report(1, f"kernel and 3 routes agree for A in {{D, U, MIX}}, n, r <= {bound} ({elapsed:.1f}s)")
 
 
 def test_criterion_2_mean_value_bound():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ramlab.cli import EXIT_OK, EXIT_USAGE, main
+from ramlab import gensums
+from ramlab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -40,6 +41,13 @@ class TestCommandC:
         obj = json.loads(out)
         assert obj["divisor"] == obj["core"] == -1
         assert obj["match"] == "true"
+
+    def test_all_routes_require_kernel(self, capsys, monkeypatch):
+        monkeypatch.setattr(gensums, "c_A", lambda system, n, r: 0)
+        code, out, _ = run(capsys, "c", "2", "4", "--system", "U", "--route", "all",
+                           "--format", "json")
+        assert code == EXIT_MISMATCH
+        assert json.loads(out)["match"] == "false"
 
 
 class TestCommandTable:
@@ -118,6 +126,40 @@ class TestErrorsAndPlumbing:
         assert run(capsys, "nope")[0] == EXIT_USAGE
         assert run(capsys)[0] == EXIT_USAGE
         assert run(capsys, "c", "1")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["table", "--what", "cA", "--rmax", "-5"], "--rmax"),
+            (["table", "--what", "cA", "--rmax", "3", "--nmax", "0"], "--nmax"),
+            (["verify", "prop1", "--rmax", "0"], "--rmax"),
+            (["verify", "prop4", "--system", "U", "--rmax", "0"], "--rmax"),
+            (["verify", "prop2", "--xmax", "0"], "--xmax"),
+            (["verify", "prop2", "--xmax", "ten"], "--xmax"),
+            (["expansion", "6", "--terms", "-1"], "--terms"),
+        ],
+    )
+    def test_nonpositive_range_rejected(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"argument {flag}: must be a positive integer" in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"types": [{"p": 4, "a": 2, "t": 1}]}, "not a prime"),
+            ({"a_max": 0}, "exponent bound must be >= 1"),
+            ({"a_max": "x"}, "exponent bound must be an integer"),
+        ],
+    )
+    def test_bad_spec_file_exits_1(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "c", "5", "16", "--system", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
 
     def test_invalid_spec_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import pytest
 from ramlab.arith import ramanujan_c
 from ramlab.gensums import (
     CaTable,
+    c_A,
     c_A_core,
     c_A_divisor,
     c_A_oracle,
@@ -52,7 +53,7 @@ class TestOracle:
         for n in range(1, 61):
             for r in range(1, 61):
                 v = c_A_divisor(any_system, n, r)
-                assert v == c_A_core(any_system, n, r)
+                assert v == c_A_core(any_system, n, r) == c_A(any_system, n, r)
                 z = c_A_oracle(any_system, n, r)
                 assert abs(z.imag) <= 1e-6
                 assert abs(z.real - v) <= 1e-6

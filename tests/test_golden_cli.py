@@ -1,0 +1,88 @@
+"""Byte-identical CLI output on a fixed corpus, checked against stored digests.
+
+The digests in `golden_cli.json` were recorded from the divisor-route
+implementation of `table` and `c`. Any change to what the CLI prints for
+these inputs, even one byte, fails here. To record them again from the
+current code (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from ramlab.cli import main
+
+from conftest import CUSTOM_OK
+
+DIGESTS = Path(__file__).with_name("golden_cli.json")
+CUSTOM = "{custom}"  # stands for a spec file holding conftest.CUSTOM_OK
+SYSTEMS = ("D", "U", "MIX", CUSTOM)
+FORMATS = ("json", "csv", "plain")
+
+
+def _cases() -> list[tuple[str, ...]]:
+    cases = []
+    for system in SYSTEMS:
+        for fmt in FORMATS:
+            cases.append(("table", "--what", "cA", "--system", system,
+                          "--rmax", "36", "--nmax", "40", "--format", fmt))
+            for what in ("phiA", "psiA", "gammaA", "muA"):
+                cases.append(("table", "--what", what, "--system", system,
+                              "--rmax", "200", "--format", fmt))
+    pairs = [(2, 4), (12, 36), (250, 1250), (48, 720), (5**6, 5**4 * 8)]
+    for system in SYSTEMS:
+        for route in ("divisor", "core", "oracle", "all"):
+            for i, (n, r) in enumerate(pairs):
+                cases.append(("c", str(n), str(r), "--system", system, "--route", route,
+                              "--format", FORMATS[i % 3]))
+    for fmt in FORMATS:
+        cases.append(("verify", "all", "--system", "MIX", "--format", fmt))
+    return cases
+
+
+def _run(case: tuple[str, ...], spec_path: str) -> dict:
+    argv = [spec_path if a == CUSTOM else a for a in case]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "custom.json"
+    path.write_text(json.dumps(CUSTOM_OK))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return json.loads(DIGESTS.read_text())
+
+
+def test_corpus_is_complete(digests):
+    assert sorted(digests) == sorted(" ".join(c) for c in _cases())
+
+
+@pytest.mark.parametrize("case", _cases(), ids=" ".join)
+def test_output_is_byte_identical(case, spec_path, digests):
+    assert _run(case, spec_path) == digests[" ".join(case)]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "custom.json")
+        with open(spec, "w") as fh:
+            json.dump(CUSTOM_OK, fh)
+        recorded = {" ".join(c): _run(c, spec) for c in _cases()}
+    DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} digests in {DIGESTS}", file=sys.stderr)

@@ -1,0 +1,114 @@
+"""The multiplicative c_A kernel and the A-functions on random valid systems.
+
+The strategy below draws custom systems that satisfy the chain rule (type t
+at p^a forces type t at every p^(it), i <= a/t), under both default rules.
+On each one the kernel must agree with the divisor and core routes, and
+mu_A, phi_A, psi_A, gamma_A with definitions built directly from A(r).
+"""
+
+from math import prod
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ramlab.arith import divisors, factorize
+from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor
+from ramlab.systems import (
+    DIRICHLET,
+    ExponentOutOfScopeError,
+    InvalidSystemError,
+    RegularSystem,
+    divisor_set,
+    gamma_A,
+    gcd_A,
+    mu_A,
+    phi_A,
+    psi_A,
+    system_from_dict,
+    validate,
+)
+
+PRIMES = (2, 3, 5, 7)
+DEFAULT_TYPE = {"dirichlet-default": lambda a: 1, "unitary-default": lambda a: a}
+
+
+@st.composite
+def valid_specs(draw):
+    """A JSON-shaped custom system spec that satisfies the chain rule."""
+    a_max = draw(st.integers(min_value=1, max_value=6))
+    default = draw(st.sampled_from(sorted(DEFAULT_TYPE)))
+    entries = []
+    for p in draw(st.lists(st.sampled_from(PRIMES), unique=True, max_size=3)):
+        types = {}
+        for a in range(1, a_max + 1):
+            # t may be the type of p^a once p^t, ..., p^(a-t) all have type t
+            allowed = [
+                t for t in range(1, a + 1)
+                if a % t == 0 and all(types[i * t] == t for i in range(1, a // t))
+            ]
+            types[a] = draw(st.sampled_from(allowed))
+        for a, t in types.items():
+            # entries equal to the default rule may be left out or spelled out
+            if t != DEFAULT_TYPE[default](a) or draw(st.booleans()):
+                entries.append({"p": p, "a": a, "t": t})
+    return {"kind": "custom", "default": default, "a_max": a_max, "types": entries}
+
+
+def _modulus(data, system, limit=3000):
+    r = data.draw(st.integers(min_value=1, max_value=limit), label="r")
+    assume(all(a <= system.a_max for _, a in factorize(r)))
+    return r
+
+
+@given(valid_specs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_divisor_and_core(spec, data):
+    system = system_from_dict(spec)
+    assert validate(system) == []
+    r = _modulus(data, system, limit=20000)
+    for _ in range(5):
+        n = data.draw(st.integers(1, 1000), label="k") * data.draw(
+            st.sampled_from(divisors(r)), label="d"
+        )
+        assert c_A(system, n, r) == c_A_divisor(system, n, r) == c_A_core(system, n, r)
+    assert c_A_column(system, r, 60) == [c_A_divisor(system, n, r) for n in range(1, 61)]
+
+
+@given(valid_specs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_A_functions_against_definitions(spec, data):
+    system = system_from_dict(spec)
+    r = _modulus(data, system)
+    members = divisor_set(system, r).members
+    assert phi_A(system, r) == sum(1 for k in range(1, r + 1) if gcd_A(system, k, r) == 1)
+    assert sum(mu_A(system, d) for d in members) == (1 if r == 1 else 0)
+    assert psi_A(system, r) == sum(abs(mu_A(system, d)) * (r // d) for d in members)
+    # the largest member with mu_A != 0 is the product of the p^t; dividing
+    # r * rad(r) by it leaves p^(a - t + 1) at each prime power
+    kernel = max(d for d in members if mu_A(system, d) != 0)
+    radical = prod(p for p, _ in factorize(r))
+    assert gamma_A(system, r) == r * radical // kernel
+
+
+def test_kernel_rejects_invalid_system():
+    bad = RegularSystem("custom", types=((2, 4, 3),))
+    for call in (lambda: c_A(bad, 1, 3), lambda: c_A_column(bad, 3, 5)):
+        with pytest.raises(InvalidSystemError):
+            call()
+
+
+def test_kernel_exponent_bound_message(custom_system):
+    messages = []
+    for route in (c_A, c_A_divisor):
+        with pytest.raises(ExponentOutOfScopeError, match="5\\^17") as exc:
+            route(custom_system, 1, 5**17)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_kernel_rejects_bad_input():
+    with pytest.raises(ValueError):
+        c_A(DIRICHLET, 0, 4)
+    with pytest.raises(ValueError):
+        c_A_column(DIRICHLET, 0, 4)

@@ -1,6 +1,9 @@
 import json
+import pickle
 import random
+import re
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +62,25 @@ class TestValidate:
         bad = RegularSystem("custom", types=((2, 4, 3),))
         with pytest.raises(InvalidSystemError):
             divisor_set(bad, 12)
+
+
+class TestCompiledSystem:
+    def test_equal_systems_hash_equal(self, custom_system):
+        twin = system_from_dict(CUSTOM_OK, name="T")
+        assert twin == custom_system and twin is not custom_system
+        assert hash(twin) == hash(custom_system)
+        assert {twin: 1}[custom_system] == 1
+
+    def test_pickle_round_trip(self):
+        for system in (DIRICHLET, UNITARY, MIX):
+            copy = pickle.loads(pickle.dumps(system))
+            assert copy == system and hash(copy) == hash(system)
+            assert copy.type_of(2, 3) == system.type_of(2, 3)
+
+    def test_type_lookup(self, custom_system):
+        assert [custom_system.type_of(5, a) for a in range(1, 7)] == [1, 2, 3, 2, 5, 6]
+        assert [MIX.type_of(2, a) for a in range(1, 5)] == [1, 2, 3, 4]
+        assert MIX.type_of(3, 4) == 1
 
 
 class TestDivisorSet:
@@ -251,3 +273,28 @@ class TestLoader:
     def test_unknown_default(self):
         with pytest.raises(InvalidSystemError):
             system_from_dict({"kind": "custom", "default": "other"})
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"types": [{"p": 4, "a": 2, "t": 1}]}, "4, which is not a prime"),
+            ({"types": [{"p": 91, "a": 1, "t": 1}]}, "91, which is not a prime"),
+            ({"a_max": 0}, "exponent bound must be >= 1, got 0"),
+            ({"a_max": -3}, "exponent bound must be >= 1, got -3"),
+            ({"a_max": "x"}, "exponent bound must be an integer, got 'x'"),
+            ({"a_max": 2.5}, "exponent bound must be an integer, got 2.5"),
+            ({"types": [{"p": "x", "a": 1, "t": 1}]}, "malformed types table"),
+            ([{"p": 2, "a": 1, "t": 1}], "must be a JSON object"),
+        ],
+    )
+    def test_bad_spec_lists_violation(self, spec, message):
+        with pytest.raises(InvalidSystemError) as exc:
+            system_from_dict(spec)
+        assert any(message in v for v in exc.value.violations)
+
+    def test_readme_examples_load(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert blocks
+        for block in blocks:
+            assert validate(system_from_dict(json.loads(block))) == []
