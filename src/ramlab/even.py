@@ -4,6 +4,15 @@ anywhere through gcd(n, r).
 Inner products, Fourier coefficients in the Ramanujan-sum basis, and mean
 values are exact (Fraction) whenever the function values are integers or
 rationals; complex-valued functions fall back to floats.
+
+The Fourier coefficients come from a per-prime kernel. For r = prod p^a
+and q, e | r, c(r/q, e) = prod_p c(p^(a - v_p(q)), p^(v_p(e))), so the
+tau x tau matrices of both closed forms are Kronecker products of one
+(a+1) x (a+1) integer matrix per prime. `fourier_coeffs` scales rational
+values to integers and applies each factor along its prime axis:
+tau(r) * sum(a+1) integer multiply-adds per formula instead of tau(r)^2
+Fraction operations. Both formulas are still evaluated and compared
+exactly for every q.
 """
 
 from __future__ import annotations
@@ -12,7 +21,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, gcd
+from math import floor, gcd, lcm
+from operator import mul
 from typing import Callable, Mapping, Optional, Union
 
 from .arith import (
@@ -20,12 +30,11 @@ from .arith import (
     dedekind_psi,
     euler_phi,
     factorize,
-    moebius,
     ramanujan_c,
     sigma,
 )
 from .reports import PartialSumReport
-from .systems import RegularSystem, gcd_A
+from .systems import DIRICHLET, RegularSystem, gcd_A
 from . import gensums
 
 __all__ = [
@@ -159,26 +168,92 @@ def inner_product(f: EvenFunction, g: EvenFunction) -> Scalar:
     return _div(total, r)
 
 
+def _ramanujan_pp(p: int, b: int, j: int) -> int:
+    # c(m, p^j) for v_p(m) = b: it depends on m only through gcd(m, p^j)
+    if j == 0:
+        return 1
+    if b >= j:
+        return p**j - p ** (j - 1)
+    return -(p ** (j - 1)) if b == j - 1 else 0
+
+
+def _axis_matrices(p: int, a: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The per-prime factors of both coefficient formulas at p^a || r.
+
+    Row i = v_p(q), column j = v_p(e): formula 1's phi(p^j) c(p^(a-j), p^i)
+    and formula 2's c(p^(a-i), p^j)."""
+    phi = [1] + [p**j - p ** (j - 1) for j in range(1, a + 1)]
+    k1 = [[phi[j] * _ramanujan_pp(p, a - j, i) for j in range(a + 1)] for i in range(a + 1)]
+    k2 = [[_ramanujan_pp(p, a - i, j) for j in range(a + 1)] for i in range(a + 1)]
+    return k1, k2
+
+
+def _kron_apply(mats: list[list[list[int]]], vec: list) -> list:
+    # (mats[0] x mats[1] x ...) vec, one axis at a time; vec is indexed
+    # mixed-radix with the last matrix's axis varying fastest
+    stride = len(vec)
+    for mat in mats:
+        size = len(mat)
+        stride //= size
+        block = stride * size
+        out = [0] * len(vec)
+        for start in range(0, len(vec), block):
+            for off in range(start, start + stride):
+                col = vec[off : start + block : stride]
+                for i, row in enumerate(mat):
+                    out[off + i * stride] = sum(map(mul, row, col))
+        vec = out
+    return vec
+
+
 def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
     """The coefficients h(q) of f in the Ramanujan-sum basis.
 
-    Computed by both closed forms; they must agree (exactly for rational
-    values, to 1e-9 for floats), and the result reconstructs f."""
+    Both closed forms are evaluated for every q | r:
+
+        h(q) = (1 / (r phi(q))) sum_{e|r} phi(e) f(r/e) c(r/e, q)    (1)
+        h(q) = (1 / r)          sum_{e|r} f(r/e) c(r/q, e)           (2)
+
+    and must agree, exactly for rational values (as the integer identity
+    S1(q) = phi(q) S2(q) on the scaled sums) and to 1e-9 for float or
+    complex ones; a disagreement raises ArithmeticError. That the result
+    reconstructs f is not re-checked here; the round-trip tests cover it.
+
+    Rational values are scaled to integers by the lcm L of their
+    denominators, each formula's matrix is applied one prime axis at a time
+    (see the module docstring), and h(q) = S2(q) / (r L)."""
     r = f.r
-    divs = _divisor_tuple(r)
+    divs, phis, k1s, k2s = [1], [1], [], []
+    for p, a in factorize(r):
+        divs = [d * p**i for d in divs for i in range(a + 1)]
+        phis = [x * (p**i - p ** (i - 1) if i else 1) for x in phis for i in range(a + 1)]
+        k1, k2 = _axis_matrices(p, a)
+        k1s.append(k1)
+        k2s.append(k2)
+    values = [f.value_map[r // e] for e in divs]
+    exact = f.is_exact()
+    scale = 1
+    if exact:
+        fracs = [Fraction(v) for v in values]
+        scale = lcm(*(v.denominator for v in fracs))
+        values = [v.numerator * (scale // v.denominator) for v in fracs]
+    s1 = _kron_apply(k1s, values)
+    s2 = _kron_apply(k2s, values)
     out = []
-    for q in divs:
-        s1 = sum(euler_phi(e) * _exact(f.value_map[r // e]) * ramanujan_c(r // e, q) for e in divs)
-        h1 = _div(s1, r * euler_phi(q))
-        s2 = sum(_exact(f.value_map[r // e]) * ramanujan_c(r // q, e) for e in divs)
-        h2 = _div(s2, r)
-        if _is_exact(h1) and _is_exact(h2):
-            agree = h1 == h2
+    for q, phi_q, t1, t2 in zip(divs, phis, s1, s2):
+        if exact:
+            agree = t1 == phi_q * t2
+            h = Fraction(t2, r * scale)
         else:
-            agree = abs(h1 - h2) <= 1e-9 * (1 + abs(h1))
+            h, h1 = t2 / r, t1 / (r * phi_q)
+            agree = abs(h1 - h) <= 1e-9 * (1 + abs(h1))
         if not agree:
-            raise ArithmeticError(f"coefficient formulas disagree at q={q}: {h1} vs {h2}")
-        out.append((q, h1))
+            raise ArithmeticError(
+                f"coefficient formulas disagree at q={q}: "
+                f"{_div(t1, r * scale * phi_q)} vs {_div(t2, r * scale)}"
+            )
+        out.append((q, h))
+    out.sort()
     return FourierCoeffs(r, tuple(out))
 
 
@@ -234,11 +309,6 @@ def progression_totient_mean(s: int, n: int) -> Fraction:
     return out
 
 
-def _c_partial_sum(q: int, x: int) -> int:
-    # sum_{n<=x} c(n, q) in closed form over divisors of q
-    return sum(d * moebius(q // d) * (x // d) for d in _divisor_tuple(q))
-
-
 def certified_residual_bound(f: EvenFunction) -> Scalar:
     """x-uniform bound on |sum_{n<=x} f(n) - M(f) x|.
 
@@ -262,7 +332,7 @@ def partial_sum_even(f: EvenFunction, x) -> PartialSumReport:
         raise ValueError(f"x must be >= 1, got {x}")
     big_x = floor(x)
     coeffs = fourier_coeffs(f)
-    exact = sum(hq * _c_partial_sum(q, big_x) for q, hq in coeffs.h)
+    exact = sum(hq * gensums.c_A_sum(DIRICHLET, q, big_x) for q, hq in coeffs.h)
     main = mean_value(f) * big_x
     residual = exact - main
     bound = certified_residual_bound(f)
@@ -292,10 +362,12 @@ def parse_even_literal(text: str) -> EvenFunction:
             continue
         try:
             key, val = item.split(":")
-            frac = Fraction(val.strip())
+            d, frac = int(key), Fraction(val.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed divisor:value pair {item!r}") from exc
-        values[int(key)] = frac.numerator if frac.denominator == 1 else frac
+        if d in values:
+            raise ValueError(f"divisor {d} is given more than once")
+        values[d] = frac.numerator if frac.denominator == 1 else frac
     return EvenFunction.from_values(r, values)
 
 

@@ -14,8 +14,10 @@ d * mu_A(r/d). Route 2 (core form): sum of classical c(n, d) over d | r
 divisible by the core gamma_A(r). Route 3 is the literal exponential sum
 over residues k with (k, r)_A = 1 -- floating point, test oracle only.
 
-The partial-sum checker uses the closed form over A(r), which runs in
-O(|A(r)|) instead of O(x).
+The partial sums (`c_A_sum`, and the checker `partial_sum_cA`) use the
+closed form over A(r), sum_{d in A(r)} d mu_A(r/d) floor(x/d). Only the
+2^omega(r) members d with mu_A(r/d) != 0 contribute: those taking p^a or
+p^(a-t) at each prime power p^a || r, the kernel's two terms.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "c_A_divisor",
     "c_A_core",
     "c_A_oracle",
+    "c_A_sum",
     "partial_sum_cA",
     "CaTable",
 ]
@@ -111,16 +114,29 @@ def c_A_oracle(system: RegularSystem, n: int, r: int) -> complex:
     return total
 
 
+def c_A_sum(system: RegularSystem, r: int, x: int) -> int:
+    """sum_{n<=x} c_A(n, r) for integer x >= 0, exactly.
+
+    Closed form: sum_{d in A(r)} d * mu_A(r/d) * floor(x/d), over the
+    members d with mu_A(r/d) = +-1 only."""
+    if r < 1 or x < 0:
+        raise ValueError(f"c_A_sum requires r >= 1, x >= 0, got r={r}, x={x}")
+    signed = [(1, 1)]  # (d, mu_A(r/d)) over the contributing d built so far
+    for high, low in _kernel_terms(system, r):
+        signed = [(d * high, s) for d, s in signed] + [(d * low, -s) for d, s in signed]
+    return sum(s * d * (x // d) for d, s in signed)
+
+
 def partial_sum_cA(system: RegularSystem, r: int, x) -> PartialSumReport:
     """Exact partial sum of c_A(., r) up to x with its certified bound psi_A(r).
 
-    Closed form: sum_{d in A(r)} d * mu_A(r/d) * floor(x/d). Real x is
-    floored first, which leaves every floor(x/d) unchanged.
+    The sum is `c_A_sum` at floor(x); real x is floored first, which leaves
+    every floor(x/d) unchanged.
     """
     if r < 1 or x < 1:
         raise ValueError(f"partial_sum_cA requires r >= 1, x >= 1, got r={r}, x={x}")
     big_x = floor(x)
-    exact = sum(d * mu_A(system, r // d) * (big_x // d) for d in _members(system, r))
+    exact = c_A_sum(system, r, big_x)
     main = big_x if r == 1 else 0
     bound = psi_A(system, r)
     return PartialSumReport(

@@ -280,6 +280,14 @@ def psi_A(system: RegularSystem, r: int) -> int:
     return prod(p**a + p ** (a - t) for p, a, t in prime_power_types(system, r))
 
 
+def _entry_int(entry: dict, key: str) -> int:
+    # int() would truncate 2.5 to 2 and read True as 1; refuse both
+    value = entry[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r} in entry {entry!r}")
+    return int(value)
+
+
 def system_from_dict(spec: dict, name: str = "") -> RegularSystem:
     """Build a system from its JSON-shaped dict; validates before returning."""
     if not isinstance(spec, dict):
@@ -297,7 +305,7 @@ def system_from_dict(spec: dict, name: str = "") -> RegularSystem:
     a_max = spec.get("a_max", DEFAULT_A_MAX)
     try:
         types = tuple(
-            sorted((int(e["p"]), int(e["a"]), int(e["t"])) for e in spec.get("types", []))
+            sorted(tuple(_entry_int(e, key) for key in "pat") for e in spec.get("types", []))
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSystemError([f"malformed types table: {exc}"]) from exc

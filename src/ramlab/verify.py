@@ -228,7 +228,6 @@ def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumR
     arithmetic stays cheap); this is the oracle side, independent of the
     Fourier closed form in partial_sum_even."""
     from collections import Counter
-    from .even import _exact
 
     reports = []
     bound = certified_residual_bound(f)
@@ -237,7 +236,8 @@ def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumR
         if x < 1:
             raise ValueError(f"x must be >= 1, got {x}")
         counts = Counter(gcd(n, f.r) for n in range(1, x + 1))
-        exact = sum(_exact(f.value_map[d]) * c for d, c in counts.items())
+        # a Fraction start keeps integer-valued sums exact rationals
+        exact = sum((f.value_map[d] * c for d, c in counts.items()), Fraction(0))
         main = mf * x
         residual = exact - main
         reports.append(

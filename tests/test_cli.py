@@ -151,6 +151,7 @@ class TestErrorsAndPlumbing:
             ({"types": [{"p": 4, "a": 2, "t": 1}]}, "not a prime"),
             ({"a_max": 0}, "exponent bound must be >= 1"),
             ({"a_max": "x"}, "exponent bound must be an integer"),
+            ({"types": [{"p": 2.5, "a": 1, "t": 1}]}, "p must be an integer, got 2.5"),
         ],
     )
     def test_bad_spec_file_exits_1(self, capsys, tmp_path, spec, message):
@@ -160,6 +161,21 @@ class TestErrorsAndPlumbing:
         assert code == EXIT_USAGE
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("r=2; 1:1, x:2", "malformed divisor:value pair 'x:2'"),
+            ("r=2; 1:1, 2:3, 2:5", "divisor 2 is given more than once"),
+        ],
+    )
+    def test_bad_even_literal_exits_1(self, capsys, literal, message):
+        code, out, err = run(capsys, "verify", "prop1", "--rmax", "3", "--xmax", "10",
+                             "--even", literal)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+        assert "invalid literal for int()" not in err
 
     def test_invalid_spec_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,7 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ramlab import even
 from ramlab.arith import divisors, euler_phi, ramanujan_c, sigma
 from ramlab.even import (
     EvenFunction,
@@ -27,6 +30,67 @@ def random_rational_even(r, rng):
     return EvenFunction.from_callable(
         r, lambda d: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     )
+
+
+def reference_fourier_coeffs(f):
+    """The definition, as the test oracle: both closed forms as tau^2 double
+    sums over the divisors of r, in Fraction arithmetic for rational values.
+
+        h(q) = (1 / (r phi(q))) sum_{e|r} phi(e) f(r/e) c(r/e, q)
+        h(q) = (1 / r)          sum_{e|r} f(r/e) c(r/q, e)
+    """
+    def exact(v):
+        return Fraction(v) if isinstance(v, int) else v
+
+    def div(v, k):
+        return Fraction(v, k) if isinstance(v, (int, Fraction)) else v / k
+
+    r = f.r
+    divs = divisors(r)
+    out = []
+    for q in divs:
+        s1 = sum(euler_phi(e) * exact(f.value_map[r // e]) * ramanujan_c(r // e, q) for e in divs)
+        h1 = div(s1, r * euler_phi(q))
+        s2 = sum(exact(f.value_map[r // e]) * ramanujan_c(r // q, e) for e in divs)
+        h2 = div(s2, r)
+        if isinstance(h1, Fraction) and isinstance(h2, Fraction):
+            assert h1 == h2
+        else:
+            assert abs(h1 - h2) <= 1e-9 * (1 + abs(h1))
+        out.append((q, h1))
+    return tuple(out)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def moduli(draw):
+    """r = 1, a prime power, or a product of small prime powers with tau(r) <= 144."""
+    kind = draw(st.sampled_from(("one", "prime power", "composite")))
+    if kind == "one":
+        return 1
+    if kind == "prime power":
+        p = draw(st.sampled_from(SMALL_PRIMES + (9973,)))
+        return p ** draw(st.integers(min_value=1, max_value=12 if p < 9973 else 3))
+    r, tau = 1, 1
+    for p in SMALL_PRIMES:
+        a = draw(st.integers(min_value=0, max_value=5))
+        if tau * (a + 1) <= 144:
+            r, tau = r * p**a, tau * (a + 1)
+    return r
+
+
+RATIONAL_VALUES = {
+    "int": st.integers(min_value=-10**6, max_value=10**6),
+    "fraction": st.fractions(min_value=-1000, max_value=1000, max_denominator=100),
+}
+RATIONAL_VALUES["int and fraction"] = st.one_of(*RATIONAL_VALUES.values())
+FLOAT_VALUES = {
+    "float": st.floats(min_value=-1000, max_value=1000),
+    "complex": st.complex_numbers(max_magnitude=1000),
+}
+FLOAT_VALUES["mixed"] = st.one_of(*RATIONAL_VALUES.values(), *FLOAT_VALUES.values())
 
 
 class TestEvenFunction:
@@ -144,6 +208,58 @@ class TestFourier:
             r = rng.randint(1, 150)
             f = random_rational_even(r, rng)
             assert mean_value(f) == fourier_coeffs(f).coeff(1)
+
+
+class TestFourierKernel:
+    """The per-prime kernel in fourier_coeffs against the tau^2 definition."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=moduli(), data=st.data())
+    def test_rational_values_match_exactly(self, r, data):
+        kind = data.draw(st.sampled_from(sorted(RATIONAL_VALUES)), label="kind")
+        divs = divisors(r)
+        vals = data.draw(st.lists(RATIONAL_VALUES[kind], min_size=len(divs), max_size=len(divs)))
+        f = EvenFunction.from_values(r, dict(zip(divs, vals)))
+        got = fourier_coeffs(f).h
+        assert got == reference_fourier_coeffs(f)
+        assert all(type(h) is Fraction for _, h in got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=moduli(), data=st.data())
+    def test_float_and_complex_values_match_to_1e9(self, r, data):
+        kind = data.draw(st.sampled_from(sorted(FLOAT_VALUES)), label="kind")
+        divs = divisors(r)
+        vals = data.draw(st.lists(FLOAT_VALUES[kind], min_size=len(divs), max_size=len(divs)))
+        f = EvenFunction.from_values(r, dict(zip(divs, vals)))
+        got, want = fourier_coeffs(f).h, reference_fourier_coeffs(f)
+        assert [q for q, _ in got] == [q for q, _ in want]
+        for (_, h), (_, w) in zip(got, want):
+            assert abs(h - w) <= 1e-9 * (1 + abs(w))
+
+    @pytest.mark.parametrize("r", [50400, 110880])
+    def test_highly_composite_moduli(self, r):
+        f = random_rational_even(r, random.Random(r))
+        assert fourier_coeffs(f).h == reference_fourier_coeffs(f)
+
+    @pytest.mark.parametrize("formula", [0, 1])
+    def test_corrupted_matrix_entry_is_caught(self, monkeypatch, formula):
+        # r = 2^2 * 3: every entry of every per-prime matrix, one at a time
+        f = EvenFunction.from_callable(12, lambda d: Fraction(d * d + 1, d + 2))
+        honest = even._axis_matrices
+        for p, a in ((2, 2), (3, 1)):
+            for i in range(a + 1):
+                for j in range(a + 1):
+                    def corrupted(pp, aa, p=p, i=i, j=j):
+                        mats = honest(pp, aa)
+                        if pp == p:
+                            mats[formula][i][j] += 1
+                        return mats
+
+                    monkeypatch.setattr(even, "_axis_matrices", corrupted)
+                    with pytest.raises(ArithmeticError, match="formulas disagree"):
+                        fourier_coeffs(f)
+        monkeypatch.setattr(even, "_axis_matrices", honest)
+        assert fourier_coeffs(f).h == reference_fourier_coeffs(f)
 
 
 class TestMeanValue:

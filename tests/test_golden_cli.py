@@ -1,9 +1,11 @@
 """Byte-identical CLI output on a fixed corpus, checked against stored digests.
 
 The digests in `golden_cli.json` were recorded from the divisor-route
-implementation of `table` and `c`. Any change to what the CLI prints for
-these inputs, even one byte, fails here. To record them again from the
-current code (only when an output change is intended):
+implementation of `table` and `c`, and the `verify prop1 --even` ones from
+the tau^2 double-sum implementation of `even.fourier_coeffs`. Any change
+to what the CLI prints for these inputs, even one byte, fails here. To
+record them again from the current code (only when an output change is
+intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -27,6 +29,22 @@ DIGESTS = Path(__file__).with_name("golden_cli.json")
 CUSTOM = "{custom}"  # stands for a spec file holding conftest.CUSTOM_OK
 SYSTEMS = ("D", "U", "MIX", CUSTOM)
 FORMATS = ("json", "csv", "plain")
+EVEN_MODULI = (50400, 110880)  # tau = 108 and 144
+
+
+def _even_literal(r: int) -> str:
+    """A fixed rational even function mod r, as a CLI literal."""
+    divs = [d for d in range(1, r + 1) if r % d == 0]
+    return f"r={r}; " + ", ".join(f"{d}:{d * 37 % 19 - 9}/{d % 11 + 1}" for d in divs)
+
+
+def _expand(arg: str, spec_path: str) -> str:
+    # placeholders keep the corpus keys short: {custom} and {even:<r>}
+    if arg == CUSTOM:
+        return spec_path
+    if arg.startswith("{even:"):
+        return _even_literal(int(arg[len("{even:"):-1]))
+    return arg
 
 
 def _cases() -> list[tuple[str, ...]]:
@@ -46,11 +64,15 @@ def _cases() -> list[tuple[str, ...]]:
                               "--format", FORMATS[i % 3]))
     for fmt in FORMATS:
         cases.append(("verify", "all", "--system", "MIX", "--format", fmt))
+    for r in EVEN_MODULI:
+        for fmt in FORMATS:
+            cases.append(("verify", "prop1", "--rmax", "12", "--xmax", "60",
+                          "--even", f"{{even:{r}}}", "--format", fmt))
     return cases
 
 
 def _run(case: tuple[str, ...], spec_path: str) -> dict:
-    argv = [spec_path if a == CUSTOM else a for a in case]
+    argv = [_expand(a, spec_path) for a in case]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

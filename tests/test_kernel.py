@@ -3,7 +3,8 @@
 The strategy below draws custom systems that satisfy the chain rule (type t
 at p^a forces type t at every p^(it), i <= a/t), under both default rules.
 On each one the kernel must agree with the divisor and core routes, and
-mu_A, phi_A, psi_A, gamma_A with definitions built directly from A(r).
+mu_A, phi_A, psi_A, gamma_A and the partial sum c_A_sum with definitions
+built directly from A(r).
 """
 
 from math import prod
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramlab.arith import divisors, factorize
-from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor
+from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor, c_A_sum
 from ramlab.systems import (
     DIRICHLET,
     ExponentOutOfScopeError,
@@ -91,6 +92,19 @@ def test_A_functions_against_definitions(spec, data):
     assert gamma_A(system, r) == r * radical // kernel
 
 
+@given(valid_specs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_partial_sum_against_full_closed_form(spec, data):
+    # c_A_sum keeps only the members d with mu_A(r/d) != 0
+    system = system_from_dict(spec)
+    r = _modulus(data, system)
+    members = divisor_set(system, r).members
+    for x in (0, 1, data.draw(st.integers(2, 5000), label="x")):
+        full = sum(d * mu_A(system, r // d) * (x // d) for d in members)
+        assert c_A_sum(system, r, x) == full
+    assert c_A_sum(system, r, 60) == sum(c_A_column(system, r, 60))
+
+
 def test_kernel_rejects_invalid_system():
     bad = RegularSystem("custom", types=((2, 4, 3),))
     for call in (lambda: c_A(bad, 1, 3), lambda: c_A_column(bad, 3, 5)):
@@ -112,3 +126,5 @@ def test_kernel_rejects_bad_input():
         c_A(DIRICHLET, 0, 4)
     with pytest.raises(ValueError):
         c_A_column(DIRICHLET, 0, 4)
+    with pytest.raises(ValueError):
+        c_A_sum(DIRICHLET, 4, -1)

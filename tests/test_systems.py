@@ -284,6 +284,12 @@ class TestLoader:
             ({"a_max": "x"}, "exponent bound must be an integer, got 'x'"),
             ({"a_max": 2.5}, "exponent bound must be an integer, got 2.5"),
             ({"types": [{"p": "x", "a": 1, "t": 1}]}, "malformed types table"),
+            ({"types": [{"p": 2.5, "a": 1, "t": 1}]}, "p must be an integer, got 2.5"),
+            ({"types": [{"p": 3, "a": 1.5, "t": 1}]}, "a must be an integer, got 1.5"),
+            ({"types": [{"p": 3, "a": 2, "t": 0.5}]}, "t must be an integer, got 0.5"),
+            ({"types": [{"p": 3, "a": True, "t": 1}]}, "a must be an integer, got True"),
+            ({"types": [{"p": 2, "a": 1, "t": False}]}, "t must be an integer, got False"),
+            ({"types": [{"p": float("inf"), "a": 1, "t": 1}]}, "p must be an integer, got inf"),
             ([{"p": 2, "a": 1, "t": 1}], "must be a JSON object"),
         ],
     )
