@@ -25,7 +25,6 @@ from .even import (
     ramanujan_even,
 )
 from .gensums import (
-    CaTable,
     c_A,
     c_A_column,
     c_A_core,

@@ -14,6 +14,7 @@ from math import gcd
 
 __all__ = [
     "Factorization",
+    "primes_up_to",
     "factorize",
     "divisors",
     "euler_phi",
@@ -27,7 +28,8 @@ __all__ = [
 ]
 
 
-def _prime_sieve(limit: int) -> list[int]:
+def primes_up_to(limit: int) -> list[int]:
+    """The primes p <= limit, increasing (sieve of Eratosthenes)."""
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, int(limit**0.5) + 1):
@@ -36,7 +38,7 @@ def _prime_sieve(limit: int) -> list[int]:
     return [p for p in range(limit + 1) if flags[p]]
 
 
-_SMALL_PRIMES = _prime_sieve(1000)
+_SMALL_PRIMES = primes_up_to(1000)
 
 
 @dataclass(frozen=True)
@@ -84,16 +86,12 @@ def factorize(n: int) -> Factorization:
 
 
 @lru_cache(maxsize=None)
-def _divisor_tuple(n: int) -> tuple[int, ...]:
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of n, strictly increasing."""
     divs = [1]
     for p, a in factorize(n):
         divs = [d * p**i for d in divs for i in range(a + 1)]
     return tuple(sorted(divs))
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, strictly increasing."""
-    return list(_divisor_tuple(n))
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +165,7 @@ def moebius_sieve(limit: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _ramanujan_c_at_gcd(g: int, r: int) -> int:
     # divisor form over d | g = gcd(n, r); every such d divides r
-    return sum(d * moebius(r // d) for d in _divisor_tuple(g))
+    return sum(d * moebius(r // d) for d in divisors(g))
 
 
 def ramanujan_c(n: int, r: int) -> int:

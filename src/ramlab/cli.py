@@ -54,13 +54,14 @@ def _default_format() -> str:
 def _emit_rows(header: list[str], rows: list[list], fmt: str, out) -> None:
     if fmt == "json":
         for row in rows:
+            # integral rationals as JSON numbers, other rationals and floats as text
             obj = {
-                k: (v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v)
+                k: (
+                    v.numerator if isinstance(v, Fraction) and v.denominator == 1
+                    else format_value(v) if isinstance(v, (Fraction, float))
+                    else v
+                )
                 for k, v in zip(header, row)
-            }
-            obj = {
-                k: (format_value(v) if isinstance(v, (Fraction, float)) else v)
-                for k, v in obj.items()
             }
             out.write(json.dumps(obj) + "\n")
     elif fmt == "csv":

@@ -26,8 +26,8 @@ from operator import mul
 from typing import Callable, Mapping, Optional, Union
 
 from .arith import (
-    _divisor_tuple,
     dedekind_psi,
+    divisors,
     euler_phi,
     factorize,
     ramanujan_c,
@@ -51,7 +51,6 @@ __all__ = [
     "progression_totient_mean",
     "partial_sum_even",
     "parse_even_literal",
-    "format_even_literal",
 ]
 
 Scalar = Union[int, Fraction, float, complex]
@@ -93,7 +92,7 @@ class EvenFunction:
         values: Mapping[int, Scalar],
         system: Optional[RegularSystem] = None,
     ) -> "EvenFunction":
-        divs = _divisor_tuple(r)
+        divs = divisors(r)
         if set(values) != set(divs):
             raise ValueError(f"values must be given on exactly the divisors of {r}")
         f = cls(r, tuple((d, values[d]) for d in divs), system)
@@ -112,7 +111,7 @@ class EvenFunction:
         fn: Callable[[int], Scalar],
         system: Optional[RegularSystem] = None,
     ) -> "EvenFunction":
-        return cls.from_values(r, {d: fn(d) for d in _divisor_tuple(r)}, system)
+        return cls.from_values(r, {d: fn(d) for d in divisors(r)}, system)
 
     @cached_property
     def value_map(self) -> dict[int, Scalar]:
@@ -151,7 +150,7 @@ class FourierCoeffs:
             self.r,
             {
                 d: sum(hq * ramanujan_c(d, q) for q, hq in self.h)
-                for d in _divisor_tuple(self.r)
+                for d in divisors(self.r)
             },
         )
 
@@ -163,7 +162,7 @@ def inner_product(f: EvenFunction, g: EvenFunction) -> Scalar:
     r = f.r
     total = sum(
         euler_phi(d) * _exact(f.value_map[r // d]) * _conj(_exact(g.value_map[r // d]))
-        for d in _divisor_tuple(r)
+        for d in divisors(r)
     )
     return _div(total, r)
 
@@ -260,7 +259,7 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
 def mean_value(f: EvenFunction) -> Scalar:
     """Exact mean (1/r) sum_{e|r} f(e) phi(r/e); equals the q = 1 coefficient."""
     r = f.r
-    total = sum(_exact(f.value_map[e]) * euler_phi(r // e) for e in _divisor_tuple(r))
+    total = sum(_exact(f.value_map[e]) * euler_phi(r // e) for e in divisors(r))
     return _div(total, r)
 
 
@@ -296,7 +295,7 @@ def progression_totient_even(s: int, n: int) -> EvenFunction:
     Needs gcd(s, n) = 1 so the count is defined at every divisor of n."""
     if gcd(s, n) != 1:
         raise ValueError(f"tabulation needs gcd(s, n) = 1, got gcd({s}, {n}) = {gcd(s, n)}")
-    return EvenFunction.from_values(n, {d: _progression_count(s, d, n) for d in _divisor_tuple(n)})
+    return EvenFunction.from_values(n, {d: _progression_count(s, d, n) for d in divisors(n)})
 
 
 def progression_totient_mean(s: int, n: int) -> Fraction:
@@ -317,7 +316,7 @@ def certified_residual_bound(f: EvenFunction) -> Scalar:
     for q > 1 (and the q = 1 term exactly cancelling the main term)."""
     r = f.r
     k_f = f.sup_norm()
-    total = sum(dedekind_psi(q) for q in _divisor_tuple(r))
+    total = sum(dedekind_psi(q) for q in divisors(r))
     if _is_exact(k_f):
         return Fraction(k_f) * Fraction(sigma(r), r) * total
     return k_f * sigma(r) / r * total
@@ -333,16 +332,11 @@ def partial_sum_even(f: EvenFunction, x) -> PartialSumReport:
     big_x = floor(x)
     coeffs = fourier_coeffs(f)
     exact = sum(hq * gensums.c_A_sum(DIRICHLET, q, big_x) for q, hq in coeffs.h)
-    main = mean_value(f) * big_x
-    residual = exact - main
-    bound = certified_residual_bound(f)
     return PartialSumReport(
         x=big_x,
         exact_sum=exact,
-        main_term=main,
-        residual=residual,
-        certified_bound=bound,
-        passed=abs(residual) <= bound,
+        main_term=mean_value(f) * big_x,
+        certified_bound=certified_residual_bound(f),
     )
 
 
@@ -355,6 +349,8 @@ def parse_even_literal(text: str) -> EvenFunction:
     if not m:
         raise ValueError(f"malformed even-function literal: {text!r}")
     r = int(m.group(1))
+    if r < 1:
+        raise ValueError(f"modulus must be >= 1, got r={r} in even-function literal {text!r}")
     values: dict[int, Scalar] = {}
     for item in m.group(2).split(","):
         item = item.strip()
@@ -369,10 +365,3 @@ def parse_even_literal(text: str) -> EvenFunction:
             raise ValueError(f"divisor {d} is given more than once")
         values[d] = frac.numerator if frac.denominator == 1 else frac
     return EvenFunction.from_values(r, values)
-
-
-def format_even_literal(f: EvenFunction) -> str:
-    from .reports import format_value
-
-    pairs = ", ".join(f"{d}:{format_value(v)}" for d, v in f.values)
-    return f"r={f.r}; {pairs}"

@@ -23,7 +23,6 @@ p^(a-t) at each prime power p^a || r, the kernel's two terms.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from math import floor
 
@@ -31,11 +30,10 @@ from .arith import divisors, ramanujan_c
 from .reports import PartialSumReport
 from .systems import (
     RegularSystem,
-    _members,
+    divisor_set,
     gamma_A,
     gcd_A,
     mu_A,
-    phi_A,
     prime_power_types,
     psi_A,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "c_A_oracle",
     "c_A_sum",
     "partial_sum_cA",
-    "CaTable",
 ]
 
 
@@ -85,7 +82,7 @@ def c_A_divisor(system: RegularSystem, n: int, r: int) -> int:
     """c_A(n, r) by the divisor form; exact integer."""
     if n < 1 or r < 1:
         raise ValueError(f"c_A_divisor requires n, r >= 1, got n={n}, r={r}")
-    return sum(d * mu_A(system, r // d) for d in _members(system, r) if n % d == 0)
+    return sum(d * mu_A(system, r // d) for d in divisor_set(system, r) if n % d == 0)
 
 
 def c_A_core(system: RegularSystem, n: int, r: int) -> int:
@@ -136,48 +133,9 @@ def partial_sum_cA(system: RegularSystem, r: int, x) -> PartialSumReport:
     if r < 1 or x < 1:
         raise ValueError(f"partial_sum_cA requires r >= 1, x >= 1, got r={r}, x={x}")
     big_x = floor(x)
-    exact = c_A_sum(system, r, big_x)
-    main = big_x if r == 1 else 0
-    bound = psi_A(system, r)
     return PartialSumReport(
         x=big_x,
-        exact_sum=exact,
-        main_term=main,
-        residual=exact - main,
-        certified_bound=bound,
-        passed=abs(exact - main) <= bound,
+        exact_sum=c_A_sum(system, r, big_x),
+        main_term=big_x if r == 1 else 0,
+        certified_bound=psi_A(system, r),
     )
-
-
-@dataclass(frozen=True)
-class CaTable:
-    """Dense table of c_A(n, r) for 1 <= n <= n_max, 1 <= r <= r_max."""
-
-    system: RegularSystem
-    n_max: int
-    r_max: int
-    values: tuple[tuple[int, ...], ...]  # values[n-1][r-1]
-
-    @classmethod
-    def build(cls, system: RegularSystem, n_max: int, r_max: int) -> "CaTable":
-        columns = [c_A_column(system, r, n_max) for r in range(1, r_max + 1)]
-        values = tuple(zip(*columns))
-        return cls(system, n_max, r_max, values)
-
-    def at(self, n: int, r: int) -> int:
-        return self.values[n - 1][r - 1]
-
-    def verify_routes(self, tol: float = 1e-6) -> bool:
-        """Cross-check every entry against the core form and the oracle."""
-        for n in range(1, self.n_max + 1):
-            for r in range(1, self.r_max + 1):
-                v = self.at(n, r)
-                if v != c_A_core(self.system, n, r):
-                    return False
-                z = c_A_oracle(self.system, n, r)
-                if abs(z.imag) > tol or abs(z.real - v) > tol:
-                    return False
-        for r in range(1, min(self.n_max, self.r_max) + 1):
-            if self.at(r, r) != phi_A(self.system, r):
-                return False
-        return True

@@ -1,15 +1,16 @@
-"""Report records shared by the partial-sum and orthogonality checkers."""
+"""Report records shared by the partial-sum and orthogonality checkers.
+
+The records hold results only; the CLI (`cli._emit_rows`) is the one place
+that turns them into JSON, CSV or plain text, through `format_value`.
+"""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 Numeric = Union[int, Fraction, float]
-
-CSV_HEADER = "x,exact_sum,main_term,residual,bound,pass"
 
 
 def format_value(v) -> str:
@@ -25,78 +26,25 @@ def format_value(v) -> str:
     return str(v)
 
 
-def parse_value(text: str) -> Numeric:
-    """Inverse of format_value for exact quantities."""
-    if "/" in text:
-        return Fraction(text)
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction) and v.denominator != 1:
-        return format_value(v)
-    if isinstance(v, Fraction):
-        return v.numerator
-    return v
-
-
 @dataclass(frozen=True)
 class PartialSumReport:
-    """Exact partial sum of a function against its predicted main term."""
+    """Exact partial sum of a function against its predicted main term.
+
+    The residual and the verdict are derived, so they cannot disagree with
+    the sum, the main term and the bound."""
 
     x: int
     exact_sum: Numeric
     main_term: Numeric
-    residual: Numeric
     certified_bound: Numeric
-    passed: bool
 
-    def __post_init__(self):
-        if self.exact_sum - self.main_term != self.residual:
-            raise ValueError("residual must equal exact_sum - main_term")
+    @property
+    def residual(self) -> Numeric:
+        return self.exact_sum - self.main_term
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "exact_sum": _jsonable(self.exact_sum),
-            "main_term": _jsonable(self.main_term),
-            "residual": _jsonable(self.residual),
-            "bound": _jsonable(self.certified_bound),
-            "pass": self.passed,
-        }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PartialSumReport":
-        def back(v):
-            return parse_value(v) if isinstance(v, str) else v
-
-        return cls(
-            x=d["x"],
-            exact_sum=back(d["exact_sum"]),
-            main_term=back(d["main_term"]),
-            residual=back(d["residual"]),
-            certified_bound=back(d["bound"]),
-            passed=d["pass"],
-        )
-
-    def to_csv_row(self) -> str:
-        return ",".join(
-            format_value(v)
-            for v in (
-                self.x,
-                self.exact_sum,
-                self.main_term,
-                self.residual,
-                self.certified_bound,
-                self.passed,
-            )
-        )
+    @property
+    def passed(self) -> bool:
+        return abs(self.residual) <= self.certified_bound
 
 
 @dataclass(frozen=True)
@@ -113,27 +61,3 @@ class OrthogonalityReport:
     def __post_init__(self):
         if self.verdict == "violating" and (self.r == self.s or self.exact_mean == 0):
             raise ValueError("violating verdict requires r != s and nonzero mean")
-
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "r": self.r,
-            "s": self.s,
-            "exact_mean": self.exact_mean,
-            "empirical_mean": format_value(self.empirical_mean),
-            "verdict": self.verdict,
-        }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OrthogonalityReport":
-        return cls(
-            system=d["system"],
-            r=d["r"],
-            s=d["s"],
-            exact_mean=d["exact_mean"],
-            empirical_mean=Fraction(str(d["empirical_mean"])),
-            verdict=d["verdict"],
-        )

@@ -20,7 +20,6 @@ from .arith import factorize
 
 __all__ = [
     "RegularSystem",
-    "DivisorSetA",
     "InvalidSystemError",
     "ExponentOutOfScopeError",
     "DIRICHLET",
@@ -112,14 +111,6 @@ class RegularSystem:
         return self.name or self.kind
 
 
-@dataclass(frozen=True)
-class DivisorSetA:
-    """The set A(n) for one system: an ordered subset of the divisors of n."""
-
-    n: int
-    members: tuple[int, ...]
-
-
 DIRICHLET = RegularSystem(DIRICHLET_KIND, name="D")
 UNITARY = RegularSystem(UNITARY_KIND, name="U")
 
@@ -209,24 +200,16 @@ def prime_power_types(system: RegularSystem, n: int) -> tuple[tuple[int, int, in
 
 
 @lru_cache(maxsize=None)
-def _members(system: RegularSystem, n: int) -> tuple[int, ...]:
+def divisor_set(system: RegularSystem, n: int) -> tuple[int, ...]:
+    """The set A(n), strictly increasing, built per prime power and
+    assembled multiplicatively."""
+    if n < 1:
+        raise ValueError(f"divisor_set requires n >= 1, got {n}")
     members = [1]
     for p, a, t in prime_power_types(system, n):
         chain = [p ** (i * t) for i in range(a // t + 1)]
         members = [d * e for d in members for e in chain]
     return tuple(sorted(members))
-
-
-def divisor_set(system: RegularSystem, n: int) -> DivisorSetA:
-    """The set A(n), built per prime power and assembled multiplicatively."""
-    if n < 1:
-        raise ValueError(f"divisor_set requires n >= 1, got {n}")
-    return DivisorSetA(n, _members(system, n))
-
-
-@lru_cache(maxsize=None)
-def _members_desc(system: RegularSystem, n: int) -> tuple[int, ...]:
-    return tuple(reversed(_members(system, n)))
 
 
 def gcd_A(system: RegularSystem, k: int, r: int) -> int:
@@ -238,7 +221,7 @@ def gcd_A(system: RegularSystem, k: int, r: int) -> int:
         raise ValueError(f"gcd_A requires r >= 1, k >= 0, got k={k}, r={r}")
     if k == 0:
         return r
-    for d in _members_desc(system, r):
+    for d in reversed(divisor_set(system, r)):
         if k % d == 0:
             return d
     return 1  # unreachable: 1 is always a member
@@ -256,7 +239,7 @@ def convolve_A(
     """
     out = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
-        out[n] = sum(f(d) * g(n // d) for d in _members(system, n))
+        out[n] = sum(f(d) * g(n // d) for d in divisor_set(system, n))
     return out
 
 

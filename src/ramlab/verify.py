@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .arith import _divisor_tuple, euler_phi, moebius_sieve, sigma
+from .arith import divisors, euler_phi, moebius_sieve, primes_up_to, sigma
 from .even import EvenFunction, certified_residual_bound, mean_value
 from .gensums import c_A_column
 from .reports import OrthogonalityReport, PartialSumReport
@@ -46,7 +46,7 @@ def mean_product_exact(system: RegularSystem, r: int, s: int) -> int:
         raise ValueError(f"mean_product_exact requires r, s >= 1, got r={r}, s={s}")
     gr, gs = gamma_A(system, r), gamma_A(system, s)
     return sum(
-        euler_phi(d) for d in _divisor_tuple(gcd(r, s)) if d % gr == 0 and d % gs == 0
+        euler_phi(d) for d in divisors(gcd(r, s)) if d % gr == 0 and d % gs == 0
     )
 
 
@@ -127,8 +127,7 @@ def _first_high_type_prime_power(
     if system.kind == DIRICHLET_KIND:
         return None
     candidates = []
-    primes = [p for p in range(2, prime_bound + 1) if all(p % q for q in range(2, p))]
-    for p in primes:
+    for p in primes_up_to(prime_bound):
         for a in range(2, system.a_max + 1):
             if p**a > 2**system.a_max:
                 break
@@ -167,7 +166,7 @@ def additive_closure_witness(
     h_fails = all(
         not is_A_even(system, h, r, 4 * lcm(r, pt)) for r in range(1, r_max + 1)
     )
-    contradiction = p not in divisor_set(system, pt).members
+    contradiction = p not in divisor_set(system, pt)
     return Prop4Witness(
         p=p,
         t=t,
@@ -215,7 +214,7 @@ def expansion_demo(n: int, terms: int) -> ExpansionResult:
     if n < 1 or terms < 1:
         raise ValueError(f"expansion_demo requires n, terms >= 1, got n={n}, terms={terms}")
     prefix = _mu_over_square_prefix(terms)
-    total = sum(prefix[terms // d] / d for d in _divisor_tuple(n))
+    total = sum(prefix[terms // d] / d for d in divisors(n))
     truncated = (math.pi**2 / 6) * total
     target = sigma(n) / n
     return ExpansionResult(n, terms, truncated, target, abs(truncated - target))
@@ -238,16 +237,5 @@ def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumR
         counts = Counter(gcd(n, f.r) for n in range(1, x + 1))
         # a Fraction start keeps integer-valued sums exact rationals
         exact = sum((f.value_map[d] * c for d, c in counts.items()), Fraction(0))
-        main = mf * x
-        residual = exact - main
-        reports.append(
-            PartialSumReport(
-                x=x,
-                exact_sum=exact,
-                main_term=main,
-                residual=residual,
-                certified_bound=bound,
-                passed=abs(residual) <= bound,
-            )
-        )
+        reports.append(PartialSumReport(x, exact, mf * x, bound))
     return reports

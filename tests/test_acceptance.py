@@ -85,7 +85,7 @@ def test_criterion_3_partial_sum_cA_bound():
     xs = list(range(1, 1001)) + [10**4]
     for name, system in SYSTEMS:
         for r in range(1, 201):
-            terms = [(d, d * mu_A(system, r // d)) for d in divisor_set(system, r).members]
+            terms = [(d, d * mu_A(system, r // d)) for d in divisor_set(system, r)]
             psi = psi_A(system, r)
             for x in xs:
                 s = sum(c * (x // d) for d, c in terms)

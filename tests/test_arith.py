@@ -55,7 +55,7 @@ class TestFactorize:
 class TestDivisors:
     @pytest.mark.parametrize(
         "n,expected",
-        [(1, [1]), (6, [1, 2, 3, 6]), (12, [1, 2, 3, 4, 6, 12])],
+        [(1, (1,)), (6, (1, 2, 3, 6)), (12, (1, 2, 3, 4, 6, 12))],
     )
     def test_examples(self, n, expected):
         assert divisors(n) == expected
@@ -63,7 +63,7 @@ class TestDivisors:
     @given(st.integers(min_value=1, max_value=5000))
     @settings(max_examples=50, deadline=None)
     def test_matches_definition(self, n):
-        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 class TestClassicalFunctions:

@@ -1,9 +1,14 @@
+import csv
+import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from ramlab import gensums
+from ramlab import even, gensums, verify
 from ramlab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from ramlab.reports import OrthogonalityReport, PartialSumReport
+from ramlab.systems import MIX, UNITARY
 
 
 def run(capsys, *argv):
@@ -121,6 +126,66 @@ class TestCommandVerify:
         assert code == EXIT_OK
 
 
+def _number(v):
+    # the JSON emitter writes integral values as numbers, other rationals as "p/q"
+    return Fraction(v) if isinstance(v, str) else v
+
+
+class TestEmitter:
+    """The CLI is the only serializer: its rows read back to the reports."""
+
+    def test_prop2_json_round_trip(self, capsys):
+        code, out, _ = run(capsys, "verify", "prop2", "--system", "MIX", "--rmax", "12",
+                           "--xmax", "500", "--format", "json")
+        assert code == EXIT_OK
+        for line in out.splitlines():
+            row = json.loads(line)
+            rep = gensums.partial_sum_cA(MIX, row["r"], row["x"])
+            back = PartialSumReport(row["x"], row["exact_sum"], row["main_term"], row["bound"])
+            assert back == rep
+            assert row["residual"] == rep.residual
+            assert row["pass"] == "true"
+
+    def test_prop1_json_round_trip_rationals(self, capsys):
+        literal = "r=6; 1:1, 2:-1, 3:1/2, 6:3"
+        code, out, _ = run(capsys, "verify", "prop1", "--rmax", "4", "--xmax", "250",
+                           "--even", literal, "--format", "json")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()][-2:]  # the literal's
+        reps = verify.mean_value_check(even.parse_even_literal(literal), [100, 250])
+        for row, rep in zip(rows, reps):
+            assert isinstance(row["main_term"], str)  # 7/12 x is not integral
+            back = PartialSumReport(row["x"], _number(row["exact_sum"]),
+                                    _number(row["main_term"]), _number(row["bound"]))
+            assert back == rep
+            assert _number(row["residual"]) == rep.residual
+
+    def test_prop2_csv(self, capsys):
+        code, out, _ = run(capsys, "verify", "prop2", "--system", "U", "--rmax", "8",
+                           "--xmax", "100", "--format", "csv")
+        assert code == EXIT_OK
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["r", "x", "exact_sum", "main_term", "residual", "bound", "pass"]
+        assert any(row[2].startswith("-") for row in rows)
+        for r, x, exact, main, residual, bound, ok in rows:
+            rep = gensums.partial_sum_cA(UNITARY, int(r), int(x))
+            assert (int(exact), int(main), int(residual), int(bound)) == (
+                rep.exact_sum, rep.main_term, rep.residual, rep.certified_bound
+            )
+            assert ok == "true"
+
+    def test_prop3_json_round_trip(self, capsys):
+        code, out, _ = run(capsys, "verify", "prop3", "--system", "U", "--rmax", "12",
+                           "--format", "json")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert {row["verdict"] for row in rows} == {"diagonal", "violating"}
+        for row in rows:
+            back = OrthogonalityReport(row["system"], row["r"], row["s"], row["exact_mean"],
+                                       Fraction(row["empirical_mean"]), row["verdict"])
+            assert back == verify.orthogonality_report(UNITARY, row["r"], row["s"])
+
+
 class TestErrorsAndPlumbing:
     def test_usage_error_exit_1(self, capsys):
         assert run(capsys, "nope")[0] == EXIT_USAGE
@@ -167,6 +232,7 @@ class TestErrorsAndPlumbing:
         [
             ("r=2; 1:1, x:2", "malformed divisor:value pair 'x:2'"),
             ("r=2; 1:1, 2:3, 2:5", "divisor 2 is given more than once"),
+            ("r=0; 1:1", "modulus must be >= 1, got r=0 in even-function literal 'r=0; 1:1'"),
         ],
     )
     def test_bad_even_literal_exits_1(self, capsys, literal, message):
@@ -176,6 +242,7 @@ class TestErrorsAndPlumbing:
         assert out == ""
         assert message in err
         assert "invalid literal for int()" not in err
+        assert "factorize" not in err
 
     def test_invalid_spec_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -12,7 +12,6 @@ from ramlab.even import (
     EvenFunction,
     c_A_even,
     certified_residual_bound,
-    format_even_literal,
     fourier_coeffs,
     inner_product,
     mean_value,
@@ -345,11 +344,9 @@ class TestPartialSumEven:
 
 
 class TestLiteral:
-    def test_round_trip(self):
-        text = "r=12; 1:1, 2:-1, 3:0, 4:2, 6:0, 12:5"
-        f = parse_even_literal(text)
+    def test_integers(self):
+        f = parse_even_literal("r=12; 1:1, 2:-1, 3:0, 4:2, 6:0, 12:5")
         assert f.r == 12 and f.value_map[4] == 2
-        assert parse_even_literal(format_even_literal(f)) == f
 
     def test_rationals(self):
         f = parse_even_literal("r=2; 1:1/3, 2:-5/2")

@@ -5,8 +5,8 @@ import pytest
 
 from ramlab.arith import ramanujan_c
 from ramlab.gensums import (
-    CaTable,
     c_A,
+    c_A_column,
     c_A_core,
     c_A_divisor,
     c_A_oracle,
@@ -117,21 +117,12 @@ class TestPartialSum:
             partial_sum_cA(DIRICHLET, 6, 0)
 
 
-class TestCaTable:
-    def test_build_and_verify(self, any_system):
-        table = CaTable.build(any_system, 30, 30)
-        assert table.at(4, 4) == phi_A(any_system, 4)
-        assert table.verify_routes()
-
-    def test_detects_corruption(self):
-        table = CaTable.build(UNITARY, 10, 10)
-        broken = CaTable(
-            UNITARY,
-            10,
-            10,
-            tuple(
-                tuple(v + (1 if (n, r) == (0, 0) else 0) for r, v in enumerate(row))
-                for n, row in enumerate(table.values)
-            ),
-        )
-        assert not broken.verify_routes()
+class TestColumn:
+    def test_against_routes(self, any_system):
+        columns = {r: c_A_column(any_system, r, 30) for r in range(1, 31)}
+        for r, column in columns.items():
+            assert column[r - 1] == phi_A(any_system, r)
+            for n, v in enumerate(column, 1):
+                assert v == c_A_core(any_system, n, r)
+                z = c_A_oracle(any_system, n, r)
+                assert abs(z.imag) <= 1e-6 and abs(z.real - v) <= 1e-6

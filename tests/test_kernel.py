@@ -81,7 +81,7 @@ def test_kernel_matches_divisor_and_core(spec, data):
 def test_A_functions_against_definitions(spec, data):
     system = system_from_dict(spec)
     r = _modulus(data, system)
-    members = divisor_set(system, r).members
+    members = divisor_set(system, r)
     assert phi_A(system, r) == sum(1 for k in range(1, r + 1) if gcd_A(system, k, r) == 1)
     assert sum(mu_A(system, d) for d in members) == (1 if r == 1 else 0)
     assert psi_A(system, r) == sum(abs(mu_A(system, d)) * (r // d) for d in members)
@@ -98,7 +98,7 @@ def test_partial_sum_against_full_closed_form(spec, data):
     # c_A_sum keeps only the members d with mu_A(r/d) != 0
     system = system_from_dict(spec)
     r = _modulus(data, system)
-    members = divisor_set(system, r).members
+    members = divisor_set(system, r)
     for x in (0, 1, data.draw(st.integers(2, 5000), label="x")):
         full = sum(d * mu_A(system, r // d) * (x // d) for d in members)
         assert c_A_sum(system, r, x) == full

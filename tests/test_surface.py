@@ -1,0 +1,72 @@
+"""The package's public surface: private names stay inside their module, and
+every exported name resolves.
+
+Read from the sources with `ast`, so a private import is caught even when
+it happens to work."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import ramlab
+
+PACKAGE = Path(ramlab.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _tree(stem: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{stem}.py").read_text())
+
+
+def _ramlab_imports(tree: ast.Module):
+    """(module, name) for each `from .mod import name` / `from ramlab.mod import name`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("ramlab"):
+                continue
+            module = (node.module or "").removeprefix("ramlab").lstrip(".")
+            for alias in node.names:
+                yield module, alias.name
+
+
+@pytest.mark.parametrize("stem", MODULES + ["__init__"])
+def test_no_private_cross_module_names(stem):
+    tree = _tree(stem)
+    imported_modules = set()
+    offences = []
+    for module, name in _ramlab_imports(tree):
+        if not module and name in MODULES:
+            imported_modules.add(name)  # `from . import gensums`
+        elif name.startswith("_"):
+            offences.append(f"from .{module} import {name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported_modules
+            and node.attr.startswith("_")
+        ):
+            offences.append(f"{node.value.id}.{node.attr}")
+    assert offences == []
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_all_entries_resolve(stem):
+    module = importlib.import_module(f"ramlab.{stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_namespace_reexports_public_names():
+    # each name `ramlab` re-exports is listed in its module's __all__, or is
+    # public when the module has none
+    stray = []
+    for module, name in _ramlab_imports(_tree("__init__")):
+        source = importlib.import_module(f"ramlab.{module}")
+        assert getattr(ramlab, name) is getattr(source, name)
+        public = getattr(source, "__all__", None)
+        if (name not in public) if public is not None else name.startswith("_"):
+            stray.append(f"{module}.{name}")
+    assert stray == []

@@ -85,18 +85,18 @@ class TestCompiledSystem:
 
 class TestDivisorSet:
     def test_examples(self):
-        assert divisor_set(DIRICHLET, 12).members == (1, 2, 3, 4, 6, 12)
-        assert divisor_set(UNITARY, 12).members == (1, 3, 4, 12)
-        assert divisor_set(UNITARY, 16).members == (1, 16)
+        assert divisor_set(DIRICHLET, 12) == (1, 2, 3, 4, 6, 12)
+        assert divisor_set(UNITARY, 12) == (1, 3, 4, 12)
+        assert divisor_set(UNITARY, 16) == (1, 16)
 
     def test_unitary_law_to_2000(self):
         for n in range(1, 2001):
             expected = tuple(d for d in divisors(n) if gcd(d, n // d) == 1)
-            assert divisor_set(UNITARY, n).members == expected
+            assert divisor_set(UNITARY, n) == expected
 
     def test_subset_and_endpoints(self, any_system):
         for n in range(1, 300):
-            members = divisor_set(any_system, n).members
+            members = divisor_set(any_system, n)
             assert members[0] == 1 and members[-1] == n
             assert set(members) <= set(divisors(n))
 
@@ -108,10 +108,10 @@ class TestDivisorSet:
                 continue
             prod = {
                 d * e
-                for d in divisor_set(any_system, m).members
-                for e in divisor_set(any_system, n).members
+                for d in divisor_set(any_system, m)
+                for e in divisor_set(any_system, n)
             }
-            assert set(divisor_set(any_system, m * n).members) == prod
+            assert set(divisor_set(any_system, m * n)) == prod
 
     def test_out_of_scope_exponent(self, custom_system):
         with pytest.raises(ExponentOutOfScopeError, match="5\\^17"):
@@ -198,7 +198,7 @@ class TestMultiplicativeFunctions:
         for r in range(1, 2001):
             # k has (k, r)_A = 1 iff no member > 1 of A(r) divides it
             marked = bytearray(r + 1)
-            for d in divisor_set(any_system, r).members:
+            for d in divisor_set(any_system, r):
                 if d > 1:
                     for m in range(d, r + 1, d):
                         marked[m] = 1
