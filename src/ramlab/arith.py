@@ -52,7 +52,10 @@ class Factorization:
         return iter(self.factors)
 
 
-@lru_cache(maxsize=None)
+# One rule for every cache in the package: cache only where measured traffic
+# repeats the arguments, and bound it at 4096 entries, so that a long run of
+# distinct inputs cannot grow the process.
+@lru_cache(maxsize=4096)
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division."""
     if n < 1:
@@ -85,7 +88,7 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, strictly increasing."""
     divs = [1]
@@ -94,7 +97,7 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def euler_phi(n: int) -> int:
     """Euler totient, multiplicative with phi(p^a) = p^a - p^(a-1)."""
     out = 1
@@ -103,7 +106,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def sigma(n: int) -> int:
     """Sum of the positive divisors of n."""
     out = 1
@@ -120,7 +122,6 @@ def tau(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def moebius(n: int) -> int:
     """Moebius function: (-1)^k on squarefree n with k prime factors, else 0."""
     out = 1
@@ -131,7 +132,7 @@ def moebius(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def dedekind_psi(n: int) -> int:
     """Dedekind psi, multiplicative with psi(p^a) = p^a + p^(a-1)."""
     out = 1
@@ -162,17 +163,12 @@ def moebius_sieve(limit: int) -> list[int]:
     return mu
 
 
-@lru_cache(maxsize=None)
-def _ramanujan_c_at_gcd(g: int, r: int) -> int:
-    # divisor form over d | g = gcd(n, r); every such d divides r
-    return sum(d * moebius(r // d) for d in divisors(g))
-
-
 def ramanujan_c(n: int, r: int) -> int:
     """Classical Ramanujan sum c(n, r) = sum_{d | gcd(n,r)} d * mu(r/d)."""
     if n < 1 or r < 1:
         raise ValueError(f"ramanujan_c requires n, r >= 1, got n={n}, r={r}")
-    return _ramanujan_c_at_gcd(gcd(n, r), r)
+    # every divisor of gcd(n, r) divides r
+    return sum(d * moebius(r // d) for d in divisors(gcd(n, r)))
 
 
 def ramanujan_c_oracle(n: int, r: int) -> complex:

@@ -93,7 +93,7 @@ def c_A_core(system: RegularSystem, n: int, r: int) -> int:
     return sum(ramanujan_c(n, d) for d in divisors(r) if d % g == 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _a_coprime_residues(system: RegularSystem, r: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, r + 1) if gcd_A(system, k, r) == 1)
 

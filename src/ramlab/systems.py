@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 from math import prod
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .arith import factorize
 
@@ -106,6 +107,30 @@ class RegularSystem:
         if t is not None:
             return t
         return a if self.default == "unitary-default" else 1
+
+    def smallest_high_type(self) -> Optional[tuple[int, int, int]]:
+        """(p, a, t) for the smallest prime power p^a whose type t exceeds 1;
+        None when every type is 1, so that A(n) is every divisor of n.
+
+        Read from the type table and the default rule: under the Dirichlet
+        default only table entries can have t > 1; under the unitary default
+        every prime without an entry has p^2 of type 2, and only the
+        smallest such prime can beat the table."""
+        if self.kind == UNITARY_KIND:
+            return (2, 2, 2)
+        primes = sorted({p for p, _ in self._table})
+        if self.default == "unitary-default":
+            primes.append(
+                next(p for p in count(2) if p not in primes and factorize(p).factors == ((p, 1),))
+            )
+        found = []
+        for p in primes:
+            for a in range(2, self.a_max + 1):
+                t = self.type_of(p, a)
+                if t > 1:
+                    found.append((p**a, p, a, t))
+                    break
+        return min(found)[1:] if found else None
 
     def label(self) -> str:
         return self.name or self.kind
@@ -199,7 +224,7 @@ def prime_power_types(system: RegularSystem, n: int) -> tuple[tuple[int, int, in
     return tuple((p, a, system.type_of(p, a)) for p, a in factorize(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def divisor_set(system: RegularSystem, n: int) -> tuple[int, ...]:
     """The set A(n), strictly increasing, built per prime power and
     assembled multiplicatively."""

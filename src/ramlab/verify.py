@@ -9,21 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .arith import divisors, euler_phi, moebius_sieve, primes_up_to, sigma
+from .arith import divisors, euler_phi, moebius_sieve, sigma
 from .even import EvenFunction, certified_residual_bound, mean_value
 from .gensums import c_A_column
 from .reports import OrthogonalityReport, PartialSumReport
-from .systems import (
-    DIRICHLET_KIND,
-    RegularSystem,
-    divisor_set,
-    gamma_A,
-    gcd_A,
-)
+from .systems import RegularSystem, divisor_set, gamma_A, gcd_A
 
 __all__ = [
     "mean_product_exact",
@@ -120,36 +113,24 @@ class Prop4Witness:
     core_contradiction: bool  # p absent from A(p^t), the structural obstruction
 
 
-def _first_high_type_prime_power(
-    system: RegularSystem, prime_bound: int = 100
-) -> Optional[tuple[int, int]]:
-    # smallest prime power p^a with type > 1, ordered by value
-    if system.kind == DIRICHLET_KIND:
-        return None
-    candidates = []
-    for p in primes_up_to(prime_bound):
-        for a in range(2, system.a_max + 1):
-            if p**a > 2**system.a_max:
-                break
-            t = system.type_of(p, a)
-            if t > 1:
-                candidates.append((p**a, p, a))
-                break
-    if not candidates:
-        return None
-    _, p, a = min(candidates)
-    return p, system.type_of(p, a)
-
-
 def additive_closure_witness(
     system: RegularSystem, r_max: int = 100
 ) -> Optional[Prop4Witness]:
-    """For a non-Dirichlet system, exhibit f, g A-even with f + g A-even for
-    no modulus r <= r_max; None means not applicable (Dirichlet behaviour)."""
-    found = _first_high_type_prime_power(system)
+    """For a system with a prime power of type t > 1, exhibit f, g A-even
+    with f + g A-even for no modulus r <= r_max, built at the smallest such
+    prime power; None means not applicable (every type is 1, as in D).
+
+    The witness's evenness checks run over n up to a multiple of p^t, so a
+    smallest such prime power p^a above 2^a_max raises ValueError."""
+    found = system.smallest_high_type()
     if found is None:
         return None
-    p, t = found
+    p, a, t = found
+    if p**a > 2**system.a_max:
+        raise ValueError(
+            f"prop4: the smallest prime power of type > 1 is {p}^{a}, "
+            f"above the witness bound 2^{system.a_max}"
+        )
     pt = p**t
 
     def f(n: int) -> int:
@@ -193,28 +174,26 @@ class ExpansionResult:
     abs_error: float
 
 
-@lru_cache(maxsize=8)
-def _mu_over_square_prefix(limit: int) -> tuple[float, ...]:
-    mu = moebius_sieve(limit)
-    out = [0.0] * (limit + 1)
-    acc = 0.0
-    for m in range(1, limit + 1):
-        if mu[m]:
-            acc += mu[m] / (m * m)
-        out[m] = acc
-    return tuple(out)
-
-
 def expansion_demo(n: int, terms: int) -> ExpansionResult:
     """(pi^2/6) sum_{r<=R} c(n, r)/r^2 against sigma(n)/n.
 
     Regrouped by the divisor form: sum_{r<=R} c(n,r)/r^2 =
     sum_{d|n} (1/d) sum_{m<=R/d} mu(m)/m^2, term for term the same
-    truncation, evaluated from one prefix table."""
+    truncation. One pass over the Moebius sieve keeps the running sum of
+    mu(m)/m^2 only at the cut points R/d."""
     if n < 1 or terms < 1:
         raise ValueError(f"expansion_demo requires n, terms >= 1, got n={n}, terms={terms}")
-    prefix = _mu_over_square_prefix(terms)
-    total = sum(prefix[terms // d] / d for d in divisors(n))
+    divs = divisors(n)
+    mu = moebius_sieve(terms)
+    at_cut = {}
+    acc, done = 0.0, 0
+    for cut in sorted({terms // d for d in divs}):
+        for m in range(done + 1, cut + 1):
+            if mu[m]:
+                acc += mu[m] / (m * m)
+        at_cut[cut] = acc
+        done = cut
+    total = sum(at_cut[terms // d] / d for d in divs)
     truncated = (math.pi**2 / 6) * total
     target = sigma(n) / n
     return ExpansionResult(n, terms, truncated, target, abs(truncated - target))

@@ -114,6 +114,50 @@ class TestCommandVerify:
         assert code == EXIT_OK
         assert "not-applicable" in out
 
+    @pytest.mark.parametrize(
+        "target, markers",
+        [("prop3", ["none-found"]), ("prop4", ["not-applicable"]),
+         ("all", ["none-found", "not-applicable"])],
+    )
+    def test_custom_spec_equal_to_dirichlet(self, capsys, tmp_path, target, markers):
+        # verdicts come from the types, not from the spec's kind tag
+        spec = tmp_path / "d.json"
+        spec.write_text(json.dumps({"kind": "custom", "default": "dirichlet-default",
+                                    "types": []}))
+        code, out, _ = run(capsys, "verify", target, "--system", str(spec),
+                           "--rmax", "8", "--xmax", "100")
+        assert code == EXIT_OK
+        assert all(m in out for m in markers)
+
+    @pytest.mark.parametrize("system", ["U", "MIX"])
+    def test_prop3_first_violation_beyond_rmax(self, capsys, system):
+        # the first violating pair is (2, 4); below it every pair is orthogonal
+        code, out, _ = run(capsys, "verify", "prop3", "--system", system, "--rmax", "3",
+                           "--format", "json")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [r["verdict"] for r in rows] == ["diagonal"] * 3 + ["none-found"]
+
+    def test_prop3_unitary_at_101(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "verify", "prop3", "--system", _unitary_at_101(tmp_path),
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[-1])["verdict"] == "none-found"
+
+    def test_prop4_unitary_at_101(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "verify", "prop4", "--system", _unitary_at_101(tmp_path),
+                           "--format", "json")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert (obj["p"], obj["t"], obj["h_high"], obj["pass"]) == (101, 2, 101 + 101**2, "true")
+
+    def test_prop4_witness_beyond_bound_exits_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "prop4", "--system",
+                             _unitary_at_101(tmp_path, a_max=4))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "101^2" in err and "2^4" in err
+
     def test_prop1_with_literal(self, capsys):
         code, out, _ = run(capsys, "verify", "prop1", "--rmax", "10", "--xmax", "200",
                            "--even", "r=6; 1:1, 2:-1, 3:1/2, 6:3", "--format", "csv")
@@ -124,6 +168,18 @@ class TestCommandVerify:
         code, out, _ = run(capsys, "verify", "all", "--system", "U",
                            "--rmax", "10", "--xmax", "100")
         assert code == EXIT_OK
+
+
+def _unitary_at_101(tmp_path, a_max=16) -> str:
+    """A spec file for the system unitary at 101 and Dirichlet elsewhere."""
+    spec = tmp_path / "u101.json"
+    spec.write_text(json.dumps({
+        "kind": "custom",
+        "default": "dirichlet-default",
+        "a_max": a_max,
+        "types": [{"p": 101, "a": a, "t": a} for a in range(1, a_max + 1)],
+    }))
+    return str(spec)
 
 
 def _number(v):

@@ -2,7 +2,10 @@
 
 The digests in `golden_cli.json` were recorded from the divisor-route
 implementation of `table` and `c`, and the `verify prop1 --even` ones from
-the tau^2 double-sum implementation of `even.fourier_coeffs`. Any change
+the tau^2 double-sum implementation of `even.fourier_coeffs`. The
+`expansion` digests were recorded from the prefix-table evaluation of
+`verify.expansion_demo`, and `verify all` under D, U and the custom system
+from the checkers that read the system's `kind` tag. Any change
 to what the CLI prints for these inputs, even one byte, fails here. To
 record them again from the current code (only when an output change is
 intended):
@@ -27,6 +30,9 @@ from conftest import CUSTOM_OK
 
 DIGESTS = Path(__file__).with_name("golden_cli.json")
 CUSTOM = "{custom}"  # stands for a spec file holding conftest.CUSTOM_OK
+# run relative to the spec's directory: verify prints the spec path as the
+# system's label, so an absolute temporary path would change the bytes
+SPEC_FILE = "custom.json"
 SYSTEMS = ("D", "U", "MIX", CUSTOM)
 FORMATS = ("json", "csv", "plain")
 EVEN_MODULI = (50400, 110880)  # tau = 108 and 144
@@ -38,10 +44,10 @@ def _even_literal(r: int) -> str:
     return f"r={r}; " + ", ".join(f"{d}:{d * 37 % 19 - 9}/{d % 11 + 1}" for d in divs)
 
 
-def _expand(arg: str, spec_path: str) -> str:
+def _expand(arg: str) -> str:
     # placeholders keep the corpus keys short: {custom} and {even:<r>}
     if arg == CUSTOM:
-        return spec_path
+        return SPEC_FILE
     if arg.startswith("{even:"):
         return _even_literal(int(arg[len("{even:"):-1]))
     return arg
@@ -62,27 +68,36 @@ def _cases() -> list[tuple[str, ...]]:
             for i, (n, r) in enumerate(pairs):
                 cases.append(("c", str(n), str(r), "--system", system, "--route", route,
                               "--format", FORMATS[i % 3]))
-    for fmt in FORMATS:
-        cases.append(("verify", "all", "--system", "MIX", "--format", fmt))
+    for system in SYSTEMS:
+        for fmt in FORMATS:
+            cases.append(("verify", "all", "--system", system, "--format", fmt))
     for r in EVEN_MODULI:
         for fmt in FORMATS:
             cases.append(("verify", "prop1", "--rmax", "12", "--xmax", "60",
                           "--even", f"{{even:{r}}}", "--format", fmt))
+    expansions = [(n, terms) for terms in (1, 1000, 100000) for n in (1, 6, 5040, 720720)]
+    for i, (n, terms) in enumerate(expansions):
+        cases.append(("expansion", str(n), "--terms", str(terms), "--format", FORMATS[i % 3]))
     return cases
 
 
-def _run(case: tuple[str, ...], spec_path: str) -> dict:
-    argv = [_expand(a, spec_path) for a in case]
+def _run(case: tuple[str, ...], spec_dir: str) -> dict:
+    argv = [_expand(a) for a in case]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(spec_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
 @pytest.fixture(scope="module")
-def spec_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / "custom.json"
-    path.write_text(json.dumps(CUSTOM_OK))
+def spec_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    (path / SPEC_FILE).write_text(json.dumps(CUSTOM_OK))
     return str(path)
 
 
@@ -96,15 +111,14 @@ def test_corpus_is_complete(digests):
 
 
 @pytest.mark.parametrize("case", _cases(), ids=" ".join)
-def test_output_is_byte_identical(case, spec_path, digests):
-    assert _run(case, spec_path) == digests[" ".join(case)]
+def test_output_is_byte_identical(case, spec_dir, digests):
+    assert _run(case, spec_dir) == digests[" ".join(case)]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        spec = os.path.join(tmp, "custom.json")
-        with open(spec, "w") as fh:
+        with open(os.path.join(tmp, SPEC_FILE), "w") as fh:
             json.dump(CUSTOM_OK, fh)
-        recorded = {" ".join(c): _run(c, spec) for c in _cases()}
+        recorded = {" ".join(c): _run(c, tmp) for c in _cases()}
     DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} digests in {DIGESTS}", file=sys.stderr)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ramlab.arith import divisors, factorize
+from ramlab.arith import divisors, factorize, primes_up_to
 from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor, c_A_sum
 from ramlab.systems import (
     DIRICHLET,
@@ -128,3 +128,23 @@ def test_kernel_rejects_bad_input():
         c_A_column(DIRICHLET, 0, 4)
     with pytest.raises(ValueError):
         c_A_sum(DIRICHLET, 4, -1)
+
+
+# every p^a with a >= 2 up to 7^6, the largest table entry the strategy draws;
+# its table holds at most three of 2, 3, 5, 7, so under the unitary default
+# some p <= 7 has no entry and p^2 of type 2, also below that bound
+HIGH_POWERS = sorted(
+    (p**a, p, a) for p in primes_up_to(7**3) for a in range(2, 7) if p**a <= 7**6
+)
+
+
+@given(valid_specs())
+@settings(max_examples=150, deadline=None)
+def test_smallest_high_type_matches_scan(spec):
+    system = system_from_dict(spec)
+    scan = next(
+        ((p, a, system.type_of(p, a)) for _, p, a in HIGH_POWERS
+         if a <= system.a_max and system.type_of(p, a) > 1),
+        None,
+    )
+    assert system.smallest_high_type() == scan

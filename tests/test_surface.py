@@ -1,5 +1,5 @@
-"""The package's public surface: private names stay inside their module, and
-every exported name resolves.
+"""The package's public surface: private names stay inside their module,
+every exported name resolves, and every cache is bounded.
 
 Read from the sources with `ast`, so a private import is caught even when
 it happens to work."""
@@ -70,3 +70,32 @@ def test_package_namespace_reexports_public_names():
         if (name not in public) if public is not None else name.startswith("_"):
             stray.append(f"{module}.{name}")
     assert stray == []
+
+
+CACHES = ("lru_cache", "cache")
+
+
+def _ident(node: ast.AST):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+@pytest.mark.parametrize("stem", MODULES + ["__init__"])
+def test_every_cache_is_bounded(stem):
+    # `@cache`, a bare `@lru_cache` or maxsize=None grows for the life of the
+    # process; each lru_cache must name an integer maxsize
+    offences = []
+    for node in ast.walk(_tree(stem)):
+        for dec in getattr(node, "decorator_list", ()):
+            if _ident(dec) in CACHES:
+                offences.append(f"line {dec.lineno}: bare @{_ident(dec)}")
+        if isinstance(node, ast.Call) and _ident(node.func) in CACHES:
+            size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+            bounded = (
+                _ident(node.func) == "lru_cache"
+                and size
+                and isinstance(size[0], ast.Constant)
+                and type(size[0].value) is int
+            )
+            if not bounded:
+                offences.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert offences == []

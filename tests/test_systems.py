@@ -83,6 +83,38 @@ class TestCompiledSystem:
         assert MIX.type_of(3, 4) == 1
 
 
+class TestSmallestHighType:
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ({"kind": "dirichlet"}, None),
+            ({"kind": "unitary"}, (2, 2, 2)),
+            ({"kind": "custom", "default": "dirichlet-default", "types": []}, None),
+            (CUSTOM_OK, (2, 2, 2)),
+            # Dirichlet at 2 and 3 under the unitary default: 5^2 comes first
+            ({"kind": "custom", "default": "unitary-default", "a_max": 3,
+              "types": [{"p": p, "a": a, "t": 1} for p in (2, 3) for a in (1, 2, 3)]},
+             (5, 2, 2)),
+            # unitary at 101 only, beyond any small-prime search
+            ({"kind": "custom", "default": "dirichlet-default",
+              "types": [{"p": 101, "a": a, "t": a} for a in range(1, 17)]},
+             (101, 2, 2)),
+            # types > 1 only at powers of 3, with 3^3 of type 3
+            ({"kind": "custom", "default": "dirichlet-default", "a_max": 4,
+              "types": [{"p": 3, "a": a, "t": t} for a, t in ((2, 2), (3, 3), (4, 2))]},
+             (3, 2, 2)),
+            # exponent bound 1: every type is 1
+            ({"kind": "custom", "default": "unitary-default", "a_max": 1, "types": []}, None),
+        ],
+    )
+    def test_examples(self, spec, expected):
+        assert system_from_dict(spec).smallest_high_type() == expected
+
+    def test_builtins(self):
+        assert DIRICHLET.smallest_high_type() is None
+        assert MIX.smallest_high_type() == UNITARY.smallest_high_type() == (2, 2, 2)
+
+
 class TestDivisorSet:
     def test_examples(self):
         assert divisor_set(DIRICHLET, 12) == (1, 2, 3, 4, 6, 12)

@@ -4,7 +4,7 @@ from math import gcd, lcm, pi
 
 import pytest
 
-from ramlab.arith import euler_phi, sigma
+from ramlab.arith import divisors, euler_phi, moebius_sieve, sigma
 from ramlab.even import EvenFunction, ramanujan_even
 from ramlab.gensums import c_A_divisor
 from ramlab.reports import OrthogonalityReport, PartialSumReport
@@ -158,6 +158,22 @@ class TestExpansionDemo:
                 assert expansion_demo(n, terms).truncated_value == pytest.approx(
                     literal, abs=1e-9
                 )
+
+    @pytest.mark.parametrize("terms", [1, 2, 7, 100, 1000, 12345])
+    @pytest.mark.parametrize("n", [1, 2, 6, 12, 97, 360, 5040, 720720, 2**20])
+    def test_equals_prefix_table(self, n, terms):
+        # reference: the same truncation read from a full table of the
+        # prefix sums sum_{m<=k} mu(m)/m^2, k = 0..terms; most n here have
+        # divisors above terms, whose cut point is 0
+        mu = moebius_sieve(terms)
+        prefix = [0.0] * (terms + 1)
+        acc = 0.0
+        for m in range(1, terms + 1):
+            if mu[m]:
+                acc += mu[m] / (m * m)
+            prefix[m] = acc
+        reference = (pi**2 / 6) * sum(prefix[terms // d] / d for d in divisors(n))
+        assert expansion_demo(n, terms).truncated_value == reference
 
     def test_error_shrinks(self):
         for n in (1, 6, 20):
