@@ -7,6 +7,7 @@ truncated harmonic expansion of sigma(n)/n.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -202,18 +203,27 @@ def expansion_demo(n: int, terms: int) -> ExpansionResult:
 def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumReport]:
     """Brute-force partial sums of f against M(f) x with the certified bound.
 
-    The sum iterates every n <= x (tallying by gcd class so the exact
-    arithmetic stays cheap); this is the oracle side, independent of the
-    Fourier closed form in partial_sum_even."""
-    from collections import Counter
-
+    The sum tallies n <= x by gcd class. Since gcd(n + r, r) = gcd(n, r),
+    that tally is q = x // r copies of the tally over one period n = 1..r
+    plus the tally over n = 1..x - q r, so each x costs O(min(x, r)) gcds.
+    The classes and counts are the same integers, in the same order, as a
+    loop over every n <= x, so the sums are identical (bit-identical for
+    floats). Only periodicity is used, never phi, c(., q) or the Fourier
+    coefficients: this stays the oracle side, independent of the closed
+    form in partial_sum_even."""
     reports = []
     bound = certified_residual_bound(f)
     mf = mean_value(f)
     for x in x_list:
         if x < 1:
             raise ValueError(f"x must be >= 1, got {x}")
-        counts = Counter(gcd(n, f.r) for n in range(1, x + 1))
+        q, rest = divmod(x, f.r)
+        # classes in order of first appearance over n = 1, 2, ...
+        counts = Counter(gcd(n, f.r) for n in range(1, min(x, f.r) + 1))
+        if q:
+            for d in counts:
+                counts[d] *= q
+            counts.update(gcd(n, f.r) for n in range(1, rest + 1))
         # a Fraction start keeps integer-valued sums exact rationals
         exact = sum((f.value_map[d] * c for d, c in counts.items()), Fraction(0))
         reports.append(PartialSumReport(x, exact, mf * x, bound))

@@ -5,10 +5,11 @@ implementation of `table` and `c`, and the `verify prop1 --even` ones from
 the tau^2 double-sum implementation of `even.fourier_coeffs`. The
 `expansion` digests were recorded from the prefix-table evaluation of
 `verify.expansion_demo`, and `verify all` under D, U and the custom system
-from the checkers that read the system's `kind` tag. Any change
-to what the CLI prints for these inputs, even one byte, fails here. To
-record them again from the current code (only when an output change is
-intended):
+from the checkers that read the system's `kind` tag. The `--xmax 100003`
+ones were recorded from the Prop 1 oracle that looped over every n <= x.
+Any change to what the CLI prints for these inputs, even one byte, fails
+here. To record them again from the current code (only when an output
+change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -75,6 +76,14 @@ def _cases() -> list[tuple[str, ...]]:
         for fmt in FORMATS:
             cases.append(("verify", "prop1", "--rmax", "12", "--xmax", "60",
                           "--even", f"{{even:{r}}}", "--format", fmt))
+    # x = 100003 is prime, so x mod r != 0 for every r > 1 in the battery:
+    # these pin the partial-period remainder of Prop 1's one-period tally
+    for fmt in FORMATS:
+        cases.append(("verify", "prop1", "--system", "D", "--rmax", "50",
+                      "--xmax", "100003", "--format", fmt))
+    for system in ("U", "MIX"):
+        cases.append(("verify", "all", "--system", system, "--rmax", "50",
+                      "--xmax", "100003", "--format", "json"))
     expansions = [(n, terms) for terms in (1, 1000, 100000) for n in (1, 6, 5040, 720720)]
     for i, (n, terms) in enumerate(expansions):
         cases.append(("expansion", str(n), "--terms", str(terms), "--format", FORMATS[i % 3]))

@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm, pi
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramlab.arith import divisors, euler_phi, moebius_sieve, sigma
-from ramlab.even import EvenFunction, ramanujan_even
+from ramlab.even import EvenFunction, partial_sum_even, ramanujan_even
 from ramlab.gensums import c_A_divisor
 from ramlab.reports import OrthogonalityReport, PartialSumReport
-from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, phi_A
+from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, gcd_A, phi_A
 from ramlab.verify import (
     additive_closure_witness,
     expansion_demo,
@@ -204,6 +207,71 @@ class TestMeanValueCheck:
         )
         for rep in mean_value_check(f, [10**3, 10**4]):
             assert rep.passed
+
+
+PRIME_POWERS = (2, 4, 64, 256, 3, 27, 243, 5, 125, 7, 343, 11, 121, 397)
+VALUES = {
+    "int": st.integers(min_value=-10**6, max_value=10**6),
+    "Fraction": st.fractions(max_denominator=50),
+    "float": st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    "complex": st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+}
+
+
+def full_loop_sum(f: EvenFunction, x: int):
+    """The tally over every n <= x: the reference for mean_value_check."""
+    counts = Counter(gcd(n, f.r) for n in range(1, x + 1))
+    return sum((f.value_map[d] * c for d, c in counts.items()), Fraction(0))
+
+
+class TestMeanValueCheckTally:
+    """The one-period tally against the loop over every n <= x."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_full_loop(self, data):
+        r = data.draw(
+            st.one_of(st.just(1), st.sampled_from(PRIME_POWERS), st.integers(1, 400)), label="r"
+        )
+        kind = data.draw(st.sampled_from(sorted(VALUES)), label="kind")
+        system = data.draw(st.sampled_from((None, DIRICHLET, UNITARY, MIX)), label="system")
+        if system is None:
+            divs = divisors(r)
+            vals = data.draw(st.lists(VALUES[kind], min_size=len(divs), max_size=len(divs)))
+            f = EvenFunction.from_values(r, dict(zip(divs, vals)))
+        else:
+            # A-even: one value per element of A(r), read through (d, r)_A
+            a_divs = divisor_set(system, r)
+            vals = data.draw(st.lists(VALUES[kind], min_size=len(a_divs), max_size=len(a_divs)))
+            by_class = dict(zip(a_divs, vals))
+            f = EvenFunction.from_callable(r, lambda d: by_class[gcd_A(system, d, r)], system)
+        q = data.draw(st.integers(1, 6), label="q")
+        xs = [
+            data.draw(st.integers(1, r), label="x <= r"),
+            q * r,
+            q * r + data.draw(st.integers(0, r - 1), label="rest"),
+        ]
+        for x, rep in zip(xs, mean_value_check(f, xs)):
+            want = full_loop_sum(f, x)
+            assert rep.exact_sum == want
+            assert type(rep.exact_sum) is type(want)
+
+    @pytest.mark.parametrize("r", [1, 397, 360, 5040])
+    @pytest.mark.parametrize("x", [10**12, 10**12 + 396])
+    def test_gcd_calls_are_bounded_by_the_period(self, r, x, monkeypatch):
+        calls = 0
+
+        def counting_gcd(a, b):
+            nonlocal calls
+            calls += 1
+            # fail at once rather than run a loop over every n <= x
+            assert calls <= 2 * r, f"more than 2r = {2 * r} gcd calls"
+            return gcd(a, b)
+
+        monkeypatch.setattr("ramlab.verify.gcd", counting_gcd)
+        f = EvenFunction.from_callable(r, lambda d: Fraction(d % 7 - 3, d % 5 + 1))
+        (rep,) = mean_value_check(f, [x])
+        assert rep.exact_sum == partial_sum_even(f, x).exact_sum
 
 
 class TestReports:
