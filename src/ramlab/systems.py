@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import count
 from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .arith import factorize
 
@@ -108,28 +108,28 @@ class RegularSystem:
             return t
         return a if self.default == "unitary-default" else 1
 
-    def smallest_high_type(self) -> Optional[tuple[int, int, int]]:
-        """(p, a, t) for the smallest prime power p^a whose type t exceeds 1;
-        None when every type is 1, so that A(n) is every divisor of n.
-
-        Read from the type table and the default rule: under the Dirichlet
-        default only table entries can have t > 1; under the unitary default
-        every prime without an entry has p^2 of type 2, and only the
-        smallest such prime can beat the table."""
-        if self.kind == UNITARY_KIND:
-            return (2, 2, 2)
+    def high_types(self) -> Iterator[tuple[int, int]]:
+        """(p, a) for each prime p that can hold the first prime power of
+        type > 1, a its smallest such exponent, of type a (p^a of type t
+        forces type t at p^t): the table primes and, under the unitary
+        default, the smallest prime without an entry, whose p^2 has type 2."""
+        _checked(self)
         primes = sorted({p for p, _ in self._table})
         if self.default == "unitary-default":
             primes.append(
                 next(p for p in count(2) if p not in primes and factorize(p).factors == ((p, 1),))
             )
-        found = []
         for p in primes:
             for a in range(2, self.a_max + 1):
-                t = self.type_of(p, a)
-                if t > 1:
-                    found.append((p**a, p, a, t))
+                if self.type_of(p, a) > 1:
+                    yield p, a
                     break
+
+    def smallest_high_type(self) -> Optional[tuple[int, int, int]]:
+        """(p, a, t) for the smallest prime power p^a whose type t exceeds 1,
+        where t = a; None when every type is 1, so that A(n) is every
+        divisor of n."""
+        found = [(p**a, p, a, a) for p, a in self.high_types()]
         return min(found)[1:] if found else None
 
     def label(self) -> str:
@@ -137,7 +137,7 @@ class RegularSystem:
 
 
 DIRICHLET = RegularSystem(DIRICHLET_KIND, name="D")
-UNITARY = RegularSystem(UNITARY_KIND, name="U")
+UNITARY = RegularSystem(UNITARY_KIND, default="unitary-default", name="U")
 
 # unitary behaviour at p = 2, Dirichlet everywhere else: the smallest
 # built-in system outside {D, U}
@@ -155,8 +155,6 @@ def validate(system: RegularSystem) -> list[str]:
     Reports every violation (type not dividing the exponent, broken chains)
     rather than stopping at the first.
     """
-    if system.kind in (DIRICHLET_KIND, UNITARY_KIND):
-        return []
     if isinstance(system.a_max, bool) or not isinstance(system.a_max, int):
         return [f"declared exponent bound must be an integer, got {system.a_max!r}"]
     if system.a_max < 1:
@@ -184,20 +182,15 @@ def validate(system: RegularSystem) -> list[str]:
         table[(p, a)] = t
     if violations:
         return violations
-
-    def lookup(p: int, a: int) -> int:
-        if (p, a) in table:
-            return table[(p, a)]
-        return a if system.default == "unitary-default" else 1
-
+    # the entries now agree with the compiled table that type_of reads
     for p in sorted({p for p, _, _ in system.types}):
         for a in range(1, system.a_max + 1):
-            t = lookup(p, a)
+            t = system.type_of(p, a)
             for i in range(1, a // t + 1):
-                if lookup(p, i * t) != t:
+                if system.type_of(p, i * t) != t:
                     violations.append(
                         f"chain violation at p={p}: type {t} of {p}^{a} forces "
-                        f"type {t} at {p}^{i * t}, found {lookup(p, i * t)}"
+                        f"type {t} at {p}^{i * t}, found {system.type_of(p, i * t)}"
                     )
                     break
     return violations

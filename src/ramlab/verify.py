@@ -48,10 +48,11 @@ def mean_product_empirical(system: RegularSystem, r: int, s: int, x: int) -> Fra
     """(1/x) sum_{n<=x} c_A(n, r) c_A(n, s) as an exact rational.
 
     The product has period lcm(r, s); at x a multiple of it the average
-    equals the exact mean."""
+    equals the exact mean. On the diagonal r = s one column serves both."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    total = sum(a * b for a, b in zip(c_A_column(system, r, x), c_A_column(system, s, x)))
+    column = c_A_column(system, r, x)
+    total = sum(a * b for a, b in zip(column, column if s == r else c_A_column(system, s, x)))
     return Fraction(total, x)
 
 
@@ -75,16 +76,18 @@ def orthogonality_report(
 def find_orthogonality_violation(
     system: RegularSystem, search_bound: int
 ) -> Optional[tuple[int, int, int]]:
-    """Smallest pair r != s (by r + s, then r) with nonzero product mean."""
-    for total in range(3, 2 * search_bound + 1):
-        for r in range(1, min(total - 1, search_bound) + 1):
-            s = total - r
-            if s > search_bound or s == r:
-                continue
-            v = mean_product_exact(system, r, s)
-            if v != 0:
-                return (r, s, v)
-    return None
+    """Smallest pair r != s <= search_bound (by r + s, then r) with nonzero
+    product mean, read from the types without trying pairs.
+
+    The mean is nonzero iff at each prime both cores' exponents are at most
+    both exponents of r and s. A violating pair differs at some prime p, with
+    exponents i < j and j - t_j + 1 <= i. The chain rule gives p^(t_j) of
+    type t_j, so p + p^(t_j) <= r + s, with equality only when (r, s) =
+    (p, p^(t_j)), whose mean is phi(p) = p - 1. So the answer is (p, p^a,
+    p - 1), a the first exponent of type > 1, minimizing (p + p^a, p).
+    As p is not in A(p^a) = {1, p^a}, orthogonality fails across A-sets."""
+    found = [(p + p**a, p, p**a, p - 1) for p, a in system.high_types() if p**a <= search_bound]
+    return min(found)[1:] if found else None
 
 
 def is_A_even(system: RegularSystem, h: Callable[[int], object], r: int, n_max: int) -> bool:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ramlab import even, gensums, verify
-from ramlab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from ramlab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_TERMS, main
 from ramlab.reports import OrthogonalityReport, PartialSumReport
 from ramlab.systems import MIX, UNITARY
 
@@ -346,6 +346,33 @@ class TestErrorsAndPlumbing:
         code, out, _ = run(capsys, "expansion", "1", "--terms", "1", "--format", "json")
         obj = json.loads(out)
         assert float(obj["truncated"]) == pytest.approx(1.6449340668, abs=1e-6)
+
+    def test_expansion_terms_above_cap_exits_1_before_the_sieve(self, capsys, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"sieve of {limit} allocated")
+
+        monkeypatch.setattr(verify, "moebius_sieve", refuse)
+        code, out, err = run(capsys, "expansion", "6", "--terms", str(MAX_TERMS + 1))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--terms must be at most {MAX_TERMS}" in err
+
+    def test_expansion_terms_at_cap_accepted(self, capsys, monkeypatch):
+        seen = []
+
+        def fake(n, terms):
+            seen.append((n, terms))
+            return verify.ExpansionResult(n, terms, 2.0, 2.0, 0.0)
+
+        monkeypatch.setattr(verify, "expansion_demo", fake)
+        code, _, _ = run(capsys, "expansion", "6", "--terms", str(MAX_TERMS))
+        assert code == EXIT_OK
+        assert seen == [(6, MAX_TERMS)]
+
+    def test_expansion_help_states_the_cap(self, capsys):
+        code, out, _ = run(capsys, "expansion", "--help")
+        assert code == EXIT_OK
+        assert f"at most {MAX_TERMS}" in " ".join(out.split())
 
     def test_determinism(self, capsys):
         out1 = run(capsys, "verify", "prop1", "--rmax", "8", "--xmax", "100",

@@ -6,7 +6,9 @@ the tau^2 double-sum implementation of `even.fourier_coeffs`. The
 `expansion` digests were recorded from the prefix-table evaluation of
 `verify.expansion_demo`, and `verify all` under D, U and the custom system
 from the checkers that read the system's `kind` tag. The `--xmax 100003`
-ones were recorded from the Prop 1 oracle that looped over every n <= x.
+ones were recorded from the Prop 1 oracle that looped over every n <= x,
+and the `verify prop3` ones on the systems {A} and {B} and on D at
+`--rmax 200` from the search that tried every pair r != s <= rmax.
 Any change to what the CLI prints for these inputs, even one byte, fails
 here. To record them again from the current code (only when an output
 change is intended):
@@ -27,13 +29,18 @@ import pytest
 
 from ramlab.cli import main
 
-from conftest import CUSTOM_OK
+from conftest import CUSTOM_OK, SPEC_A, SPEC_B
 
 DIGESTS = Path(__file__).with_name("golden_cli.json")
-CUSTOM = "{custom}"  # stands for a spec file holding conftest.CUSTOM_OK
-# run relative to the spec's directory: verify prints the spec path as the
-# system's label, so an absolute temporary path would change the bytes
-SPEC_FILE = "custom.json"
+CUSTOM = "{custom}"
+# each placeholder stands for a spec file, run relative to the spec's
+# directory: verify prints the spec path as the system's label, so an
+# absolute temporary path would change the bytes
+SPEC_FILES = {
+    CUSTOM: ("custom.json", CUSTOM_OK),
+    "{A}": ("a.json", SPEC_A),
+    "{B}": ("b.json", SPEC_B),
+}
 SYSTEMS = ("D", "U", "MIX", CUSTOM)
 FORMATS = ("json", "csv", "plain")
 EVEN_MODULI = (50400, 110880)  # tau = 108 and 144
@@ -46,9 +53,9 @@ def _even_literal(r: int) -> str:
 
 
 def _expand(arg: str) -> str:
-    # placeholders keep the corpus keys short: {custom} and {even:<r>}
-    if arg == CUSTOM:
-        return SPEC_FILE
+    # placeholders keep the corpus keys short: spec files and {even:<r>}
+    if arg in SPEC_FILES:
+        return SPEC_FILES[arg][0]
     if arg.startswith("{even:"):
         return _even_literal(int(arg[len("{even:"):-1]))
     return arg
@@ -84,6 +91,13 @@ def _cases() -> list[tuple[str, ...]]:
     for system in ("U", "MIX"):
         cases.append(("verify", "all", "--system", system, "--rmax", "50",
                       "--xmax", "100003", "--format", "json"))
+    # the first violating pair r != s: on A at 11 + 11^2 (rmax 127) and at
+    # 2 + 2^7, below it in sum (rmax 130); on B the tie 3 + 3^3 = 5 + 5^2;
+    # on D none
+    for system, rmax in (("{A}", "127"), ("{A}", "130"), ("{B}", "30"), ("D", "200")):
+        for fmt in FORMATS:
+            cases.append(("verify", "prop3", "--system", system, "--rmax", rmax,
+                          "--format", fmt))
     expansions = [(n, terms) for terms in (1, 1000, 100000) for n in (1, 6, 5040, 720720)]
     for i, (n, terms) in enumerate(expansions):
         cases.append(("expansion", str(n), "--terms", str(terms), "--format", FORMATS[i % 3]))
@@ -103,10 +117,15 @@ def _run(case: tuple[str, ...], spec_dir: str) -> dict:
     return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
+def _write_specs(path: Path) -> None:
+    for name, spec in SPEC_FILES.values():
+        (path / name).write_text(json.dumps(spec))
+
+
 @pytest.fixture(scope="module")
 def spec_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
-    (path / SPEC_FILE).write_text(json.dumps(CUSTOM_OK))
+    _write_specs(path)
     return str(path)
 
 
@@ -126,8 +145,7 @@ def test_output_is_byte_identical(case, spec_dir, digests):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, SPEC_FILE), "w") as fh:
-            json.dump(CUSTOM_OK, fh)
+        _write_specs(Path(tmp))
         recorded = {" ".join(c): _run(c, tmp) for c in _cases()}
     DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} digests in {DIGESTS}", file=sys.stderr)

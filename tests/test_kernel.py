@@ -1,7 +1,8 @@
 """The multiplicative c_A kernel and the A-functions on random valid systems.
 
-The strategy below draws custom systems that satisfy the chain rule (type t
-at p^a forces type t at every p^(it), i <= a/t), under both default rules.
+The strategy `conftest.valid_specs` draws custom systems that satisfy the
+chain rule (type t at p^a forces type t at every p^(it), i <= a/t), under
+both default rules.
 On each one the kernel must agree with the divisor and core routes, and
 mu_A, phi_A, psi_A, gamma_A and the partial sum c_A_sum with definitions
 built directly from A(r).
@@ -30,30 +31,7 @@ from ramlab.systems import (
     validate,
 )
 
-PRIMES = (2, 3, 5, 7)
-DEFAULT_TYPE = {"dirichlet-default": lambda a: 1, "unitary-default": lambda a: a}
-
-
-@st.composite
-def valid_specs(draw):
-    """A JSON-shaped custom system spec that satisfies the chain rule."""
-    a_max = draw(st.integers(min_value=1, max_value=6))
-    default = draw(st.sampled_from(sorted(DEFAULT_TYPE)))
-    entries = []
-    for p in draw(st.lists(st.sampled_from(PRIMES), unique=True, max_size=3)):
-        types = {}
-        for a in range(1, a_max + 1):
-            # t may be the type of p^a once p^t, ..., p^(a-t) all have type t
-            allowed = [
-                t for t in range(1, a + 1)
-                if a % t == 0 and all(types[i * t] == t for i in range(1, a // t))
-            ]
-            types[a] = draw(st.sampled_from(allowed))
-        for a, t in types.items():
-            # entries equal to the default rule may be left out or spelled out
-            if t != DEFAULT_TYPE[default](a) or draw(st.booleans()):
-                entries.append({"p": p, "a": a, "t": t})
-    return {"kind": "custom", "default": default, "a_max": a_max, "types": entries}
+from conftest import valid_specs
 
 
 def _modulus(data, system, limit=3000):
@@ -147,4 +125,6 @@ def test_smallest_high_type_matches_scan(spec):
          if a <= system.a_max and system.type_of(p, a) > 1),
         None,
     )
-    assert system.smallest_high_type() == scan
+    found = system.smallest_high_type()
+    assert found == scan
+    assert found is None or found[2] == found[1]  # t == a

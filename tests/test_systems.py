@@ -114,6 +114,14 @@ class TestSmallestHighType:
         assert DIRICHLET.smallest_high_type() is None
         assert MIX.smallest_high_type() == UNITARY.smallest_high_type() == (2, 2, 2)
 
+    def test_unitary_states_the_unitary_default(self):
+        # the empty table under the unitary default is the unitary system,
+        # with no branch on the kind tag
+        assert UNITARY.default == "unitary-default"
+        bare = RegularSystem("custom", default="unitary-default")
+        assert bare.smallest_high_type() == UNITARY.smallest_high_type()
+        assert validate(bare) == validate(UNITARY) == []
+
 
 class TestDivisorSet:
     def test_examples(self):

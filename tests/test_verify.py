@@ -11,7 +11,17 @@ from ramlab.arith import divisors, euler_phi, moebius_sieve, sigma
 from ramlab.even import EvenFunction, partial_sum_even, ramanujan_even
 from ramlab.gensums import c_A_divisor
 from ramlab.reports import OrthogonalityReport, PartialSumReport
-from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, gcd_A, phi_A
+from ramlab.systems import (
+    DIRICHLET,
+    MIX,
+    UNITARY,
+    ExponentOutOfScopeError,
+    RegularSystem,
+    divisor_set,
+    gcd_A,
+    phi_A,
+    system_from_dict,
+)
 from ramlab.verify import (
     additive_closure_witness,
     expansion_demo,
@@ -22,6 +32,8 @@ from ramlab.verify import (
     mean_value_check,
     orthogonality_report,
 )
+
+from conftest import SPEC_A, SPEC_B, valid_specs
 
 
 class TestMeanProductExact:
@@ -67,7 +79,81 @@ class TestMeanProductEmpirical:
             )
 
 
+def violating_pairs(system, search_bound):
+    """Every pair r != s <= search_bound with nonzero product mean, by r + s,
+    then r: one divisor sum per pair, O(search_bound^2). The oracle for the
+    closed form in find_orthogonality_violation, which tries no pairs."""
+    for total in range(3, 2 * search_bound + 1):
+        for r in range(1, min(total - 1, search_bound) + 1):
+            s = total - r
+            if s > search_bound or s == r:
+                continue
+            v = mean_product_exact(system, r, s)
+            if v != 0:
+                yield (r, s, v)
+
+
+def pair_scan(system, search_bound):
+    """The first violating pair found by trying every pair in order."""
+    return next(violating_pairs(system, search_bound), None)
+
+
 class TestViolationSearch:
+    @pytest.mark.parametrize("system", [DIRICHLET, UNITARY, MIX], ids=["D", "U", "MIX"])
+    def test_matches_scan_below_200(self, system):
+        # the scan at a bound b visits exactly the pairs with r, s <= b, in
+        # the order of the scan at 199, so its answer is the first of those
+        pairs = list(violating_pairs(system, 199))
+        for bound in range(1, 200):
+            first = next(((r, s, v) for r, s, v in pairs if max(r, s) <= bound), None)
+            assert find_orthogonality_violation(system, bound) == first, bound
+        assert pair_scan(system, 199) == find_orthogonality_violation(system, 199)
+
+    @given(valid_specs(), st.integers(min_value=1, max_value=140))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scan_on_valid_systems(self, spec, bound):
+        system = system_from_dict(spec)
+        try:
+            expected = pair_scan(system, bound)
+        except ExponentOutOfScopeError:
+            return  # the scan reached a modulus above the exponent bound
+        assert find_orthogonality_violation(system, bound) == expected
+
+    @pytest.mark.parametrize(
+        "spec, bound, expected",
+        [
+            # the smallest prime power of type > 1 is 11^2, but 2 + 2^7 is
+            # the smaller sum once 2^7 is in range
+            (SPEC_A, 127, (11, 121, 10)),
+            (SPEC_A, 130, (2, 128, 1)),
+            # 3 + 3^3 = 5 + 5^2: the tie goes to the smaller r
+            (SPEC_B, 30, (3, 27, 2)),
+            (SPEC_B, 26, (5, 25, 4)),
+            (SPEC_B, 24, None),
+        ],
+    )
+    def test_first_violation_is_not_the_smallest_high_type(self, spec, bound, expected):
+        system = system_from_dict(spec)
+        assert find_orthogonality_violation(system, bound) == expected
+        assert pair_scan(system, bound) == expected
+
+    def test_smallest_high_type_of_system_A(self):
+        assert system_from_dict(SPEC_A).smallest_high_type() == (11, 2, 2)
+
+    def test_asks_no_type_above_the_exponent_bound(self, monkeypatch):
+        # a_max 2 with 2^2 of type 1: the scan would raise at r = 8
+        spec = {"kind": "custom", "default": "unitary-default", "a_max": 2,
+                "types": [{"p": 2, "a": 2, "t": 1}]}
+        system = system_from_dict(spec)
+        type_of = RegularSystem.type_of
+
+        def bounded(self, p, a):
+            assert a <= self.a_max, (p, a)
+            return type_of(self, p, a)
+
+        monkeypatch.setattr(RegularSystem, "type_of", bounded)
+        assert find_orthogonality_violation(system, 10**6) == (3, 9, 2)
+
     def test_dirichlet_none(self):
         assert find_orthogonality_violation(DIRICHLET, 100) is None
 
