@@ -2,10 +2,10 @@
 
 A system assigns to each n a set A(n) of divisors of n, specified per prime
 power by a "type" t dividing the exponent: A(p^a) = {1, p^t, p^2t, ..., p^a}.
-Type 1 everywhere is the full divisor set (Dirichlet convolution), type a
-everywhere gives the unitary divisors. Custom systems carry a finite type
-table plus a default rule, bounded by an exponent cap so every invariant is
-checkable.
+Every system is a finite type table over a default rule, type 1 (Dirichlet:
+the full divisor set) or type a (unitary divisors); D and U are the empty
+table under each rule. A declared exponent bound limits only the primes the
+table names, and every invariant is checked from the table entries alone.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ __all__ = [
 
 DEFAULT_A_MAX = 16
 
-DIRICHLET_KIND = "dirichlet"
-UNITARY_KIND = "unitary"
-CUSTOM_KIND = "custom"
-
 
 class InvalidSystemError(ValueError):
     """A system spec failed validation; .violations lists every offence."""
@@ -56,74 +52,69 @@ class InvalidSystemError(ValueError):
 
 
 class ExponentOutOfScopeError(ValueError):
-    """A custom system was asked about a prime power beyond its declared bound."""
+    """A system was asked about a prime power beyond its table's declared bound."""
 
 
 @dataclass(frozen=True)
 class RegularSystem:
-    """A system of divisor sets, determined by its per-prime-power types."""
+    """A system of divisor sets: a prime-power type table over a default rule."""
 
-    kind: str
     types: tuple[tuple[int, int, int], ...] = ()  # (prime, exponent, type)
     default: str = "dirichlet-default"
-    a_max: int = DEFAULT_A_MAX
+    a_max: int = DEFAULT_A_MAX  # bounds the exponents at the table's primes
     name: str = ""
 
     def __post_init__(self):
-        # compiled once: every operation looks types up and hashes the
-        # system as a cache key; the first table entry for p^a wins
-        table: dict[tuple[int, int], int] = {}
+        # compiled once: exponent -> type per table prime, first entry for p^a wins
+        rows: dict[int, dict[int, int]] = {}
         for p, a, t in self.types:
-            table.setdefault((p, a), t)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(
-            self, "_hash", hash((self.kind, self.types, self.default, self.a_max, self.name))
-        )
+            rows.setdefault(p, {}).setdefault(a, t)
+        object.__setattr__(self, "_rows", rows)
+
+    @cached_property
+    def _hash(self) -> int:
+        # a cache key for every operation; lazy, so validate sees a bad a_max first
+        return hash((self.types, self.default, self.a_max, self.name))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # pickle by fields, so the receiving process recomputes the hash
-        return (type(self), (self.kind, self.types, self.default, self.a_max, self.name))
+        return (type(self), (self.types, self.default, self.a_max, self.name))
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:
         return tuple(validate(self))
 
     def type_of(self, p: int, a: int) -> int:
-        """The type t of p^a: A(p^a) = {1, p^t, ..., p^a}."""
+        """The type t of p^a, A(p^a) = {1, p^t, ..., p^a}: the table's entry,
+        else the default rule's. Only a table prime has an exponent bound."""
         if a < 1:
             raise ValueError(f"exponent must be >= 1, got {a}")
-        if self.kind == DIRICHLET_KIND:
-            return 1
-        if self.kind == UNITARY_KIND:
-            return a
-        if a > self.a_max:
+        row = self._rows.get(p, {})
+        if row and a > self.a_max:
             raise ExponentOutOfScopeError(
                 f"prime power {p}^{a} exceeds declared exponent bound {self.a_max}"
             )
-        t = self._table.get((p, a))
-        if t is not None:
-            return t
-        return a if self.default == "unitary-default" else 1
+        return row.get(a, a if self.default == "unitary-default" else 1)
 
     def high_types(self) -> Iterator[tuple[int, int]]:
         """(p, a) for each prime p that can hold the first prime power of
         type > 1, a its smallest such exponent, of type a (p^a of type t
-        forces type t at p^t): the table primes and, under the unitary
-        default, the smallest prime without an entry, whose p^2 has type 2."""
+        forces type t at p^t): each table prime, read from its entries, and
+        under the unitary default the smallest prime without an entry, a = 2."""
         _checked(self)
-        primes = sorted({p for p, _ in self._table})
-        if self.default == "unitary-default":
-            primes.append(
-                next(p for p in count(2) if p not in primes and factorize(p).factors == ((p, 1),))
-            )
-        for p in primes:
-            for a in range(2, self.a_max + 1):
-                if self.type_of(p, a) > 1:
-                    yield p, a
-                    break
+        unitary = self.default == "unitary-default"
+        for p, row in sorted(self._rows.items()):
+            high = [a for a, t in row.items() if t > 1]
+            gap = next(a for a in count(2) if a not in row)
+            if unitary and gap <= self.a_max:
+                high.append(gap)
+            if high:
+                yield p, min(high)
+        if unitary:
+            yield next(p for p in count(2) if p not in self._rows and _is_prime(p)), 2
 
     def smallest_high_type(self) -> Optional[tuple[int, int, int]]:
         """(p, a, t) for the smallest prime power p^a whose type t exceeds 1,
@@ -133,27 +124,31 @@ class RegularSystem:
         return min(found)[1:] if found else None
 
     def label(self) -> str:
-        return self.name or self.kind
+        return self.name or "custom"
 
 
-DIRICHLET = RegularSystem(DIRICHLET_KIND, name="D")
-UNITARY = RegularSystem(UNITARY_KIND, default="unitary-default", name="U")
+DIRICHLET = RegularSystem(name="D")
+UNITARY = RegularSystem(default="unitary-default", name="U")
 
 # unitary behaviour at p = 2, Dirichlet everywhere else: the smallest
 # built-in system outside {D, U}
-MIX = RegularSystem(
-    CUSTOM_KIND,
-    types=tuple((2, a, a) for a in range(1, DEFAULT_A_MAX + 1)),
-    default="dirichlet-default",
-    name="MIX",
-)
+MIX = RegularSystem(types=tuple((2, a, a) for a in range(1, DEFAULT_A_MAX + 1)), name="MIX")
+
+
+def _is_prime(p: int) -> bool:
+    return factorize(p).factors == ((p, 1),)
 
 
 def validate(system: RegularSystem) -> list[str]:
     """Check the regularity conditions; empty list means ok.
 
-    Reports every violation (type not dividing the exponent, broken chains)
-    rather than stopping at the first.
+    Reports every violation (malformed, non-prime, out-of-bound or
+    conflicting entries, a type not dividing its exponent, broken chains)
+    rather than stopping at the first. By induction on a, the chain rule
+    (type t at p^a forces type t at every p^(it), i <= a/t) holds iff each
+    p^a of type t < a has p^(a-t) of type t. Off the table only the
+    Dirichlet default makes such links, and only p^(a+1) above an entry p^a
+    can break, so the cost depends on the entries, not on a_max.
     """
     if isinstance(system.a_max, bool) or not isinstance(system.a_max, int):
         return [f"declared exponent bound must be an integer, got {system.a_max!r}"]
@@ -165,7 +160,7 @@ def validate(system: RegularSystem) -> list[str]:
         if p < 2 or a < 1:
             violations.append(f"malformed entry (p={p}, a={a}, t={t})")
             continue
-        if factorize(p).factors != ((p, 1),):
+        if not _is_prime(p):
             violations.append(f"entry (p={p}, a={a}, t={t}) names {p}, which is not a prime")
             continue
         if a > system.a_max:
@@ -182,17 +177,17 @@ def validate(system: RegularSystem) -> list[str]:
         table[(p, a)] = t
     if violations:
         return violations
-    # the entries now agree with the compiled table that type_of reads
-    for p in sorted({p for p, _, _ in system.types}):
-        for a in range(1, system.a_max + 1):
-            t = system.type_of(p, a)
-            for i in range(1, a // t + 1):
-                if system.type_of(p, i * t) != t:
-                    violations.append(
-                        f"chain violation at p={p}: type {t} of {p}^{a} forces "
-                        f"type {t} at {p}^{i * t}, found {system.type_of(p, i * t)}"
-                    )
-                    break
+    # the entries now agree with the compiled rows that type_of reads
+    links = set(table)
+    if system.default != "unitary-default":
+        links.update((p, a + 1) for p, a in table if a < system.a_max)
+    for p, a in sorted(links):
+        t = system.type_of(p, a)
+        if t < a and system.type_of(p, a - t) != t:
+            violations.append(
+                f"chain violation at p={p}: type {t} of {p}^{a} forces "
+                f"type {t} at {p}^{a - t}, found {system.type_of(p, a - t)}"
+            )
     return violations
 
 
@@ -282,37 +277,41 @@ def psi_A(system: RegularSystem, r: int) -> int:
 
 
 def _entry_int(entry: dict, key: str) -> int:
-    # int() would truncate 2.5 to 2 and read True as 1; refuse both
+    # int() would truncate 2.5 to 2, read True as 1 and parse "5"; refuse all three
     value = entry[key]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if type(value) not in (int, float) or (type(value) is float and not value.is_integer()):
         raise ValueError(f"{key} must be an integer, got {value!r} in entry {entry!r}")
     return int(value)
 
 
 def system_from_dict(spec: dict, name: str = "") -> RegularSystem:
-    """Build a system from its JSON-shaped dict; validates before returning."""
+    """Build a system from its JSON-shaped dict; validates before returning.
+
+    `"kind": "dirichlet"` or `"unitary"` names D or U and admits no other
+    key; a `"custom"` spec (the default) admits `default`, `a_max` and
+    `types`. Any other key is refused, never ignored."""
     if not isinstance(spec, dict):
         raise InvalidSystemError([f"system spec must be a JSON object, got {type(spec).__name__}"])
-    kind = spec.get("kind", CUSTOM_KIND)
-    if kind == DIRICHLET_KIND:
-        return DIRICHLET
-    if kind == UNITARY_KIND:
-        return UNITARY
-    if kind != CUSTOM_KIND:
+    kind = spec.get("kind", "custom")
+    if kind not in ("dirichlet", "unitary", "custom"):
         raise InvalidSystemError([f"unknown kind {kind!r}"])
+    keys = ("kind", "default", "a_max", "types") if kind == "custom" else ("kind",)
+    unexpected = [f"unexpected key {key!r} for kind {kind!r}" for key in spec if key not in keys]
+    if unexpected:
+        raise InvalidSystemError(unexpected)
+    if kind != "custom":
+        return DIRICHLET if kind == "dirichlet" else UNITARY
     default = spec.get("default", "dirichlet-default")
     if default not in ("dirichlet-default", "unitary-default"):
         raise InvalidSystemError([f"unknown default rule {default!r}"])
-    a_max = spec.get("a_max", DEFAULT_A_MAX)
     try:
         types = tuple(
             sorted(tuple(_entry_int(e, key) for key in "pat") for e in spec.get("types", []))
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSystemError([f"malformed types table: {exc}"]) from exc
-    return _checked(
-        RegularSystem(CUSTOM_KIND, types=types, default=default, a_max=a_max, name=name)
-    )
+    a_max = spec.get("a_max", DEFAULT_A_MAX)
+    return _checked(RegularSystem(types=types, default=default, a_max=a_max, name=name))
 
 
 def load_system(spec: str) -> RegularSystem:

@@ -35,7 +35,13 @@ __all__ = [
 
 def mean_product_exact(system: RegularSystem, r: int, s: int) -> int:
     """Mean of c_A(., r) c_A(., s): sum of phi(d) over common divisors d
-    divisible by both cores gamma_A(r) and gamma_A(s)."""
+    divisible by both cores gamma_A(r) and gamma_A(s).
+
+    Inside one A-set it vanishes off the diagonal. Two members d != d' of
+    A(r) differ at some prime p, with exponents it < jt, t the type of the
+    p^a exactly dividing r; p^(jt) also has type t, so gamma_A(d') has
+    exponent jt - t + 1 > it at p. No common divisor is then divisible by
+    both cores, and the mean is 0: orthogonality fails only across A-sets."""
     if r < 1 or s < 1:
         raise ValueError(f"mean_product_exact requires r, s >= 1, got r={r}, s={s}")
     gr, gs = gamma_A(system, r), gamma_A(system, s)
@@ -130,7 +136,7 @@ def additive_closure_witness(
     if found is None:
         return None
     p, a, t = found
-    if p**a > 2**system.a_max:
+    if (p**a - 1).bit_length() > system.a_max:  # p^a > 2^a_max, without building 2^a_max
         raise ValueError(
             f"prop4: the smallest prime power of type > 1 is {p}^{a}, "
             f"above the witness bound 2^{system.a_max}"

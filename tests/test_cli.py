@@ -54,6 +54,17 @@ class TestCommandC:
         assert code == EXIT_MISMATCH
         assert json.loads(out)["match"] == "false"
 
+    def test_mix_beyond_its_bound_at_a_prime_without_entries(self, capsys):
+        # MIX's table names only 2, so 3^17 follows the Dirichlet default
+        code, out, _ = run(capsys, "c", str(3**16), str(3**17), "--system", "MIX",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == -(3**16)
+        code, out, err = run(capsys, "c", "3", str(2**17), "--system", "MIX")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "2^17 exceeds declared exponent bound 16" in err
+
 
 class TestCommandTable:
     def test_phi_unitary(self, capsys):
@@ -157,6 +168,16 @@ class TestCommandVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert "101^2" in err and "2^4" in err
+
+    def test_prop4_bound_one_without_entries_exits_1(self, capsys, tmp_path):
+        # the bound holds only at table primes, so 2^2 has type 2 here; the
+        # witness bound 2^a_max = 2 then refuses it
+        spec = tmp_path / "u1.json"
+        spec.write_text(json.dumps({"default": "unitary-default", "a_max": 1, "types": []}))
+        code, out, err = run(capsys, "verify", "prop4", "--system", str(spec))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "2^2" in err and "2^1" in err
 
     def test_prop1_with_literal(self, capsys):
         code, out, _ = run(capsys, "verify", "prop1", "--rmax", "10", "--xmax", "200",
@@ -273,6 +294,8 @@ class TestErrorsAndPlumbing:
             ({"a_max": 0}, "exponent bound must be >= 1"),
             ({"a_max": "x"}, "exponent bound must be an integer"),
             ({"types": [{"p": 2.5, "a": 1, "t": 1}]}, "p must be an integer, got 2.5"),
+            ({"typez": [{"p": 2, "a": 2, "t": 2}]}, "unexpected key 'typez' for kind 'custom'"),
+            ({"kind": "dirichlet", "a_max": 0}, "unexpected key 'a_max' for kind 'dirichlet'"),
         ],
     )
     def test_bad_spec_file_exits_1(self, capsys, tmp_path, spec, message):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlab.arith import divisors, euler_phi, sigma
+from ramlab.arith import divisors, euler_phi, primes_up_to, sigma
 from ramlab.systems import (
     DIRICHLET,
     MIX,
@@ -29,7 +29,7 @@ from ramlab.systems import (
     validate,
 )
 
-from conftest import CUSTOM_OK
+from conftest import CUSTOM_OK, valid_specs
 
 
 class TestValidate:
@@ -42,26 +42,120 @@ class TestValidate:
         assert validate(custom_system) == []
 
     def test_non_divisor_type(self):
-        bad = RegularSystem("custom", types=((2, 4, 3),))
+        bad = RegularSystem(types=((2, 4, 3),))
         violations = validate(bad)
         assert len(violations) == 1
         assert "3 does not divide exponent 4" in violations[0]
 
     def test_chain_violation(self):
-        # type 1 at 2^4 forces type 1 at 2^2, contradicting the table
-        bad = RegularSystem("custom", types=((2, 2, 2), (2, 4, 1)))
+        # type 1 at 2^4 forces type 1 at 2^2, contradicting the table; the
+        # broken link is 2^3 (type 1 by the Dirichlet default) -> 2^2
+        bad = RegularSystem(types=((2, 2, 2), (2, 4, 1)))
         violations = validate(bad)
         assert any("chain violation at p=2" in v for v in violations)
+        assert violations == [
+            "chain violation at p=2: type 1 of 2^3 forces type 1 at 2^2, found 2"
+        ]
+
+    def test_chain_violation_names_each_broken_link(self):
+        # unitary default: 3^6 of type 2 needs 3^4 of type 2 (found 4) and
+        # 3^4 needs 3^2 (found 2, fine); 3^3 of type 1 needs 3^2 of type 1
+        bad = RegularSystem(
+            types=((3, 2, 2), (3, 3, 1), (3, 4, 4), (3, 6, 2)), default="unitary-default"
+        )
+        assert validate(bad) == [
+            "chain violation at p=3: type 1 of 3^3 forces type 1 at 3^2, found 2",
+            "chain violation at p=3: type 2 of 3^6 forces type 2 at 3^4, found 4",
+        ]
+
+    def test_cost_does_not_depend_on_the_exponent_bound(self):
+        # one link per entry: an exponent bound of 10^18 is as cheap as 16
+        for default in ("dirichlet-default", "unitary-default"):
+            system = RegularSystem(types=((2, 1, 1), (2, 10**18, 10**18)),
+                                   default=default, a_max=10**18)
+            assert validate(system) == []
+            assert system.type_of(2, 10**18 - 1) == (1 if default == "dirichlet-default"
+                                                     else 10**18 - 1)
+        broken = RegularSystem(types=((2, 10**18, 1),), default="unitary-default",
+                               a_max=10**18)
+        assert validate(broken) == [
+            f"chain violation at p=2: type 1 of 2^{10**18} forces type 1 at "
+            f"2^{10**18 - 1}, found {10**18 - 1}"
+        ]
 
     def test_reports_all_violations(self):
-        bad = RegularSystem("custom", types=((2, 4, 3), (3, 2, 4), (7, 20, 1)))
+        bad = RegularSystem(types=((2, 4, 3), (3, 2, 4), (7, 20, 1)))
         violations = validate(bad)
         assert len(violations) == 3
 
     def test_invalid_system_rejected_by_operations(self):
-        bad = RegularSystem("custom", types=((2, 4, 3),))
+        bad = RegularSystem(types=((2, 4, 3),))
         with pytest.raises(InvalidSystemError):
             divisor_set(bad, 12)
+
+
+def full_chain_violations(system):
+    """The chain check as a loop over every exponent a <= a_max at each
+    table prime, walking the whole chain p^(it), i <= a/t: the form validate
+    had before it checked one link per entry. Returns the (p, a) whose chain
+    breaks."""
+    broken = []
+    for p in sorted({p for p, _, _ in system.types}):
+        for a in range(1, system.a_max + 1):
+            t = system.type_of(p, a)
+            if any(system.type_of(p, i * t) != t for i in range(1, a // t + 1)):
+                broken.append((p, a))
+    return broken
+
+
+def high_types_by_loop(system):
+    """high_types as a loop over a = 2..a_max at each table prime (the form
+    it had before it read the entries), plus a = 2 at the smallest prime
+    without an entry under the unitary default."""
+    table_primes = sorted({p for p, _, _ in system.types})
+    found = []
+    for p in table_primes:
+        a = next((a for a in range(2, system.a_max + 1) if system.type_of(p, a) > 1), None)
+        if a is not None:
+            found.append((p, a))
+    if system.default == "unitary-default":
+        found.append((next(p for p in primes_up_to(50) if p not in table_primes), 2))
+    return found
+
+
+def random_table(rng):
+    """A table that passes validate's shape checks (prime p, t | a <= a_max,
+    one type per p^a) but need not satisfy the chain rule."""
+    a_max = rng.randint(1, 8)
+    entries = tuple(
+        (p, a, rng.choice([t for t in range(1, a + 1) if a % t == 0]))
+        for p in rng.sample((2, 3, 5, 7), rng.randint(0, 3))
+        for a in rng.sample(range(1, a_max + 1), rng.randint(0, a_max))
+    )
+    default = rng.choice(("dirichlet-default", "unitary-default"))
+    return RegularSystem(types=entries, default=default, a_max=a_max)
+
+
+class TestAgainstTheLoops:
+    def test_validate_verdict_matches_full_chain_loop(self):
+        rng = random.Random(2024)
+        verdicts = []
+        for _ in range(10000):
+            system = random_table(rng)
+            verdict = bool(validate(system))
+            assert verdict == bool(full_chain_violations(system)), system
+            verdicts.append(verdict)
+            if not verdict:
+                assert list(system.high_types()) == high_types_by_loop(system), system
+        # both verdicts are exercised (3866 of the 10000 tables are invalid)
+        assert 2000 < sum(verdicts) < 8000
+
+    @given(valid_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_valid_specs(self, spec):
+        system = system_from_dict(spec)
+        assert validate(system) == full_chain_violations(system) == []
+        assert list(system.high_types()) == high_types_by_loop(system)
 
 
 class TestCompiledSystem:
@@ -81,6 +175,15 @@ class TestCompiledSystem:
         assert [custom_system.type_of(5, a) for a in range(1, 7)] == [1, 2, 3, 2, 5, 6]
         assert [MIX.type_of(2, a) for a in range(1, 5)] == [1, 2, 3, 4]
         assert MIX.type_of(3, 4) == 1
+
+    def test_exponent_bound_holds_only_at_table_primes(self, custom_system):
+        # a prime without a table entry follows the default rule at every exponent
+        assert MIX.type_of(3, 17) == 1 and MIX.type_of(3, 10**6) == 1
+        assert custom_system.type_of(7, 17) == 17
+        assert DIRICHLET.type_of(2, 10**6) == 1 and UNITARY.type_of(2, 10**6) == 10**6
+        for system, p in ((MIX, 2), (custom_system, 5)):
+            with pytest.raises(ExponentOutOfScopeError, match=f"{p}\\^17 exceeds"):
+                system.type_of(p, 17)
 
 
 class TestSmallestHighType:
@@ -103,8 +206,13 @@ class TestSmallestHighType:
             ({"kind": "custom", "default": "dirichlet-default", "a_max": 4,
               "types": [{"p": 3, "a": a, "t": t} for a, t in ((2, 2), (3, 3), (4, 2))]},
              (3, 2, 2)),
-            # exponent bound 1: every type is 1
-            ({"kind": "custom", "default": "unitary-default", "a_max": 1, "types": []}, None),
+            # the exponent bound holds only at table primes: with no entry,
+            # 2^2 has type 2 under the unitary default
+            ({"kind": "custom", "default": "unitary-default", "a_max": 1, "types": []},
+             (2, 2, 2)),
+            # 2 is a table prime bounded at 1, so the first type > 1 is 3^2
+            ({"default": "unitary-default", "a_max": 1, "types": [{"p": 2, "a": 1, "t": 1}]},
+             (3, 2, 2)),
         ],
     )
     def test_examples(self, spec, expected):
@@ -115,10 +223,11 @@ class TestSmallestHighType:
         assert MIX.smallest_high_type() == UNITARY.smallest_high_type() == (2, 2, 2)
 
     def test_unitary_states_the_unitary_default(self):
-        # the empty table under the unitary default is the unitary system,
-        # with no branch on the kind tag
-        assert UNITARY.default == "unitary-default"
-        bare = RegularSystem("custom", default="unitary-default")
+        # D and U are the empty table under each default rule
+        assert UNITARY == RegularSystem(default="unitary-default", name="U")
+        assert DIRICHLET == RegularSystem(name="D")
+        assert DIRICHLET.types == UNITARY.types == ()
+        bare = RegularSystem(default="unitary-default")
         assert bare.smallest_high_type() == UNITARY.smallest_high_type()
         assert validate(bare) == validate(UNITARY) == []
 
@@ -310,6 +419,29 @@ class TestLoader:
         with pytest.raises(InvalidSystemError):
             system_from_dict({"kind": "cross"})
 
+    def test_kind_tag_still_accepted(self):
+        assert system_from_dict({"kind": "dirichlet"}) is DIRICHLET
+        assert system_from_dict({"kind": "unitary"}) is UNITARY
+        assert system_from_dict({"kind": "custom"}) == RegularSystem()
+
+    @pytest.mark.parametrize(
+        "spec, keys",
+        [
+            # a table and an invalid bound beside a kind that takes neither
+            ({"kind": "dirichlet", "types": [{"p": 2, "a": 2, "t": 2}], "a_max": 0},
+             ["types", "a_max"]),
+            ({"kind": "unitary", "default": "unitary-default"}, ["default"]),
+            ({"typez": [{"p": 2, "a": 2, "t": 2}]}, ["typez"]),
+            ({"kind": "custom", "name": "x", "a_max": 4}, ["name"]),
+        ],
+    )
+    def test_refuses_keys_it_would_ignore(self, spec, keys):
+        with pytest.raises(InvalidSystemError) as exc:
+            system_from_dict(spec)
+        assert exc.value.violations == [
+            f"unexpected key {key!r} for kind {spec.get('kind', 'custom')!r}" for key in keys
+        ]
+
     def test_unknown_default(self):
         with pytest.raises(InvalidSystemError):
             system_from_dict({"kind": "custom", "default": "other"})
@@ -331,6 +463,8 @@ class TestLoader:
             ({"types": [{"p": 2, "a": 1, "t": False}]}, "t must be an integer, got False"),
             ({"types": [{"p": float("inf"), "a": 1, "t": 1}]}, "p must be an integer, got inf"),
             ([{"p": 2, "a": 1, "t": 1}], "must be a JSON object"),
+            ({"types": [{"p": "5", "a": 1, "t": 1}]}, "p must be an integer, got '5'"),
+            ({"types": [{"p": 2, "a": 1, "t": None}]}, "t must be an integer, got None"),
         ],
     )
     def test_bad_spec_lists_violation(self, spec, message):

@@ -56,6 +56,26 @@ class TestMeanProductExact:
     def test_unitary_2_4(self):
         assert mean_product_exact(UNITARY, 2, 4) == 1
 
+    @pytest.mark.parametrize("system", [DIRICHLET, UNITARY, MIX], ids=["D", "U", "MIX"])
+    def test_orthogonal_inside_each_A_set(self, system):
+        for r in range(1, 301):
+            members = divisor_set(system, r)
+            for i, d in enumerate(members):
+                for e in members[i + 1:]:
+                    assert mean_product_exact(system, d, e) == 0, (r, d, e)
+
+    @given(valid_specs(), st.integers(min_value=1, max_value=5000))
+    @settings(max_examples=200, deadline=None)
+    def test_orthogonal_inside_each_A_set_on_valid_systems(self, spec, r):
+        system = system_from_dict(spec)
+        try:
+            members = divisor_set(system, r)
+        except ExponentOutOfScopeError:
+            return  # r has a prime power above a table prime's bound
+        for i, d in enumerate(members):
+            for e in members[i + 1:]:
+                assert mean_product_exact(system, d, e) == 0, (d, e)
+
 
 class TestMeanProductEmpirical:
     def test_coprime_case(self):
