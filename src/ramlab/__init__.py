@@ -8,7 +8,6 @@ from .arith import (
     factorize,
     moebius,
     ramanujan_c,
-    ramanujan_c_oracle,
     sigma,
     tau,
 )
@@ -22,7 +21,6 @@ from .even import (
     progression_totient,
     progression_totient_even,
     progression_totient_mean,
-    ramanujan_even,
 )
 from .gensums import (
     c_A,

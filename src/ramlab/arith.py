@@ -1,13 +1,11 @@
 """Exact elementary arithmetic functions and classical Ramanujan sums.
 
-Everything here is plain integer arithmetic (Python ints, so no overflow);
-the one exception is the exponential-sum oracle, which is a floating-point
-cross-check and nothing else. Intended input range is desk scale, n <= 10**9.
+Everything here is plain integer arithmetic (Python ints, so no overflow).
+Intended input range is desk scale, n <= 10**9.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -24,7 +22,6 @@ __all__ = [
     "dedekind_psi",
     "moebius_sieve",
     "ramanujan_c",
-    "ramanujan_c_oracle",
 ]
 
 
@@ -132,7 +129,6 @@ def moebius(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=4096)
 def dedekind_psi(n: int) -> int:
     """Dedekind psi, multiplicative with psi(p^a) = p^a + p^(a-1)."""
     out = 1
@@ -170,16 +166,3 @@ def ramanujan_c(n: int, r: int) -> int:
     # every divisor of gcd(n, r) divides r
     return sum(d * moebius(r // d) for d in divisors(gcd(n, r)))
 
-
-def ramanujan_c_oracle(n: int, r: int) -> complex:
-    """c(n, r) as the literal sum of n-th powers of primitive r-th roots of unity.
-
-    O(r) floating point; test oracle only.
-    """
-    if n < 1 or r < 1:
-        raise ValueError(f"ramanujan_c_oracle requires n, r >= 1, got n={n}, r={r}")
-    total = 0j
-    for k in range(1, r + 1):
-        if gcd(k, r) == 1:
-            total += cmath.exp(2j * cmath.pi * ((k * n) % r) / r)
-    return total

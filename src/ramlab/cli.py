@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import even, gensums, verify
 from .reports import format_value
-from .systems import InvalidSystemError, load_system
+from .systems import InvalidSystemError, divisor_set, gcd_A, load_system
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,6 +29,10 @@ FORMATS = ("json", "csv", "plain")
 # `expansion` holds one Moebius sieve of --terms entries: 128 MB peak RSS
 # and 4.6 s at the cap (CPython 3.11, x86-64)
 MAX_TERMS = 10**7
+
+# prop3's diagonal rows cost sum r <= rmax^2/2 kernel values: `verify all` took
+# 2.9-3.4 s at the cap under D, U and MIX (CPython 3.11, x86-64)
+MAX_RMAX = 3000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,20 +134,20 @@ def _cmd_table(args, out) -> int:
 
 
 def _verify_prop1(system, args, out) -> bool:
-    # battery: Ramanujan-sum basis elements, the arithmetic-progression
-    # totient, and seeded random rational even functions
+    # battery: the system's Ramanujan sums c_A(., r), the arithmetic-progression
+    # totient, and seeded random rational (A, r)-even functions, one draw per
+    # member of A(r) in increasing order
     xs = [args.xmax]
     if args.xmax > 100:
         xs = [100, args.xmax]
-    functions = [even.ramanujan_even(r) for r in range(1, min(args.rmax, 30) + 1)]
+    functions = [even.c_A_even(system, r) for r in range(1, min(args.rmax, 30) + 1)]
     functions.append(even.progression_totient_even(1, 12))
     rng = random.Random(20040233)
     for _ in range(10):
         r = rng.randint(1, args.rmax)
+        drawn = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in divisor_set(system, r)}
         functions.append(
-            even.EvenFunction.from_callable(
-                r, lambda d, rng=rng: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            )
+            even.EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
         )
     if args.even:
         functions.append(even.parse_even_literal(args.even))
@@ -213,6 +217,8 @@ def _verify_prop4(system, args, out) -> bool:
 
 
 def _cmd_verify(args, out) -> int:
+    if args.rmax > MAX_RMAX:
+        raise ValueError(f"--rmax must be at most {MAX_RMAX}, got {args.rmax}")
     system = load_system(args.system)
     targets = ["prop1", "prop2", "prop3", "prop4"] if args.target == "all" else [args.target]
     runners = {
@@ -259,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="run the proposition checkers", parents=[common])
     p_v.add_argument("target", choices=("prop1", "prop2", "prop3", "prop4", "all"))
     p_v.add_argument("--system", default="D")
-    p_v.add_argument("--rmax", type=_positive_int, default=50)
+    p_v.add_argument("--rmax", type=_positive_int, default=50, help=f"at most {MAX_RMAX}")
     p_v.add_argument("--xmax", type=_positive_int, default=1000)
     p_v.add_argument("--even", default=None,
                      help="extra even function literal, e.g. 'r=6; 1:1, 2:-1, 3:0, 6:2'")

@@ -1,18 +1,21 @@
 """The finite space of r-even functions: values on divisors of r, evaluated
-anywhere through gcd(n, r).
+anywhere through gcd(n, r). Tagged with a regular system A, a function is
+(A, r)-even, f(n) = f((n, r)_A), and expands in c_A(., d), d in A(r); an
+untagged one expands under D, in c(., q), q | r. Inner products, Fourier
+coefficients and means are exact (Fraction) for integer or rational values;
+complex values fall back to floats.
 
-Inner products, Fourier coefficients in the Ramanujan-sum basis, and mean
-values are exact (Fraction) whenever the function values are integers or
-rationals; complex-valued functions fall back to floats.
+The basis is orthogonal (`verify.mean_product_exact`); orthogonality fails
+only across A-sets, as in Prop 3's pair (p, p^a), p not in A(p^a).
 
-The Fourier coefficients come from a per-prime kernel. For r = prod p^a
-and q, e | r, c(r/q, e) = prod_p c(p^(a - v_p(q)), p^(v_p(e))), so the
-tau x tau matrices of both closed forms are Kronecker products of one
-(a+1) x (a+1) integer matrix per prime. `fourier_coeffs` scales rational
-values to integers and applies each factor along its prime axis:
-tau(r) * sum(a+1) integer multiply-adds per formula instead of tau(r)^2
-Fraction operations. Both formulas are still evaluated and compared
-exactly for every q.
+One per-prime kernel gives the coefficients. At p^a || r of type t, with
+(q, k) = (p^t, a/t), the members of A(r) have exponents 0, t, ..., a at p,
+and c_A(p^(it), p^(jt)) is the classical c(p^i, p^j) with p replaced by q.
+So both closed forms' |A(r)|^2 matrices are Kronecker products of the
+classical (k+1)-square Ramanujan matrices at (q, k); D is t = 1.
+`fourier_coeffs` scales rational values to integers and applies one factor
+per axis: |A(r)| * sum(k+1) integer multiply-adds per formula instead of
+|A(r)|^2 Fraction operations, and still compares both formulas exactly.
 """
 
 from __future__ import annotations
@@ -21,20 +24,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, gcd, lcm
+from math import floor, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Mapping, Optional, Union
 
-from .arith import (
-    dedekind_psi,
-    divisors,
-    euler_phi,
-    factorize,
-    ramanujan_c,
-    sigma,
-)
+from .arith import divisors, factorize
 from .reports import PartialSumReport
-from .systems import DIRICHLET, RegularSystem, gcd_A
+from .systems import DIRICHLET, RegularSystem, gcd_A, prime_power_types
 from . import gensums
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "inner_product",
     "fourier_coeffs",
     "mean_value",
-    "ramanujan_even",
     "c_A_even",
     "progression_totient",
     "progression_totient_even",
@@ -79,7 +74,8 @@ class EvenFunction:
     """A function with period r depending on n only through gcd(n, r).
 
     Stored as its values on the divisors of r; an optional system tag
-    asserts the stronger A-even property (values constant on (., r)_A)."""
+    asserts the stronger A-even property (values constant on (., r)_A) and
+    selects the basis c_A(., d), d in A(r), that the closed forms use."""
 
     r: int
     values: tuple[tuple[int, Scalar], ...]
@@ -130,12 +126,27 @@ class EvenFunction:
         return all(_is_exact(v) for _, v in self.values)
 
 
+def _per_prime(system: Optional[RegularSystem], r: int) -> tuple:
+    """The one pass every closed form here reads: the system (D when None),
+    the axis (q, k) = (p^t, a/t) of each p^a || r of type t, and the members
+    d of A(r) with phi_A(d), in the transform's mixed-radix order."""
+    system = system or DIRICHLET
+    axes, members, phis = [], [1], [1]
+    for p, a, t in prime_power_types(system, r):
+        q, k = p**t, a // t
+        axes.append((q, k))
+        members = [d * q**i for d in members for i in range(k + 1)]
+        phis = [x * (q**i - q ** (i - 1) if i else 1) for x in phis for i in range(k + 1)]
+    return system, axes, members, phis
+
+
 @dataclass(frozen=True)
 class FourierCoeffs:
-    """Coordinates h(q), q | r, in the basis of classical Ramanujan sums."""
+    """Coordinates h(d), d in A(r), in the basis c_A(., d) of `system`."""
 
     r: int
     h: tuple[tuple[int, Scalar], ...]
+    system: RegularSystem = DIRICHLET
 
     @cached_property
     def coeff_map(self) -> dict[int, Scalar]:
@@ -145,45 +156,43 @@ class FourierCoeffs:
         return self.coeff_map[q]
 
     def reconstruct(self) -> EvenFunction:
-        """The even function n -> sum_{q|r} h(q) c(n, q)."""
-        return EvenFunction.from_values(
-            self.r,
-            {
-                d: sum(hq * ramanujan_c(d, q) for q, hq in self.h)
-                for d in divisors(self.r)
-            },
-        )
+        """The A-even function n -> sum_{d in A(r)} h(d) c_A(n, d)."""
+        def value(n: int) -> Scalar:
+            return sum(hd * gensums.c_A(self.system, n, d) for d, hd in self.h)
+
+        return EvenFunction.from_callable(self.r, value, self.system)
 
 
 def inner_product(f: EvenFunction, g: EvenFunction) -> Scalar:
-    """(1/r) sum_{d|r} phi(d) f(r/d) conj(g(r/d))."""
+    """(1/r) sum_{d|r} phi(d) f(r/d) conj(g(r/d)), the mean of f conj(g)."""
     if f.r != g.r:
         raise ValueError(f"modulus mismatch: {f.r} != {g.r}")
     r = f.r
+    _, _, divs, phis = _per_prime(None, r)
     total = sum(
-        euler_phi(d) * _exact(f.value_map[r // d]) * _conj(_exact(g.value_map[r // d]))
-        for d in divisors(r)
+        phi * _exact(f.value_map[r // d]) * _conj(_exact(g.value_map[r // d]))
+        for d, phi in zip(divs, phis)
     )
     return _div(total, r)
 
 
-def _ramanujan_pp(p: int, b: int, j: int) -> int:
-    # c(m, p^j) for v_p(m) = b: it depends on m only through gcd(m, p^j)
+def _ramanujan_pp(q: int, b: int, j: int) -> int:
+    # c(m, q^j) at v_q(m) = b, with q read as a prime: c_A(p^(bt), p^(jt)) at q = p^t
     if j == 0:
         return 1
     if b >= j:
-        return p**j - p ** (j - 1)
-    return -(p ** (j - 1)) if b == j - 1 else 0
+        return q**j - q ** (j - 1)
+    return -(q ** (j - 1)) if b == j - 1 else 0
 
 
-def _axis_matrices(p: int, a: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The per-prime factors of both coefficient formulas at p^a || r.
+def _axis_matrices(q: int, k: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The per-prime factors of both coefficient formulas on the axis (q, k).
 
-    Row i = v_p(q), column j = v_p(e): formula 1's phi(p^j) c(p^(a-j), p^i)
-    and formula 2's c(p^(a-i), p^j)."""
-    phi = [1] + [p**j - p ** (j - 1) for j in range(1, a + 1)]
-    k1 = [[phi[j] * _ramanujan_pp(p, a - j, i) for j in range(a + 1)] for i in range(a + 1)]
-    k2 = [[_ramanujan_pp(p, a - i, j) for j in range(a + 1)] for i in range(a + 1)]
+    Row i and column j are the exponents i and j of q in d and e: formula
+    1's phi_A(q^j) c_A(q^(k-j), q^i) and formula 2's c_A(q^(k-i), q^j)."""
+    phi = [1] + [q**j - q ** (j - 1) for j in range(1, k + 1)]
+    k1 = [[phi[j] * _ramanujan_pp(q, k - j, i) for j in range(k + 1)] for i in range(k + 1)]
+    k2 = [[_ramanujan_pp(q, k - i, j) for j in range(k + 1)] for i in range(k + 1)]
     return k1, k2
 
 
@@ -206,73 +215,63 @@ def _kron_apply(mats: list[list[list[int]]], vec: list) -> list:
 
 
 def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
-    """The coefficients h(q) of f in the Ramanujan-sum basis.
+    """The coefficients h(d) of f in the basis c_A(., d), d in A(r), with A
+    the system f is tagged with (D when untagged).
 
-    Both closed forms are evaluated for every q | r:
+    Both closed forms are evaluated for every d in A(r):
 
-        h(q) = (1 / (r phi(q))) sum_{e|r} phi(e) f(r/e) c(r/e, q)    (1)
-        h(q) = (1 / r)          sum_{e|r} f(r/e) c(r/q, e)           (2)
+        h(d) = (1 / (r phi_A(d))) sum_{e in A(r)} phi_A(e) f(r/e) c_A(r/e, d)   (1)
+        h(d) = (1 / r)            sum_{e in A(r)} f(r/e) c_A(r/d, e)            (2)
 
     and must agree, exactly for rational values (as the integer identity
-    S1(q) = phi(q) S2(q) on the scaled sums) and to 1e-9 for float or
+    S1(d) = phi_A(d) S2(d) on the scaled sums) and to 1e-9 for float or
     complex ones; a disagreement raises ArithmeticError. That the result
     reconstructs f is not re-checked here; the round-trip tests cover it.
 
     Rational values are scaled to integers by the lcm L of their
-    denominators, each formula's matrix is applied one prime axis at a time
-    (see the module docstring), and h(q) = S2(q) / (r L)."""
+    denominators, each formula's matrix is applied one axis at a time
+    (see the module docstring), and h(d) = S2(d) / (r L)."""
     r = f.r
-    divs, phis, k1s, k2s = [1], [1], [], []
-    for p, a in factorize(r):
-        divs = [d * p**i for d in divs for i in range(a + 1)]
-        phis = [x * (p**i - p ** (i - 1) if i else 1) for x in phis for i in range(a + 1)]
-        k1, k2 = _axis_matrices(p, a)
-        k1s.append(k1)
-        k2s.append(k2)
-    values = [f.value_map[r // e] for e in divs]
+    system, axes, members, phis = _per_prime(f.system, r)
+    mats = [_axis_matrices(q, k) for q, k in axes]
+    values = [f.value_map[r // e] for e in members]
     exact = f.is_exact()
     scale = 1
     if exact:
         fracs = [Fraction(v) for v in values]
         scale = lcm(*(v.denominator for v in fracs))
         values = [v.numerator * (scale // v.denominator) for v in fracs]
-    s1 = _kron_apply(k1s, values)
-    s2 = _kron_apply(k2s, values)
+    s1 = _kron_apply([k1 for k1, _ in mats], values)
+    s2 = _kron_apply([k2 for _, k2 in mats], values)
     out = []
-    for q, phi_q, t1, t2 in zip(divs, phis, s1, s2):
+    for d, phi_d, t1, t2 in zip(members, phis, s1, s2):
         if exact:
-            agree = t1 == phi_q * t2
+            agree = t1 == phi_d * t2
             h = Fraction(t2, r * scale)
         else:
-            h, h1 = t2 / r, t1 / (r * phi_q)
+            h, h1 = t2 / r, t1 / (r * phi_d)
             agree = abs(h1 - h) <= 1e-9 * (1 + abs(h1))
         if not agree:
             raise ArithmeticError(
-                f"coefficient formulas disagree at q={q}: "
-                f"{_div(t1, r * scale * phi_q)} vs {_div(t2, r * scale)}"
+                f"coefficient formulas disagree at d={d}: "
+                f"{_div(t1, r * scale * phi_d)} vs {_div(t2, r * scale)}"
             )
-        out.append((q, h))
+        out.append((d, h))
     out.sort()
-    return FourierCoeffs(r, tuple(out))
+    return FourierCoeffs(r, tuple(out), system)
 
 
 def mean_value(f: EvenFunction) -> Scalar:
-    """Exact mean (1/r) sum_{e|r} f(e) phi(r/e); equals the q = 1 coefficient."""
+    """Exact mean (1/r) sum_{d in A(r)} phi_A(d) f(r/d); equals the coefficient h(1)."""
     r = f.r
-    total = sum(_exact(f.value_map[e]) * euler_phi(r // e) for e in divisors(r))
+    _, _, members, phis = _per_prime(f.system, r)
+    total = sum(_exact(f.value_map[r // d]) * phi for d, phi in zip(members, phis))
     return _div(total, r)
-
-
-def ramanujan_even(r: int) -> EvenFunction:
-    """c(., r) as an element of the r-even space."""
-    return EvenFunction.from_callable(r, lambda n: ramanujan_c(n, r))
 
 
 def c_A_even(system: RegularSystem, r: int) -> EvenFunction:
     """c_A(., r) as an A-even-tagged element of the r-even space."""
-    return EvenFunction.from_callable(
-        r, lambda n: gensums.c_A(system, n, r), system=system
-    )
+    return EvenFunction.from_callable(r, lambda n: gensums.c_A(system, n, r), system)
 
 
 def _progression_count(s: int, d: int, n: int) -> int:
@@ -309,33 +308,45 @@ def progression_totient_mean(s: int, n: int) -> Fraction:
 
 
 def certified_residual_bound(f: EvenFunction) -> Scalar:
-    """x-uniform bound on |sum_{n<=x} f(n) - M(f) x|.
+    """x-uniform bound on |sum_{n<=x} f(n) - M(f) x|:
+    sup|f| (sigma_A(r)/r) sum_{d in A(r)} psi_A(d), sigma_A(r) the sum of
+    A(r); under D, sup|f| (sigma(r)/r) sum_{q|r} psi(q).
 
-    sup|f| * (sigma(r)/r) * sum_{q|r} psi(q): the coefficient bound
-    |h(q)| <= sup|f| sigma(r)/r combined with |sum_{n<=x} c(n,q)| <= psi(q)
-    for q > 1 (and the q = 1 term exactly cancelling the main term)."""
+    Proof. By formula (2) of `fourier_coeffs`, h(d) = (1/r) sum_{e in A(r)}
+    f(r/e) c_A(r/d, e). At p^b || e of type t the kernel takes the values
+    p^b - p^(b-t), -p^(b-t) and 0, so |c_A(m, e)| <= e and |h(d)| <=
+    sup|f| sigma_A(r)/r. As c_A(., 1) = 1 and h(1) = M(f) (formula (1) at
+    d = 1), the residual is sum_{d>1} h(d) sum_{n<=x} c_A(n, d). For d > 1
+    that inner sum is sum_m s_m m floor(x/m) over the 2^omega(d) terms of
+    `gensums.c_A_sum`, whose signs s_m sum to 0, so it is -sum_m s_m m {x/m},
+    at most sum_m m = psi_A(d) in absolute value. The d = 1 term only
+    loosens the bound. Both factors are products over the axes (q, k):
+    s(k) and s(k) + s(k-1), where s(k) = 1 + q + ... + q^k."""
     r = f.r
+    _, axes, _, _ = _per_prime(f.system, r)
+    sums = [((q ** (k + 1) - 1) // (q - 1), (q**k - 1) // (q - 1)) for q, k in axes]
+    sigma_a = prod(s for s, _ in sums)
+    total = prod(s + s_prev for s, s_prev in sums)
     k_f = f.sup_norm()
-    total = sum(dedekind_psi(q) for q in divisors(r))
     if _is_exact(k_f):
-        return Fraction(k_f) * Fraction(sigma(r), r) * total
-    return k_f * sigma(r) / r * total
+        return Fraction(k_f) * Fraction(sigma_a, r) * total
+    return k_f * sigma_a / r * total
 
 
 def partial_sum_even(f: EvenFunction, x) -> PartialSumReport:
     """Exact partial sum of f up to x via the Fourier decomposition.
 
-    sum_{n<=x} f(n) = sum_{q|r} h(q) sum_{n<=x} c(n, q), each inner sum in
-    closed form, so the cost is in tau(r), not x."""
+    sum_{n<=x} f(n) = sum_{d in A(r)} h(d) sum_{n<=x} c_A(n, d), each inner
+    sum in closed form, so the cost is in |A(r)|, not x; the main term is h(1) x."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     big_x = floor(x)
     coeffs = fourier_coeffs(f)
-    exact = sum(hq * gensums.c_A_sum(DIRICHLET, q, big_x) for q, hq in coeffs.h)
+    exact = sum(hd * gensums.c_A_sum(coeffs.system, d, big_x) for d, hd in coeffs.h)
     return PartialSumReport(
         x=big_x,
         exact_sum=exact,
-        main_term=mean_value(f) * big_x,
+        main_term=coeffs.coeff(1) * big_x,
         certified_bound=certified_residual_bound(f),
     )
 

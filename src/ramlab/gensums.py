@@ -23,7 +23,6 @@ p^(a-t) at each prime power p^a || r, the kernel's two terms.
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
 from math import floor
 
 from .arith import divisors, ramanujan_c
@@ -93,11 +92,6 @@ def c_A_core(system: RegularSystem, n: int, r: int) -> int:
     return sum(ramanujan_c(n, d) for d in divisors(r) if d % g == 0)
 
 
-@lru_cache(maxsize=4096)
-def _a_coprime_residues(system: RegularSystem, r: int) -> tuple[int, ...]:
-    return tuple(k for k in range(1, r + 1) if gcd_A(system, k, r) == 1)
-
-
 def c_A_oracle(system: RegularSystem, n: int, r: int) -> complex:
     """The defining exponential sum over k mod r with (k, r)_A = 1.
 
@@ -106,8 +100,9 @@ def c_A_oracle(system: RegularSystem, n: int, r: int) -> complex:
     if n < 1 or r < 1:
         raise ValueError(f"c_A_oracle requires n, r >= 1, got n={n}, r={r}")
     total = 0j
-    for k in _a_coprime_residues(system, r):
-        total += cmath.exp(2j * cmath.pi * ((k * n) % r) / r)
+    for k in range(1, r + 1):
+        if gcd_A(system, k, r) == 1:
+            total += cmath.exp(2j * cmath.pi * ((k * n) % r) / r)
     return total
 
 

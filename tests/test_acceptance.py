@@ -22,8 +22,8 @@ from ramlab.even import (
     progression_totient_even,
     progression_totient_mean,
 )
-from ramlab.gensums import _a_coprime_residues, c_A, c_A_core, c_A_divisor
-from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, mu_A, phi_A, psi_A
+from ramlab.gensums import c_A, c_A_core, c_A_divisor
+from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, gcd_A, mu_A, phi_A, psi_A
 from ramlab.verify import (
     additive_closure_witness,
     expansion_demo,
@@ -47,7 +47,7 @@ def test_criterion_1_route_agreement():
     bound = 300
     for name, system in SYSTEMS:
         for r in range(1, bound + 1):
-            ks = np.array(_a_coprime_residues(system, r))
+            ks = np.array([k for k in range(1, r + 1) if gcd_A(system, k, r) == 1])
             z = np.exp(2j * np.pi * np.outer(np.arange(r), ks) / r).sum(axis=1)
             assert np.abs(z.imag).max() <= 1e-6, (name, r)
             rounded = np.round(z.real).astype(int)

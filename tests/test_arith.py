@@ -15,10 +15,11 @@ from ramlab.arith import (
     moebius,
     moebius_sieve,
     ramanujan_c,
-    ramanujan_c_oracle,
     sigma,
     tau,
 )
+from ramlab.gensums import c_A_oracle
+from ramlab.systems import DIRICHLET
 
 
 class TestFactorize:
@@ -122,12 +123,13 @@ class TestRamanujanC:
         assert ramanujan_c(2, 4) == -2
 
     def test_oracle_examples(self):
-        assert ramanujan_c_oracle(1, 1) == pytest.approx(1 + 0j)
-        assert ramanujan_c_oracle(2, 4) == pytest.approx(-2 + 0j, abs=1e-9)
+        # the classical exponential sum is the oracle's Dirichlet case
+        assert c_A_oracle(DIRICHLET, 1, 1) == pytest.approx(1 + 0j)
+        assert c_A_oracle(DIRICHLET, 2, 4) == pytest.approx(-2 + 0j, abs=1e-9)
         for n in range(1, 10):
             expected = 2 * cmath.cos(2 * cmath.pi * n / 3).real
-            assert ramanujan_c_oracle(n, 3).real == pytest.approx(expected, abs=1e-9)
-            assert abs(ramanujan_c_oracle(n, 3).imag) < 1e-9
+            assert c_A_oracle(DIRICHLET, n, 3).real == pytest.approx(expected, abs=1e-9)
+            assert abs(c_A_oracle(DIRICHLET, n, 3).imag) < 1e-9
 
     def test_against_oracle_to_500(self):
         # exponential sum per residue class, vectorized; |error| <= 1e-6
@@ -155,4 +157,4 @@ class TestRamanujanC:
         with pytest.raises(ValueError):
             ramanujan_c(0, 5)
         with pytest.raises(ValueError):
-            ramanujan_c_oracle(5, 0)
+            c_A_oracle(DIRICHLET, 5, 0)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ramlab import even, gensums, verify
-from ramlab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_TERMS, main
+from ramlab import cli, even, gensums, verify
+from ramlab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_RMAX, MAX_TERMS, main
 from ramlab.reports import OrthogonalityReport, PartialSumReport
 from ramlab.systems import MIX, UNITARY
 
@@ -163,21 +163,79 @@ class TestCommandVerify:
         assert (obj["p"], obj["t"], obj["h_high"], obj["pass"]) == (101, 2, 101 + 101**2, "true")
 
     def test_prop4_witness_beyond_bound_exits_1(self, capsys, tmp_path):
-        code, out, err = run(capsys, "verify", "prop4", "--system",
-                             _unitary_at_101(tmp_path, a_max=4))
+        # 103 * 101^2 exceeds the witness budget; 102 * 101^2 does not
+        system = _unitary_at_101(tmp_path, a_max=4)
+        code, out, err = run(capsys, "verify", "prop4", "--system", system, "--rmax", "103")
         assert code == EXIT_USAGE
         assert out == ""
-        assert "101^2" in err and "2^4" in err
+        assert "101^2" in err and f"budget {verify.MAX_WITNESS_WORK}" in err
+        code, out, _ = run(capsys, "verify", "prop4", "--system", system, "--rmax", "102",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["pass"] == "true"
 
-    def test_prop4_bound_one_without_entries_exits_1(self, capsys, tmp_path):
-        # the bound holds only at table primes, so 2^2 has type 2 here; the
-        # witness bound 2^a_max = 2 then refuses it
+    def test_prop4_bound_one_without_entries_passes(self, capsys, tmp_path):
+        # the bound holds only at table primes, so these are U's types, and
+        # the witness budget reads p^a, not a_max: U's row
         spec = tmp_path / "u1.json"
         spec.write_text(json.dumps({"default": "unitary-default", "a_max": 1, "types": []}))
+        code, out, _ = run(capsys, "verify", "prop4", "--system", str(spec), "--format", "json")
+        assert code == EXIT_OK
+        want = run(capsys, "verify", "prop4", "--system", "U", "--format", "json")[1]
+        assert {**json.loads(out), "system": "U"} == json.loads(want)
+
+    def test_prop4_high_table_entry_exits_1_at_once(self, capsys, tmp_path):
+        # 2^40 of type 40 is accepted by the loader; its witness would loop to 4 * 2^40
+        spec = tmp_path / "a40.json"
+        spec.write_text(json.dumps({"a_max": 40, "types": [{"p": 2, "a": 40, "t": 40}]}))
         code, out, err = run(capsys, "verify", "prop4", "--system", str(spec))
         assert code == EXIT_USAGE
         assert out == ""
-        assert "2^2" in err and "2^1" in err
+        assert "2^40" in err
+
+    def test_rmax_above_cap_exits_1_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify started above the --rmax cap")
+
+        for name in ("load_system", "_verify_prop1", "_verify_prop2", "_verify_prop3",
+                     "_verify_prop4"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(capsys, "verify", "all", "--rmax", str(MAX_RMAX + 1))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--rmax must be at most {MAX_RMAX}" in err
+
+    def test_rmax_at_cap_accepted(self, capsys, monkeypatch):
+        seen = []
+        names = ("_verify_prop1", "_verify_prop2", "_verify_prop3", "_verify_prop4")
+        for name in names:
+            def fake(system, args, out, name=name):
+                seen.append((name, args.rmax))
+                return True
+
+            monkeypatch.setattr(cli, name, fake)
+        code, _, _ = run(capsys, "verify", "all", "--rmax", str(MAX_RMAX))
+        assert code == EXIT_OK
+        assert seen == [(name, MAX_RMAX) for name in names]
+
+    def test_verify_help_states_the_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == EXIT_OK
+        assert f"at most {MAX_RMAX}" in out
+
+    @pytest.mark.parametrize("system", [UNITARY, MIX], ids=["U", "MIX"])
+    def test_prop1_checks_the_named_system(self, capsys, system):
+        # the battery opens with c_A(., r), r = 1..20, one record per x
+        argv = ["verify", "prop1", "--rmax", "20", "--xmax", "200", "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--system", system.name)
+        assert code == EXIT_OK
+        assert out != run(capsys, *argv, "--system", "D")[1]
+        rows = [json.loads(line) for line in out.splitlines()]
+        for r in range(1, 21):
+            for row, x in zip(rows[2 * r - 2 : 2 * r], (100, 200)):
+                assert (row["r"], row["x"]) == (r, x)
+                assert row["exact_sum"] == gensums.c_A_sum(system, r, x)
+        assert all(row["pass"] == "true" for row in rows)
 
     def test_prop1_with_literal(self, capsys):
         code, out, _ = run(capsys, "verify", "prop1", "--rmax", "10", "--xmax", "200",

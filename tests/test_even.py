@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ramlab import even
 from ramlab.arith import divisors, euler_phi, ramanujan_c, sigma
+from ramlab.gensums import c_A
 from ramlab.even import (
     EvenFunction,
     c_A_even,
@@ -20,9 +21,20 @@ from ramlab.even import (
     progression_totient,
     progression_totient_even,
     progression_totient_mean,
-    ramanujan_even,
 )
-from ramlab.systems import UNITARY
+from ramlab.systems import (
+    DIRICHLET,
+    MIX,
+    UNITARY,
+    ExponentOutOfScopeError,
+    divisor_set,
+    gcd_A,
+    phi_A,
+    psi_A,
+    system_from_dict,
+)
+
+from conftest import valid_specs
 
 
 def random_rational_even(r, rng):
@@ -32,11 +44,12 @@ def random_rational_even(r, rng):
 
 
 def reference_fourier_coeffs(f):
-    """The definition, as the test oracle: both closed forms as tau^2 double
-    sums over the divisors of r, in Fraction arithmetic for rational values.
+    """The definition, as the test oracle: both closed forms as tau_A^2
+    double sums over A(r), A the system f is tagged with (D when untagged),
+    in Fraction arithmetic for rational values.
 
-        h(q) = (1 / (r phi(q))) sum_{e|r} phi(e) f(r/e) c(r/e, q)
-        h(q) = (1 / r)          sum_{e|r} f(r/e) c(r/q, e)
+        h(d) = (1 / (r phi_A(d))) sum_{e in A(r)} phi_A(e) f(r/e) c_A(r/e, d)
+        h(d) = (1 / r)            sum_{e in A(r)} f(r/e) c_A(r/d, e)
     """
     def exact(v):
         return Fraction(v) if isinstance(v, int) else v
@@ -44,20 +57,35 @@ def reference_fourier_coeffs(f):
     def div(v, k):
         return Fraction(v, k) if isinstance(v, (int, Fraction)) else v / k
 
+    system = f.system or DIRICHLET
     r = f.r
-    divs = divisors(r)
+    members = divisor_set(system, r)
     out = []
-    for q in divs:
-        s1 = sum(euler_phi(e) * exact(f.value_map[r // e]) * ramanujan_c(r // e, q) for e in divs)
-        h1 = div(s1, r * euler_phi(q))
-        s2 = sum(exact(f.value_map[r // e]) * ramanujan_c(r // q, e) for e in divs)
+    for d in members:
+        s1 = sum(
+            phi_A(system, e) * exact(f.value_map[r // e]) * c_A(system, r // e, d)
+            for e in members
+        )
+        h1 = div(s1, r * phi_A(system, d))
+        s2 = sum(exact(f.value_map[r // e]) * c_A(system, r // d, e) for e in members)
         h2 = div(s2, r)
         if isinstance(h1, Fraction) and isinstance(h2, Fraction):
             assert h1 == h2
         else:
             assert abs(h1 - h2) <= 1e-9 * (1 + abs(h1))
-        out.append((q, h1))
+        out.append((d, h1))
     return tuple(out)
+
+
+def reference_bound(f):
+    """sup|f| (sigma_A(r)/r) sum_{d in A(r)} psi_A(d), summed over A(r)."""
+    system = f.system or DIRICHLET
+    members = divisor_set(system, f.r)
+    return (
+        Fraction(f.sup_norm())
+        * Fraction(sum(members), f.r)
+        * sum(psi_A(system, d) for d in members)
+    )
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -94,7 +122,7 @@ FLOAT_VALUES["mixed"] = st.one_of(*RATIONAL_VALUES.values(), *FLOAT_VALUES.value
 
 class TestEvenFunction:
     def test_evaluate_through_gcd(self):
-        f = ramanujan_even(6)
+        f = c_A_even(DIRICHLET, 6)
         assert f(8) == ramanujan_c(2, 6) == -1
         assert f(6) == f.value_map[6]
 
@@ -108,7 +136,7 @@ class TestEvenFunction:
 
     def test_rejects_nonpositive_argument(self):
         with pytest.raises(ValueError):
-            ramanujan_even(6)(0)
+            c_A_even(DIRICHLET, 6)(0)
 
     def test_A_even_tag_accepts_cA(self):
         for r in range(1, 101):
@@ -125,7 +153,7 @@ class TestEvenFunction:
 class TestInnerProduct:
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
-            inner_product(ramanujan_even(6), ramanujan_even(4))
+            inner_product(c_A_even(DIRICHLET, 6), c_A_even(DIRICHLET, 4))
 
     def test_constant_norm_one(self):
         for r in (1, 2, 12, 36):
@@ -157,9 +185,16 @@ class TestInnerProduct:
 class TestFourier:
     def test_basis_element(self):
         for r in range(1, 101):
-            coeffs = fourier_coeffs(ramanujan_even(r))
+            coeffs = fourier_coeffs(c_A_even(DIRICHLET, r))
             for q in divisors(r):
                 assert coeffs.coeff(q) == (1 if q == r else 0)
+
+    @pytest.mark.parametrize("system", [UNITARY, MIX], ids=["U", "MIX"])
+    def test_A_basis_element(self, system):
+        for r in range(1, 121):
+            coeffs = fourier_coeffs(c_A_even(system, r))
+            assert [d for d, _ in coeffs.h] == list(divisor_set(system, r))
+            assert all(h == (1 if d == r else 0) for d, h in coeffs.h)
 
     def test_constant_function(self):
         coeffs = fourier_coeffs(EvenFunction.from_callable(12, lambda d: 1))
@@ -244,34 +279,120 @@ class TestFourierKernel:
     def test_corrupted_matrix_entry_is_caught(self, monkeypatch, formula):
         # r = 2^2 * 3: every entry of every per-prime matrix, one at a time
         f = EvenFunction.from_callable(12, lambda d: Fraction(d * d + 1, d + 2))
-        honest = even._axis_matrices
-        for p, a in ((2, 2), (3, 1)):
-            for i in range(a + 1):
-                for j in range(a + 1):
-                    def corrupted(pp, aa, p=p, i=i, j=j):
-                        mats = honest(pp, aa)
-                        if pp == p:
-                            mats[formula][i][j] += 1
-                        return mats
+        _corrupt_each_entry(monkeypatch, f, formula, ((2, 2), (3, 1)))
 
-                    monkeypatch.setattr(even, "_axis_matrices", corrupted)
-                    with pytest.raises(ArithmeticError, match="formulas disagree"):
-                        fourier_coeffs(f)
-        monkeypatch.setattr(even, "_axis_matrices", honest)
-        assert fourier_coeffs(f).h == reference_fourier_coeffs(f)
+    @pytest.mark.parametrize("formula", [0, 1])
+    def test_corrupted_matrix_entry_is_caught_under_MIX(self, monkeypatch, formula):
+        # r = 2^3 * 3^2 under MIX: the axes (q, k) = (8, 1) and (3, 2)
+        f = EvenFunction.from_callable(
+            72, lambda n: Fraction(gcd_A(MIX, n, 72) ** 2 + 1, gcd_A(MIX, n, 72) + 2), MIX
+        )
+        _corrupt_each_entry(monkeypatch, f, formula, ((8, 1), (3, 2)))
+
+
+def _corrupt_each_entry(monkeypatch, f, formula, axes):
+    honest = even._axis_matrices
+    for q, k in axes:
+        for i in range(k + 1):
+            for j in range(k + 1):
+                def corrupted(qq, kk, q=q, i=i, j=j):
+                    mats = honest(qq, kk)
+                    if qq == q:
+                        mats[formula][i][j] += 1
+                    return mats
+
+                monkeypatch.setattr(even, "_axis_matrices", corrupted)
+                with pytest.raises(ArithmeticError, match="formulas disagree"):
+                    fourier_coeffs(f)
+    monkeypatch.setattr(even, "_axis_matrices", honest)
+    assert fourier_coeffs(f).h == reference_fourier_coeffs(f)
+
+
+@st.composite
+def in_scope_moduli(draw, system):
+    """r = prod p^e over 2, 3, 5, 7, 11 with each p^e inside the system's
+    exponent bound, r <= 20000."""
+    r = 1
+    for p in (2, 3, 5, 7, 11):
+        e = draw(st.integers(min_value=0, max_value=6), label=f"v_{p}")
+        if e and r * p**e <= 20000:
+            try:
+                system.type_of(p, e)
+            except ExponentOutOfScopeError:
+                continue
+            r *= p**e
+    return r
+
+
+class TestAEvenFunctions:
+    """(A, r)-even functions on random valid systems: the per-prime transform
+    against the tau_A^2 definition, the round trip, the mean, and the certified
+    bound against brute-force partial sums."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=valid_specs(), data=st.data())
+    def test_against_definition_and_brute_force(self, spec, data):
+        system = system_from_dict(spec)
+        r = data.draw(in_scope_moduli(system), label="r")
+        members = divisor_set(system, r)
+        vals = data.draw(st.lists(RATIONAL_VALUES["int and fraction"],
+                                  min_size=len(members), max_size=len(members)))
+        drawn = dict(zip(members, vals))
+        f = EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
+        coeffs = fourier_coeffs(f)
+        assert coeffs.h == reference_fourier_coeffs(f)
+        assert [d for d, _ in coeffs.h] == list(members)
+        back = coeffs.reconstruct()
+        assert back.system == system
+        assert back.value_map == {d: Fraction(v) for d, v in f.values}
+        mean = mean_value(f)
+        assert mean == coeffs.coeff(1) == Fraction(sum(f(n) for n in range(1, r + 1)), r)
+        bound = certified_residual_bound(f)
+        assert bound == reference_bound(f)
+        # the residual has period r, so x <= r covers every x
+        total = Fraction(0)
+        for x in range(1, r + 1):
+            total += f(x)
+            assert abs(total - mean * x) <= bound
+        for x in (1, r, 3 * r + data.draw(st.integers(0, r), label="rest")):
+            brute = sum(f(n) for n in range(1, x + 1))
+            rep = partial_sum_even(f, x)
+            assert rep.exact_sum == brute and rep.passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=valid_specs(), data=st.data())
+    def test_float_and_complex_values_match_to_1e9(self, spec, data):
+        system = system_from_dict(spec)
+        r = data.draw(in_scope_moduli(system), label="r")
+        members = divisor_set(system, r)
+        kind = data.draw(st.sampled_from(sorted(FLOAT_VALUES)), label="kind")
+        vals = data.draw(st.lists(FLOAT_VALUES[kind], min_size=len(members), max_size=len(members)))
+        drawn = dict(zip(members, vals))
+        f = EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
+        got, want = fourier_coeffs(f).h, reference_fourier_coeffs(f)
+        assert [d for d, _ in got] == [d for d, _ in want]
+        for (_, h), (_, w) in zip(got, want):
+            assert abs(h - w) <= 1e-9 * (1 + abs(w))
+
+    def test_unitary_bound_by_hand(self):
+        # r = 12 under U: A(12) = {1, 3, 4, 12}, sigma_U(12) = 20, and
+        # psi_U is 1, 4, 5, 20 on those members
+        f = c_A_even(UNITARY, 12)
+        assert f.sup_norm() == 6
+        assert certified_residual_bound(f) == 6 * Fraction(20, 12) * 30
 
 
 class TestMeanValue:
     def test_ramanujan_sums(self):
-        assert mean_value(ramanujan_even(1)) == 1
+        assert mean_value(c_A_even(DIRICHLET, 1)) == 1
         for r in range(2, 120):
-            assert mean_value(ramanujan_even(r)) == 0
+            assert mean_value(c_A_even(DIRICHLET, r)) == 0
 
     def test_constant(self):
         assert mean_value(EvenFunction.from_callable(30, lambda d: 1)) == 1
 
     def test_two_term_hand_evaluation(self):
-        f = ramanujan_even(2)
+        f = c_A_even(DIRICHLET, 2)
         assert mean_value(f) == Fraction(ramanujan_c(1, 2) + ramanujan_c(2, 2), 2) == 0
 
 
@@ -315,7 +436,7 @@ class TestPartialSumEven:
             assert rep.residual == 0 and rep.passed
 
     def test_ramanujan_mod_6(self):
-        rep = partial_sum_even(ramanujan_even(6), 10**4)
+        rep = partial_sum_even(c_A_even(DIRICHLET, 6), 10**4)
         brute = sum(ramanujan_c(n, 6) for n in range(1, 10**4 + 1))
         assert rep.exact_sum == brute
         assert abs(rep.exact_sum) <= 12
@@ -332,7 +453,7 @@ class TestPartialSumEven:
                 assert rep.passed
 
     def test_bound_formula(self):
-        f = ramanujan_even(6)
+        f = c_A_even(DIRICHLET, 6)
         from ramlab.arith import dedekind_psi
 
         expected = (

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramlab.arith import divisors, euler_phi, moebius_sieve, sigma
-from ramlab.even import EvenFunction, partial_sum_even, ramanujan_even
+from ramlab.even import EvenFunction, c_A_even, partial_sum_even
 from ramlab.gensums import c_A_divisor
 from ramlab.reports import OrthogonalityReport, PartialSumReport
 from ramlab.systems import (
@@ -294,7 +294,7 @@ class TestExpansionDemo:
 
 class TestMeanValueCheck:
     def test_trivial_function(self):
-        f = ramanujan_even(1)
+        f = c_A_even(DIRICHLET, 1)
         for rep in mean_value_check(f, [1, 10, 500]):
             assert rep.residual == 0 and rep.passed
 
