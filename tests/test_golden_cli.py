@@ -4,11 +4,14 @@ The digests in `golden_cli.json` were recorded from the divisor-route
 implementation of `table` and `c`, and the `verify prop1 --even` ones from
 the tau^2 double-sum implementation of `even.fourier_coeffs`. The
 `expansion` digests were recorded from the prefix-table evaluation of
-`verify.expansion_demo`, and `verify all` under D, U and the custom system
-from the checkers that read the system's `kind` tag. The `--xmax 100003`
-ones were recorded from the Prop 1 oracle that looped over every n <= x,
-and the `verify prop3` ones on the systems {A} and {B} and on D at
-`--rmax 200` from the search that tried every pair r != s <= rmax.
+`verify.expansion_demo`, and `verify all` under D from the checkers that
+read the system's `kind` tag. `verify all` under U, MIX and the custom
+system (with the `--xmax 100003` ones under U and MIX) were recorded from
+the Prop 1 battery of (A, r)-even functions expanded in c_A(., d),
+d in A(r). The D `--xmax 100003` ones were recorded from the Prop 1
+oracle that looped over every n <= x, and the `verify prop3` ones on the
+systems {A} and {B} and on D at `--rmax 200` from the search that tried
+every pair r != s <= rmax.
 Any change to what the CLI prints for these inputs, even one byte, fails
 here. To record them again from the current code (only when an output
 change is intended):
