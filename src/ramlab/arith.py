@@ -6,9 +6,12 @@ Intended input range is desk scale, n <= 10**9.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
+from typing import Iterator
 
 __all__ = [
     "Factorization",
@@ -25,17 +28,17 @@ __all__ = [
 ]
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """The primes p <= limit, increasing (sieve of Eratosthenes)."""
+def primes_up_to(limit: int) -> Iterator[int]:
+    """The primes p <= limit, increasing, read lazily (sieve of Eratosthenes)."""
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [p for p in range(limit + 1) if flags[p]]
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return compress(range(limit + 1), flags)
 
 
-_SMALL_PRIMES = primes_up_to(1000)
+_SMALL_PRIMES = list(primes_up_to(1000))
 
 
 @dataclass(frozen=True)
@@ -137,26 +140,23 @@ def dedekind_psi(n: int) -> int:
     return out
 
 
-def moebius_sieve(limit: int) -> list[int]:
-    """Moebius values mu[0..limit] by a linear-style sieve (mu[0] unused)."""
-    mu = [0] * (limit + 1)
-    if limit >= 1:
-        mu[1] = 1
-    primes: list[int] = []
-    is_comp = bytearray(limit + 1)
-    for i in range(2, limit + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if i * p > limit:
-                break
-            is_comp[i * p] = 1
-            if i % p == 0:
-                mu[i * p] = 0
-                break
-            mu[i * p] = -mu[i]
-    return mu
+# swaps the bytes of 1 and -1, keeps 0
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+
+
+def moebius_sieve(limit: int) -> array:
+    """Moebius values mu[0..limit] as signed bytes (mu[0] = 0), one byte per
+    entry: mu[m] is the int -1, 0 or 1.
+
+    Each prime p negates every multiple of p and, up to sqrt(limit), zeroes
+    every multiple of p^2, one C-level slice pass each."""
+    mu = bytearray([1]) * (limit + 1)
+    mu[0] = 0
+    for p in primes_up_to(limit):
+        mu[p::p] = mu[p::p].translate(_NEGATE)
+        if p * p <= limit:
+            mu[p * p :: p * p] = bytes(limit // (p * p))
+    return array("b", mu)
 
 
 def ramanujan_c(n: int, r: int) -> int:

@@ -26,8 +26,8 @@ EXIT_MISMATCH = 2
 
 FORMATS = ("json", "csv", "plain")
 
-# `expansion` holds one Moebius sieve of --terms entries: 128 MB peak RSS
-# and 4.6 s at the cap (CPython 3.11, x86-64)
+# `expansion` holds one Moebius sieve of --terms signed bytes: 45 MB peak RSS
+# and 1.6-2.4 s at the cap in a fresh process (CPython 3.11, x86-64)
 MAX_TERMS = 10**7
 
 # prop3's diagonal rows cost sum r <= rmax^2/2 kernel values: `verify all` took
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_e = sub.add_parser("expansion", help="truncated harmonic expansion of sigma(n)/n", parents=[common])
     p_e.add_argument("n", type=int)
     p_e.add_argument("--terms", type=_positive_int, default=1000,
-                     help=f"at most {MAX_TERMS}, where its sieve peaks at about 128 MB RSS")
+                     help=f"at most {MAX_TERMS}, where the run peaks at about 45 MB RSS")
     p_e.set_defaults(func=_cmd_expansion)
     return parser
 

@@ -95,8 +95,14 @@ def find_orthogonality_violation(
     type t_j, so p + p^(t_j) <= r + s, with equality only when (r, s) =
     (p, p^(t_j)), whose mean is phi(p) = p - 1. So the answer is (p, p^a,
     p - 1), a the first exponent of type > 1, minimizing (p + p^a, p).
-    As p is not in A(p^a) = {1, p^a}, orthogonality fails across A-sets."""
-    found = [(p + p**a, p, p**a, p - 1) for p, a in system.high_types() if p**a <= search_bound]
+    As p is not in A(p^a) = {1, p^a}, orthogonality fails across A-sets.
+    As p^a >= 2^(a (bits(p) - 1)), a huge power is skipped without being
+    built."""
+    found = [
+        (p + p**a, p, p**a, p - 1)
+        for p, a in system.high_types()
+        if a * (p.bit_length() - 1) < search_bound.bit_length() and p**a <= search_bound
+    ]
     return min(found)[1:] if found else None
 
 
@@ -141,7 +147,10 @@ def additive_closure_witness(
     if found is None:
         return None
     p, a, t = found
-    if r_max * p**a > MAX_WITNESS_WORK:
+    # r_max p^a > MAX_WITNESS_WORK iff p^a > budget; as p^a >= 2^(a (bits(p) - 1)),
+    # the first test refuses a huge p^a without building it
+    budget = MAX_WITNESS_WORK // r_max
+    if a * (p.bit_length() - 1) >= budget.bit_length() or p**a > budget:
         raise ValueError(
             f"prop4: the smallest prime power of type > 1 is {p}^{a}, and "
             f"--rmax {r_max} times it exceeds the witness budget {MAX_WITNESS_WORK}"

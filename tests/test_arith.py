@@ -14,12 +14,35 @@ from ramlab.arith import (
     dedekind_psi,
     moebius,
     moebius_sieve,
+    primes_up_to,
     ramanujan_c,
     sigma,
     tau,
 )
 from ramlab.gensums import c_A_oracle
 from ramlab.systems import DIRICHLET
+
+
+def linear_moebius_sieve(limit: int) -> list[int]:
+    """Moebius values mu[0..limit] by a linear-style sieve (mu[0] unused)."""
+    mu = [0] * (limit + 1)
+    if limit >= 1:
+        mu[1] = 1
+    primes: list[int] = []
+    is_comp = bytearray(limit + 1)
+    for i in range(2, limit + 1):
+        if not is_comp[i]:
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            if i * p > limit:
+                break
+            is_comp[i * p] = 1
+            if i % p == 0:
+                mu[i * p] = 0
+                break
+            mu[i * p] = -mu[i]
+    return mu
 
 
 class TestFactorize:
@@ -100,6 +123,19 @@ class TestClassicalFunctions:
         mu = moebius_sieve(10**4)
         for n in range(1, 10**4 + 1):
             assert mu[n] == moebius(n)
+
+    def test_moebius_sieve_equals_linear_sieve(self):
+        # the slice sieve against the linear sieve it replaced; signed
+        # entries, so -1 is not read back as the byte 255
+        for limit in [*range(301), 10**5]:
+            mu = moebius_sieve(limit)
+            assert mu[0] == 0
+            assert mu.tolist() == linear_moebius_sieve(limit), limit
+
+    def test_primes_up_to(self):
+        for limit in range(200):
+            primes = [p for p in range(2, limit + 1) if factorize(p).factors == ((p, 1),)]
+            assert list(primes_up_to(limit)) == primes, limit
 
     @given(
         st.integers(min_value=1, max_value=400),

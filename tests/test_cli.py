@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,22 @@ class TestCommandVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert "2^40" in err
+
+    def test_huge_table_exponent_answers_at_once(self, capsys, tmp_path):
+        # 2^(10^9) of type 10^9: built, it took 8.6 s; no power is built now
+        spec = tmp_path / "a9.json"
+        spec.write_text(json.dumps({"a_max": 10**9, "types": [{"p": 2, "a": 10**9, "t": 10**9}]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "prop3", "--system", str(spec), "--rmax", "10",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out.splitlines()[-1])["verdict"] == "none-found"
+        code, out, err = run(capsys, "verify", "prop4", "--system", str(spec), "--rmax", "10")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert ("prop4: the smallest prime power of type > 1 is 2^1000000000, and --rmax 10 "
+                f"times it exceeds the witness budget {verify.MAX_WITNESS_WORK}") in err
 
     def test_rmax_above_cap_exits_1_before_any_work(self, capsys, monkeypatch):
         def refuse(*args):

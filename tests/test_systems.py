@@ -6,7 +6,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramlab.arith import divisors, euler_phi, primes_up_to, sigma
@@ -217,6 +217,32 @@ class TestSmallestHighType:
     )
     def test_examples(self, spec, expected):
         assert system_from_dict(spec).smallest_high_type() == expected
+
+    @staticmethod
+    def two_table_primes(p, a, q, b):
+        # Dirichlet default; p^e and q^e of type e from a and b up to the bound
+        top = max(a, b)
+        return system_from_dict({"a_max": top, "types": [
+            {"p": r, "a": e, "t": e} for r, k in ((p, a), (q, b)) for e in range(k, top + 1)]})
+
+    @given(st.sampled_from([2, 3, 5, 7, 11, 101, 9973]), st.sampled_from([2, 3, 5, 13, 97]),
+           st.integers(2, 80), st.integers(2, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_orders_like_the_exact_powers(self, p, q, a, b):
+        assume(p != q)
+        r, e = min((p**a, p, a), (q**b, q, b))[1:]
+        assert self.two_table_primes(p, a, q, b).smallest_high_type() == (r, e, e)
+
+    @pytest.mark.parametrize("a, b", [(19, 12), (84, 53), (485, 306), (1054, 665)])
+    def test_near_equal_powers(self, a, b):
+        # 2^a and 3^b from the continued fraction of log2(3): within 1.5 %
+        expected = (2, a, a) if 2**a < 3**b else (3, b, b)
+        assert self.two_table_primes(2, a, 3, b).smallest_high_type() == expected
+
+    def test_exponents_near_the_loader_limit(self):
+        # 2^(10^18) and 3^(10^18) could never be built
+        system = self.two_table_primes(3, 10**18, 2, 10**18)
+        assert system.smallest_high_type() == (2, 10**18, 10**18)
 
     def test_builtins(self):
         assert DIRICHLET.smallest_high_type() is None

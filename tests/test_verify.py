@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlab.arith import divisors, euler_phi, moebius_sieve, sigma
+from ramlab.arith import divisors, euler_phi, sigma
 from ramlab.even import EvenFunction, c_A_even, partial_sum_even
 from ramlab.gensums import c_A_divisor
 from ramlab.reports import OrthogonalityReport, PartialSumReport
@@ -34,6 +34,7 @@ from ramlab.verify import (
 )
 
 from conftest import SPEC_A, SPEC_B, valid_specs
+from test_arith import linear_moebius_sieve
 
 
 class TestMeanProductExact:
@@ -268,21 +269,32 @@ class TestExpansionDemo:
                     literal, abs=1e-9
                 )
 
-    @pytest.mark.parametrize("terms", [1, 2, 7, 100, 1000, 12345])
-    @pytest.mark.parametrize("n", [1, 2, 6, 12, 97, 360, 5040, 720720, 2**20])
-    def test_equals_prefix_table(self, n, terms):
-        # reference: the same truncation read from a full table of the
-        # prefix sums sum_{m<=k} mu(m)/m^2, k = 0..terms; most n here have
-        # divisors above terms, whose cut point is 0
-        mu = moebius_sieve(terms)
+    @staticmethod
+    def prefix_table_reference(n, terms, mu):
+        # the same truncation read from a full table of the prefix sums
+        # sum_{m<=k} mu(m)/m^2, k = 0..terms, with mu from the linear sieve
         prefix = [0.0] * (terms + 1)
         acc = 0.0
         for m in range(1, terms + 1):
             if mu[m]:
                 acc += mu[m] / (m * m)
             prefix[m] = acc
-        reference = (pi**2 / 6) * sum(prefix[terms // d] / d for d in divisors(n))
+        return (pi**2 / 6) * sum(prefix[terms // d] / d for d in divisors(n))
+
+    @pytest.mark.parametrize("terms", [1, 2, 7, 100, 1000, 12345])
+    @pytest.mark.parametrize("n", [1, 2, 6, 12, 97, 360, 5040, 720720, 2**20])
+    def test_equals_prefix_table(self, n, terms):
+        # most n here have divisors above terms, whose cut point is 0
+        reference = self.prefix_table_reference(n, terms, linear_moebius_sieve(terms))
         assert expansion_demo(n, terms).truncated_value == reference
+
+    def test_bit_identical_at_a_million_terms(self):
+        # the golden CLI corpus stops at 10^5 terms
+        terms = 10**6
+        mu = linear_moebius_sieve(terms)
+        for n in (720720, 997920):
+            reference = self.prefix_table_reference(n, terms, mu)
+            assert expansion_demo(n, terms).truncated_value == reference
 
     def test_error_shrinks(self):
         for n in (1, 6, 20):
