@@ -2,14 +2,12 @@
 values of even arithmetic functions."""
 
 from .arith import (
-    Factorization,
     divisors,
     euler_phi,
     factorize,
     moebius,
     ramanujan_c,
     sigma,
-    tau,
 )
 from .even import (
     EvenFunction,
@@ -37,7 +35,6 @@ from .systems import (
     UNITARY,
     InvalidSystemError,
     RegularSystem,
-    convolve_A,
     divisor_set,
     gamma_A,
     gcd_A,

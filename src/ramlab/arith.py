@@ -7,22 +7,18 @@ Intended input range is desk scale, n <= 10**9.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
 from typing import Iterator
 
 __all__ = [
-    "Factorization",
     "primes_up_to",
     "factorize",
     "divisors",
     "euler_phi",
     "sigma",
-    "tau",
     "moebius",
-    "dedekind_psi",
     "moebius_sieve",
     "ramanujan_c",
 ]
@@ -41,23 +37,13 @@ def primes_up_to(limit: int) -> Iterator[int]:
 _SMALL_PRIMES = list(primes_up_to(1000))
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical prime-power decomposition: primes strictly increasing."""
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.factors)
-
-
 # One rule for every cache in the package: cache only where measured traffic
 # repeats the arguments, and bound it at 4096 entries, so that a long run of
 # distinct inputs cannot grow the process.
 @lru_cache(maxsize=4096)
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, a) with p^a exactly dividing n >= 1, primes strictly
+    increasing, by trial division."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     m = n
@@ -84,8 +70,7 @@ def factorize(n: int) -> Factorization:
             p += 2
     if m > 1:
         factors.append((m, 1))
-    factors.sort()
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 @lru_cache(maxsize=4096)
@@ -114,14 +99,6 @@ def sigma(n: int) -> int:
     return out
 
 
-def tau(n: int) -> int:
-    """Number of positive divisors of n."""
-    out = 1
-    for _, a in factorize(n):
-        out *= a + 1
-    return out
-
-
 def moebius(n: int) -> int:
     """Moebius function: (-1)^k on squarefree n with k prime factors, else 0."""
     out = 1
@@ -129,14 +106,6 @@ def moebius(n: int) -> int:
         if a >= 2:
             return 0
         out = -out
-    return out
-
-
-def dedekind_psi(n: int) -> int:
-    """Dedekind psi, multiplicative with psi(p^a) = p^a + p^(a-1)."""
-    out = 1
-    for p, a in factorize(n):
-        out *= p**a + p ** (a - 1)
     return out
 
 

@@ -18,7 +18,16 @@ from fractions import Fraction
 
 from . import even, gensums, verify
 from .reports import format_value
-from .systems import InvalidSystemError, divisor_set, gcd_A, load_system
+from .systems import (
+    InvalidSystemError,
+    divisor_set,
+    gamma_A,
+    gcd_A,
+    load_system,
+    mu_A,
+    phi_A,
+    psi_A,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,6 +42,17 @@ MAX_TERMS = 10**7
 # prop3's diagonal rows cost sum r <= rmax^2/2 kernel values: `verify all` took
 # 2.9-3.4 s at the cap under D, U and MIX (CPython 3.11, x86-64)
 MAX_RMAX = 3000
+
+# `table` holds every row before it writes one; at the cap a fresh process
+# took 1.2-2.5 s and 58-65 MB peak RSS for a square `--what cA` table, and up
+# to 4.8 s and 91 MB for one column per modulus (--nmax 1, under U)
+# (CPython 3.11, x86-64)
+MAX_TABLE_ROWS = 2**18
+
+# the oracle and all routes sum r floating-point terms, each after a scan of
+# A(r): the slowest r below the cap, 83160 and 98280, took 0.55 s in a fresh
+# process (CPython 3.11, x86-64)
+MAX_ORACLE_R = 10**5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +108,8 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, out) -> None:
 
 
 def _cmd_c(args, out) -> int:
+    if args.route in ("oracle", "all") and args.r > MAX_ORACLE_R:
+        raise ValueError(f"--route {args.route} needs r at most {MAX_ORACLE_R}, got {args.r}")
     system = load_system(args.system)
     n, r = args.n, args.r
     routes = {
@@ -114,11 +136,12 @@ def _cmd_c(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    from .systems import gamma_A, mu_A, phi_A, psi_A
-
+    n_max = args.nmax or args.rmax
+    n_rows = args.rmax * n_max if args.what == "cA" else args.rmax
+    if n_rows > MAX_TABLE_ROWS:
+        raise ValueError(f"table must have at most {MAX_TABLE_ROWS} rows, got {n_rows}")
     system = load_system(args.system)
     if args.what == "cA":
-        n_max = args.nmax or args.rmax
         columns = [gensums.c_A_column(system, r, n_max) for r in range(1, args.rmax + 1)]
         rows = [
             [n, r, column[n - 1]]
@@ -252,13 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("n", type=int)
     p_c.add_argument("r", type=int)
     p_c.add_argument("--system", default="D", help="D, U, MIX, or a JSON spec file")
-    p_c.add_argument("--route", choices=("divisor", "core", "oracle", "all"), default="divisor")
+    p_c.add_argument("--route", choices=("divisor", "core", "oracle", "all"), default="divisor",
+                     help=f"oracle and all need r at most {MAX_ORACLE_R}")
     p_c.set_defaults(func=_cmd_c)
 
     p_t = sub.add_parser("table", help="tables of c_A, phi_A, psi_A, gamma_A, mu_A", parents=[common])
     p_t.add_argument("--what", choices=("cA", "phiA", "psiA", "gammaA", "muA"), required=True)
     p_t.add_argument("--system", default="D")
-    p_t.add_argument("--rmax", type=_positive_int, required=True)
+    p_t.add_argument("--rmax", type=_positive_int, required=True,
+                     help=f"the table has rmax rows, rmax * nmax for cA, at most {MAX_TABLE_ROWS}")
     p_t.add_argument("--nmax", type=_positive_int, default=None)
     p_t.set_defaults(func=_cmd_table)
 

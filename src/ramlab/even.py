@@ -132,8 +132,8 @@ def _per_prime(system: Optional[RegularSystem], r: int) -> tuple:
     d of A(r) with phi_A(d), in the transform's mixed-radix order."""
     system = system or DIRICHLET
     axes, members, phis = [], [1], [1]
-    for p, a, t in prime_power_types(system, r):
-        q, k = p**t, a // t
+    for _, a, t, high, low in prime_power_types(system, r):
+        q, k = high // low, a // t
         axes.append((q, k))
         members = [d * q**i for d in members for i in range(k + 1)]
         phis = [x * (q**i - q ** (i - 1) if i else 1) for x in phis for i in range(k + 1)]

@@ -48,14 +48,11 @@ __all__ = [
 ]
 
 
-def _kernel_terms(system: RegularSystem, r: int) -> list[tuple[int, int]]:
-    # (p^a, p^(a-t)) for each prime power p^a exactly dividing r
-    return [(p**a, p ** (a - t)) for p, a, t in prime_power_types(system, r)]
-
-
-def _kernel_value(terms: list[tuple[int, int]], n: int) -> int:
+def _kernel_value(local: tuple, n: int) -> int:
+    # local is prime_power_types(system, r); plain names unpack faster than
+    # a starred target in this, the table's hot loop
     out = 1
-    for high, low in terms:
+    for _, _, _, high, low in local:
         if n % low:
             return 0
         out *= high - low if n % high == 0 else -low
@@ -66,15 +63,15 @@ def c_A(system: RegularSystem, n: int, r: int) -> int:
     """c_A(n, r) by the multiplicative kernel; exact integer."""
     if n < 1 or r < 1:
         raise ValueError(f"c_A requires n, r >= 1, got n={n}, r={r}")
-    return _kernel_value(_kernel_terms(system, r), n)
+    return _kernel_value(prime_power_types(system, r), n)
 
 
 def c_A_column(system: RegularSystem, r: int, n_max: int) -> list[int]:
     """[c_A(n, r) for n = 1..n_max], factorizing r once."""
     if r < 1:
         raise ValueError(f"c_A_column requires r >= 1, got r={r}")
-    terms = _kernel_terms(system, r)
-    return [_kernel_value(terms, n) for n in range(1, n_max + 1)]
+    local = prime_power_types(system, r)
+    return [_kernel_value(local, n) for n in range(1, n_max + 1)]
 
 
 def c_A_divisor(system: RegularSystem, n: int, r: int) -> int:
@@ -114,7 +111,7 @@ def c_A_sum(system: RegularSystem, r: int, x: int) -> int:
     if r < 1 or x < 0:
         raise ValueError(f"c_A_sum requires r >= 1, x >= 0, got r={r}, x={x}")
     signed = [(1, 1)]  # (d, mu_A(r/d)) over the contributing d built so far
-    for high, low in _kernel_terms(system, r):
+    for _, _, _, high, low in prime_power_types(system, r):
         signed = [(d * high, s) for d, s in signed] + [(d * low, -s) for d, s in signed]
     return sum(s * d * (x // d) for d, s in signed)
 

@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from functools import cached_property, lru_cache
 from itertools import count
 from math import prod
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .arith import factorize
 
@@ -32,7 +32,6 @@ __all__ = [
     "prime_power_types",
     "divisor_set",
     "gcd_A",
-    "convolve_A",
     "mu_A",
     "phi_A",
     "gamma_A",
@@ -140,7 +139,7 @@ MIX = RegularSystem(types=tuple((2, a, a) for a in range(1, DEFAULT_A_MAX + 1)),
 
 
 def _is_prime(p: int) -> bool:
-    return factorize(p).factors == ((p, 1),)
+    return factorize(p) == ((p, 1),)
 
 
 def _power_below(p: int, a: int, q: int, b: int) -> bool:
@@ -220,16 +219,22 @@ def _checked(system: RegularSystem) -> RegularSystem:
 # bounded: the divisor route asks for mu_A of every r/d, d in A(r), so the
 # same small moduli recur; a long run of distinct moduli cannot grow it
 @lru_cache(maxsize=4096)
-def prime_power_types(system: RegularSystem, n: int) -> tuple[tuple[int, int, int], ...]:
-    """(p, a, t) for each prime power p^a exactly dividing n, t its type.
+def prime_power_types(system: RegularSystem, n: int) -> tuple[tuple[int, ...], ...]:
+    """(p, a, t, p^a, p^(a-t)) for each prime power p^a exactly dividing n,
+    t its type.
 
     The one place where a validated system meets a factorization: every
-    multiplicative function of the system is a product over these triples.
+    multiplicative function of the system is a product of local factors,
+    each fixed by (p, a, t) and the two powers p^a and p^(a-t).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _checked(system)
-    return tuple((p, a, system.type_of(p, a)) for p, a in factorize(n))
+    local = []
+    for p, a in factorize(n):
+        t = system.type_of(p, a)
+        local.append((p, a, t, p**a, p ** (a - t)))
+    return tuple(local)
 
 
 @lru_cache(maxsize=4096)
@@ -239,7 +244,7 @@ def divisor_set(system: RegularSystem, n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError(f"divisor_set requires n >= 1, got {n}")
     members = [1]
-    for p, a, t in prime_power_types(system, n):
+    for p, a, t, _, _ in prime_power_types(system, n):
         chain = [p ** (i * t) for i in range(a // t + 1)]
         members = [d * e for d in members for e in chain]
     return tuple(sorted(members))
@@ -260,40 +265,24 @@ def gcd_A(system: RegularSystem, k: int, r: int) -> int:
     return 1  # unreachable: 1 is always a member
 
 
-def convolve_A(
-    system: RegularSystem,
-    f: Callable[[int], int],
-    g: Callable[[int], int],
-    n_max: int,
-) -> list:
-    """The A-convolution (f *_A g)(n) = sum_{d in A(n)} f(d) g(n/d) on 1..n_max.
-
-    Returns a list indexed by n (index 0 unused).
-    """
-    out = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        out[n] = sum(f(d) * g(n // d) for d in divisor_set(system, n))
-    return out
-
-
 def mu_A(system: RegularSystem, n: int) -> int:
     """Generalized Moebius function: -1 on A-primitive prime powers, 0 else."""
-    return prod(-1 if t == a else 0 for _, a, t in prime_power_types(system, n))
+    return prod(-1 if t == a else 0 for _, a, t, _, _ in prime_power_types(system, n))
 
 
 def phi_A(system: RegularSystem, r: int) -> int:
     """Generalized Euler function: counts k mod r with (k, r)_A = 1."""
-    return prod(p**a - p ** (a - t) for p, a, t in prime_power_types(system, r))
+    return prod(high - low for _, _, _, high, low in prime_power_types(system, r))
 
 
 def gamma_A(system: RegularSystem, r: int) -> int:
     """Generalized core function, multiplicative with p^a -> p^(a - t + 1)."""
-    return prod(p ** (a - t + 1) for p, a, t in prime_power_types(system, r))
+    return prod(p * low for p, _, _, _, low in prime_power_types(system, r))
 
 
 def psi_A(system: RegularSystem, r: int) -> int:
     """Generalized Dedekind function, multiplicative with p^a -> p^a + p^(a-t)."""
-    return prod(p**a + p ** (a - t) for p, a, t in prime_power_types(system, r))
+    return prod(high + low for _, _, _, high, low in prime_power_types(system, r))
 
 
 def _entry_int(entry: dict, key: str) -> int:

@@ -13,7 +13,7 @@ from math import gcd, lcm, pi
 import numpy as np
 import pytest
 
-from ramlab.arith import dedekind_psi, divisors, euler_phi, ramanujan_c, sigma
+from ramlab.arith import divisors, euler_phi, moebius, ramanujan_c, sigma
 from ramlab.even import (
     EvenFunction,
     fourier_coeffs,
@@ -72,7 +72,9 @@ def test_criterion_2_mean_value_bound():
             r, lambda d: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         )
         k_f = Fraction(max(abs(v) for _, v in f.values))
-        bound = k_f * Fraction(sigma(r), r) * sum(dedekind_psi(q) for q in divisors(r))
+        # Dedekind psi(q) = sum_{d|q} d |mu(q/d)|, from the definition
+        psi = [sum(d * abs(moebius(q // d)) for d in divisors(q)) for q in divisors(r)]
+        bound = k_f * Fraction(sigma(r), r) * sum(psi)
         for rep in mean_value_check(f, [10**3, 10**4]):
             assert rep.certified_bound == bound
             assert abs(rep.residual) <= bound

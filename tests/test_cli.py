@@ -7,7 +7,17 @@ from fractions import Fraction
 import pytest
 
 from ramlab import cli, even, gensums, verify
-from ramlab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, MAX_RMAX, MAX_TERMS, main
+from ramlab.arith import euler_phi
+from ramlab.cli import (
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_ORACLE_R,
+    MAX_RMAX,
+    MAX_TABLE_ROWS,
+    MAX_TERMS,
+    main,
+)
 from ramlab.reports import OrthogonalityReport, PartialSumReport
 from ramlab.systems import MIX, UNITARY
 
@@ -66,6 +76,43 @@ class TestCommandC:
         assert out == ""
         assert "2^17 exceeds declared exponent bound 16" in err
 
+    @pytest.mark.parametrize("route", ["oracle", "all"])
+    def test_oracle_r_above_cap_exits_1_before_any_work(self, capsys, monkeypatch, route):
+        def refuse(*args):
+            raise AssertionError("the oracle route started above its r cap")
+
+        monkeypatch.setattr(cli, "load_system", refuse)
+        monkeypatch.setattr(gensums, "c_A_oracle", refuse)
+        code, out, err = run(capsys, "c", "1", str(MAX_ORACLE_R + 1), "--route", route)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--route {route} needs r at most {MAX_ORACLE_R}" in err
+
+    @pytest.mark.parametrize("route", ["oracle", "all"])
+    def test_oracle_r_at_cap_accepted(self, capsys, monkeypatch, route):
+        seen = []
+
+        def fake(system, n, r):
+            seen.append((n, r))
+            return complex(gensums.c_A(system, n, r))
+
+        monkeypatch.setattr(gensums, "c_A_oracle", fake)
+        code, _, _ = run(capsys, "c", "1", str(MAX_ORACLE_R), "--route", route)
+        assert code == EXIT_OK
+        assert seen == [(1, MAX_ORACLE_R)]
+
+    @pytest.mark.parametrize("route", ["divisor", "core"])
+    def test_exact_routes_have_no_r_cap(self, capsys, route):
+        r = 30030 * 10**6  # far above the oracle's cap; c(r, r) = phi(r)
+        code, out, _ = run(capsys, "c", str(r), str(r), "--route", route, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == euler_phi(r)
+
+    def test_c_help_states_the_oracle_cap(self, capsys):
+        code, out, _ = run(capsys, "c", "--help")
+        assert code == EXIT_OK
+        assert f"at most {MAX_ORACLE_R}" in " ".join(out.split())
+
 
 class TestCommandTable:
     def test_phi_unitary(self, capsys):
@@ -94,6 +141,53 @@ class TestCommandTable:
         assert len(rows) == 16
         lookup = {(r["n"], r["r"]): r["value"] for r in rows}
         assert lookup[(2, 4)] == -1 and lookup[(4, 4)] == 3
+
+    # MAX_TABLE_ROWS + 1 = 5 * 52429 rows
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--what", "cA", "--rmax", "5", "--nmax", "52429"],
+            ["--what", "cA", "--rmax", "513"],
+            ["--what", "phiA", "--rmax", str(MAX_TABLE_ROWS + 1)],
+        ],
+        ids=["cA-rmax-nmax", "cA-rmax", "phiA"],
+    )
+    def test_rows_above_cap_exit_1_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("table started above its row cap")
+
+        monkeypatch.setattr(cli, "load_system", refuse)
+        monkeypatch.setattr(gensums, "c_A_column", refuse)
+        monkeypatch.setattr(cli, "phi_A", refuse)
+        code, out, err = run(capsys, "table", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"table must have at most {MAX_TABLE_ROWS} rows" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--what", "cA", "--rmax", "4", "--nmax", str(MAX_TABLE_ROWS // 4)],
+            ["--what", "cA", "--rmax", "512"],
+            ["--what", "phiA", "--rmax", str(MAX_TABLE_ROWS)],
+        ],
+        ids=["cA-rmax-nmax", "cA-rmax", "phiA"],
+    )
+    def test_rows_at_cap_accepted(self, capsys, monkeypatch, argv):
+        emitted = []
+        monkeypatch.setattr(gensums, "c_A_column", lambda system, r, n_max: [0] * n_max)
+        monkeypatch.setattr(cli, "phi_A", lambda system, r: 0)
+        monkeypatch.setattr(
+            cli, "_emit_rows", lambda header, rows, fmt, out: emitted.append(len(rows))
+        )
+        code, _, _ = run(capsys, "table", *argv)
+        assert code == EXIT_OK
+        assert emitted == [MAX_TABLE_ROWS]
+
+    def test_table_help_states_the_cap(self, capsys):
+        code, out, _ = run(capsys, "table", "--help")
+        assert code == EXIT_OK
+        assert f"at most {MAX_TABLE_ROWS}" in " ".join(out.split())
 
 
 class TestCommandVerify:

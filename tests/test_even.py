@@ -454,12 +454,10 @@ class TestPartialSumEven:
 
     def test_bound_formula(self):
         f = c_A_even(DIRICHLET, 6)
-        from ramlab.arith import dedekind_psi
-
         expected = (
             Fraction(max(abs(v) for _, v in f.values))
             * Fraction(sigma(6), 6)
-            * sum(dedekind_psi(q) for q in divisors(6))
+            * sum(psi_A(DIRICHLET, q) for q in divisors(6))
         )
         assert certified_residual_bound(f) == expected
 

@@ -1,5 +1,5 @@
 """The package's public surface: private names stay inside their module,
-every exported name resolves, and every cache is bounded.
+every exported name resolves and has a caller, and every cache is bounded.
 
 Read from the sources with `ast`, so a private import is caught even when
 it happens to work."""
@@ -57,6 +57,32 @@ def test_all_entries_resolve(stem):
     module = importlib.import_module(f"ramlab.{stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+# exported for the paper's statements and the tests' cross-checks, with no
+# caller in src/ by design
+ENTRY_POINTS = {
+    "inner_product",  # the inner product that makes the c_A basis orthogonal
+    "progression_totient",  # the paper's totient over an arithmetic progression
+    "progression_totient_mean",  # its closed-form mean value
+}
+
+
+def test_every_exported_name_has_a_caller():
+    # a Name or Attribute reading the name anywhere in src/ outside the
+    # top-level definition that binds it; imports and __all__ strings do not
+    # count, so re-exporting a name is no caller
+    referenced = set()
+    for stem in MODULES + ["__init__"]:
+        for top in _tree(stem).body:
+            used = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+            used |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+            referenced |= used - {getattr(top, "name", None)}
+    exported = {
+        name for stem in MODULES
+        for name in getattr(importlib.import_module(f"ramlab.{stem}"), "__all__", ())
+    }
+    assert exported - referenced == ENTRY_POINTS
 
 
 def test_package_namespace_reexports_public_names():

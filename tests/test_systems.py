@@ -2,14 +2,15 @@ import json
 import pickle
 import random
 import re
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ramlab.arith import divisors, euler_phi, primes_up_to, sigma
+from ramlab.arith import divisors, euler_phi, factorize, primes_up_to, sigma
 from ramlab.systems import (
     DIRICHLET,
     MIX,
@@ -17,19 +18,19 @@ from ramlab.systems import (
     ExponentOutOfScopeError,
     InvalidSystemError,
     RegularSystem,
-    convolve_A,
     divisor_set,
     gamma_A,
     gcd_A,
     load_system,
     mu_A,
     phi_A,
+    prime_power_types,
     psi_A,
     system_from_dict,
     validate,
 )
 
-from conftest import CUSTOM_OK, valid_specs
+from conftest import CUSTOM_OK, PRIMES, valid_specs
 
 
 class TestValidate:
@@ -309,6 +310,22 @@ class TestGcdA:
                 assert gcd_A(DIRICHLET, k, r) == gcd(k, r)
 
 
+def convolve_A(
+    system: RegularSystem,
+    f: Callable[[int], int],
+    g: Callable[[int], int],
+    n_max: int,
+) -> list:
+    """The A-convolution (f *_A g)(n) = sum_{d in A(n)} f(d) g(n/d) on 1..n_max.
+
+    Returns a list indexed by n (index 0 unused).
+    """
+    out = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        out[n] = sum(f(d) * g(n // d) for d in divisor_set(system, n))
+    return out
+
+
 class TestConvolution:
     def test_dirichlet_unit_counts_divisors(self):
         one = lambda n: 1
@@ -397,6 +414,25 @@ class TestMultiplicativeFunctions:
         assert phi_A(any_system, 1) == 1
         assert gamma_A(any_system, 1) == 1
         assert psi_A(any_system, 1) == 1
+
+    @given(valid_specs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_local_factors_on_valid_specs(self, spec, data):
+        # each local factor against the exponent form, and the four functions
+        # against their definitions over A(r): sum of mu_A over A(r) is [r = 1],
+        # phi_A = sum d mu_A(r/d) and psi_A = sum d |mu_A(r/d)|
+        system = system_from_dict(spec)
+        exps = data.draw(st.lists(st.integers(0, spec["a_max"]), min_size=4, max_size=4))
+        r = prod(p**e for p, e in zip(PRIMES, exps))
+        local = [(p, a, system.type_of(p, a)) for p, a in factorize(r)]
+        assert prime_power_types(system, r) == tuple(
+            (p, a, t, p**a, p ** (a - t)) for p, a, t in local
+        )
+        assert gamma_A(system, r) == prod(p ** (a - t + 1) for p, a, t in local)
+        members = divisor_set(system, r)
+        assert sum(mu_A(system, d) for d in members) == (r == 1)
+        assert phi_A(system, r) == sum(d * mu_A(system, r // d) for d in members)
+        assert psi_A(system, r) == sum(d * abs(mu_A(system, r // d)) for d in members)
 
     @given(
         st.integers(min_value=1, max_value=500),
