@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from . import even, gensums, verify
 from .reports import format_value
@@ -43,10 +44,13 @@ MAX_TERMS = 10**7
 # 2.9-3.4 s at the cap under D, U and MIX (CPython 3.11, x86-64)
 MAX_RMAX = 3000
 
-# `table` holds every row before it writes one; at the cap a fresh process
-# took 1.2-2.5 s and 58-65 MB peak RSS for a square `--what cA` table, and up
-# to 4.8 s and 91 MB for one column per modulus (--nmax 1, under U)
-# (CPython 3.11, x86-64)
+# JSON and CSV rows are written as they are made, but `--what cA` keeps one
+# column list per modulus, plain output keeps every row for its width pass,
+# and `main` holds the whole output text until the command succeeds. At the
+# cap a fresh process took 0.4-1.2 s and 36-38 MB peak RSS for a square
+# `--what cA` table as JSON (1.6-2.6 s and 51 MB as plain), and 2.5-4.0 s and
+# 61 MB for one column per modulus as JSON (--nmax 1, under U; 4.8-5.0 s and
+# 79 MB as plain) (CPython 3.11, x86-64)
 MAX_TABLE_ROWS = 2**18
 
 # the oracle and all routes sum r floating-point terms, each after a scan of
@@ -78,25 +82,45 @@ def _default_format() -> str:
     return fmt if fmt in FORMATS else "plain"
 
 
-def _emit_rows(header: list[str], rows: list[list], fmt: str, out) -> None:
+def _json_cell(v):
+    # an exact int is its own JSON text; integral rationals become JSON numbers,
+    # other rationals and floats text, as json.dumps of the row's dict has them
+    if type(v) is int:
+        return v
+    if isinstance(v, Fraction) and v.denominator == 1:
+        v = v.numerator
+    elif isinstance(v, (Fraction, float)):
+        v = format_value(v)
+    return json.dumps(v)
+
+
+def _csv_cell(v):
+    # the csv writer prints an int as str(v), which is format_value(v)
+    return v if type(v) is int or isinstance(v, str) else format_value(v)
+
+
+def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str, out) -> None:
+    """Write `rows` under `header` to `out` as JSON lines, CSV or plain text.
+
+    JSON and CSV write each row as it arrives, so `rows` may be a generator;
+    only plain output consumes every row before writing, to pad its columns.
+    A JSON line is byte-identical to `json.dumps(dict(zip(header, row)))`
+    after the cell rules of `_json_cell`.
+    """
     if fmt == "json":
+        # one %-template per header: each key quoted once, its own % escaped
+        fields = (json.dumps(k).replace("%", "%%") + ": %s" for k in header)
+        template = "{" + ", ".join(fields) + "}\n"
+        write = out.write
         for row in rows:
-            # integral rationals as JSON numbers, other rationals and floats as text
-            obj = {
-                k: (
-                    v.numerator if isinstance(v, Fraction) and v.denominator == 1
-                    else format_value(v) if isinstance(v, (Fraction, float))
-                    else v
-                )
-                for k, v in zip(header, row)
-            }
-            out.write(json.dumps(obj) + "\n")
+            write(template % tuple(map(_json_cell, row)))
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([format_value(v) if not isinstance(v, str) else v for v in row])
+            writer.writerow(map(_csv_cell, row))
     else:
+        rows = list(rows)
         widths = [
             max(len(h), *(len(format_value(r[i])) for r in rows)) if rows else len(h)
             for i, h in enumerate(header)
@@ -143,15 +167,15 @@ def _cmd_table(args, out) -> int:
     system = load_system(args.system)
     if args.what == "cA":
         columns = [gensums.c_A_column(system, r, n_max) for r in range(1, args.rmax + 1)]
-        rows = [
-            [n, r, column[n - 1]]
+        rows = (
+            (n, r, column[n - 1])
             for n in range(1, n_max + 1)
             for r, column in enumerate(columns, 1)
-        ]
+        )
         _emit_rows(["n", "r", "value"], rows, args.format, out)
         return EXIT_OK
     fn = {"phiA": phi_A, "psiA": psi_A, "gammaA": gamma_A, "muA": mu_A}[args.what]
-    rows = [[r, fn(system, r)] for r in range(1, args.rmax + 1)]
+    rows = ((r, fn(system, r)) for r in range(1, args.rmax + 1))
     _emit_rows(["r", "value"], rows, args.format, out)
     return EXIT_OK
 

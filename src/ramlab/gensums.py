@@ -67,11 +67,17 @@ def c_A(system: RegularSystem, n: int, r: int) -> int:
 
 
 def c_A_column(system: RegularSystem, r: int, n_max: int) -> list[int]:
-    """[c_A(n, r) for n = 1..n_max], factorizing r once."""
+    """[c_A(n, r) for n = 1..n_max], factorizing r once.
+
+    c_A(n, r) depends on n only through n mod r, so one period
+    n = 1..min(r, n_max) is evaluated and repeated.
+    """
     if r < 1:
         raise ValueError(f"c_A_column requires r >= 1, got r={r}")
     local = prime_power_types(system, r)
-    return [_kernel_value(local, n) for n in range(1, n_max + 1)]
+    period = [_kernel_value(local, n) for n in range(1, min(r, n_max) + 1)]
+    repeats, rest = divmod(n_max, r)
+    return period * repeats + period[:rest]
 
 
 def c_A_divisor(system: RegularSystem, n: int, r: int) -> int:

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramlab import cli, even, gensums, verify
 from ramlab.arith import euler_phi
@@ -18,7 +20,7 @@ from ramlab.cli import (
     MAX_TERMS,
     main,
 )
-from ramlab.reports import OrthogonalityReport, PartialSumReport
+from ramlab.reports import OrthogonalityReport, PartialSumReport, format_value
 from ramlab.systems import MIX, UNITARY
 
 
@@ -177,12 +179,27 @@ class TestCommandTable:
         emitted = []
         monkeypatch.setattr(gensums, "c_A_column", lambda system, r, n_max: [0] * n_max)
         monkeypatch.setattr(cli, "phi_A", lambda system, r: 0)
+        # rows may be a generator: count what the emitter would iterate
         monkeypatch.setattr(
-            cli, "_emit_rows", lambda header, rows, fmt, out: emitted.append(len(rows))
+            cli, "_emit_rows",
+            lambda header, rows, fmt, out: emitted.append(sum(1 for _ in rows)),
         )
         code, _, _ = run(capsys, "table", *argv)
         assert code == EXIT_OK
         assert emitted == [MAX_TABLE_ROWS]
+
+    @pytest.mark.parametrize("what", ["phiA", "cA"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_refusal_mid_table_prints_no_rows(self, capsys, tmp_path, what, fmt):
+        # 2^4 is refused at r = 16, after the rows for r < 16 (phiA writes
+        # its rows as it makes them); none of them may reach stdout
+        spec = tmp_path / "a3.json"
+        spec.write_text(json.dumps({"a_max": 3, "types": [{"p": 2, "a": 2, "t": 1}]}))
+        code, out, err = run(capsys, "table", "--what", what, "--system", str(spec),
+                             "--rmax", "40", "--nmax", "2", "--format", fmt)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "2^4 exceeds declared exponent bound 3" in err
 
     def test_table_help_states_the_cap(self, capsys):
         code, out, _ = run(capsys, "table", "--help")
@@ -430,6 +447,77 @@ class TestEmitter:
             back = OrthogonalityReport(row["system"], row["r"], row["s"], row["exact_mean"],
                                        Fraction(row["empirical_mean"]), row["verdict"])
             assert back == verify.orthogonality_report(UNITARY, row["r"], row["s"])
+
+
+def _json_oracle(header, rows):
+    # the dict-per-row JSON emitter that the %-template emitter replaced
+    out = io.StringIO()
+    for row in rows:
+        obj = {
+            k: (
+                v.numerator if isinstance(v, Fraction) and v.denominator == 1
+                else format_value(v) if isinstance(v, (Fraction, float))
+                else v
+            )
+            for k, v in zip(header, row)
+        }
+        out.write(json.dumps(obj) + "\n")
+    return out.getvalue()
+
+
+def _csv_oracle(header, rows):
+    # the CSV emitter that ran every cell but a str through format_value
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_value(v) if not isinstance(v, str) else v for v in row])
+    return out.getvalue()
+
+
+TRICKY_TEXT = st.text(st.sampled_from('"\\%s\u00e9\u20ac\U0001d11ea ,\n') | st.characters(),
+                      max_size=8)
+CELLS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-1),
+    st.booleans(),
+    st.fractions(),
+    st.integers().map(Fraction),
+    st.floats(),
+    TRICKY_TEXT,
+)
+
+
+@st.composite
+def _tables(draw):
+    # every header carries a quote and a percent sign; its keys are unique, as
+    # the dict the oracle builds has them
+    extra = draw(st.lists(TRICKY_TEXT, max_size=4))
+    header = list(dict.fromkeys(['say "hi"', "100%", "%s", *extra]))
+    rows = draw(st.lists(st.lists(CELLS, min_size=len(header), max_size=len(header)),
+                         max_size=6))
+    return header, rows
+
+
+class TestEmitterOracle:
+    """The streaming emitter writes the same bytes as the one it replaced."""
+
+    @given(_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_json_matches_dict_dumps(self, table):
+        header, rows = table
+        out = io.StringIO()
+        cli._emit_rows(header, iter(rows), "json", out)
+        assert out.getvalue() == _json_oracle(header, rows)
+
+    @given(_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_csv_matches_format_value(self, table):
+        header, rows = table
+        out = io.StringIO()
+        cli._emit_rows(header, iter(rows), "csv", out)
+        assert out.getvalue() == _csv_oracle(header, rows)
 
 
 class TestErrorsAndPlumbing:

@@ -91,6 +91,21 @@ def test_partial_sum_against_full_closed_form(spec, data):
     assert c_A_sum(system, r, 60) == sum(c_A_column(system, r, 60))
 
 
+@given(valid_specs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_column_repeats_one_period(spec, data):
+    # c_A_column evaluates n = 1..min(r, n_max) and repeats it; check every
+    # n against c_A below, at and past one period, whole and cut short
+    system = system_from_dict(spec)
+    r = _modulus(data, system, limit=300)
+    k = data.draw(st.integers(2, 3), label="k")
+    lengths = [data.draw(st.integers(0, r - 1), label="below"), r, k * r]
+    if r > 1:
+        lengths.append(k * r + data.draw(st.integers(1, r - 1), label="rest"))
+    for n_max in lengths:
+        assert c_A_column(system, r, n_max) == [c_A(system, n, r) for n in range(1, n_max + 1)]
+
+
 def test_kernel_rejects_invalid_system():
     bad = RegularSystem(types=((2, 4, 3),))
     for call in (lambda: c_A(bad, 1, 3), lambda: c_A_column(bad, 3, 5)):
