@@ -274,8 +274,9 @@ def _cmd_verify(args, out) -> int:
         "prop3": _verify_prop3,
         "prop4": _verify_prop4,
     }
-    all_pass = all(runners[t](system, args, out) for t in targets)
-    return EXIT_OK if all_pass else EXIT_MISMATCH
+    # every target runs and prints, even after one fails
+    passed = [runners[t](system, args, out) for t in targets]
+    return EXIT_OK if all(passed) else EXIT_MISMATCH
 
 
 def _cmd_expansion(args, out) -> int:

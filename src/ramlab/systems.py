@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from functools import cached_property, lru_cache
 from itertools import count
 from math import prod
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .arith import factorize
 
@@ -116,16 +115,6 @@ class RegularSystem:
         if unitary:
             yield next(p for p in count(2) if p not in self._rows and _is_prime(p)), 2
 
-    def smallest_high_type(self) -> Optional[tuple[int, int, int]]:
-        """(p, a, t) for the smallest prime power p^a whose type t exceeds 1,
-        where t = a; None when every type is 1, so that A(n) is every
-        divisor of n. No power is built: a table exponent may be 10^18."""
-        best = None
-        for p, a in self.high_types():
-            if best is None or _power_below(p, a, *best):
-                best = p, a
-        return None if best is None else (*best, best[1])
-
     def label(self) -> str:
         return self.name or "custom"
 
@@ -140,22 +129,6 @@ MIX = RegularSystem(types=tuple((2, a, a) for a in range(1, DEFAULT_A_MAX + 1)),
 
 def _is_prime(p: int) -> bool:
     return factorize(p) == ((p, 1),)
-
-
-def _power_below(p: int, a: int, q: int, b: int) -> bool:
-    """p^a < q^b for distinct primes p and q, decided on a ln p against
-    b ln q. Each of ln and the product is correctly rounded, so each side is
-    within 1.01 * 10^(1 - prec) of its value, relatively; a gap above ten
-    times that settles the order, else the precision doubles. The two sides
-    differ (unique factorization), so the loop ends."""
-    prec = 28
-    while True:
-        with localcontext() as ctx:
-            ctx.prec = prec
-            x, y = a * Decimal(p).ln(), b * Decimal(q).ln()
-            if abs(x - y) > (x + y) * Decimal(10) ** (2 - prec):
-                return x < y
-        prec *= 2
 
 
 def validate(system: RegularSystem) -> list[str]:

@@ -19,8 +19,10 @@ from .gensums import c_A_column
 from .reports import OrthogonalityReport, PartialSumReport
 from .systems import RegularSystem, divisor_set, gamma_A, gcd_A
 
-# the cap on r_max * p^a in `additive_closure_witness`: r_max 16 at p^a = 2^16
-# took 1.1 s (CPython 3.11, x86-64)
+# the cap on p^t, the witness prime power in `additive_closure_witness`. Its
+# checks read the t + 3 divisors of p and p^t and make two gcd_A calls per
+# modulus, so their cost does not grow with r_max * p^t; inside the cap
+# p <= 2^10 when t >= 2, so trial division factorizes p^t at once
 MAX_WITNESS_WORK = 2**20
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "mean_product_empirical",
     "orthogonality_report",
     "find_orthogonality_violation",
-    "is_A_even",
     "Prop4Witness",
     "additive_closure_witness",
     "ExpansionResult",
@@ -83,6 +84,17 @@ def orthogonality_report(
     return OrthogonalityReport(system.label(), r, s, exact, empirical, verdict)
 
 
+def _powers_within(high_types, bound: int) -> list[tuple[int, int, int]]:
+    """(p^a, p, a) for each (p, a) of `RegularSystem.high_types` with p^a <= bound.
+    As p^a >= 2^(a (bits(p) - 1)), a huge power is skipped without being built:
+    a table exponent may be 10^18."""
+    return [
+        (p**a, p, a)
+        for p, a in high_types
+        if a * (p.bit_length() - 1) < bound.bit_length() and p**a <= bound
+    ]
+
+
 def find_orthogonality_violation(
     system: RegularSystem, search_bound: int
 ) -> Optional[tuple[int, int, int]]:
@@ -95,22 +107,11 @@ def find_orthogonality_violation(
     type t_j, so p + p^(t_j) <= r + s, with equality only when (r, s) =
     (p, p^(t_j)), whose mean is phi(p) = p - 1. So the answer is (p, p^a,
     p - 1), a the first exponent of type > 1, minimizing (p + p^a, p).
-    As p is not in A(p^a) = {1, p^a}, orthogonality fails across A-sets.
-    As p^a >= 2^(a (bits(p) - 1)), a huge power is skipped without being
-    built."""
+    As p is not in A(p^a) = {1, p^a}, orthogonality fails across A-sets."""
     found = [
-        (p + p**a, p, p**a, p - 1)
-        for p, a in system.high_types()
-        if a * (p.bit_length() - 1) < search_bound.bit_length() and p**a <= search_bound
+        (p + pa, p, pa, p - 1) for pa, p, _ in _powers_within(system.high_types(), search_bound)
     ]
     return min(found)[1:] if found else None
-
-
-def is_A_even(system: RegularSystem, h: Callable[[int], object], r: int, n_max: int) -> bool:
-    """True iff h(n) = h((n, r)_A) for every n <= n_max."""
-    if n_max < r:
-        raise ValueError(f"n_max must be >= r, got n_max={n_max}, r={r}")
-    return all(h(n) == h(gcd_A(system, n, r)) for n in range(1, n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,9 @@ class Prop4Witness:
     """Two A-even functions whose sum is A-even for no modulus at all.
 
     f(n) = (n, p)_A and g(n) = (n, p^t)_A for a prime power of type t > 1;
-    their sum takes the three case values below and cannot be A-even."""
+    their sum takes the three case values below and cannot be A-even.
+    f_even and g_even are checked on the divisors of p and of p^t, and
+    h_fails_all by one certificate n_r per modulus r <= r_checked."""
 
     p: int
     t: int
@@ -138,24 +141,33 @@ def additive_closure_witness(
 ) -> Optional[Prop4Witness]:
     """For a system with a prime power of type t > 1, exhibit f, g A-even
     with f + g A-even for no modulus r <= r_max, built at the smallest such
-    prime power; None means not applicable (every type is 1, as in D).
+    prime power p^t within MAX_WITNESS_WORK; None means not applicable
+    (every type is 1, as in D). ValueError when r_max < 1, or when every
+    prime power of type > 1 exceeds the budget.
 
-    The checks are brute force. For each r <= r_max, h fails A-evenness
-    mod r at n = p or at n = p^a, so they visit at most (r_max + 8) p^a
-    values of n; r_max p^a above MAX_WITNESS_WORK raises ValueError."""
-    found = system.smallest_high_type()
-    if found is None:
+    f and g depend on n only through (n, p) and (n, p^t), and (n, r)_A =
+    ((n, r), r)_A, so f is A-even mod p iff f(d) = f((d, p)_A) for each
+    d | p, and g likewise on the divisors of p^t: t + 3 values.
+
+    h = f + g fails A-evenness mod r at one n_r, checked for each r. If
+    (p, r)_A = 1, take n_r = p: h(p) = p + 1 != 2 = h(1). Otherwise p is in
+    A(r), so the p-part p^v of r has type 1; type 1 at p^v forces type 1
+    below it and p^t has type t, so v < t. Take n_r = p^t: (p^t, r)_A = p^v
+    and h(p^t) = p + p^t != p + 1 = h(p^v). Each row costs two gcd_A calls,
+    so the budget bounds p^t alone, whatever r_max."""
+    if r_max < 1:
+        raise ValueError(f"r_max must be >= 1, got {r_max}")
+    high = list(system.high_types())
+    if not high:
         return None
-    p, a, t = found
-    # r_max p^a > MAX_WITNESS_WORK iff p^a > budget; as p^a >= 2^(a (bits(p) - 1)),
-    # the first test refuses a huge p^a without building it
-    budget = MAX_WITNESS_WORK // r_max
-    if a * (p.bit_length() - 1) >= budget.bit_length() or p**a > budget:
+    fits = _powers_within(high, MAX_WITNESS_WORK)
+    if not fits:
+        powers = ", ".join(f"{p}^{a}" for p, a in high)
         raise ValueError(
-            f"prop4: the smallest prime power of type > 1 is {p}^{a}, and "
-            f"--rmax {r_max} times it exceeds the witness budget {MAX_WITNESS_WORK}"
+            f"prop4: every prime power of type > 1 exceeds the witness budget "
+            f"{MAX_WITNESS_WORK}: {powers}"
         )
-    pt = p**t
+    pt, p, t = min(fits)
 
     def f(n: int) -> int:
         return p if n % p == 0 else 1
@@ -166,12 +178,13 @@ def additive_closure_witness(
     def h(n: int) -> int:
         return f(n) + g(n)
 
-    f_even = is_A_even(system, f, p, 4 * p)
-    g_even = is_A_even(system, g, pt, 4 * pt)
-    h_fails = all(
-        not is_A_even(system, h, r, 4 * lcm(r, pt)) for r in range(1, r_max + 1)
-    )
-    contradiction = p not in divisor_set(system, pt)
+    def even_on_divisors(fn: Callable[[int], int], r: int) -> bool:
+        return all(fn(d) == fn(gcd_A(system, d, r)) for d in divisors(r))
+
+    def certified_failure(r: int) -> bool:
+        n = p if gcd_A(system, p, r) == 1 else pt
+        return h(n) != h(gcd_A(system, n, r))
+
     return Prop4Witness(
         p=p,
         t=t,
@@ -180,10 +193,10 @@ def additive_closure_witness(
         h=h,
         case_values=(p + pt, 1 + p, 2),
         r_checked=r_max,
-        f_even=f_even,
-        g_even=g_even,
-        h_fails_all=h_fails,
-        core_contradiction=contradiction,
+        f_even=even_on_divisors(f, p),
+        g_even=even_on_divisors(g, pt),
+        h_fails_all=all(certified_failure(r) for r in range(1, r_max + 1)),
+        core_contradiction=p not in divisor_set(system, pt),
     )
 
 

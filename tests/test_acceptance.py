@@ -28,7 +28,6 @@ from ramlab.verify import (
     additive_closure_witness,
     expansion_demo,
     find_orthogonality_violation,
-    is_A_even,
     mean_product_empirical,
     mean_product_exact,
     mean_value_check,

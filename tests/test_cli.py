@@ -274,17 +274,28 @@ class TestCommandVerify:
         obj = json.loads(out)
         assert (obj["p"], obj["t"], obj["h_high"], obj["pass"]) == (101, 2, 101 + 101**2, "true")
 
-    def test_prop4_witness_beyond_bound_exits_1(self, capsys, tmp_path):
-        # 103 * 101^2 exceeds the witness budget; 102 * 101^2 does not
+    @pytest.mark.parametrize("rmax", [102, 103, 3000])
+    def test_prop4_unitary_at_101_answers_every_rmax(self, capsys, tmp_path, rmax):
+        # the budget bounds 101^2 alone, so every --rmax up to the cap passes
         system = _unitary_at_101(tmp_path, a_max=4)
-        code, out, err = run(capsys, "verify", "prop4", "--system", system, "--rmax", "103")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "101^2" in err and f"budget {verify.MAX_WITNESS_WORK}" in err
-        code, out, _ = run(capsys, "verify", "prop4", "--system", system, "--rmax", "102",
+        code, out, _ = run(capsys, "verify", "prop4", "--system", system, "--rmax", str(rmax),
                            "--format", "json")
         assert code == EXIT_OK
-        assert json.loads(out)["pass"] == "true"
+        obj = json.loads(out)
+        assert (obj["p"], obj["r_checked"], obj["pass"]) == (101, rmax, "true")
+
+    def test_prop4_power_at_the_budget_answers_at_once(self, capsys, tmp_path):
+        # 2^20 of type 20 fits the budget, and no check scans n up to p^t or --rmax p^t
+        spec = tmp_path / "a20.json"
+        spec.write_text(json.dumps({"a_max": 20, "types": [{"p": 2, "a": 20, "t": 20}]}))
+        assert 2**20 == verify.MAX_WITNESS_WORK
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "prop4", "--system", str(spec),
+                           "--rmax", str(MAX_RMAX), "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert (obj["p"], obj["t"], obj["h_high"], obj["pass"]) == (2, 20, 2 + 2**20, "true")
 
     def test_prop4_bound_one_without_entries_passes(self, capsys, tmp_path):
         # the bound holds only at table primes, so these are U's types, and
@@ -318,8 +329,17 @@ class TestCommandVerify:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_USAGE
         assert out == ""
-        assert ("prop4: the smallest prime power of type > 1 is 2^1000000000, and --rmax 10 "
-                f"times it exceeds the witness budget {verify.MAX_WITNESS_WORK}") in err
+        assert ("prop4: every prime power of type > 1 exceeds the witness budget "
+                f"{verify.MAX_WITNESS_WORK}: 2^1000000000") in err
+
+    def test_all_runs_every_target_after_a_failure(self, capsys, monkeypatch):
+        argv = ("--system", "U", "--rmax", "6", "--xmax", "100", "--format", "json")
+        want = "".join(run(capsys, "verify", target, *argv)[1]
+                       for target in ("prop2", "prop3", "prop4"))
+        monkeypatch.setattr(cli, "_verify_prop1", lambda system, args, out: False)
+        code, out, _ = run(capsys, "verify", "all", *argv)
+        assert code == EXIT_MISMATCH
+        assert want and out == want
 
     def test_rmax_above_cap_exits_1_before_any_work(self, capsys, monkeypatch):
         def refuse(*args):

@@ -30,8 +30,10 @@ from ramlab.systems import (
     system_from_dict,
     validate,
 )
+from ramlab.verify import additive_closure_witness
 
 from conftest import valid_specs
+from test_verify import h_fails_all_by_scan, is_A_even
 
 
 def _type_or_none(system, p, a):
@@ -141,7 +143,7 @@ HIGH_POWERS = sorted(
 
 @given(valid_specs())
 @settings(max_examples=150, deadline=None)
-def test_smallest_high_type_matches_scan(spec):
+def test_witness_matches_scan(spec):
     system = system_from_dict(spec)
     # asks type_of at every prime power and skips only what it refuses
     scan = next(
@@ -149,6 +151,15 @@ def test_smallest_high_type_matches_scan(spec):
          if (t := _type_or_none(system, p, a)) is not None and t > 1),
         None,
     )
-    found = system.smallest_high_type()
-    assert found == scan
-    assert found is None or found[2] == found[1]  # t == a
+    # every r <= r_max stays inside each table prime's exponent bound
+    table_primes = {entry["p"] for entry in spec["types"]}
+    r_max = min([30] + [p ** (spec["a_max"] + 1) - 1 for p in table_primes])
+    w = additive_closure_witness(system, r_max=r_max)
+    assert (None if w is None else (w.p, w.t, w.t)) == scan  # t == a
+    if w is None:
+        return
+    pt = w.p**w.t
+    assert w.f_even == is_A_even(system, w.f, w.p, 4 * w.p)
+    assert w.g_even == is_A_even(system, w.g, pt, 4 * pt)
+    assert w.h_fails_all == h_fails_all_by_scan(system, w.h, pt, r_max)
+    assert w.f_even and w.g_even and w.h_fails_all and w.core_contradiction

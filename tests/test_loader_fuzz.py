@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramlab.systems import InvalidSystemError, system_from_dict
+from ramlab.verify import additive_closure_witness
 
 from conftest import valid_specs
 
@@ -88,8 +89,12 @@ def _loads_or_refuses(spec):
         system = system_from_dict(spec)
     except InvalidSystemError:
         return
-    # a loaded system answers its structural queries at once, whatever a_max
-    system.smallest_high_type()
+    # a loaded system answers its structural queries at once, whatever a_max:
+    # Prop 4's witness is built or refused for the budget, never scanned for
+    try:
+        additive_closure_witness(system, r_max=1)
+    except ValueError as exc:
+        assert "exceeds the witness budget" in str(exc)
 
 
 @given(SPECS | specs_with_extra_keys() | ANY)

@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 import re
+import time
 from math import gcd, prod
 from pathlib import Path
 from typing import Callable
@@ -29,6 +30,7 @@ from ramlab.systems import (
     system_from_dict,
     validate,
 )
+from ramlab.verify import MAX_WITNESS_WORK, additive_closure_witness
 
 from conftest import CUSTOM_OK, PRIMES, valid_specs
 
@@ -187,37 +189,48 @@ class TestCompiledSystem:
                 system.type_of(p, 17)
 
 
-class TestSmallestHighType:
+def witness_power(system):
+    """(p, t) of the Prop 4 witness, None when not applicable."""
+    w = additive_closure_witness(system, r_max=1)
+    return None if w is None else (w.p, w.t)
+
+
+def refusal(*powers):
+    return ("prop4: every prime power of type > 1 exceeds the witness budget "
+            f"{MAX_WITNESS_WORK}: " + ", ".join(f"{p}^{a}" for p, a in powers))
+
+
+class TestWitnessPrimePower:
     @pytest.mark.parametrize(
         "spec, expected",
         [
             ({"kind": "dirichlet"}, None),
-            ({"kind": "unitary"}, (2, 2, 2)),
+            ({"kind": "unitary"}, (2, 2)),
             ({"kind": "custom", "default": "dirichlet-default", "types": []}, None),
-            (CUSTOM_OK, (2, 2, 2)),
+            (CUSTOM_OK, (2, 2)),
             # Dirichlet at 2 and 3 under the unitary default: 5^2 comes first
             ({"kind": "custom", "default": "unitary-default", "a_max": 3,
               "types": [{"p": p, "a": a, "t": 1} for p in (2, 3) for a in (1, 2, 3)]},
-             (5, 2, 2)),
+             (5, 2)),
             # unitary at 101 only, beyond any small-prime search
             ({"kind": "custom", "default": "dirichlet-default",
               "types": [{"p": 101, "a": a, "t": a} for a in range(1, 17)]},
-             (101, 2, 2)),
+             (101, 2)),
             # types > 1 only at powers of 3, with 3^3 of type 3
             ({"kind": "custom", "default": "dirichlet-default", "a_max": 4,
               "types": [{"p": 3, "a": a, "t": t} for a, t in ((2, 2), (3, 3), (4, 2))]},
-             (3, 2, 2)),
+             (3, 2)),
             # the exponent bound holds only at table primes: with no entry,
             # 2^2 has type 2 under the unitary default
             ({"kind": "custom", "default": "unitary-default", "a_max": 1, "types": []},
-             (2, 2, 2)),
+             (2, 2)),
             # 2 is a table prime bounded at 1, so the first type > 1 is 3^2
             ({"default": "unitary-default", "a_max": 1, "types": [{"p": 2, "a": 1, "t": 1}]},
-             (3, 2, 2)),
+             (3, 2)),
         ],
     )
     def test_examples(self, spec, expected):
-        assert system_from_dict(spec).smallest_high_type() == expected
+        assert witness_power(system_from_dict(spec)) == expected
 
     @staticmethod
     def two_table_primes(p, a, q, b):
@@ -226,28 +239,42 @@ class TestSmallestHighType:
         return system_from_dict({"a_max": top, "types": [
             {"p": r, "a": e, "t": e} for r, k in ((p, a), (q, b)) for e in range(k, top + 1)]})
 
+    def assert_refused_at_once(self, system, *powers):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            additive_closure_witness(system)
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == refusal(*powers)
+
     @given(st.sampled_from([2, 3, 5, 7, 11, 101, 9973]), st.sampled_from([2, 3, 5, 13, 97]),
            st.integers(2, 80), st.integers(2, 80))
     @settings(max_examples=200, deadline=None)
-    def test_orders_like_the_exact_powers(self, p, q, a, b):
+    def test_smallest_power_inside_the_budget(self, p, q, a, b):
         assume(p != q)
-        r, e = min((p**a, p, a), (q**b, q, b))[1:]
-        assert self.two_table_primes(p, a, q, b).smallest_high_type() == (r, e, e)
+        system = self.two_table_primes(p, a, q, b)
+        fits = [(r**e, r, e) for r, e in ((p, a), (q, b)) if r**e <= MAX_WITNESS_WORK]
+        if fits:
+            assert witness_power(system) == min(fits)[1:]
+        else:
+            self.assert_refused_at_once(system, *sorted(((p, a), (q, b))))
 
-    @pytest.mark.parametrize("a, b", [(19, 12), (84, 53), (485, 306), (1054, 665)])
-    def test_near_equal_powers(self, a, b):
-        # 2^a and 3^b from the continued fraction of log2(3): within 1.5 %
-        expected = (2, a, a) if 2**a < 3**b else (3, b, b)
-        assert self.two_table_primes(2, a, 3, b).smallest_high_type() == expected
+    def test_near_equal_powers_inside_the_budget(self):
+        # 2^19 and 3^12, from the continued fraction of log2(3), within 1.4 %
+        assert 3**12 <= MAX_WITNESS_WORK
+        assert witness_power(self.two_table_primes(2, 19, 3, 12)) == (2, 19)
+
+    @pytest.mark.parametrize("a, b", [(84, 53), (485, 306), (1054, 665)])
+    def test_near_equal_powers_beyond_the_budget(self, a, b):
+        self.assert_refused_at_once(self.two_table_primes(2, a, 3, b), (2, a), (3, b))
 
     def test_exponents_near_the_loader_limit(self):
         # 2^(10^18) and 3^(10^18) could never be built
         system = self.two_table_primes(3, 10**18, 2, 10**18)
-        assert system.smallest_high_type() == (2, 10**18, 10**18)
+        self.assert_refused_at_once(system, (2, 10**18), (3, 10**18))
 
     def test_builtins(self):
-        assert DIRICHLET.smallest_high_type() is None
-        assert MIX.smallest_high_type() == UNITARY.smallest_high_type() == (2, 2, 2)
+        assert witness_power(DIRICHLET) is None
+        assert witness_power(MIX) == witness_power(UNITARY) == (2, 2)
 
     def test_unitary_states_the_unitary_default(self):
         # D and U are the empty table under each default rule
@@ -255,7 +282,7 @@ class TestSmallestHighType:
         assert DIRICHLET == RegularSystem(name="D")
         assert DIRICHLET.types == UNITARY.types == ()
         bare = RegularSystem(default="unitary-default")
-        assert bare.smallest_high_type() == UNITARY.smallest_high_type()
+        assert witness_power(bare) == witness_power(UNITARY)
         assert validate(bare) == validate(UNITARY) == []
 
 

@@ -26,7 +26,6 @@ from ramlab.verify import (
     additive_closure_witness,
     expansion_demo,
     find_orthogonality_violation,
-    is_A_even,
     mean_product_empirical,
     mean_product_exact,
     mean_value_check,
@@ -158,8 +157,9 @@ class TestViolationSearch:
         assert find_orthogonality_violation(system, bound) == expected
         assert pair_scan(system, bound) == expected
 
-    def test_smallest_high_type_of_system_A(self):
-        assert system_from_dict(SPEC_A).smallest_high_type() == (11, 2, 2)
+    def test_witness_prime_power_of_system_A(self):
+        w = additive_closure_witness(system_from_dict(SPEC_A))
+        assert (w.p, w.t) == (11, 2)
 
     def test_asks_no_type_above_the_exponent_bound(self, monkeypatch):
         # a_max 2 with 2^2 of type 1: the scan would raise at r = 8
@@ -195,6 +195,20 @@ class TestViolationSearch:
         rep = orthogonality_report(UNITARY, 2, 4)
         assert rep.verdict == "violating"
         assert rep.exact_mean == 1 and rep.empirical_mean == 1
+
+
+def is_A_even(system, h, r, n_max):
+    """True iff h(n) = h((n, r)_A) for every n <= n_max: the brute-force
+    oracle for the divisor checks of f and g in additive_closure_witness."""
+    if n_max < r:
+        raise ValueError(f"n_max must be >= r, got n_max={n_max}, r={r}")
+    return all(h(n) == h(gcd_A(system, n, r)) for n in range(1, n_max + 1))
+
+
+def h_fails_all_by_scan(system, h, pt, r_max):
+    """h is A-even mod no r <= r_max, each r scanned over 4 lcm(r, p^t)
+    values of n: the oracle for the witness's one certificate per modulus."""
+    return all(not is_A_even(system, h, r, 4 * lcm(r, pt)) for r in range(1, r_max + 1))
 
 
 class TestIsAEven:
@@ -236,6 +250,22 @@ class TestAdditiveClosure:
         w = additive_closure_witness(custom_system, r_max=50)
         assert (w.p, w.t) == (2, 2)
         assert w.h_fails_all
+
+    @pytest.mark.parametrize("system", [UNITARY, MIX, system_from_dict(SPEC_A),
+                                        system_from_dict(SPEC_B)], ids=["U", "MIX", "A", "B"])
+    def test_certificates_match_the_scan(self, system):
+        w = additive_closure_witness(system, r_max=100)
+        pt = w.p**w.t
+        assert w.f_even and is_A_even(system, w.f, w.p, 4 * w.p)
+        assert w.g_even and is_A_even(system, w.g, pt, 4 * pt)
+        assert w.h_fails_all and h_fails_all_by_scan(system, w.h, pt, 100)
+
+    @pytest.mark.parametrize("r_max", [0, -1])
+    def test_no_vacuous_pass(self, r_max):
+        # an empty range of moduli would make h_fails_all hold vacuously
+        for system in (UNITARY, DIRICHLET):
+            with pytest.raises(ValueError, match=f"r_max must be >= 1, got {r_max}"):
+                additive_closure_witness(system, r_max=r_max)
 
 
 class TestExpansionDemo:
