@@ -21,6 +21,7 @@ from .even import (
     progression_totient_mean,
 )
 from .gensums import (
+    PartialSumReport,
     c_A,
     c_A_column,
     c_A_core,
@@ -28,7 +29,6 @@ from .gensums import (
     c_A_oracle,
     partial_sum_cA,
 )
-from .reports import OrthogonalityReport, PartialSumReport
 from .systems import (
     DIRICHLET,
     MIX,
@@ -46,8 +46,10 @@ from .systems import (
 )
 from .verify import (
     ExpansionResult,
+    OrthogonalityReport,
     Prop4Witness,
     additive_closure_witness,
+    check_propositions,
     expansion_demo,
     find_orthogonality_violation,
     mean_product_empirical,

@@ -3,6 +3,9 @@
 Exit codes: 0 pass/success, 1 usage or input error, 2 internal cross-check
 mismatch or failed check. Exact quantities print as integer/rational text;
 only the oracle and expansion commands print floats (12 significant digits).
+
+Each command returns its output as tables (header, rows, passed); `main`
+alone writes them and picks the exit code.
 """
 
 from __future__ import annotations
@@ -12,23 +15,12 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import even, gensums, verify
-from .reports import format_value
-from .systems import (
-    InvalidSystemError,
-    divisor_set,
-    gamma_A,
-    gcd_A,
-    load_system,
-    mu_A,
-    phi_A,
-    psi_A,
-)
+from . import gensums, verify
+from .systems import InvalidSystemError, gamma_A, load_system, mu_A, phi_A, psi_A
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,6 +74,16 @@ def _default_format() -> str:
     return fmt if fmt in FORMATS else "plain"
 
 
+def format_value(v) -> str:
+    """A cell as text: bools as true/false, floats to 12 significant digits;
+    str already prints ints plainly and rationals as p/q."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
 def _json_cell(v):
     # an exact int is its own JSON text; integral rationals become JSON numbers,
     # other rationals and floats text, as json.dumps of the row's dict has them
@@ -125,41 +127,30 @@ def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str, out) -> No
             max(len(h), *(len(format_value(r[i])) for r in rows)) if rows else len(h)
             for i, h in enumerate(header)
         ]
-        out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-        for row in rows:
-            cells = [format_value(v) if not isinstance(v, str) else v for v in row]
-            out.write("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n")
+        for row in [header, *rows]:
+            cells = (format_value(v).ljust(w) for v, w in zip(row, widths))
+            out.write("  ".join(cells).rstrip() + "\n")
 
 
-def _cmd_c(args, out) -> int:
+def _cmd_c(args) -> list:
     if args.route in ("oracle", "all") and args.r > MAX_ORACLE_R:
         raise ValueError(f"--route {args.route} needs r at most {MAX_ORACLE_R}, got {args.r}")
     system = load_system(args.system)
     n, r = args.n, args.r
-    routes = {
-        "divisor": lambda: gensums.c_A_divisor(system, n, r),
-        "core": lambda: gensums.c_A_core(system, n, r),
-        "oracle": lambda: gensums.c_A_oracle(system, n, r),
-    }
-    if args.route == "all":
-        dv = routes["divisor"]()
-        cv = routes["core"]()
-        ov = routes["oracle"]()
-        kv = gensums.c_A(system, n, r)
-        match = dv == cv == kv and abs(ov.imag) <= 1e-6 and abs(ov.real - dv) <= 1e-6
-        rows = [[n, r, dv, cv, format_value(ov.real), "true" if match else "false"]]
-        _emit_rows(["n", "r", "divisor", "core", "oracle", "match"], rows, args.format, out)
-        return EXIT_OK if match else EXIT_MISMATCH
-    value = routes[args.route]()
+    exact = {"divisor": gensums.c_A_divisor, "core": gensums.c_A_core}
+    if args.route in exact:
+        return [(["n", "r", "value"], [[n, r, exact[args.route](system, n, r)]], True)]
+    ov = gensums.c_A_oracle(system, n, r)
     if args.route == "oracle":
-        rows = [[n, r, format_value(value.real), format_value(value.imag)]]
-        _emit_rows(["n", "r", "re", "im"], rows, args.format, out)
-    else:
-        _emit_rows(["n", "r", "value"], [[n, r, value]], args.format, out)
-    return EXIT_OK
+        return [(["n", "r", "re", "im"], [[n, r, ov.real, ov.imag]], True)]
+    dv, cv = gensums.c_A_divisor(system, n, r), gensums.c_A_core(system, n, r)
+    match = dv == cv == gensums.c_A(system, n, r)
+    match = match and abs(ov.imag) <= 1e-6 and abs(ov.real - dv) <= 1e-6
+    row = [n, r, dv, cv, ov.real, "true" if match else "false"]
+    return [(["n", "r", "divisor", "core", "oracle", "match"], [row], match)]
 
 
-def _cmd_table(args, out) -> int:
+def _cmd_table(args) -> list:
     n_max = args.nmax or args.rmax
     n_rows = args.rmax * n_max if args.what == "cA" else args.rmax
     if n_rows > MAX_TABLE_ROWS:
@@ -172,121 +163,26 @@ def _cmd_table(args, out) -> int:
             for n in range(1, n_max + 1)
             for r, column in enumerate(columns, 1)
         )
-        _emit_rows(["n", "r", "value"], rows, args.format, out)
-        return EXIT_OK
+        return [(["n", "r", "value"], rows, True)]
     fn = {"phiA": phi_A, "psiA": psi_A, "gammaA": gamma_A, "muA": mu_A}[args.what]
     rows = ((r, fn(system, r)) for r in range(1, args.rmax + 1))
-    _emit_rows(["r", "value"], rows, args.format, out)
-    return EXIT_OK
+    return [(["r", "value"], rows, True)]
 
 
-def _verify_prop1(system, args, out) -> bool:
-    # battery: the system's Ramanujan sums c_A(., r), the arithmetic-progression
-    # totient, and seeded random rational (A, r)-even functions, one draw per
-    # member of A(r) in increasing order
-    xs = [args.xmax]
-    if args.xmax > 100:
-        xs = [100, args.xmax]
-    functions = [even.c_A_even(system, r) for r in range(1, min(args.rmax, 30) + 1)]
-    functions.append(even.progression_totient_even(1, 12))
-    rng = random.Random(20040233)
-    for _ in range(10):
-        r = rng.randint(1, args.rmax)
-        drawn = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in divisor_set(system, r)}
-        functions.append(
-            even.EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
-        )
-    if args.even:
-        functions.append(even.parse_even_literal(args.even))
-    all_pass = True
-    header = ["r", "x", "exact_sum", "main_term", "residual", "bound", "pass"]
-    rows = []
-    for f in functions:
-        for rep in verify.mean_value_check(f, xs):
-            closed = even.partial_sum_even(f, rep.x)
-            ok = rep.passed and closed.exact_sum == rep.exact_sum
-            all_pass &= ok
-            rows.append(
-                [f.r, rep.x, rep.exact_sum, rep.main_term, rep.residual,
-                 rep.certified_bound, "true" if ok else "false"]
-            )
-    _emit_rows(header, rows, args.format, out)
-    return all_pass
-
-
-def _verify_prop2(system, args, out) -> bool:
-    xs = sorted({1, 2, 3, 10, 100, args.xmax})
-    all_pass = True
-    rows = []
-    for r in range(1, args.rmax + 1):
-        for x in xs:
-            rep = gensums.partial_sum_cA(system, r, x)
-            all_pass &= rep.passed
-            rows.append([r, rep.x, rep.exact_sum, rep.main_term, rep.residual,
-                         rep.certified_bound, "true" if rep.passed else "false"])
-    _emit_rows(["r", "x", "exact_sum", "main_term", "residual", "bound", "pass"],
-               rows, args.format, out)
-    return all_pass
-
-
-def _verify_prop3(system, args, out) -> bool:
-    reports = [verify.orthogonality_report(system, r, r) for r in range(1, args.rmax + 1)]
-    hit = verify.find_orthogonality_violation(system, args.rmax)
-    if hit is not None:
-        reports.append(verify.orthogonality_report(system, hit[0], hit[1]))
-    ok = all(rep.empirical_mean == rep.exact_mean for rep in reports)
-    ok &= hit is None or reports[-1].verdict == "violating"
-    rows = [[rep.system, rep.r, rep.s, rep.exact_mean, format_value(rep.empirical_mean),
-             rep.verdict] for rep in reports]
-    if hit is None:
-        rows.append([system.label(), 0, 0, 0, "0", "none-found"])
-    _emit_rows(["system", "r", "s", "exact_mean", "empirical_mean", "verdict"],
-               rows, args.format, out)
-    return ok
-
-
-def _verify_prop4(system, args, out) -> bool:
-    witness = verify.additive_closure_witness(system, r_max=args.rmax)
-    if witness is None:
-        _emit_rows(["system", "status"], [[system.label(), "not-applicable"]], args.format, out)
-        return True
-    ok = (
-        witness.f_even
-        and witness.g_even
-        and witness.h_fails_all
-        and witness.core_contradiction
-    )
-    rows = [[system.label(), witness.p, witness.t, *witness.case_values,
-             witness.r_checked, "true" if ok else "false"]]
-    _emit_rows(["system", "p", "t", "h_high", "h_mid", "h_low", "r_checked", "pass"],
-               rows, args.format, out)
-    return ok
-
-
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args) -> list:
     if args.rmax > MAX_RMAX:
         raise ValueError(f"--rmax must be at most {MAX_RMAX}, got {args.rmax}")
     system = load_system(args.system)
-    targets = ["prop1", "prop2", "prop3", "prop4"] if args.target == "all" else [args.target]
-    runners = {
-        "prop1": _verify_prop1,
-        "prop2": _verify_prop2,
-        "prop3": _verify_prop3,
-        "prop4": _verify_prop4,
-    }
-    # every target runs and prints, even after one fails
-    passed = [runners[t](system, args, out) for t in targets]
-    return EXIT_OK if all(passed) else EXIT_MISMATCH
+    names = verify.PROPOSITIONS if args.target == "all" else (args.target,)
+    return verify.check_propositions(names, system, args.rmax, args.xmax, args.even)
 
 
-def _cmd_expansion(args, out) -> int:
+def _cmd_expansion(args) -> list:
     if args.terms > MAX_TERMS:
         raise ValueError(f"--terms must be at most {MAX_TERMS}, got {args.terms}")
     res = verify.expansion_demo(args.n, args.terms)
-    rows = [[res.n, res.terms, format_value(res.truncated_value),
-             format_value(res.target), format_value(res.abs_error)]]
-    _emit_rows(["n", "terms", "truncated", "target", "abs_error"], rows, args.format, out)
-    return EXIT_OK
+    rows = [[res.n, res.terms, res.truncated_value, res.target, res.abs_error]]
+    return [(["n", "terms", "truncated", "target", "abs_error"], rows, True)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t.set_defaults(func=_cmd_table)
 
     p_v = sub.add_parser("verify", help="run the proposition checkers", parents=[common])
-    p_v.add_argument("target", choices=("prop1", "prop2", "prop3", "prop4", "all"))
+    p_v.add_argument("target", choices=(*verify.PROPOSITIONS, "all"))
     p_v.add_argument("--system", default="D")
     p_v.add_argument("--rmax", type=_positive_int, default=50, help=f"at most {MAX_RMAX}")
     p_v.add_argument("--xmax", type=_positive_int, default=1000)
@@ -335,9 +231,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # the text is held until every table is written, so a failed run prints nothing
     buf = io.StringIO()
+    passed = True
     try:
-        code = args.func(args, buf)
+        for header, rows, ok in args.func(args):
+            _emit_rows(header, rows, args.format, buf)
+            passed &= ok
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(buf.getvalue())
+        else:
+            sys.stdout.write(buf.getvalue())
     except InvalidSystemError as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)
@@ -345,13 +250,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+    return EXIT_OK if passed else EXIT_MISMATCH
 
 
 def entrypoint() -> None:

@@ -29,7 +29,7 @@ from operator import mul
 from typing import Callable, Mapping, Optional, Union
 
 from .arith import divisors, factorize
-from .reports import PartialSumReport
+from .gensums import PartialSumReport
 from .systems import DIRICHLET, RegularSystem, gcd_A, prime_power_types
 from . import gensums
 

@@ -23,10 +23,12 @@ p^(a-t) at each prime power p^a || r, the kernel's two terms.
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
+from fractions import Fraction
 from math import floor
+from typing import Union
 
 from .arith import divisors, ramanujan_c
-from .reports import PartialSumReport
 from .systems import (
     RegularSystem,
     divisor_set,
@@ -44,8 +46,11 @@ __all__ = [
     "c_A_core",
     "c_A_oracle",
     "c_A_sum",
+    "PartialSumReport",
     "partial_sum_cA",
 ]
+
+Numeric = Union[int, Fraction, float]
 
 
 def _kernel_value(local: tuple, n: int) -> int:
@@ -120,6 +125,27 @@ def c_A_sum(system: RegularSystem, r: int, x: int) -> int:
     for _, _, _, high, low in prime_power_types(system, r):
         signed = [(d * high, s) for d, s in signed] + [(d * low, -s) for d, s in signed]
     return sum(s * d * (x // d) for d, s in signed)
+
+
+@dataclass(frozen=True)
+class PartialSumReport:
+    """Exact partial sum of a function against its predicted main term.
+
+    The residual and the verdict are derived, so they cannot disagree with
+    the sum, the main term and the bound."""
+
+    x: int
+    exact_sum: Numeric
+    main_term: Numeric
+    certified_bound: Numeric
+
+    @property
+    def residual(self) -> Numeric:
+        return self.exact_sum - self.main_term
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.residual) <= self.certified_bound
 
 
 def partial_sum_cA(system: RegularSystem, r: int, x) -> PartialSumReport:

@@ -2,11 +2,15 @@
 generalized Ramanujan sums, orthogonality and its failure outside the
 Dirichlet system, non-closure of A-even functions under addition, and the
 truncated harmonic expansion of sigma(n)/n.
+
+`check_propositions` runs the paper's four propositions: each one's battery
+of inputs, its pass rule, and its rows for the CLI to print.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,9 +18,16 @@ from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .arith import divisors, euler_phi, moebius_sieve, sigma
-from .even import EvenFunction, certified_residual_bound, mean_value
-from .gensums import c_A_column
-from .reports import OrthogonalityReport, PartialSumReport
+from .even import (
+    EvenFunction,
+    c_A_even,
+    certified_residual_bound,
+    mean_value,
+    parse_even_literal,
+    partial_sum_even,
+    progression_totient_even,
+)
+from .gensums import PartialSumReport, c_A_column, partial_sum_cA
 from .systems import RegularSystem, divisor_set, gamma_A, gcd_A
 
 # the cap on p^t, the witness prime power in `additive_closure_witness`. Its
@@ -25,9 +36,13 @@ from .systems import RegularSystem, divisor_set, gamma_A, gcd_A
 # p <= 2^10 when t >= 2, so trial division factorizes p^t at once
 MAX_WITNESS_WORK = 2**20
 
+# the names `check_propositions` takes, in the order it runs them
+PROPOSITIONS = ("prop1", "prop2", "prop3", "prop4")
+
 __all__ = [
     "mean_product_exact",
     "mean_product_empirical",
+    "OrthogonalityReport",
     "orthogonality_report",
     "find_orthogonality_violation",
     "Prop4Witness",
@@ -35,6 +50,7 @@ __all__ = [
     "ExpansionResult",
     "expansion_demo",
     "mean_value_check",
+    "check_propositions",
 ]
 
 
@@ -65,6 +81,22 @@ def mean_product_empirical(system: RegularSystem, r: int, s: int, x: int) -> Fra
     column = c_A_column(system, r, x)
     total = sum(a * b for a, b in zip(column, column if s == r else c_A_column(system, s, x)))
     return Fraction(total, x)
+
+
+@dataclass(frozen=True)
+class OrthogonalityReport:
+    """Mean of a product of two generalized Ramanujan sums, exact vs empirical."""
+
+    system: str
+    r: int
+    s: int
+    exact_mean: int
+    empirical_mean: Fraction
+    verdict: str  # orthogonal | diagonal | violating
+
+    def __post_init__(self):
+        if self.verdict == "violating" and (self.r == self.s or self.exact_mean == 0):
+            raise ValueError("violating verdict requires r != s and nonzero mean")
 
 
 def orthogonality_report(
@@ -230,7 +262,11 @@ def expansion_demo(n: int, terms: int) -> ExpansionResult:
                 acc += mu[m] / (m * m)
         at_cut[cut] = acc
         done = cut
-    total = sum(at_cut[terms // d] / d for d in divs)
+    # left to right: from CPython 3.12 on, sum() adds floats with compensation,
+    # which would make the printed digits depend on the interpreter version
+    total = 0.0
+    for d in divs:
+        total += at_cut[terms // d] / d
     truncated = (math.pi**2 / 6) * total
     target = sigma(n) / n
     return ExpansionResult(n, terms, truncated, target, abs(truncated - target))
@@ -264,3 +300,88 @@ def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumR
         exact = sum((f.value_map[d] * c for d, c in counts.items()), Fraction(0))
         reports.append(PartialSumReport(x, exact, mf * x, bound))
     return reports
+
+
+_SUM_HEADER = ["r", "x", "exact_sum", "main_term", "residual", "bound", "pass"]
+
+
+def _sum_row(r: int, rep: PartialSumReport, ok: bool) -> list:
+    return [r, rep.x, rep.exact_sum, rep.main_term, rep.residual, rep.certified_bound,
+            "true" if ok else "false"]
+
+
+def _mean_values(system, r_max, x_max, literal):
+    # battery: the system's Ramanujan sums c_A(., r), the arithmetic-progression
+    # totient, and seeded random rational (A, r)-even functions, one draw per
+    # member of A(r) in increasing order; each brute-force sum must pass its
+    # bound and equal the closed form of partial_sum_even
+    xs = [100, x_max] if x_max > 100 else [x_max]
+    functions = [c_A_even(system, r) for r in range(1, min(r_max, 30) + 1)]
+    functions.append(progression_totient_even(1, 12))
+    rng = random.Random(20040233)
+    for _ in range(10):
+        r = rng.randint(1, r_max)
+        drawn = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in divisor_set(system, r)}
+        functions.append(
+            EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
+        )
+    if literal:
+        functions.append(parse_even_literal(literal))
+    rows, passed = [], True
+    for f in functions:
+        for rep in mean_value_check(f, xs):
+            ok = rep.passed and partial_sum_even(f, rep.x).exact_sum == rep.exact_sum
+            passed &= ok
+            rows.append(_sum_row(f.r, rep, ok))
+    return _SUM_HEADER, rows, passed
+
+
+def _partial_sums(system, r_max, x_max, literal):
+    xs = sorted({1, 2, 3, 10, 100, x_max})
+    reports = [(r, partial_sum_cA(system, r, x)) for r in range(1, r_max + 1) for x in xs]
+    rows = [_sum_row(r, rep, rep.passed) for r, rep in reports]
+    return _SUM_HEADER, rows, all(rep.passed for _, rep in reports)
+
+
+def _orthogonality(system, r_max, x_max, literal):
+    # the diagonal r = s <= r_max, then the first violating pair, if any
+    reports = [orthogonality_report(system, r, r) for r in range(1, r_max + 1)]
+    hit = find_orthogonality_violation(system, r_max)
+    if hit is not None:
+        reports.append(orthogonality_report(system, hit[0], hit[1]))
+    passed = all(rep.empirical_mean == rep.exact_mean for rep in reports)
+    passed &= hit is None or reports[-1].verdict == "violating"
+    rows = [[rep.system, rep.r, rep.s, rep.exact_mean, str(rep.empirical_mean), rep.verdict]
+            for rep in reports]
+    if hit is None:
+        rows.append([system.label(), 0, 0, 0, "0", "none-found"])
+    return ["system", "r", "s", "exact_mean", "empirical_mean", "verdict"], rows, passed
+
+
+def _additive_closure(system, r_max, x_max, literal):
+    witness = additive_closure_witness(system, r_max=r_max)
+    if witness is None:
+        return ["system", "status"], [[system.label(), "not-applicable"]], True
+    ok = witness.f_even and witness.g_even and witness.h_fails_all and witness.core_contradiction
+    row = [system.label(), witness.p, witness.t, *witness.case_values, witness.r_checked,
+           "true" if ok else "false"]
+    return ["system", "p", "t", "h_high", "h_mid", "h_low", "r_checked", "pass"], [row], ok
+
+
+def check_propositions(
+    names: Sequence[str], system: RegularSystem, r_max: int, x_max: int,
+    literal: Optional[str] = None,
+) -> list[tuple[list[str], list[list], bool]]:
+    """Check each proposition of PROPOSITIONS named in `names`, in that order,
+    as a table (header, rows, passed); every check runs, even after one fails.
+
+    In order they check mean values of (A, r)-even functions, with `literal`
+    (an `--even` CLI literal) added to the battery; partial sums of
+    c_A(., r); orthogonality and its first failure; and non-closure under
+    addition. r_max bounds the moduli, x_max the partial sums of the first two."""
+    checks = (_mean_values, _partial_sums, _orthogonality, _additive_closure)
+    return [
+        check(system, r_max, x_max, literal)
+        for name, check in zip(PROPOSITIONS, checks)
+        if name in names
+    ]

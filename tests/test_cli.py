@@ -20,8 +20,9 @@ from ramlab.cli import (
     MAX_TERMS,
     main,
 )
-from ramlab.reports import OrthogonalityReport, PartialSumReport, format_value
+from ramlab.gensums import PartialSumReport
 from ramlab.systems import MIX, UNITARY
+from ramlab.verify import OrthogonalityReport
 
 
 def run(capsys, *argv):
@@ -334,20 +335,26 @@ class TestCommandVerify:
 
     def test_all_runs_every_target_after_a_failure(self, capsys, monkeypatch):
         argv = ("--system", "U", "--rmax", "6", "--xmax", "100", "--format", "json")
+        prop1 = run(capsys, "verify", "prop1", *argv)[1]
         want = "".join(run(capsys, "verify", target, *argv)[1]
                        for target in ("prop2", "prop3", "prop4"))
-        monkeypatch.setattr(cli, "_verify_prop1", lambda system, args, out: False)
+        # every prop1 row fails its closed-form comparison
+        real = verify.partial_sum_even
+        monkeypatch.setattr(verify, "partial_sum_even",
+                            lambda f, x: PartialSumReport(x, real(f, x).exact_sum + 1, 0, 0))
         code, out, _ = run(capsys, "verify", "all", *argv)
         assert code == EXIT_MISMATCH
-        assert want and out == want
+        assert want and out.endswith(want)
+        failed = [json.loads(line) for line in out.removesuffix(want).splitlines()]
+        assert len(failed) == len(prop1.splitlines())
+        assert {row["pass"] for row in failed} == {"false"}
 
     def test_rmax_above_cap_exits_1_before_any_work(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("verify started above the --rmax cap")
 
-        for name in ("load_system", "_verify_prop1", "_verify_prop2", "_verify_prop3",
-                     "_verify_prop4"):
-            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli, "load_system", refuse)
+        monkeypatch.setattr(verify, "check_propositions", refuse)
         code, out, err = run(capsys, "verify", "all", "--rmax", str(MAX_RMAX + 1))
         assert code == EXIT_USAGE
         assert out == ""
@@ -355,16 +362,27 @@ class TestCommandVerify:
 
     def test_rmax_at_cap_accepted(self, capsys, monkeypatch):
         seen = []
-        names = ("_verify_prop1", "_verify_prop2", "_verify_prop3", "_verify_prop4")
-        for name in names:
-            def fake(system, args, out, name=name):
-                seen.append((name, args.rmax))
-                return True
 
-            monkeypatch.setattr(cli, name, fake)
+        def fake(names, system, r_max, x_max, literal):
+            seen.append((names, r_max))
+            return [(["pass"], [["true"]], True) for _ in names]
+
+        monkeypatch.setattr(verify, "check_propositions", fake)
         code, _, _ = run(capsys, "verify", "all", "--rmax", str(MAX_RMAX))
         assert code == EXIT_OK
-        assert seen == [(name, MAX_RMAX) for name in names]
+        assert seen == [(("prop1", "prop2", "prop3", "prop4"), MAX_RMAX)]
+
+    def test_refusal_after_built_tables_prints_nothing(self, capsys, tmp_path):
+        # prop1 to prop3 build their rows, then prop4 refuses the 2^(10^9) witness
+        spec = tmp_path / "a9.json"
+        spec.write_text(json.dumps({"a_max": 10**9, "types": [{"p": 2, "a": 10**9, "t": 10**9}]}))
+        argv = ("--system", str(spec), "--rmax", "10", "--format", "json")
+        built = [run(capsys, "verify", target, *argv)[1] for target in ("prop1", "prop2", "prop3")]
+        assert sum(len(text.splitlines()) for text in built) == 113
+        code, out, err = run(capsys, "verify", "all", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "witness budget" in err
 
     def test_verify_help_states_the_cap(self, capsys):
         code, out, _ = run(capsys, "verify", "--help")
@@ -469,6 +487,19 @@ class TestEmitter:
             assert back == verify.orthogonality_report(UNITARY, row["r"], row["s"])
 
 
+def _format_oracle(v) -> str:
+    # the cell text rule before format_value left ints and rationals to str
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, Fraction):
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
 def _json_oracle(header, rows):
     # the dict-per-row JSON emitter that the %-template emitter replaced
     out = io.StringIO()
@@ -476,7 +507,7 @@ def _json_oracle(header, rows):
         obj = {
             k: (
                 v.numerator if isinstance(v, Fraction) and v.denominator == 1
-                else format_value(v) if isinstance(v, (Fraction, float))
+                else _format_oracle(v) if isinstance(v, (Fraction, float))
                 else v
             )
             for k, v in zip(header, row)
@@ -486,12 +517,12 @@ def _json_oracle(header, rows):
 
 
 def _csv_oracle(header, rows):
-    # the CSV emitter that ran every cell but a str through format_value
+    # the CSV emitter that ran every cell but a str through the cell text rule
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([format_value(v) if not isinstance(v, str) else v for v in row])
+        writer.writerow([_format_oracle(v) if not isinstance(v, str) else v for v in row])
     return out.getvalue()
 
 
@@ -625,6 +656,14 @@ class TestErrorsAndPlumbing:
         code, out, _ = run(capsys, "c", "1", "1")
         assert code == EXIT_OK
         assert json.loads(out)["value"] == 1
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, where):
+        dest = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        code, out, err = run(capsys, "c", "1", "2", "-o", str(dest))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(dest) in err
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.csv"

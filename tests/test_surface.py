@@ -52,6 +52,23 @@ def test_no_private_cross_module_names(stem):
     assert offences == []
 
 
+# each module imports only modules before it
+LAYERS = ("arith", "systems", "gensums", "even", "verify", "cli")
+
+
+def test_modules_are_the_layers():
+    assert MODULES == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_imports_only_lower_layers(stem):
+    below = LAYERS[: LAYERS.index(stem)] if stem in LAYERS else ()
+    imported = set()
+    for module, name in _ramlab_imports(_tree(stem)):
+        imported.add(module or name)  # `from .mod import x` or `from . import mod`
+    assert imported <= set(below)
+
+
 @pytest.mark.parametrize("stem", MODULES)
 def test_all_entries_resolve(stem):
     module = importlib.import_module(f"ramlab.{stem}")

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from ramlab.arith import divisors, euler_phi, sigma
 from ramlab.even import EvenFunction, c_A_even, partial_sum_even
-from ramlab.gensums import c_A_divisor
-from ramlab.reports import OrthogonalityReport, PartialSumReport
+from ramlab.gensums import PartialSumReport, c_A_divisor
 from ramlab.systems import (
     DIRICHLET,
     MIX,
@@ -23,6 +22,7 @@ from ramlab.systems import (
     system_from_dict,
 )
 from ramlab.verify import (
+    OrthogonalityReport,
     additive_closure_witness,
     expansion_demo,
     find_orthogonality_violation,
