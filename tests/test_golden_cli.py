@@ -11,7 +11,9 @@ the Prop 1 battery of (A, r)-even functions expanded in c_A(., d),
 d in A(r). The D `--xmax 100003` ones were recorded from the Prop 1
 oracle that looped over every n <= x, and the `verify prop3` ones on the
 systems {A} and {B} and on D at `--rmax 200` from the search that tried
-every pair r != s <= rmax.
+every pair r != s <= rmax. The `table --what cA --rmax 70 --nmax 70` ones,
+4900 rows each, were recorded from the emitter that wrote JSON and CSV one
+row at a time.
 Any change to what the CLI prints for these inputs, even one byte, fails
 here. To record them again from the current code (only when an output
 change is intended):
@@ -73,6 +75,10 @@ def _cases() -> list[tuple[str, ...]]:
             for what in ("phiA", "psiA", "gammaA", "muA"):
                 cases.append(("table", "--what", what, "--system", system,
                               "--rmax", "200", "--format", fmt))
+    # 4900 rows: more than one of the emitter's row chunks
+    for fmt in FORMATS:
+        cases.append(("table", "--what", "cA", "--system", "MIX",
+                      "--rmax", "70", "--nmax", "70", "--format", fmt))
     pairs = [(2, 4), (12, 36), (250, 1250), (48, 720), (5**6, 5**4 * 8)]
     for system in SYSTEMS:
         for route in ("divisor", "core", "oracle", "all"):
