@@ -17,7 +17,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain, islice, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from . import gensums, verify
 from .systems import InvalidSystemError, gamma_A, load_system, mu_A, phi_A, psi_A
@@ -36,14 +38,19 @@ MAX_TERMS = 10**7
 # 2.9-3.4 s at the cap under D, U and MIX (CPython 3.11, x86-64)
 MAX_RMAX = 3000
 
-# JSON and CSV rows are written as they are made, but `--what cA` keeps one
-# column list per modulus, plain output keeps every row for its width pass,
-# and `main` holds the whole output text until the command succeeds. At the
-# cap a fresh process took 0.4-1.2 s and 36-38 MB peak RSS for a square
-# `--what cA` table as JSON (1.6-2.6 s and 51 MB as plain), and 2.5-4.0 s and
-# 61 MB for one column per modulus as JSON (--nmax 1, under U; 4.8-5.0 s and
-# 79 MB as plain) (CPython 3.11, x86-64)
+# JSON and CSV rows become text one chunk at a time, but `--what cA` keeps
+# one column list per modulus, plain output keeps every row for its width
+# pass, and `main` holds every chunk's text until the command succeeds. At
+# the cap a fresh process took, for a square `--what cA` table under MIX,
+# 0.3 s and 28 MB peak RSS as JSON, 0.45-0.5 s and 22 MB as CSV, and
+# 1.1-1.4 s and 45 MB as plain; for one column per modulus (--nmax 1, under
+# U) 4.0-4.5 s and 52 MB as JSON, 3.3-3.9 s and 46 MB as CSV, and 3.3-5.0 s
+# and 70 MB as plain (CPython 3.11, x86-64)
 MAX_TABLE_ROWS = 2**18
+
+# rows per emitted text: JSON and CSV take the all-int check and the write
+# once per chunk, and `main` holds one string per chunk
+CHUNK_ROWS = 4096
 
 # the oracle and all routes sum r floating-point terms, each after a scan of
 # A(r): the slowest r below the cap, 83160 and 98280, took 0.55 s in a fresh
@@ -101,35 +108,59 @@ def _csv_cell(v):
     return v if type(v) is int or isinstance(v, str) else format_value(v)
 
 
-def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str, out) -> None:
-    """Write `rows` under `header` to `out` as JSON lines, CSV or plain text.
+def _chunks(items: Iterable) -> Iterator[list]:
+    items = iter(items)
+    while chunk := list(islice(items, CHUNK_ROWS)):
+        yield chunk
 
-    JSON and CSV write each row as it arrives, so `rows` may be a generator;
-    only plain output consumes every row before writing, to pad its columns.
+
+def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterator[str]:
+    """The text of `rows` under `header` as JSON lines, CSV or plain text,
+    one string per chunk of CHUNK_ROWS rows.
+
+    JSON and CSV take each chunk as it arrives, so `rows` may be a generator;
+    only plain output consumes every row before its first text, to pad its
+    columns. A chunk whose cells are all exact ints is written as it is;
+    any other first passes each cell through `_json_cell` or `_csv_cell`.
     A JSON line is byte-identical to `json.dumps(dict(zip(header, row)))`
     after the cell rules of `_json_cell`.
     """
-    if fmt == "json":
-        # one %-template per header: each key quoted once, its own % escaped
-        fields = (json.dumps(k).replace("%", "%%") + ": %s" for k in header)
-        template = "{" + ", ".join(fields) + "}\n"
-        write = out.write
-        for row in rows:
-            write(template % tuple(map(_json_cell, row)))
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(map(_csv_cell, row))
-    else:
+    if fmt == "plain":
         rows = list(rows)
         widths = [
             max(len(h), *(len(format_value(r[i])) for r in rows)) if rows else len(h)
             for i, h in enumerate(header)
         ]
-        for row in [header, *rows]:
-            cells = (format_value(v).ljust(w) for v, w in zip(row, widths))
-            out.write("  ".join(cells).rstrip() + "\n")
+        lines = (
+            "  ".join(format_value(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n"
+            for row in chain([header], rows)
+        )
+        yield from map("".join, _chunks(lines))
+        return
+    if fmt == "json":
+        # one %-template per header: each key quoted once, its own % escaped
+        fields = (json.dumps(k).replace("%", "%%") + ": %s" for k in header)
+        template = "{" + ", ".join(fields) + "}\n"
+        cell = _json_cell
+
+        def text(chunk):
+            return "".join(map(template.__mod__, map(tuple, chunk)))
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        cell = _csv_cell
+
+        def text(chunk):
+            buf.seek(0)
+            buf.truncate()
+            writer.writerows(chunk)
+            return buf.getvalue()
+
+        yield text([header])
+    for chunk in _chunks(rows):
+        if not set(map(type, chain.from_iterable(chunk))) <= {int}:
+            chunk = [tuple(map(cell, row)) for row in chunk]
+        yield text(chunk)
 
 
 def _cmd_c(args) -> list:
@@ -157,11 +188,11 @@ def _cmd_table(args) -> list:
         raise ValueError(f"table must have at most {MAX_TABLE_ROWS} rows, got {n_rows}")
     system = load_system(args.system)
     if args.what == "cA":
-        columns = [gensums.c_A_column(system, r, n_max) for r in range(1, args.rmax + 1)]
-        rows = (
-            (n, r, column[n - 1])
+        moduli = range(1, args.rmax + 1)
+        columns = [gensums.c_A_column(system, r, n_max) for r in moduli]
+        rows = chain.from_iterable(
+            zip(repeat(n), moduli, map(itemgetter(n - 1), columns))
             for n in range(1, n_max + 1)
-            for r, column in enumerate(columns, 1)
         )
         return [(["n", "r", "value"], rows, True)]
     fn = {"phiA": phi_A, "psiA": psi_A, "gammaA": gamma_A, "muA": mu_A}[args.what]
@@ -231,18 +262,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # the text is held until every table is written, so a failed run prints nothing
-    buf = io.StringIO()
+    # the chunk texts are held until every table is made, so a failed run
+    # prints nothing
+    texts = []
     passed = True
     try:
         for header, rows, ok in args.func(args):
-            _emit_rows(header, rows, args.format, buf)
+            texts.extend(_emit_rows(header, rows, args.format))
             passed &= ok
         if args.output:
             with open(args.output, "w") as fh:
-                fh.write(buf.getvalue())
+                fh.writelines(texts)
         else:
-            sys.stdout.write(buf.getvalue())
+            sys.stdout.writelines(texts)
     except InvalidSystemError as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)

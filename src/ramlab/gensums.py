@@ -8,6 +8,11 @@ prime power p^a of type t it is
 
     c_A(n, p^a) = p^a [p^a | n] - p^(a-t) [p^(a-t) | n].
 
+`c_A` multiplies these local factors for one n. `c_A_column` builds each
+factor as a list periodic in n mod p^a and multiplies the lists entrywise
+into one period of c_A(., r), so a column costs omega(r) list products of
+length min(r, n_max) and no Python-level call per n.
+
 Three independent routes stay as the references the kernel is checked
 against. Route 1 (divisor form): sum over d in A(r) with d | n of
 d * mu_A(r/d). Route 2 (core form): sum of classical c(n, d) over d | r
@@ -25,7 +30,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
 from math import floor
+from operator import mul
 from typing import Union
 
 from .arith import divisors, ramanujan_c
@@ -54,8 +61,8 @@ Numeric = Union[int, Fraction, float]
 
 
 def _kernel_value(local: tuple, n: int) -> int:
-    # local is prime_power_types(system, r); plain names unpack faster than
-    # a starred target in this, the table's hot loop
+    # local is prime_power_types(system, r); `c_A`'s one value, the product
+    # of the local factors that `c_A_column` builds as periodic lists
     out = 1
     for _, _, _, high, low in local:
         if n % low:
@@ -75,12 +82,23 @@ def c_A_column(system: RegularSystem, r: int, n_max: int) -> list[int]:
     """[c_A(n, r) for n = 1..n_max], factorizing r once.
 
     c_A(n, r) depends on n only through n mod r, so one period
-    n = 1..min(r, n_max) is evaluated and repeated.
+    n = 1..m, m = min(r, n_max), is built and repeated. The period is the
+    product of the local factors, each periodic in n mod p^a: p^a - p^(a-t)
+    where p^a | n, -p^(a-t) where only p^(a-t) | n, 0 otherwise. Each factor
+    is built over its first min(p^a, m) values, where p^a itself is the one
+    multiple of p^a if it is reached, and cycled along the period.
     """
     if r < 1:
         raise ValueError(f"c_A_column requires r >= 1, got r={r}")
-    local = prime_power_types(system, r)
-    period = [_kernel_value(local, n) for n in range(1, min(r, n_max) + 1)]
+    m = min(r, n_max)
+    period = [1] * m
+    for _, _, _, high, low in prime_power_types(system, r):
+        size = min(high, m)
+        factor = [0] * size
+        factor[low - 1::low] = [-low] * (size // low)
+        if size == high:
+            factor[-1] = high - low
+        period = list(map(mul, period, cycle(factor)))
     repeats, rest = divmod(n_max, r)
     return period * repeats + period[:rest]
 

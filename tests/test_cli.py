@@ -183,7 +183,7 @@ class TestCommandTable:
         # rows may be a generator: count what the emitter would iterate
         monkeypatch.setattr(
             cli, "_emit_rows",
-            lambda header, rows, fmt, out: emitted.append(sum(1 for _ in rows)),
+            lambda header, rows, fmt: emitted.append(sum(1 for _ in rows)) or [],
         )
         code, _, _ = run(capsys, "table", *argv)
         assert code == EXIT_OK
@@ -558,17 +558,41 @@ class TestEmitterOracle:
     @settings(max_examples=300, deadline=None)
     def test_json_matches_dict_dumps(self, table):
         header, rows = table
-        out = io.StringIO()
-        cli._emit_rows(header, iter(rows), "json", out)
-        assert out.getvalue() == _json_oracle(header, rows)
+        assert "".join(cli._emit_rows(header, iter(rows), "json")) == _json_oracle(header, rows)
 
     @given(_tables())
     @settings(max_examples=300, deadline=None)
     def test_csv_matches_format_value(self, table):
         header, rows = table
-        out = io.StringIO()
-        cli._emit_rows(header, iter(rows), "csv", out)
-        assert out.getvalue() == _csv_oracle(header, rows)
+        assert "".join(cli._emit_rows(header, iter(rows), "csv")) == _csv_oracle(header, rows)
+
+    @pytest.mark.parametrize("row_type", [tuple, list])
+    @pytest.mark.parametrize("fmt, oracle", [("json", _json_oracle), ("csv", _csv_oracle)],
+                             ids=["json", "csv"])
+    def test_chunks_switch_between_int_and_cell_paths(self, fmt, oracle, row_type):
+        # an all-int chunk, a chunk holding one cell of each other kind, then
+        # ints again past the third chunk boundary
+        header = ['say "hi"', "100%", "%s"]
+        size = cli.CHUNK_ROWS
+        rows = [(n, -n, n * 2**70) for n in range(3 * size + 5)]
+        rows[size + 7] = (True, Fraction(-3, 4), 2.5)
+        rows[2 * size - 1] = ('a "b", %s', Fraction(6), False)
+        rows = [row_type(row) for row in rows]
+        texts = list(cli._emit_rows(header, iter(rows), fmt))
+        assert len(texts) == 4 + (fmt == "csv")  # csv's header is its own text
+        assert "".join(texts) == oracle(header, rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_refusal_after_first_chunk_prints_nothing(self, capsys, tmp_path, fmt):
+        # 2^13 is refused at r = 8192, in the second chunk of phiA rows
+        spec = tmp_path / "a12.json"
+        spec.write_text(json.dumps({"a_max": 12, "types": [{"p": 2, "a": 2, "t": 1}]}))
+        assert 8192 > cli.CHUNK_ROWS
+        code, out, err = run(capsys, "table", "--what", "phiA", "--system", str(spec),
+                             "--rmax", "9000", "--format", fmt)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "2^13 exceeds declared exponent bound 12" in err
 
 
 class TestErrorsAndPlumbing:

@@ -8,6 +8,7 @@ mu_A, phi_A, psi_A, gamma_A and the partial sum c_A_sum with definitions
 built directly from A(r).
 """
 
+import time
 from math import prod
 
 import pytest
@@ -18,6 +19,8 @@ from ramlab.arith import divisors, factorize, primes_up_to
 from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor, c_A_sum
 from ramlab.systems import (
     DIRICHLET,
+    MIX,
+    UNITARY,
     ExponentOutOfScopeError,
     InvalidSystemError,
     RegularSystem,
@@ -106,6 +109,34 @@ def test_column_repeats_one_period(spec, data):
         lengths.append(k * r + data.draw(st.integers(1, r - 1), label="rest"))
     for n_max in lengths:
         assert c_A_column(system, r, n_max) == [c_A(system, n, r) for n in range(1, n_max + 1)]
+
+
+BIG_PRIME = 999999999989  # the largest prime below 10^12
+
+
+@pytest.mark.parametrize(
+    "system, r, n_max",
+    [
+        (system, r, n_max)
+        for system in (DIRICHLET, UNITARY, MIX)
+        for r, n_max in (
+            (2**40, 5),
+            (3**25, 5),
+            (BIG_PRIME, 5),
+            (2**3 * BIG_PRIME, 20),
+            (2**16 * 3**20, 12),
+        )
+        if not (system is MIX and r == 2**40)  # MIX refuses 2^17 and above
+    ],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_column_far_below_its_prime_powers(system, r, n_max):
+    # n_max far below p^a: each local factor is built over n_max values, so
+    # the column takes no time and memory of order p^a
+    expected = [c_A_divisor(system, n, r) for n in range(1, n_max + 1)]
+    start = time.perf_counter()
+    assert c_A_column(system, r, n_max) == expected
+    assert time.perf_counter() - start < 0.5
 
 
 def test_kernel_rejects_invalid_system():
