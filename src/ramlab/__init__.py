@@ -1,14 +1,7 @@
 """Regular divisor systems, generalized Ramanujan sums, and exact mean
 values of even arithmetic functions."""
 
-from .arith import (
-    divisors,
-    euler_phi,
-    factorize,
-    moebius,
-    ramanujan_c,
-    sigma,
-)
+from .arith import divisors, factorize, moebius, ramanujan_c
 from .even import (
     EvenFunction,
     FourierCoeffs,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, count
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -16,8 +16,6 @@ __all__ = [
     "primes_up_to",
     "factorize",
     "divisors",
-    "euler_phi",
-    "sigma",
     "moebius",
     "moebius_sieve",
     "ramanujan_c",
@@ -48,7 +46,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     m = n
     factors = []
-    for p in _SMALL_PRIMES:
+    # past the table, every odd number is tried: a composite one never
+    # divides m, whose smaller primes are already divided out
+    for p in chain(_SMALL_PRIMES, count(_SMALL_PRIMES[-1] + 2, 2)):
         if p * p > m:
             break
         if m % p == 0:
@@ -57,17 +57,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 a += 1
             factors.append((p, a))
-    if m > 1 and m > _SMALL_PRIMES[-1] ** 2:
-        # continue past the small-prime table
-        p = _SMALL_PRIMES[-1] + 2
-        while p * p <= m:
-            if m % p == 0:
-                a = 0
-                while m % p == 0:
-                    m //= p
-                    a += 1
-                factors.append((p, a))
-            p += 2
     if m > 1:
         factors.append((m, 1))
     return tuple(factors)
@@ -80,23 +69,6 @@ def divisors(n: int) -> tuple[int, ...]:
     for p, a in factorize(n):
         divs = [d * p**i for d in divs for i in range(a + 1)]
     return tuple(sorted(divs))
-
-
-@lru_cache(maxsize=4096)
-def euler_phi(n: int) -> int:
-    """Euler totient, multiplicative with phi(p^a) = p^a - p^(a-1)."""
-    out = 1
-    for p, a in factorize(n):
-        out *= p**a - p ** (a - 1)
-    return out
-
-
-def sigma(n: int) -> int:
-    """Sum of the positive divisors of n."""
-    out = 1
-    for p, a in factorize(n):
-        out *= (p ** (a + 1) - 1) // (p - 1)
-    return out
 
 
 def moebius(n: int) -> int:

@@ -35,7 +35,8 @@ FORMATS = ("json", "csv", "plain")
 MAX_TERMS = 10**7
 
 # prop3's diagonal rows cost sum r <= rmax^2/2 kernel values: `verify all` took
-# 2.9-3.4 s at the cap under D, U and MIX (CPython 3.11, x86-64)
+# 1.5-1.8 s and 30 MB peak RSS at the cap under D, U and MIX, three fresh
+# processes each (CPython 3.11, x86-64 Xeon, 2 vCPUs)
 MAX_RMAX = 3000
 
 # JSON and CSV rows become text one chunk at a time, but `--what cA` keeps
@@ -103,11 +104,6 @@ def _json_cell(v):
     return json.dumps(v)
 
 
-def _csv_cell(v):
-    # the csv writer prints an int as str(v), which is format_value(v)
-    return v if type(v) is int or isinstance(v, str) else format_value(v)
-
-
 def _chunks(items: Iterable) -> Iterator[list]:
     items = iter(items)
     while chunk := list(islice(items, CHUNK_ROWS)):
@@ -121,7 +117,7 @@ def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterato
     JSON and CSV take each chunk as it arrives, so `rows` may be a generator;
     only plain output consumes every row before its first text, to pad its
     columns. A chunk whose cells are all exact ints is written as it is;
-    any other first passes each cell through `_json_cell` or `_csv_cell`.
+    any other first passes each cell through `_json_cell` or `format_value`.
     A JSON line is byte-identical to `json.dumps(dict(zip(header, row)))`
     after the cell rules of `_json_cell`.
     """
@@ -148,7 +144,7 @@ def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterato
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        cell = _csv_cell
+        cell = format_value
 
         def text(chunk):
             buf.seek(0)

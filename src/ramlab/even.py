@@ -155,13 +155,6 @@ class FourierCoeffs:
     def coeff(self, q: int) -> Scalar:
         return self.coeff_map[q]
 
-    def reconstruct(self) -> EvenFunction:
-        """The A-even function n -> sum_{d in A(r)} h(d) c_A(n, d)."""
-        def value(n: int) -> Scalar:
-            return sum(hd * gensums.c_A(self.system, n, d) for d, hd in self.h)
-
-        return EvenFunction.from_callable(self.r, value, self.system)
-
 
 def inner_product(f: EvenFunction, g: EvenFunction) -> Scalar:
     """(1/r) sum_{d|r} phi(d) f(r/d) conj(g(r/d)), the mean of f conj(g)."""

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .arith import divisors, euler_phi, moebius_sieve, sigma
+from .arith import divisors, moebius_sieve
 from .even import (
     EvenFunction,
     c_A_even,
@@ -28,7 +28,7 @@ from .even import (
     progression_totient_even,
 )
 from .gensums import PartialSumReport, c_A_column, partial_sum_cA
-from .systems import RegularSystem, divisor_set, gamma_A, gcd_A
+from .systems import DIRICHLET, RegularSystem, divisor_set, gamma_A, gcd_A, phi_A
 
 # the cap on p^t, the witness prime power in `additive_closure_witness`. Its
 # checks read the t + 3 divisors of p and p^t and make two gcd_A calls per
@@ -67,7 +67,7 @@ def mean_product_exact(system: RegularSystem, r: int, s: int) -> int:
         raise ValueError(f"mean_product_exact requires r, s >= 1, got r={r}, s={s}")
     gr, gs = gamma_A(system, r), gamma_A(system, s)
     return sum(
-        euler_phi(d) for d in divisors(gcd(r, s)) if d % gr == 0 and d % gs == 0
+        phi_A(DIRICHLET, d) for d in divisors(gcd(r, s)) if d % gr == 0 and d % gs == 0
     )
 
 
@@ -268,7 +268,7 @@ def expansion_demo(n: int, terms: int) -> ExpansionResult:
     for d in divs:
         total += at_cut[terms // d] / d
     truncated = (math.pi**2 / 6) * total
-    target = sigma(n) / n
+    target = sum(divs) / n
     return ExpansionResult(n, terms, truncated, target, abs(truncated - target))
 
 

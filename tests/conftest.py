@@ -1,6 +1,11 @@
+from math import prod
+
 import pytest
 from hypothesis import strategies as st
 
+from ramlab.arith import factorize
+from ramlab.even import EvenFunction
+from ramlab.gensums import c_A
 from ramlab.systems import DIRICHLET, MIX, UNITARY, system_from_dict
 
 # unitary-default with one non-trivial table entry: types at 5 are
@@ -68,3 +73,25 @@ def valid_specs(draw):
             if t != DEFAULT_TYPE[default](a) or draw(st.booleans()):
                 entries.append({"p": p, "a": a, "t": t})
     return {"kind": "custom", "default": default, "a_max": a_max, "types": entries}
+
+
+# Test-side oracles. The package computes phi as phi_A under D and sigma(n)
+# as sum(divisors(n)); these are the classical per-prime formulas.
+def euler_phi(n):
+    """Euler totient, multiplicative with phi(p^a) = p^a - p^(a-1)."""
+    return prod(p**a - p ** (a - 1) for p, a in factorize(n))
+
+
+def sigma(n):
+    """Sum of the positive divisors of n, multiplicative with
+    sigma(p^a) = (p^(a+1) - 1) / (p - 1)."""
+    return prod((p ** (a + 1) - 1) // (p - 1) for p, a in factorize(n))
+
+
+def reconstruct(coeffs):
+    """The A-even function n -> sum_{d in A(r)} h(d) c_A(n, d) that the
+    `FourierCoeffs` describe, tagged with the system they were computed in."""
+    def value(n):
+        return sum(hd * c_A(coeffs.system, n, d) for d, hd in coeffs.h)
+
+    return EvenFunction.from_callable(coeffs.r, value, coeffs.system)

@@ -13,7 +13,7 @@ from math import gcd, lcm, pi
 import numpy as np
 import pytest
 
-from ramlab.arith import divisors, euler_phi, moebius, ramanujan_c, sigma
+from ramlab.arith import divisors, moebius, ramanujan_c
 from ramlab.even import (
     EvenFunction,
     fourier_coeffs,
@@ -32,6 +32,8 @@ from ramlab.verify import (
     mean_product_exact,
     mean_value_check,
 )
+
+from conftest import euler_phi, reconstruct, sigma
 
 SYSTEMS = [("D", DIRICHLET), ("U", UNITARY), ("MIX", MIX)]
 
@@ -193,6 +195,6 @@ def test_criterion_9_hilbert_space_suite():
             r, lambda d: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         )
         coeffs = fourier_coeffs(f)  # both coefficient formulas compared internally
-        assert coeffs.reconstruct().value_map == {d: Fraction(v) for d, v in f.values}, r
+        assert reconstruct(coeffs).value_map == {d: Fraction(v) for d, v in f.values}, r
         assert mean_value(f) == coeffs.coeff(1), r
     _report(9, "orthogonality and Fourier round trip exact for all r <= 200")

@@ -1,5 +1,5 @@
 import cmath
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from ramlab.arith import (
     divisors,
-    euler_phi,
     factorize,
     moebius,
     moebius_sieve,
     primes_up_to,
     ramanujan_c,
-    sigma,
 )
 from ramlab.gensums import c_A_oracle
-from ramlab.systems import DIRICHLET
+from ramlab.systems import DIRICHLET, phi_A
+
+from conftest import euler_phi, sigma
 
 
 def linear_moebius_sieve(limit: int) -> list[int]:
@@ -42,6 +42,26 @@ def linear_moebius_sieve(limit: int) -> list[int]:
     return mu
 
 
+def is_prime(p: int) -> bool:
+    # trial division by every d <= sqrt(p), independent of `factorize`
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def assert_factorization(n: int) -> None:
+    # n is the product, the primes increase, each p is prime and p^a is
+    # the exact power of p in n: a loop that stops early and appends a
+    # composite remainder fails here
+    prod = 1
+    prev = 0
+    for p, a in factorize(n):
+        assert p > prev and a >= 1
+        assert is_prime(p), (n, p)
+        assert n % p**a == 0 and n % p ** (a + 1) != 0, (n, p, a)
+        prod *= p**a
+        prev = p
+    assert prod == n
+
+
 class TestFactorize:
     def test_one(self):
         assert factorize(1) == ()
@@ -63,13 +83,23 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10**9))
     @settings(max_examples=100, deadline=None)
     def test_reconstructs(self, n):
-        prod = 1
-        prev = 0
-        for p, a in factorize(n):
-            assert p > prev and a >= 1
-            prod *= p**a
-            prev = p
-        assert prod == n
+        assert_factorization(n)
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            # around the end of the small-prime table, 997 < 1000 < 1009
+            (997**2, ((997, 2),)),
+            (997 * 1009, ((997, 1), (1009, 1))),
+            (1009**2, ((1009, 2),)),
+            (991 * 997 * 1009 * 1013, ((991, 1), (997, 1), (1009, 1), (1013, 1))),
+            # a semiprime near 10^10, both factors past the table
+            (99991 * 100003, ((99991, 1), (100003, 1))),
+        ],
+    )
+    def test_past_the_small_prime_table(self, n, expected):
+        assert factorize(n) == expected
+        assert_factorization(n)
 
 
 class TestDivisors:
@@ -87,19 +117,22 @@ class TestDivisors:
 
 
 class TestClassicalFunctions:
+    # phi is phi_A under D and sigma(n) is sum(divisors(n)); the tests'
+    # per-prime formulas `euler_phi` and `sigma` are checked beside them
     def test_examples(self):
-        assert euler_phi(1) == 1
-        assert euler_phi(4) == 2
-        assert euler_phi(12) == sum(1 for k in range(1, 13) if gcd(k, 12) == 1) == 4
-        assert (sigma(6), moebius(6)) == (12, 1)
-        assert (sigma(1), moebius(1)) == (1, 1)
+        assert phi_A(DIRICHLET, 1) == 1
+        assert phi_A(DIRICHLET, 4) == 2
+        assert phi_A(DIRICHLET, 12) == sum(1 for k in range(1, 13) if gcd(k, 12) == 1) == 4
+        assert (sum(divisors(6)), moebius(6)) == (12, 1)
+        assert (sum(divisors(1)), moebius(1)) == (1, 1)
         assert moebius(12) == 0
 
     def test_direct_enumeration_small(self):
         for n in range(1, 2001):
             divs = [d for d in range(1, n + 1) if n % d == 0]
-            assert sigma(n) == sum(divs)
-            assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+            assert sum(divisors(n)) == sigma(n) == sum(divs)
+            phi = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+            assert phi_A(DIRICHLET, n) == euler_phi(n) == phi
 
     def test_sieve_oracle_10k(self):
         limit = 10**4
@@ -108,7 +141,7 @@ class TestClassicalFunctions:
             for m in range(d, limit + 1, d):
                 sig[m] += d
         for n in range(1, limit + 1):
-            assert sigma(n) == sig[n]
+            assert sum(divisors(n)) == sigma(n) == sig[n]
 
     def test_moebius_sieve_matches(self):
         mu = moebius_sieve(10**4)
@@ -136,7 +169,7 @@ class TestClassicalFunctions:
     def test_multiplicative(self, m, n):
         if gcd(m, n) != 1:
             return
-        for f in (euler_phi, sigma, moebius):
+        for f in (lambda k: phi_A(DIRICHLET, k), lambda k: sum(divisors(k)), moebius):
             assert f(m * n) == f(m) * f(n)
 
 

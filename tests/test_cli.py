@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramlab import cli, even, gensums, verify
-from ramlab.arith import euler_phi
 from ramlab.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -23,6 +22,8 @@ from ramlab.cli import (
 from ramlab.gensums import PartialSumReport
 from ramlab.systems import MIX, UNITARY
 from ramlab.verify import OrthogonalityReport
+
+from conftest import euler_phi
 
 
 def run(capsys, *argv):

@@ -85,21 +85,53 @@ ENTRY_POINTS = {
 }
 
 
-def test_every_exported_name_has_a_caller():
-    # a Name or Attribute reading the name anywhere in src/ outside the
-    # top-level definition that binds it; imports and __all__ strings do not
-    # count, so re-exporting a name is no caller
+def _referenced() -> set[str]:
+    # each Name or Attribute read anywhere in src/ outside the definition
+    # that binds it: a top-level statement, or a member of a top-level
+    # class; imports and __all__ strings do not count, so re-exporting a
+    # name is no caller, and neither is a method calling itself
     referenced = set()
     for stem in MODULES + ["__init__"]:
         for top in _tree(stem).body:
-            used = {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
-            used |= {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)}
-            referenced |= used - {getattr(top, "name", None)}
-    exported = {
-        name for stem in MODULES
-        for name in getattr(importlib.import_module(f"ramlab.{stem}"), "__all__", ())
+            units = [top]
+            if isinstance(top, ast.ClassDef):
+                units = [*top.bases, *top.decorator_list, *top.body]
+            for unit in units:
+                used = {node.id for node in ast.walk(unit) if isinstance(node, ast.Name)}
+                used |= {node.attr for node in ast.walk(unit) if isinstance(node, ast.Attribute)}
+                referenced |= used - {getattr(unit, "name", None), getattr(top, "name", None)}
+    return referenced
+
+
+def _exported() -> dict[str, list[str]]:
+    return {
+        stem: list(getattr(importlib.import_module(f"ramlab.{stem}"), "__all__", ()))
+        for stem in MODULES
     }
-    assert exported - referenced == ENTRY_POINTS
+
+
+def test_every_exported_name_has_a_caller():
+    exported = {name for names in _exported().values() for name in names}
+    assert exported - _referenced() == ENTRY_POINTS
+
+
+def test_every_public_method_of_an_exported_class_has_a_caller():
+    # the same rule one level down: a public method or property of an
+    # exported class needs an attribute read of its name in src/, so a
+    # method only the tests call lives in the tests
+    referenced = _referenced()
+    uncalled = []
+    for stem, names in _exported().items():
+        for top in _tree(stem).body:
+            if isinstance(top, ast.ClassDef) and top.name in names:
+                uncalled += [
+                    f"{stem}.{top.name}.{item.name}"
+                    for item in top.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and item.name not in referenced
+                ]
+    assert uncalled == []
 
 
 def test_package_namespace_reexports_public_names():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ramlab.arith import divisors, euler_phi, factorize, primes_up_to, sigma
+from ramlab.arith import divisors, factorize, primes_up_to
 from ramlab.systems import (
     DIRICHLET,
     MIX,
@@ -32,7 +32,7 @@ from ramlab.systems import (
 )
 from ramlab.verify import MAX_WITNESS_WORK, additive_closure_witness
 
-from conftest import CUSTOM_OK, PRIMES, valid_specs
+from conftest import CUSTOM_OK, PRIMES, euler_phi, sigma, valid_specs
 
 
 class TestValidate:

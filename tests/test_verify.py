@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlab.arith import divisors, euler_phi, sigma
+from ramlab.arith import divisors
 from ramlab.even import EvenFunction, c_A_even, partial_sum_even
 from ramlab.gensums import PartialSumReport, c_A_divisor
 from ramlab.systems import (
@@ -32,7 +32,7 @@ from ramlab.verify import (
     orthogonality_report,
 )
 
-from conftest import SPEC_A, SPEC_B, valid_specs
+from conftest import SPEC_A, SPEC_B, euler_phi, sigma, valid_specs
 from test_arith import linear_moebius_sieve
 
 
