@@ -22,14 +22,22 @@ __all__ = [
 ]
 
 
-def primes_up_to(limit: int) -> Iterator[int]:
-    """The primes p <= limit, increasing, read lazily (sieve of Eratosthenes)."""
+def _prime_flags(limit: int) -> bytearray:
+    """flags[m] = 1 if m is prime else 0, for 0 <= m <= limit (sieve of
+    Eratosthenes)."""
     flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
+    flags[:2] = bytes(min(limit + 1, 2))
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return compress(range(limit + 1), flags)
+    return flags
+
+
+def primes_up_to(limit: int) -> Iterator[int]:
+    """The primes p <= limit, increasing, read lazily."""
+    if limit < 0:
+        raise ValueError(f"primes_up_to requires limit >= 0, got {limit}")
+    return compress(range(limit + 1), _prime_flags(limit))
 
 
 _SMALL_PRIMES = list(primes_up_to(1000))
@@ -83,20 +91,41 @@ def moebius(n: int) -> int:
 
 # swaps the bytes of 1 and -1, keeps 0
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+# a prime flag 1 becomes -1, a flag 0 becomes 1
+_PRIME_SIGN = bytes.maketrans(b"\x01\x00", b"\xff\x01")
 
 
 def moebius_sieve(limit: int) -> array:
     """Moebius values mu[0..limit] as signed bytes (mu[0] = 0), one byte per
     entry: mu[m] is the int -1, 0 or 1.
 
-    Each prime p negates every multiple of p and, up to sqrt(limit), zeroes
-    every multiple of p^2, one C-level slice pass each."""
-    mu = bytearray([1]) * (limit + 1)
+    With s = isqrt(limit), every m starts at -1 if prime, else 1. A prime
+    q > s divides m <= limit at most once, as m = j*q with j < q, so for
+    each j = 2..limit//(s+1) one strided pass writes the prime signs of
+    s+1..limit//j over the multiples j*(s+1)..limit of j. Taking j in
+    increasing order never overwrites a -1 that a smaller j' wrote for a
+    prime q > s: j*m = j'*q with j' < j gives m < q, and q | j*m with
+    j <= s < q gives q | m, which no 0 < m < q allows. Then each prime p <= s
+    negates its multiples from 2p and zeroes the multiples of p^2: fewer
+    than 2*sqrt(limit) C-level slice passes in all, not one per prime."""
+    if limit < 0:
+        raise ValueError(f"moebius_sieve requires limit >= 0, got {limit}")
+    root = isqrt(limit)
+    flags = _prime_flags(limit)
+    small = list(compress(range(root + 1), flags))
+    mu = flags.translate(_PRIME_SIGN)
+    del flags
     mu[0] = 0
-    for p in primes_up_to(limit):
-        mu[p::p] = mu[p::p].translate(_NEGATE)
-        if p * p <= limit:
-            mu[p * p :: p * p] = bytes(limit // (p * p))
+    lo = root + 1
+    # the signs of lo..limit//2 as they are before any pass writes there
+    signs = mu[lo : limit // 2 + 1]
+    for j in range(2, limit // lo + 1):
+        hi = limit // j
+        mu[j * lo : j * hi + 1 : j] = signs[: hi - lo + 1]
+    del signs
+    for p in small:
+        mu[2 * p :: p] = mu[2 * p :: p].translate(_NEGATE)
+        mu[p * p :: p * p] = bytes(limit // (p * p))
     return array("b", mu)
 
 

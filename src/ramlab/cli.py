@@ -31,7 +31,8 @@ EXIT_MISMATCH = 2
 FORMATS = ("json", "csv", "plain")
 
 # `expansion` holds one Moebius sieve of --terms signed bytes: 45 MB peak RSS
-# and 1.6-2.4 s at the cap in a fresh process (CPython 3.11, x86-64)
+# and 1.6-2.2 s at the cap (`expansion 720720`), three fresh processes
+# (CPython 3.11, x86-64)
 MAX_TERMS = 10**7
 
 # prop3's diagonal rows cost sum r <= rmax^2/2 kernel values: `verify all` took
@@ -44,9 +45,9 @@ MAX_RMAX = 3000
 # pass, and `main` holds every chunk's text until the command succeeds. At
 # the cap a fresh process took, for a square `--what cA` table under MIX,
 # 0.3 s and 28 MB peak RSS as JSON, 0.45-0.5 s and 22 MB as CSV, and
-# 1.1-1.4 s and 45 MB as plain; for one column per modulus (--nmax 1, under
-# U) 4.0-4.5 s and 52 MB as JSON, 3.3-3.9 s and 46 MB as CSV, and 3.3-5.0 s
-# and 70 MB as plain (CPython 3.11, x86-64)
+# 1.25-1.3 s and 43 MB as plain; for one column per modulus (--nmax 1, under
+# U) 4.0-4.5 s and 52 MB as JSON, 3.3-3.9 s and 46 MB as CSV, and 4.9-5.2 s
+# and 69 MB as plain (CPython 3.11, x86-64)
 MAX_TABLE_ROWS = 2**18
 
 # rows per emitted text: JSON and CSV take the all-int check and the write
@@ -110,6 +111,15 @@ def _chunks(items: Iterable) -> Iterator[list]:
         yield chunk
 
 
+def _plain_width(name: str, column: list) -> int:
+    # an exact int's text is longest at the column's max or min, so the cells
+    # of an all-int column are formatted only once, in their lines; bools
+    # print true/false and take the general pass
+    if column and all(type(v) is int for v in column):
+        column = [max(column), min(column)]
+    return max([len(name), *map(len, map(format_value, column))])
+
+
 def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterator[str]:
     """The text of `rows` under `header` as JSON lines, CSV or plain text,
     one string per chunk of CHUNK_ROWS rows.
@@ -123,10 +133,7 @@ def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterato
     """
     if fmt == "plain":
         rows = list(rows)
-        widths = [
-            max(len(h), *(len(format_value(r[i])) for r in rows)) if rows else len(h)
-            for i, h in enumerate(header)
-        ]
+        widths = [_plain_width(h, [r[i] for r in rows]) for i, h in enumerate(header)]
         lines = (
             "  ".join(format_value(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n"
             for row in chain([header], rows)

@@ -14,6 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
@@ -248,20 +249,22 @@ def expansion_demo(n: int, terms: int) -> ExpansionResult:
 
     Regrouped by the divisor form: sum_{r<=R} c(n,r)/r^2 =
     sum_{d|n} (1/d) sum_{m<=R/d} mu(m)/m^2, term for term the same
-    truncation. One pass over the Moebius sieve keeps the running sum of
-    mu(m)/m^2 only at the cut points R/d."""
+    truncation. One pass over the Moebius sieve visits only the squarefree
+    m, adding mu(m)/m^2 in increasing m, and keeps the running sum only at
+    the cut points R/d."""
     if n < 1 or terms < 1:
         raise ValueError(f"expansion_demo requires n, terms >= 1, got n={n}, terms={terms}")
     divs = divisors(n)
     mu = moebius_sieve(terms)
     at_cut = {}
-    acc, done = 0.0, 0
+    acc, lo = 0.0, 1
     for cut in sorted({terms // d for d in divs}):
-        for m in range(done + 1, cut + 1):
-            if mu[m]:
-                acc += mu[m] / (m * m)
+        # a view, not a copy: the selectors and the signs of m in [lo, cut]
+        signs = memoryview(mu)[lo : cut + 1]
+        for m, s in zip(compress(range(lo, cut + 1), signs), filter(None, signs)):
+            acc += s / (m * m)
         at_cut[cut] = acc
-        done = cut
+        lo = cut + 1
     # left to right: from CPython 3.12 on, sum() adds floats with compensation,
     # which would make the printed digits depend on the interpreter version
     total = 0.0

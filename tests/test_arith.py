@@ -149,12 +149,28 @@ class TestClassicalFunctions:
             assert mu[n] == moebius(n)
 
     def test_moebius_sieve_equals_linear_sieve(self):
-        # the slice sieve against the linear sieve it replaced; signed
-        # entries, so -1 is not read back as the byte 255
-        for limit in [*range(301), 10**5]:
+        # the slice sieve against the linear sieve it replaced, on every
+        # limit through 3000: each p^2 and p^2 +- 1 for p <= 53, and each
+        # sqrt(limit) boundary, where a prime moves from the strided
+        # passes of the primes above sqrt(limit) to the small-prime passes.
+        # Signed entries, so -1 is not read back as the byte 255
+        reference = linear_moebius_sieve(3000)
+        for limit in range(3001):
             mu = moebius_sieve(limit)
             assert mu[0] == 0
-            assert mu.tolist() == linear_moebius_sieve(limit), limit
+            assert mu.tolist() == reference[: limit + 1], limit
+        assert moebius_sieve(10**6).tolist() == linear_moebius_sieve(10**6)
+
+    @given(st.integers(min_value=0, max_value=5 * 10**4))
+    @settings(max_examples=40, deadline=None)
+    def test_moebius_sieve_equals_linear_sieve_drawn(self, limit):
+        assert moebius_sieve(limit).tolist() == linear_moebius_sieve(limit)
+
+    @pytest.mark.parametrize("limit", [-1, -2, -(10**6)])
+    def test_sieves_refuse_a_negative_limit(self, limit):
+        for fn in (moebius_sieve, primes_up_to):
+            with pytest.raises(ValueError, match=rf"^{fn.__name__} requires limit >= 0, got {limit}$"):
+                fn(limit)
 
     def test_primes_up_to(self):
         for limit in range(200):

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramlab import cli, even, gensums, verify
@@ -527,6 +527,18 @@ def _csv_oracle(header, rows):
     return out.getvalue()
 
 
+def _plain_oracle(header, rows):
+    # the plain emitter that formatted every cell twice, once for its width
+    widths = [
+        max(len(h), *(len(_format_oracle(r[i])) for r in rows)) if rows else len(h)
+        for i, h in enumerate(header)
+    ]
+    return "".join(
+        "  ".join(_format_oracle(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n"
+        for row in [header, *rows]
+    )
+
+
 TRICKY_TEXT = st.text(st.sampled_from('"\\%s\u00e9\u20ac\U0001d11ea ,\n') | st.characters(),
                       max_size=8)
 CELLS = st.one_of(
@@ -541,13 +553,22 @@ CELLS = st.one_of(
 )
 
 
+# exact ints of every sign and size, and bools, which print true/false
+INT_CELLS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-(2**64)),
+    st.booleans(),
+)
+
+
 @st.composite
-def _tables(draw):
+def _tables(draw, cells=CELLS):
     # every header carries a quote and a percent sign; its keys are unique, as
     # the dict the oracle builds has them
     extra = draw(st.lists(TRICKY_TEXT, max_size=4))
     header = list(dict.fromkeys(['say "hi"', "100%", "%s", *extra]))
-    rows = draw(st.lists(st.lists(CELLS, min_size=len(header), max_size=len(header)),
+    rows = draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)),
                          max_size=6))
     return header, rows
 
@@ -566,6 +587,14 @@ class TestEmitterOracle:
     def test_csv_matches_format_value(self, table):
         header, rows = table
         assert "".join(cli._emit_rows(header, iter(rows), "csv")) == _csv_oracle(header, rows)
+
+    @given(_tables() | _tables(cells=INT_CELLS))
+    # a bool is neither its column's max nor its min, yet its text is widest
+    @example((["b", "n"], [[True, -5], [-5, 7], [7, False]]))
+    @settings(max_examples=300, deadline=None)
+    def test_plain_matches_two_pass_widths(self, table):
+        header, rows = table
+        assert "".join(cli._emit_rows(header, iter(rows), "plain")) == _plain_oracle(header, rows)
 
     @pytest.mark.parametrize("row_type", [tuple, list])
     @pytest.mark.parametrize("fmt, oracle", [("json", _json_oracle), ("csv", _csv_oracle)],
