@@ -35,7 +35,6 @@ from .systems import (
     mu_A,
     phi_A,
     psi_A,
-    validate,
 )
 from .verify import (
     ExpansionResult,

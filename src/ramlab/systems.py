@@ -5,14 +5,15 @@ power by a "type" t dividing the exponent: A(p^a) = {1, p^t, p^2t, ..., p^a}.
 Every system is a finite type table over a default rule, type 1 (Dirichlet:
 the full divisor set) or type a (unitary divisors); D and U are the empty
 table under each rule. A declared exponent bound limits only the primes the
-table names, and every invariant is checked from the table entries alone.
+table names. Building a system checks every invariant, from the table
+entries alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count
 from math import prod
 from typing import Iterator, Sequence
@@ -27,7 +28,6 @@ __all__ = [
     "UNITARY",
     "MIX",
     "DEFAULT_A_MAX",
-    "validate",
     "prime_power_types",
     "divisor_set",
     "gcd_A",
@@ -56,7 +56,9 @@ class ExponentOutOfScopeError(ValueError):
 
 @dataclass(frozen=True)
 class RegularSystem:
-    """A system of divisor sets: a prime-power type table over a default rule."""
+    """A regular system of divisor sets: a prime-power type table over a
+    default rule. Construction validates it and raises InvalidSystemError
+    listing every offence, so every instance is regular."""
 
     types: tuple[tuple[int, int, int], ...] = ()  # (prime, exponent, type)
     default: str = "dirichlet-default"
@@ -69,22 +71,18 @@ class RegularSystem:
         for p, a, t in self.types:
             rows.setdefault(p, {}).setdefault(a, t)
         object.__setattr__(self, "_rows", rows)
-
-    @cached_property
-    def _hash(self) -> int:
-        # a cache key for every operation; lazy, so validate sees a bad a_max first
-        return hash((self.types, self.default, self.a_max, self.name))
+        violations = _violations(self)
+        if violations:
+            raise InvalidSystemError(violations)
+        # the cache key of every operation, hashed once a_max is known to be an int
+        object.__setattr__(self, "_hash", hash((self.types, self.default, self.a_max, self.name)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # pickle by fields, so the receiving process recomputes the hash
+        # pickle by fields, so the receiving process validates and rehashes
         return (type(self), (self.types, self.default, self.a_max, self.name))
-
-    @cached_property
-    def _violations(self) -> tuple[str, ...]:
-        return tuple(validate(self))
 
     def type_of(self, p: int, a: int) -> int:
         """The type t of p^a, A(p^a) = {1, p^t, ..., p^a}: the table's entry,
@@ -103,7 +101,6 @@ class RegularSystem:
         type > 1, a its smallest such exponent, of type a (p^a of type t
         forces type t at p^t): each table prime, read from its entries, and
         under the unitary default the smallest prime without an entry, a = 2."""
-        _checked(self)
         unitary = self.default == "unitary-default"
         for p, row in sorted(self._rows.items()):
             high = [a for a, t in row.items() if t > 1]
@@ -119,19 +116,11 @@ class RegularSystem:
         return self.name or "custom"
 
 
-DIRICHLET = RegularSystem(name="D")
-UNITARY = RegularSystem(default="unitary-default", name="U")
-
-# unitary behaviour at p = 2, Dirichlet everywhere else: the smallest
-# built-in system outside {D, U}
-MIX = RegularSystem(types=tuple((2, a, a) for a in range(1, DEFAULT_A_MAX + 1)), name="MIX")
-
-
 def _is_prime(p: int) -> bool:
     return factorize(p) == ((p, 1),)
 
 
-def validate(system: RegularSystem) -> list[str]:
+def _violations(system: RegularSystem) -> list[str]:
     """Check the regularity conditions; empty list means ok.
 
     Reports every violation (malformed, non-prime, out-of-bound or
@@ -142,6 +131,8 @@ def validate(system: RegularSystem) -> list[str]:
     Dirichlet default makes such links, and only p^(a+1) above an entry p^a
     can break, so the cost depends on the entries, not on a_max.
     """
+    if system.default not in ("dirichlet-default", "unitary-default"):
+        return [f"unknown default rule {system.default!r}"]
     if isinstance(system.a_max, bool) or not isinstance(system.a_max, int):
         return [f"declared exponent bound must be an integer, got {system.a_max!r}"]
     if system.a_max < 1:
@@ -183,10 +174,12 @@ def validate(system: RegularSystem) -> list[str]:
     return violations
 
 
-def _checked(system: RegularSystem) -> RegularSystem:
-    if system._violations:
-        raise InvalidSystemError(system._violations)
-    return system
+DIRICHLET = RegularSystem(name="D")
+UNITARY = RegularSystem(default="unitary-default", name="U")
+
+# unitary behaviour at p = 2, Dirichlet everywhere else: the smallest
+# built-in system outside {D, U}
+MIX = RegularSystem(types=tuple((2, a, a) for a in range(1, DEFAULT_A_MAX + 1)), name="MIX")
 
 
 # bounded: the divisor route asks for mu_A of every r/d, d in A(r), so the
@@ -202,7 +195,6 @@ def prime_power_types(system: RegularSystem, n: int) -> tuple[tuple[int, ...], .
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _checked(system)
     local = []
     for p, a in factorize(n):
         t = system.type_of(p, a)
@@ -258,20 +250,25 @@ def psi_A(system: RegularSystem, r: int) -> int:
     return prod(high + low for _, _, _, high, low in prime_power_types(system, r))
 
 
-def _entry_int(entry: dict, key: str) -> int:
+def _entry(entry: dict) -> tuple[int, int, int]:
+    """(p, a, t) of one `types` entry: an object with exactly these keys."""
+    if not isinstance(entry, dict) or set(entry) != {"p", "a", "t"}:
+        raise ValueError(f"entry {entry!r} must be an object with exactly the keys p, a, t")
     # int() would truncate 2.5 to 2, read True as 1 and parse "5"; refuse all three
-    value = entry[key]
-    if type(value) not in (int, float) or (type(value) is float and not value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r} in entry {entry!r}")
-    return int(value)
+    for key in "pat":
+        value = entry[key]
+        if type(value) not in (int, float) or (type(value) is float and not value.is_integer()):
+            raise ValueError(f"{key} must be an integer, got {value!r} in entry {entry!r}")
+    return int(entry["p"]), int(entry["a"]), int(entry["t"])
 
 
 def system_from_dict(spec: dict, name: str = "") -> RegularSystem:
-    """Build a system from its JSON-shaped dict; validates before returning.
+    """Build a system from its JSON-shaped dict.
 
     `"kind": "dirichlet"` or `"unitary"` names D or U and admits no other
     key; a `"custom"` spec (the default) admits `default`, `a_max` and
-    `types`. Any other key is refused, never ignored."""
+    `types`, a list of objects with the keys `p`, `a` and `t`. Any other
+    key is refused, never ignored."""
     if not isinstance(spec, dict):
         raise InvalidSystemError([f"system spec must be a JSON object, got {type(spec).__name__}"])
     kind = spec.get("kind", "custom")
@@ -283,17 +280,16 @@ def system_from_dict(spec: dict, name: str = "") -> RegularSystem:
         raise InvalidSystemError(unexpected)
     if kind != "custom":
         return DIRICHLET if kind == "dirichlet" else UNITARY
-    default = spec.get("default", "dirichlet-default")
-    if default not in ("dirichlet-default", "unitary-default"):
-        raise InvalidSystemError([f"unknown default rule {default!r}"])
+    entries = spec.get("types", [])
     try:
-        types = tuple(
-            sorted(tuple(_entry_int(e, key) for key in "pat") for e in spec.get("types", []))
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(entries, list):
+            raise ValueError(f"types must be a list, got {entries!r}")
+        types = tuple(sorted(_entry(e) for e in entries))
+    except ValueError as exc:
         raise InvalidSystemError([f"malformed types table: {exc}"]) from exc
+    default = spec.get("default", "dirichlet-default")
     a_max = spec.get("a_max", DEFAULT_A_MAX)
-    return _checked(RegularSystem(types=types, default=default, a_max=a_max, name=name))
+    return RegularSystem(types=types, default=default, a_max=a_max, name=name)
 
 
 def load_system(spec: str) -> RegularSystem:

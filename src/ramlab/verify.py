@@ -100,14 +100,11 @@ class OrthogonalityReport:
             raise ValueError("violating verdict requires r != s and nonzero mean")
 
 
-def orthogonality_report(
-    system: RegularSystem, r: int, s: int, x: Optional[int] = None
-) -> OrthogonalityReport:
-    """Exact and period-averaged mean of the product, with a verdict."""
-    if x is None:
-        x = lcm(r, s)
+def orthogonality_report(system: RegularSystem, r: int, s: int) -> OrthogonalityReport:
+    """Exact mean of the product and its average over one period lcm(r, s),
+    with a verdict."""
     exact = mean_product_exact(system, r, s)
-    empirical = mean_product_empirical(system, r, s, x)
+    empirical = mean_product_empirical(system, r, s, lcm(r, s))
     if r == s:
         verdict = "diagonal"
     elif exact == 0:
@@ -340,7 +337,8 @@ def _mean_values(system, r_max, x_max, literal):
 
 
 def _partial_sums(system, r_max, x_max, literal):
-    xs = sorted({1, 2, 3, 10, 100, x_max})
+    # the x <= x_max among 1, 2, 3, 10, 100, and x_max itself
+    xs = sorted({min(x, x_max) for x in (1, 2, 3, 10, 100, x_max)})
     reports = [(r, partial_sum_cA(system, r, x)) for r in range(1, r_max + 1) for x in xs]
     rows = [_sum_row(r, rep, rep.passed) for r, rep in reports]
     return _SUM_HEADER, rows, all(rep.passed for _, rep in reports)

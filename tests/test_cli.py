@@ -476,6 +476,15 @@ class TestEmitter:
             )
             assert ok == "true"
 
+    @pytest.mark.parametrize("xmax, xs", [(1, [1]), (3, [1, 2, 3]), (7, [1, 2, 3, 7]),
+                                          (100, [1, 2, 3, 10, 100])])
+    def test_prop2_stays_within_xmax(self, capsys, xmax, xs):
+        code, out, _ = run(capsys, "verify", "prop2", "--system", "MIX", "--rmax", "2",
+                           "--xmax", str(xmax), "--format", "csv")
+        assert code == EXIT_OK
+        _, *rows = csv.reader(io.StringIO(out))
+        assert [(int(r), int(x)) for r, x, *_ in rows] == [(r, x) for r in (1, 2) for x in xs]
+
     def test_prop3_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "verify", "prop3", "--system", "U", "--rmax", "12",
                            "--format", "json")
@@ -658,6 +667,12 @@ class TestErrorsAndPlumbing:
             ({"types": [{"p": 2.5, "a": 1, "t": 1}]}, "p must be an integer, got 2.5"),
             ({"typez": [{"p": 2, "a": 2, "t": 2}]}, "unexpected key 'typez' for kind 'custom'"),
             ({"kind": "dirichlet", "a_max": 0}, "unexpected key 'a_max' for kind 'dirichlet'"),
+            ({"types": [{"p": 2, "a": 2, "t": 2, "rule": "unitary"}]},
+             "entry {'p': 2, 'a': 2, 't': 2, 'rule': 'unitary'} must be an object "
+             "with exactly the keys p, a, t"),
+            ({"types": [[2, 2, 2]]},
+             "entry [2, 2, 2] must be an object with exactly the keys p, a, t"),
+            ({"types": {"p": 2, "a": 2, "t": 2}}, "types must be a list"),
         ],
     )
     def test_bad_spec_file_exits_1(self, capsys, tmp_path, spec, message):

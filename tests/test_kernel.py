@@ -31,7 +31,6 @@ from ramlab.systems import (
     phi_A,
     psi_A,
     system_from_dict,
-    validate,
 )
 from ramlab.verify import additive_closure_witness
 
@@ -57,7 +56,6 @@ def _modulus(data, system, limit=3000):
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_divisor_and_core(spec, data):
     system = system_from_dict(spec)
-    assert validate(system) == []
     r = _modulus(data, system, limit=20000)
     for _ in range(5):
         n = data.draw(st.integers(1, 1000), label="k") * data.draw(
@@ -140,10 +138,10 @@ def test_column_far_below_its_prime_powers(system, r, n_max):
 
 
 def test_kernel_rejects_invalid_system():
-    bad = RegularSystem(types=((2, 4, 3),))
-    for call in (lambda: c_A(bad, 1, 3), lambda: c_A_column(bad, 3, 5)):
-        with pytest.raises(InvalidSystemError):
-            call()
+    # the kernel never meets an invalid table: building one is refused
+    with pytest.raises(InvalidSystemError) as exc:
+        RegularSystem(types=((2, 4, 3),))
+    assert exc.value.violations == ["type 3 does not divide exponent 4 at prime power 2^4"]
 
 
 def test_kernel_exponent_bound_message(custom_system):

@@ -3,9 +3,10 @@ import pickle
 import random
 import re
 import time
+from dataclasses import replace
 from math import gcd, prod
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,33 +29,37 @@ from ramlab.systems import (
     prime_power_types,
     psi_A,
     system_from_dict,
-    validate,
 )
 from ramlab.verify import MAX_WITNESS_WORK, additive_closure_witness
 
 from conftest import CUSTOM_OK, PRIMES, euler_phi, sigma, valid_specs
 
 
+def refused(**fields):
+    """The violations construction raises for these fields."""
+    with pytest.raises(InvalidSystemError) as exc:
+        RegularSystem(**fields)
+    return exc.value.violations
+
+
 class TestValidate:
     def test_dirichlet_ok(self):
-        assert validate(DIRICHLET) == []
-        assert validate(UNITARY) == []
-        assert validate(MIX) == []
+        # rebuilding each built-in from its fields passes construction again
+        for system in (DIRICHLET, UNITARY, MIX):
+            assert replace(system) == system
 
     def test_custom_ok(self, custom_system):
-        assert validate(custom_system) == []
+        assert replace(custom_system) == custom_system
 
     def test_non_divisor_type(self):
-        bad = RegularSystem(types=((2, 4, 3),))
-        violations = validate(bad)
+        violations = refused(types=((2, 4, 3),))
         assert len(violations) == 1
         assert "3 does not divide exponent 4" in violations[0]
 
     def test_chain_violation(self):
         # type 1 at 2^4 forces type 1 at 2^2, contradicting the table; the
         # broken link is 2^3 (type 1 by the Dirichlet default) -> 2^2
-        bad = RegularSystem(types=((2, 2, 2), (2, 4, 1)))
-        violations = validate(bad)
+        violations = refused(types=((2, 2, 2), (2, 4, 1)))
         assert any("chain violation at p=2" in v for v in violations)
         assert violations == [
             "chain violation at p=2: type 1 of 2^3 forces type 1 at 2^2, found 2"
@@ -63,10 +68,9 @@ class TestValidate:
     def test_chain_violation_names_each_broken_link(self):
         # unitary default: 3^6 of type 2 needs 3^4 of type 2 (found 4) and
         # 3^4 needs 3^2 (found 2, fine); 3^3 of type 1 needs 3^2 of type 1
-        bad = RegularSystem(
+        assert refused(
             types=((3, 2, 2), (3, 3, 1), (3, 4, 4), (3, 6, 2)), default="unitary-default"
-        )
-        assert validate(bad) == [
+        ) == [
             "chain violation at p=3: type 1 of 3^3 forces type 1 at 3^2, found 2",
             "chain violation at p=3: type 2 of 3^6 forces type 2 at 3^4, found 4",
         ]
@@ -76,58 +80,95 @@ class TestValidate:
         for default in ("dirichlet-default", "unitary-default"):
             system = RegularSystem(types=((2, 1, 1), (2, 10**18, 10**18)),
                                    default=default, a_max=10**18)
-            assert validate(system) == []
             assert system.type_of(2, 10**18 - 1) == (1 if default == "dirichlet-default"
                                                      else 10**18 - 1)
-        broken = RegularSystem(types=((2, 10**18, 1),), default="unitary-default",
-                               a_max=10**18)
-        assert validate(broken) == [
+        assert refused(types=((2, 10**18, 1),), default="unitary-default", a_max=10**18) == [
             f"chain violation at p=2: type 1 of 2^{10**18} forces type 1 at "
             f"2^{10**18 - 1}, found {10**18 - 1}"
         ]
 
     def test_reports_all_violations(self):
-        bad = RegularSystem(types=((2, 4, 3), (3, 2, 4), (7, 20, 1)))
-        violations = validate(bad)
-        assert len(violations) == 3
+        assert len(refused(types=((2, 4, 3), (3, 2, 4), (7, 20, 1)))) == 3
 
-    def test_invalid_system_rejected_by_operations(self):
-        bad = RegularSystem(types=((2, 4, 3),))
-        with pytest.raises(InvalidSystemError):
-            divisor_set(bad, 12)
+    def test_unknown_default_rule(self):
+        assert refused(default="other") == ["unknown default rule 'other'"]
+
+    def test_invalid_system_rejected_by_operations(self, tmp_path):
+        # every construction path refuses the same broken table with the same
+        # list: the constructor, replace, the loader, a spec file and a pickle
+        # written from a system that never passed the constructor
+        expected = ["type 3 does not divide exponent 4 at prime power 2^4"]
+        spec = {"types": [{"p": 2, "a": 4, "t": 3}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        smuggled = object.__new__(RegularSystem)
+        for field, value in zip(("types", "default", "a_max", "name"),
+                                (((2, 4, 3),), "dirichlet-default", 16, "")):
+            object.__setattr__(smuggled, field, value)
+        paths = [
+            lambda: RegularSystem(types=((2, 4, 3),)),
+            lambda: replace(DIRICHLET, types=((2, 4, 3),)),
+            lambda: system_from_dict(spec),
+            lambda: load_system(str(path)),
+            lambda: pickle.loads(pickle.dumps(smuggled)),
+        ]
+        for build in paths:
+            with pytest.raises(InvalidSystemError) as exc:
+                build()
+            assert exc.value.violations == expected
 
 
-def full_chain_violations(system):
+class Table(NamedTuple):
+    """A type table as drawn, before any validation: the fields a
+    RegularSystem is built from."""
+
+    types: tuple[tuple[int, int, int], ...]
+    default: str
+    a_max: int
+
+
+def type_of(table, p, a):
+    """The type of p^a read straight off a table (a Table or a system), in
+    RegularSystem.type_of's terms: the first entry for p^a, else the default
+    rule's; a table prime refuses exponents above the bound."""
+    entries = [t for q, b, t in table.types if q == p]
+    if entries and a > table.a_max:
+        raise ExponentOutOfScopeError(f"{p}^{a}")
+    found = [t for q, b, t in table.types if (q, b) == (p, a)]
+    return found[0] if found else (a if table.default == "unitary-default" else 1)
+
+
+def full_chain_violations(table):
     """The chain check as a loop over every exponent a <= a_max at each
-    table prime, walking the whole chain p^(it), i <= a/t: the form validate
-    had before it checked one link per entry. Returns the (p, a) whose chain
-    breaks."""
+    table prime, walking the whole chain p^(it), i <= a/t: the form the
+    checker had before it checked one link per entry. Returns the (p, a)
+    whose chain breaks."""
     broken = []
-    for p in sorted({p for p, _, _ in system.types}):
-        for a in range(1, system.a_max + 1):
-            t = system.type_of(p, a)
-            if any(system.type_of(p, i * t) != t for i in range(1, a // t + 1)):
+    for p in sorted({p for p, _, _ in table.types}):
+        for a in range(1, table.a_max + 1):
+            t = type_of(table, p, a)
+            if any(type_of(table, p, i * t) != t for i in range(1, a // t + 1)):
                 broken.append((p, a))
     return broken
 
 
-def high_types_by_loop(system):
+def high_types_by_loop(table):
     """high_types as a loop over a = 2..a_max at each table prime (the form
     it had before it read the entries), plus a = 2 at the smallest prime
     without an entry under the unitary default."""
-    table_primes = sorted({p for p, _, _ in system.types})
+    table_primes = sorted({p for p, _, _ in table.types})
     found = []
     for p in table_primes:
-        a = next((a for a in range(2, system.a_max + 1) if system.type_of(p, a) > 1), None)
+        a = next((a for a in range(2, table.a_max + 1) if type_of(table, p, a) > 1), None)
         if a is not None:
             found.append((p, a))
-    if system.default == "unitary-default":
+    if table.default == "unitary-default":
         found.append((next(p for p in primes_up_to(50) if p not in table_primes), 2))
     return found
 
 
 def random_table(rng):
-    """A table that passes validate's shape checks (prime p, t | a <= a_max,
+    """A table that passes the checker's shape checks (prime p, t | a <= a_max,
     one type per p^a) but need not satisfy the chain rule."""
     a_max = rng.randint(1, 8)
     entries = tuple(
@@ -136,7 +177,7 @@ def random_table(rng):
         for a in rng.sample(range(1, a_max + 1), rng.randint(0, a_max))
     )
     default = rng.choice(("dirichlet-default", "unitary-default"))
-    return RegularSystem(types=entries, default=default, a_max=a_max)
+    return Table(entries, default, a_max)
 
 
 class TestAgainstTheLoops:
@@ -144,12 +185,16 @@ class TestAgainstTheLoops:
         rng = random.Random(2024)
         verdicts = []
         for _ in range(10000):
-            system = random_table(rng)
-            verdict = bool(validate(system))
-            assert verdict == bool(full_chain_violations(system)), system
+            table = random_table(rng)
+            try:
+                system = RegularSystem(*table)
+            except InvalidSystemError:
+                system = None
+            verdict = system is None
+            assert verdict == bool(full_chain_violations(table)), table
             verdicts.append(verdict)
             if not verdict:
-                assert list(system.high_types()) == high_types_by_loop(system), system
+                assert list(system.high_types()) == high_types_by_loop(table), table
         # both verdicts are exercised (3866 of the 10000 tables are invalid)
         assert 2000 < sum(verdicts) < 8000
 
@@ -157,8 +202,10 @@ class TestAgainstTheLoops:
     @settings(max_examples=200, deadline=None)
     def test_valid_specs(self, spec):
         system = system_from_dict(spec)
-        assert validate(system) == full_chain_violations(system) == []
+        assert full_chain_violations(system) == []
         assert list(system.high_types()) == high_types_by_loop(system)
+        assert all(type_of(system, p, a) == system.type_of(p, a)
+                   for p, a, _ in system.types)
 
 
 class TestCompiledSystem:
@@ -283,7 +330,6 @@ class TestWitnessPrimePower:
         assert DIRICHLET.types == UNITARY.types == ()
         bare = RegularSystem(default="unitary-default")
         assert witness_power(bare) == witness_power(UNITARY)
-        assert validate(bare) == validate(UNITARY) == []
 
 
 class TestDivisorSet:
@@ -554,6 +600,14 @@ class TestLoader:
             ([{"p": 2, "a": 1, "t": 1}], "must be a JSON object"),
             ({"types": [{"p": "5", "a": 1, "t": 1}]}, "p must be an integer, got '5'"),
             ({"types": [{"p": 2, "a": 1, "t": None}]}, "t must be an integer, got None"),
+            ({"types": [{"p": 2, "a": 2, "t": 2, "rule": "unitary"}]},
+             "malformed types table: entry {'p': 2, 'a': 2, 't': 2, 'rule': 'unitary'} "
+             "must be an object with exactly the keys p, a, t"),
+            ({"types": [{"p": 2, "a": 2}]},
+             "entry {'p': 2, 'a': 2} must be an object with exactly the keys p, a, t"),
+            ({"types": [[2, 2, 2]]},
+             "entry [2, 2, 2] must be an object with exactly the keys p, a, t"),
+            ({"types": {"p": 2, "a": 2, "t": 2}}, "malformed types table: types must be a list"),
         ],
     )
     def test_bad_spec_lists_violation(self, spec, message):
@@ -566,4 +620,4 @@ class TestLoader:
         blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
         assert blocks
         for block in blocks:
-            assert validate(system_from_dict(json.loads(block))) == []
+            system_from_dict(json.loads(block))
