@@ -1,9 +1,9 @@
 """The finite space of r-even functions: values on divisors of r, evaluated
 anywhere through gcd(n, r). Tagged with a regular system A, a function is
 (A, r)-even, f(n) = f((n, r)_A), and expands in c_A(., d), d in A(r); an
-untagged one expands under D, in c(., q), q | r. Inner products, Fourier
-coefficients and means are exact (Fraction) for integer or rational values;
-complex values fall back to floats.
+untagged one expands under D, in c(., q), q | r. Every value is an int or a
+Fraction, so inner products, Fourier coefficients, means and bounds are
+exact Fractions.
 
 The basis is orthogonal (`verify.mean_product_exact`); orthogonality fails
 only across A-sets, as in Prop 3's pair (p, p^a), p not in A(p^a).
@@ -26,15 +26,14 @@ from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm, prod
 from operator import mul
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 from .arith import divisors, factorize
-from .gensums import PartialSumReport
+from .gensums import Numeric, PartialSumReport
 from .systems import DIRICHLET, RegularSystem, gcd_A, prime_power_types
 from . import gensums
 
 __all__ = [
-    "Scalar",
     "EvenFunction",
     "FourierCoeffs",
     "inner_product",
@@ -48,49 +47,33 @@ __all__ = [
     "parse_even_literal",
 ]
 
-Scalar = Union[int, Fraction, float, complex]
-
-
-def _exact(v: Scalar) -> Scalar:
-    return Fraction(v) if isinstance(v, int) else v
-
-
-def _conj(v: Scalar) -> Scalar:
-    return v.conjugate() if isinstance(v, complex) else v
-
-
-def _div(v: Scalar, k: int) -> Scalar:
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v, k)
-    return v / k
-
-
-def _is_exact(v: Scalar) -> bool:
-    return isinstance(v, (int, Fraction))
-
-
 @dataclass(frozen=True)
 class EvenFunction:
     """A function with period r depending on n only through gcd(n, r).
 
-    Stored as its values on the divisors of r; an optional system tag
-    asserts the stronger A-even property (values constant on (., r)_A) and
-    selects the basis c_A(., d), d in A(r), that the closed forms use."""
+    Stored as its values on the divisors of r, each an int or a Fraction;
+    an optional system tag asserts the stronger A-even property (values
+    constant on (., r)_A) and selects the basis c_A(., d), d in A(r), that
+    the closed forms use."""
 
     r: int
-    values: tuple[tuple[int, Scalar], ...]
+    values: tuple[tuple[int, Numeric], ...]
     system: Optional[RegularSystem] = None
 
     @classmethod
     def from_values(
         cls,
         r: int,
-        values: Mapping[int, Scalar],
+        values: Mapping[int, Numeric],
         system: Optional[RegularSystem] = None,
     ) -> "EvenFunction":
         divs = divisors(r)
         if set(values) != set(divs):
             raise ValueError(f"values must be given on exactly the divisors of {r}")
+        for d in divs:
+            v = values[d]
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValueError(f"value at divisor {d} must be an int or a Fraction, got {v!r}")
         f = cls(r, tuple((d, values[d]) for d in divs), system)
         if system is not None:
             for d in divs:
@@ -104,26 +87,23 @@ class EvenFunction:
     def from_callable(
         cls,
         r: int,
-        fn: Callable[[int], Scalar],
+        fn: Callable[[int], Numeric],
         system: Optional[RegularSystem] = None,
     ) -> "EvenFunction":
         return cls.from_values(r, {d: fn(d) for d in divisors(r)}, system)
 
     @cached_property
-    def value_map(self) -> dict[int, Scalar]:
+    def value_map(self) -> dict[int, Numeric]:
         return dict(self.values)
 
-    def __call__(self, n: int) -> Scalar:
+    def __call__(self, n: int) -> Numeric:
         if n < 1:
             raise ValueError(f"evaluation requires n >= 1, got {n}")
         return self.value_map[gcd(n, self.r)]
 
-    def sup_norm(self) -> Scalar:
+    def sup_norm(self) -> Numeric:
         """Largest |f(n)| over all n; by evenness the max over divisor values."""
         return max(abs(v) for _, v in self.values)
-
-    def is_exact(self) -> bool:
-        return all(_is_exact(v) for _, v in self.values)
 
 
 def _per_prime(system: Optional[RegularSystem], r: int) -> tuple:
@@ -145,28 +125,26 @@ class FourierCoeffs:
     """Coordinates h(d), d in A(r), in the basis c_A(., d) of `system`."""
 
     r: int
-    h: tuple[tuple[int, Scalar], ...]
+    h: tuple[tuple[int, Fraction], ...]
     system: RegularSystem = DIRICHLET
 
     @cached_property
-    def coeff_map(self) -> dict[int, Scalar]:
+    def coeff_map(self) -> dict[int, Fraction]:
         return dict(self.h)
 
-    def coeff(self, q: int) -> Scalar:
+    def coeff(self, q: int) -> Fraction:
         return self.coeff_map[q]
 
 
-def inner_product(f: EvenFunction, g: EvenFunction) -> Scalar:
-    """(1/r) sum_{d|r} phi(d) f(r/d) conj(g(r/d)), the mean of f conj(g)."""
+def inner_product(f: EvenFunction, g: EvenFunction) -> Fraction:
+    """(1/r) sum_{d|r} phi(d) f(r/d) g(r/d), the mean of f conj(g); the
+    values are rational, so conjugation is the identity."""
     if f.r != g.r:
         raise ValueError(f"modulus mismatch: {f.r} != {g.r}")
     r = f.r
     _, _, divs, phis = _per_prime(None, r)
-    total = sum(
-        phi * _exact(f.value_map[r // d]) * _conj(_exact(g.value_map[r // d]))
-        for d, phi in zip(divs, phis)
-    )
-    return _div(total, r)
+    total = sum(phi * f.value_map[r // d] * g.value_map[r // d] for d, phi in zip(divs, phis))
+    return Fraction(total, r)
 
 
 def _ramanujan_pp(q: int, b: int, j: int) -> int:
@@ -216,50 +194,40 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
         h(d) = (1 / (r phi_A(d))) sum_{e in A(r)} phi_A(e) f(r/e) c_A(r/e, d)   (1)
         h(d) = (1 / r)            sum_{e in A(r)} f(r/e) c_A(r/d, e)            (2)
 
-    and must agree, exactly for rational values (as the integer identity
-    S1(d) = phi_A(d) S2(d) on the scaled sums) and to 1e-9 for float or
-    complex ones; a disagreement raises ArithmeticError. That the result
-    reconstructs f is not re-checked here; the round-trip tests cover it.
+    and must agree exactly, as the integer identity S1(d) = phi_A(d) S2(d)
+    on the scaled sums; a disagreement raises ArithmeticError. That the
+    result reconstructs f is not re-checked here; the round-trip tests
+    cover it.
 
-    Rational values are scaled to integers by the lcm L of their
-    denominators, each formula's matrix is applied one axis at a time
-    (see the module docstring), and h(d) = S2(d) / (r L)."""
+    The values are scaled to integers by the lcm L of their denominators,
+    each formula's matrix is applied one axis at a time (see the module
+    docstring), and h(d) = S2(d) / (r L)."""
     r = f.r
     system, axes, members, phis = _per_prime(f.system, r)
     mats = [_axis_matrices(q, k) for q, k in axes]
     values = [f.value_map[r // e] for e in members]
-    exact = f.is_exact()
-    scale = 1
-    if exact:
-        fracs = [Fraction(v) for v in values]
-        scale = lcm(*(v.denominator for v in fracs))
-        values = [v.numerator * (scale // v.denominator) for v in fracs]
+    scale = lcm(*(v.denominator for v in values))
+    values = [v.numerator * (scale // v.denominator) for v in values]
     s1 = _kron_apply([k1 for k1, _ in mats], values)
     s2 = _kron_apply([k2 for _, k2 in mats], values)
     out = []
     for d, phi_d, t1, t2 in zip(members, phis, s1, s2):
-        if exact:
-            agree = t1 == phi_d * t2
-            h = Fraction(t2, r * scale)
-        else:
-            h, h1 = t2 / r, t1 / (r * phi_d)
-            agree = abs(h1 - h) <= 1e-9 * (1 + abs(h1))
-        if not agree:
+        if t1 != phi_d * t2:
             raise ArithmeticError(
                 f"coefficient formulas disagree at d={d}: "
-                f"{_div(t1, r * scale * phi_d)} vs {_div(t2, r * scale)}"
+                f"{Fraction(t1, r * scale * phi_d)} vs {Fraction(t2, r * scale)}"
             )
-        out.append((d, h))
+        out.append((d, Fraction(t2, r * scale)))
     out.sort()
     return FourierCoeffs(r, tuple(out), system)
 
 
-def mean_value(f: EvenFunction) -> Scalar:
+def mean_value(f: EvenFunction) -> Fraction:
     """Exact mean (1/r) sum_{d in A(r)} phi_A(d) f(r/d); equals the coefficient h(1)."""
     r = f.r
     _, _, members, phis = _per_prime(f.system, r)
-    total = sum(_exact(f.value_map[r // d]) * phi for d, phi in zip(members, phis))
-    return _div(total, r)
+    total = sum(f.value_map[r // d] * phi for d, phi in zip(members, phis))
+    return Fraction(total, r)
 
 
 def c_A_even(system: RegularSystem, r: int) -> EvenFunction:
@@ -300,7 +268,7 @@ def progression_totient_mean(s: int, n: int) -> Fraction:
     return out
 
 
-def certified_residual_bound(f: EvenFunction) -> Scalar:
+def certified_residual_bound(f: EvenFunction) -> Fraction:
     """x-uniform bound on |sum_{n<=x} f(n) - M(f) x|:
     sup|f| (sigma_A(r)/r) sum_{d in A(r)} psi_A(d), sigma_A(r) the sum of
     A(r); under D, sup|f| (sigma(r)/r) sum_{q|r} psi(q).
@@ -320,10 +288,7 @@ def certified_residual_bound(f: EvenFunction) -> Scalar:
     sums = [((q ** (k + 1) - 1) // (q - 1), (q**k - 1) // (q - 1)) for q, k in axes]
     sigma_a = prod(s for s, _ in sums)
     total = prod(s + s_prev for s, s_prev in sums)
-    k_f = f.sup_norm()
-    if _is_exact(k_f):
-        return Fraction(k_f) * Fraction(sigma_a, r) * total
-    return k_f * sigma_a / r * total
+    return Fraction(f.sup_norm() * sigma_a * total, r)
 
 
 def partial_sum_even(f: EvenFunction, x) -> PartialSumReport:
@@ -355,7 +320,7 @@ def parse_even_literal(text: str) -> EvenFunction:
     r = int(m.group(1))
     if r < 1:
         raise ValueError(f"modulus must be >= 1, got r={r} in even-function literal {text!r}")
-    values: dict[int, Scalar] = {}
+    values: dict[int, Numeric] = {}
     for item in m.group(2).split(","):
         item = item.strip()
         if not item:

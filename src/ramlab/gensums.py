@@ -57,7 +57,7 @@ __all__ = [
     "partial_sum_cA",
 ]
 
-Numeric = Union[int, Fraction, float]
+Numeric = Union[int, Fraction]
 
 
 def _kernel_value(local: tuple, n: int) -> int:

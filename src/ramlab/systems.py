@@ -66,6 +66,15 @@ class RegularSystem:
     name: str = ""
 
     def __post_init__(self):
+        # an entry is three exact ints; a float, a bool or a str would
+        # otherwise pass the checks below or fail in them as a TypeError
+        malformed = [
+            f"malformed entry {entry!r}: must be a tuple (p, a, t) of three integers"
+            for entry in self.types
+            if type(entry) is not tuple or len(entry) != 3 or any(type(v) is not int for v in entry)
+        ]
+        if malformed:
+            raise InvalidSystemError(malformed)
         # compiled once: exponent -> type per table prime, first entry for p^a wins
         rows: dict[int, dict[int, int]] = {}
         for p, a, t in self.types:

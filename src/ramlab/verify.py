@@ -93,25 +93,21 @@ class OrthogonalityReport:
     s: int
     exact_mean: int
     empirical_mean: Fraction
-    verdict: str  # orthogonal | diagonal | violating
 
-    def __post_init__(self):
-        if self.verdict == "violating" and (self.r == self.s or self.exact_mean == 0):
-            raise ValueError("violating verdict requires r != s and nonzero mean")
+    @property
+    def verdict(self) -> str:
+        """diagonal when r = s, else orthogonal or violating as the exact
+        mean is zero or not; derived, so it cannot contradict the mean."""
+        if self.r == self.s:
+            return "diagonal"
+        return "orthogonal" if self.exact_mean == 0 else "violating"
 
 
 def orthogonality_report(system: RegularSystem, r: int, s: int) -> OrthogonalityReport:
-    """Exact mean of the product and its average over one period lcm(r, s),
-    with a verdict."""
+    """Exact mean of the product and its average over one period lcm(r, s)."""
     exact = mean_product_exact(system, r, s)
     empirical = mean_product_empirical(system, r, s, lcm(r, s))
-    if r == s:
-        verdict = "diagonal"
-    elif exact == 0:
-        verdict = "orthogonal"
-    else:
-        verdict = "violating"
-    return OrthogonalityReport(system.label(), r, s, exact, empirical, verdict)
+    return OrthogonalityReport(system.label(), r, s, exact, empirical)
 
 
 def _powers_within(high_types, bound: int) -> list[tuple[int, int, int]]:
@@ -149,15 +145,12 @@ class Prop4Witness:
     """Two A-even functions whose sum is A-even for no modulus at all.
 
     f(n) = (n, p)_A and g(n) = (n, p^t)_A for a prime power of type t > 1;
-    their sum takes the three case values below and cannot be A-even.
+    their sum h takes the three case values below and cannot be A-even.
     f_even and g_even are checked on the divisors of p and of p^t, and
     h_fails_all by one certificate n_r per modulus r <= r_checked."""
 
     p: int
     t: int
-    f: Callable[[int], int]
-    g: Callable[[int], int]
-    h: Callable[[int], int]
     case_values: tuple[int, int, int]  # h on p^t | n, on p | n only, on p coprime
     r_checked: int
     f_even: bool
@@ -218,9 +211,6 @@ def additive_closure_witness(
     return Prop4Witness(
         p=p,
         t=t,
-        f=f,
-        g=g,
-        h=h,
         case_values=(p + pt, 1 + p, 2),
         r_checked=r_max,
         f_even=even_on_divisors(f, p),
@@ -279,10 +269,9 @@ def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumR
     that tally is q = x // r copies of the tally over one period n = 1..r
     plus the tally over n = 1..x - q r, so each x costs O(min(x, r)) gcds.
     The classes and counts are the same integers, in the same order, as a
-    loop over every n <= x, so the sums are identical (bit-identical for
-    floats). Only periodicity is used, never phi, c(., q) or the Fourier
-    coefficients: this stays the oracle side, independent of the closed
-    form in partial_sum_even."""
+    loop over every n <= x, so the sums are identical. Only periodicity is
+    used, never phi, c(., q) or the Fourier coefficients: this stays the
+    oracle side, independent of the closed form in partial_sum_even."""
     reports = []
     bound = certified_residual_bound(f)
     mf = mean_value(f)

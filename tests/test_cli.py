@@ -493,8 +493,9 @@ class TestEmitter:
         assert {row["verdict"] for row in rows} == {"diagonal", "violating"}
         for row in rows:
             back = OrthogonalityReport(row["system"], row["r"], row["s"], row["exact_mean"],
-                                       Fraction(row["empirical_mean"]), row["verdict"])
+                                       Fraction(row["empirical_mean"]))
             assert back == verify.orthogonality_report(UNITARY, row["r"], row["s"])
+            assert back.verdict == row["verdict"]
 
 
 def _format_oracle(v) -> str:

@@ -35,7 +35,7 @@ from ramlab.systems import (
 from ramlab.verify import additive_closure_witness
 
 from conftest import valid_specs
-from test_verify import h_fails_all_by_scan, is_A_even
+from test_verify import h_fails_all_by_scan, is_A_even, witness_functions
 
 
 def _type_or_none(system, p, a):
@@ -188,7 +188,8 @@ def test_witness_matches_scan(spec):
     if w is None:
         return
     pt = w.p**w.t
-    assert w.f_even == is_A_even(system, w.f, w.p, 4 * w.p)
-    assert w.g_even == is_A_even(system, w.g, pt, 4 * pt)
-    assert w.h_fails_all == h_fails_all_by_scan(system, w.h, pt, r_max)
+    f, g, h = witness_functions(w)
+    assert w.f_even == is_A_even(system, f, w.p, 4 * w.p)
+    assert w.g_even == is_A_even(system, g, pt, 4 * pt)
+    assert w.h_fails_all == h_fails_all_by_scan(system, h, pt, r_max)
     assert w.f_even and w.g_even and w.h_fails_all and w.core_contradiction

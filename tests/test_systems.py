@@ -90,6 +90,18 @@ class TestValidate:
     def test_reports_all_violations(self):
         assert len(refused(types=((2, 4, 3), (3, 2, 4), (7, 20, 1)))) == 3
 
+    @pytest.mark.parametrize(
+        "entry",
+        [(2.0, 1, 1), (2, 1, True), (2, "4", 1), (2, 4)],
+        ids=["float prime", "bool type", "str exponent", "two fields"],
+    )
+    def test_malformed_entry(self, entry):
+        # without the shape check each would build a system, or fail as a
+        # bare TypeError or an unpacking ValueError
+        assert refused(types=(entry,)) == [
+            f"malformed entry {entry!r}: must be a tuple (p, a, t) of three integers"
+        ]
+
     def test_unknown_default_rule(self):
         assert refused(default="other") == ["unknown default rule 'other'"]
 
