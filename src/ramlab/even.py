@@ -16,6 +16,18 @@ classical (k+1)-square Ramanujan matrices at (q, k); D is t = 1.
 `fourier_coeffs` scales rational values to integers and applies one factor
 per axis: |A(r)| * sum(k+1) integer multiply-adds per formula instead of
 |A(r)|^2 Fraction operations, and still compares both formulas exactly.
+
+The partial sums reuse that transform. sum_{n<=X} f(n) is
+sum_{d in A(r)} h(d) sum_{n<=X} c_A(n, d), and each inner sum is
+sum_{e in A(d)} mu_A(d/e) e floor(X/e) (`gensums.c_A_sum`). Since e in A(d)
+and d in A(r) give e in A(r), the double sum regroups by e into
+sum_{e in A(r)} e floor(X/e) G(e), G(e) = sum_{d: e in A(d)} mu_A(d/e) h(d).
+On the axis (q, k), e in A(d) reads j <= i on the exponents, and mu_A(q^m)
+is 1, -1, 0 for m = 0, 1, >= 2, so G is h under the Kronecker product of
+the matrices with 1 on the diagonal and -1 just above it: one more
+integer pass over the numerators of h (proof at `partial_sum_even`).
+`mean_value`, `certified_residual_bound` and `partial_sum_even` each take
+one integer sum over the scaled values and divide once.
 """
 
 from __future__ import annotations
@@ -51,14 +63,35 @@ __all__ = [
 class EvenFunction:
     """A function with period r depending on n only through gcd(n, r).
 
-    Stored as its values on the divisors of r, each an int or a Fraction;
-    an optional system tag asserts the stronger A-even property (values
-    constant on (., r)_A) and selects the basis c_A(., d), d in A(r), that
-    the closed forms use."""
+    Stored as its values on the divisors of r, in increasing order, each an
+    int or a Fraction; an optional system tag asserts the stronger A-even
+    property (values constant on (., r)_A) and selects the basis c_A(., d),
+    d in A(r), that the closed forms use. Construction checks all three, so
+    every instance can be scaled to integers and transformed."""
 
     r: int
     values: tuple[tuple[int, Numeric], ...]
     system: Optional[RegularSystem] = None
+
+    def __post_init__(self):
+        r = self.r
+        if type(r) is not int or r < 1:
+            raise ValueError(f"modulus must be an int >= 1, got {r!r}")
+        if type(self.values) is not tuple or any(
+            type(item) is not tuple or len(item) != 2 for item in self.values
+        ):
+            raise ValueError("values must be a tuple of (divisor, value) pairs")
+        if tuple(d for d, _ in self.values) != divisors(r):
+            raise ValueError(f"values must be given on exactly the divisors of {r}, in increasing order")
+        for d, v in self.values:
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValueError(f"value at divisor {d} must be an int or a Fraction, got {v!r}")
+        if self.system is not None:
+            for d, v in self.values:
+                if v != self.value_map[gcd_A(self.system, d, r)]:
+                    raise ValueError(
+                        f"not A-even mod {r}: value at {d} differs from value at (d, r)_A"
+                    )
 
     @classmethod
     def from_values(
@@ -70,18 +103,7 @@ class EvenFunction:
         divs = divisors(r)
         if set(values) != set(divs):
             raise ValueError(f"values must be given on exactly the divisors of {r}")
-        for d in divs:
-            v = values[d]
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise ValueError(f"value at divisor {d} must be an int or a Fraction, got {v!r}")
-        f = cls(r, tuple((d, values[d]) for d in divs), system)
-        if system is not None:
-            for d in divs:
-                if f.value_map[d] != f.value_map[gcd_A(system, d, r)]:
-                    raise ValueError(
-                        f"not A-even mod {r}: value at {d} differs from value at (d, r)_A"
-                    )
-        return f
+        return cls(r, tuple((d, values[d]) for d in divs), system)
 
     @classmethod
     def from_callable(
@@ -96,14 +118,21 @@ class EvenFunction:
     def value_map(self) -> dict[int, Numeric]:
         return dict(self.values)
 
+    @cached_property
+    def _bound(self) -> Fraction:
+        # `certified_residual_bound`, kept: the brute-force partial sums and
+        # the closed form of the same function both report it
+        _, axes, _, _ = _per_prime(self.system, self.r)
+        sums = [((q ** (k + 1) - 1) // (q - 1), (q**k - 1) // (q - 1)) for q, k in axes]
+        sigma_a = prod(s for s, _ in sums)
+        total = prod(s + s_prev for s, s_prev in sums)
+        values, scale = _scaled([v for _, v in self.values])
+        return Fraction(max(map(abs, values)) * sigma_a * total, self.r * scale)
+
     def __call__(self, n: int) -> Numeric:
         if n < 1:
             raise ValueError(f"evaluation requires n >= 1, got {n}")
         return self.value_map[gcd(n, self.r)]
-
-    def sup_norm(self) -> Numeric:
-        """Largest |f(n)| over all n; by evenness the max over divisor values."""
-        return max(abs(v) for _, v in self.values)
 
 
 def _per_prime(system: Optional[RegularSystem], r: int) -> tuple:
@@ -122,11 +151,24 @@ def _per_prime(system: Optional[RegularSystem], r: int) -> tuple:
 
 @dataclass(frozen=True)
 class FourierCoeffs:
-    """Coordinates h(d), d in A(r), in the basis c_A(., d) of `system`."""
+    """Coordinates h(d) = S2(d) / denominator, d in A(r), in the basis
+    c_A(., d) of `system`.
+
+    The integer numerators S2(d) are kept in the transform's mixed-radix
+    order over `axes`, the order of `members`; `denominator` is r L, L the
+    lcm of the value denominators. `h` lists the Fractions by d."""
 
     r: int
-    h: tuple[tuple[int, Fraction], ...]
-    system: RegularSystem = DIRICHLET
+    system: RegularSystem
+    axes: tuple[tuple[int, int], ...]
+    members: tuple[int, ...]
+    numerators: tuple[int, ...]
+    denominator: int
+
+    @cached_property
+    def h(self) -> tuple[tuple[int, Fraction], ...]:
+        scale = self.denominator
+        return tuple(sorted((d, Fraction(s, scale)) for d, s in zip(self.members, self.numerators)))
 
     @cached_property
     def coeff_map(self) -> dict[int, Fraction]:
@@ -185,6 +227,13 @@ def _kron_apply(mats: list[list[list[int]]], vec: list) -> list:
     return vec
 
 
+def _scaled(values: list) -> tuple[list[int], int]:
+    # the values as integers over their one common denominator L, and L:
+    # each exact result here is one integer sum over these, divided once
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
     """The coefficients h(d) of f in the basis c_A(., d), d in A(r), with A
     the system f is tagged with (D when untagged).
@@ -201,33 +250,29 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
 
     The values are scaled to integers by the lcm L of their denominators,
     each formula's matrix is applied one axis at a time (see the module
-    docstring), and h(d) = S2(d) / (r L)."""
+    docstring), and h(d) = S2(d) / (r L); the result keeps the integers
+    S2 and the one denominator r L."""
     r = f.r
     system, axes, members, phis = _per_prime(f.system, r)
     mats = [_axis_matrices(q, k) for q, k in axes]
-    values = [f.value_map[r // e] for e in members]
-    scale = lcm(*(v.denominator for v in values))
-    values = [v.numerator * (scale // v.denominator) for v in values]
+    values, scale = _scaled([f.value_map[r // e] for e in members])
     s1 = _kron_apply([k1 for k1, _ in mats], values)
     s2 = _kron_apply([k2 for _, k2 in mats], values)
-    out = []
     for d, phi_d, t1, t2 in zip(members, phis, s1, s2):
         if t1 != phi_d * t2:
             raise ArithmeticError(
                 f"coefficient formulas disagree at d={d}: "
                 f"{Fraction(t1, r * scale * phi_d)} vs {Fraction(t2, r * scale)}"
             )
-        out.append((d, Fraction(t2, r * scale)))
-    out.sort()
-    return FourierCoeffs(r, tuple(out), system)
+    return FourierCoeffs(r, system, tuple(axes), tuple(members), tuple(s2), r * scale)
 
 
 def mean_value(f: EvenFunction) -> Fraction:
     """Exact mean (1/r) sum_{d in A(r)} phi_A(d) f(r/d); equals the coefficient h(1)."""
     r = f.r
     _, _, members, phis = _per_prime(f.system, r)
-    total = sum(f.value_map[r // d] * phi for d, phi in zip(members, phis))
-    return Fraction(total, r)
+    values, scale = _scaled([f.value_map[r // d] for d in members])
+    return Fraction(sum(map(mul, values, phis)), r * scale)
 
 
 def c_A_even(system: RegularSystem, r: int) -> EvenFunction:
@@ -282,28 +327,48 @@ def certified_residual_bound(f: EvenFunction) -> Fraction:
     `gensums.c_A_sum`, whose signs s_m sum to 0, so it is -sum_m s_m m {x/m},
     at most sum_m m = psi_A(d) in absolute value. The d = 1 term only
     loosens the bound. Both factors are products over the axes (q, k):
-    s(k) and s(k) + s(k-1), where s(k) = 1 + q + ... + q^k."""
-    r = f.r
-    _, axes, _, _ = _per_prime(f.system, r)
-    sums = [((q ** (k + 1) - 1) // (q - 1), (q**k - 1) // (q - 1)) for q, k in axes]
-    sigma_a = prod(s for s, _ in sums)
-    total = prod(s + s_prev for s, s_prev in sums)
-    return Fraction(f.sup_norm() * sigma_a * total, r)
+    s(k) and s(k) + s(k-1), where s(k) = 1 + q + ... + q^k. sup|f| is read
+    from the values scaled to integers, so the bound is one Fraction, and
+    it is computed once per function (`EvenFunction._bound`)."""
+    return f._bound
+
+
+def _difference_matrix(k: int) -> list[list[int]]:
+    # row j, column i: mu_A(q^(i-j)) for i >= j, that is 1 on the diagonal
+    # and -1 just above it; the transpose of the map d -> its c_A_sum terms
+    return [[1 if i == j else -1 if i == j + 1 else 0 for i in range(k + 1)] for j in range(k + 1)]
 
 
 def partial_sum_even(f: EvenFunction, x) -> PartialSumReport:
     """Exact partial sum of f up to x via the Fourier decomposition.
 
     sum_{n<=x} f(n) = sum_{d in A(r)} h(d) sum_{n<=x} c_A(n, d), each inner
-    sum in closed form, so the cost is in |A(r)|, not x; the main term is h(1) x."""
+    sum in closed form, so the cost is in |A(r)|, not x; the main term is
+    h(1) x. With X = floor(x) and h(d) = S2(d) / (r L) from `fourier_coeffs`,
+    the sum is regrouped by the members e of A(r):
+
+        sum_d S2(d) c_A_sum(d, X) = sum_{e in A(r)} e floor(X/e) G(e),
+        G(e) = sum_{d in A(r), e in A(d)} mu_A(d/e) S2(d).
+
+    Proof. `gensums.c_A_sum` gives sum_{n<=X} c_A(n, d) = sum_{e in A(d)}
+    mu_A(d/e) e floor(X/e). Every e in A(d) is in A(r), since A(d) is a
+    subset of A(r) for d in A(r), so swapping the two finite sums gives the
+    identity term for term. On the axis (q, k) of p^a || r of type t, d and
+    e have exponents i and j of q; p^(it) has type t by the chain rule, so
+    e in A(d) means j <= i there, and mu_A(q^(i-j)) is 1 at j = i, -1 at
+    j = i - 1 and 0 otherwise. Both conditions and mu_A are products over
+    the axes, so G is S2 under the Kronecker product of the (k+1)-square
+    matrices with 1 on the diagonal and -1 just above it, one more pass of
+    the transform. The result is an integer sum divided once by r L."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     big_x = floor(x)
     coeffs = fourier_coeffs(f)
-    exact = sum(hd * gensums.c_A_sum(coeffs.system, d, big_x) for d, hd in coeffs.h)
+    grouped = _kron_apply([_difference_matrix(k) for _, k in coeffs.axes], list(coeffs.numerators))
+    total = sum(g * e * (big_x // e) for e, g in zip(coeffs.members, grouped) if g)
     return PartialSumReport(
         x=big_x,
-        exact_sum=exact,
+        exact_sum=Fraction(total, coeffs.denominator),
         main_term=coeffs.coeff(1) * big_x,
         certified_bound=certified_residual_bound(f),
     )

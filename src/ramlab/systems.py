@@ -66,8 +66,15 @@ class RegularSystem:
     name: str = ""
 
     def __post_init__(self):
-        # an entry is three exact ints; a float, a bool or a str would
+        # the table is a tuple and the name a str, both in the hash key below,
+        # and an entry is three exact ints; a float, a bool or a str would
         # otherwise pass the checks below or fail in them as a TypeError
+        if type(self.types) is not tuple:
+            raise InvalidSystemError(
+                [f"types must be a tuple of (p, a, t) entries, got {type(self.types).__name__}"]
+            )
+        if type(self.name) is not str:
+            raise InvalidSystemError([f"name must be a str, got {self.name!r}"])
         malformed = [
             f"malformed entry {entry!r}: must be a tuple (p, a, t) of three integers"
             for entry in self.types

@@ -37,6 +37,13 @@ from .systems import DIRICHLET, RegularSystem, divisor_set, gamma_A, gcd_A, phi_
 # p <= 2^10 when t >= 2, so trial division factorizes p^t at once
 MAX_WITNESS_WORK = 2**20
 
+# the cap on min(x, r) in `mean_value_check`, whose tally makes fewer than
+# 2 min(x, r) gcd calls per x. `verify prop1 --rmax 1 --even <literal>` took
+# 3.4-3.9 s for a tau = 384 literal at r = 6126120 with --xmax 10^12, and
+# 5.1-5.7 s and 17 MB peak RSS at the cap, r = 2^23 with --xmax 2^24 - 1,
+# fresh processes (CPython 3.11, x86-64, 2 vCPUs)
+MAX_ORACLE_TALLY = 2**23
+
 # the names `check_propositions` takes, in the order it runs them
 PROPOSITIONS = ("prop1", "prop2", "prop3", "prop4")
 
@@ -267,26 +274,35 @@ def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumR
 
     The sum tallies n <= x by gcd class. Since gcd(n + r, r) = gcd(n, r),
     that tally is q = x // r copies of the tally over one period n = 1..r
-    plus the tally over n = 1..x - q r, so each x costs O(min(x, r)) gcds.
-    The classes and counts are the same integers, in the same order, as a
-    loop over every n <= x, so the sums are identical. Only periodicity is
-    used, never phi, c(., q) or the Fourier coefficients: this stays the
-    oracle side, independent of the closed form in partial_sum_even."""
-    reports = []
-    bound = certified_residual_bound(f)
-    mf = mean_value(f)
+    plus the tally over n = 1..x - q r, so each x costs O(min(x, r)) gcds;
+    an x with min(x, r) above MAX_ORACLE_TALLY is refused before any x is
+    tallied. The classes and counts are the same integers as a loop over
+    every n <= x gives. The values are scaled to integers by the lcm L of
+    their denominators, so the sum is one integer sum of count times scaled
+    value over the classes, divided once by L. Only periodicity is used,
+    never phi, c(., q) or the Fourier coefficients: this stays the oracle
+    side, independent of the closed form in partial_sum_even."""
     for x in x_list:
         if x < 1:
             raise ValueError(f"x must be >= 1, got {x}")
+        if min(x, f.r) > MAX_ORACLE_TALLY:
+            raise ValueError(
+                f"the brute-force partial sum of an r={f.r} function up to x={x} needs "
+                f"min(x, r) at most {MAX_ORACLE_TALLY}"
+            )
+    reports = []
+    bound = certified_residual_bound(f)
+    mf = mean_value(f)
+    scale = lcm(*(v.denominator for _, v in f.values))
+    scaled = {d: v.numerator * (scale // v.denominator) for d, v in f.values}
+    for x in x_list:
         q, rest = divmod(x, f.r)
-        # classes in order of first appearance over n = 1, 2, ...
         counts = Counter(gcd(n, f.r) for n in range(1, min(x, f.r) + 1))
         if q:
             for d in counts:
                 counts[d] *= q
             counts.update(gcd(n, f.r) for n in range(1, rest + 1))
-        # a Fraction start keeps integer-valued sums exact rationals
-        exact = sum((f.value_map[d] * c for d, c in counts.items()), Fraction(0))
+        exact = Fraction(sum(scaled[d] * c for d, c in counts.items()), scale)
         reports.append(PartialSumReport(x, exact, mf * x, bound))
     return reports
 
@@ -301,10 +317,17 @@ def _sum_row(r: int, rep: PartialSumReport, ok: bool) -> list:
 
 def _mean_values(system, r_max, x_max, literal):
     # battery: the system's Ramanujan sums c_A(., r), the arithmetic-progression
-    # totient, and seeded random rational (A, r)-even functions, one draw per
-    # member of A(r) in increasing order; each brute-force sum must pass its
-    # bound and equal the closed form of partial_sum_even
+    # totient, seeded random rational (A, r)-even functions, one draw per
+    # member of A(r) in increasing order, and the literal; each brute-force
+    # sum must pass its bound and equal the closed form of partial_sum_even.
+    # The literal is the one function whose tally can be large, so it is
+    # tallied first, and refused past MAX_ORACLE_TALLY before any other work;
+    # its rows still come last
     xs = [100, x_max] if x_max > 100 else [x_max]
+    tail = []
+    if literal:
+        f = parse_even_literal(literal)
+        tail.append((f, mean_value_check(f, xs)))
     functions = [c_A_even(system, r) for r in range(1, min(r_max, 30) + 1)]
     functions.append(progression_totient_even(1, 12))
     rng = random.Random(20040233)
@@ -314,11 +337,9 @@ def _mean_values(system, r_max, x_max, literal):
         functions.append(
             EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
         )
-    if literal:
-        functions.append(parse_even_literal(literal))
     rows, passed = [], True
-    for f in functions:
-        for rep in mean_value_check(f, xs):
+    for f, reports in [(f, mean_value_check(f, xs)) for f in functions] + tail:
+        for rep in reports:
             ok = rep.passed and partial_sum_even(f, rep.x).exact_sum == rep.exact_sum
             passed &= ok
             rows.append(_sum_row(f.r, rep, ok))

@@ -318,6 +318,38 @@ class TestCommandVerify:
         assert out == ""
         assert "2^40" in err
 
+    @pytest.mark.parametrize("target", ["prop1", "all"])
+    def test_even_literal_past_the_tally_budget_exits_1_before_any_work(
+        self, capsys, monkeypatch, target
+    ):
+        # 41 values on the divisors 2^i of r = 2^40: the tally would make 10^12 gcd calls
+        literal = "r=1099511627776; " + ", ".join(f"{2**i}:{i % 5 - 2}" for i in range(41))
+
+        def refuse(*args):
+            raise AssertionError("prop1 started work past the tally budget")
+
+        monkeypatch.setattr(verify, "gcd", refuse)
+        monkeypatch.setattr(verify, "c_A_even", refuse)
+        code, out, err = run(capsys, "verify", target, "--rmax", "1", "--xmax", str(10**12),
+                             "--even", literal)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert (f"the brute-force partial sum of an r={2**40} function up to x={10**12} "
+                f"needs min(x, r) at most {verify.MAX_ORACLE_TALLY}") in err
+
+    def test_even_literal_within_the_tally_budget_answers(self, capsys):
+        # r = 2^3 3^2 5 7 11 13 17, tau = 384 on 7 axes: the closed form's
+        # cost is in tau, and the tally's in min(x, r) = 100
+        r = 6126120
+        literal = f"r={r}; " + ", ".join(
+            f"{d}:{d % 7 - 3}/{d % 5 + 1}" for d in range(1, r + 1) if r % d == 0
+        )
+        code, out, _ = run(capsys, "verify", "prop1", "--rmax", "1", "--xmax", "100",
+                           "--even", literal, "--format", "json")
+        assert code == EXIT_OK
+        row = json.loads(out.splitlines()[-1])
+        assert (row["r"], row["x"], row["pass"]) == (r, 100, "true")
+
     def test_huge_table_exponent_answers_at_once(self, capsys, tmp_path):
         # 2^(10^9) of type 10^9: built, it took 8.6 s; no power is built now
         spec = tmp_path / "a9.json"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ramlab import even
 from ramlab.arith import divisors, ramanujan_c
-from ramlab.gensums import c_A
+from ramlab.gensums import c_A, c_A_sum
 from ramlab.even import (
     EvenFunction,
     c_A_even,
@@ -73,10 +73,20 @@ def reference_bound(f):
     system = f.system or DIRICHLET
     members = divisor_set(system, f.r)
     return (
-        Fraction(f.sup_norm())
+        Fraction(max(abs(v) for _, v in f.values))
         * Fraction(sum(members), f.r)
         * sum(psi_A(system, d) for d in members)
     )
+
+
+def per_coefficient_partial_sums(f, xs):
+    """sum_{d in A(r)} h(d) sum_{n<=x} c_A(n, d) for each x in xs, one
+    closed-form c_A_sum and one Fraction multiply-add per coefficient of the
+    tau_A^2 definition: the oracle for the regrouped integer route of
+    partial_sum_even."""
+    system = f.system or DIRICHLET
+    coeffs = reference_fourier_coeffs(f)
+    return [sum((hd * c_A_sum(system, d, x) for d, hd in coeffs), Fraction(0)) for x in xs]
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -149,6 +159,29 @@ class TestEvenFunction:
             EvenFunction.from_values(6, values, system)
         with pytest.raises(ValueError, match=re.escape(want)):
             EvenFunction.from_callable(6, values.__getitem__, system)
+
+    # each is refused by the constructor itself, so no later operation meets
+    # a value without a denominator or a divisor without a value
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2, ((1, 0.5), (2, 1))), "value at divisor 1 must be an int or a Fraction, got 0.5"),
+            ((2, ((1, 1), (2, True))), "value at divisor 2 must be an int or a Fraction, got True"),
+            ((6, ((1, 1), (2, 2))), "values must be given on exactly the divisors of 6"),
+            ((6, ((2, 2), (1, 1), (3, 3), (6, 6))),
+             "values must be given on exactly the divisors of 6, in increasing order"),
+            ((2, [(1, 1), (2, 1)]), "values must be a tuple of (divisor, value) pairs"),
+            ((2, ((1, 1), (2,))), "values must be a tuple of (divisor, value) pairs"),
+            ((0, ()), "modulus must be an int >= 1, got 0"),
+            ((2.0, ((1, 1), (2, 1))), "modulus must be an int >= 1, got 2.0"),
+            ((4, ((1, 0), (2, 1), (4, 2)), UNITARY), "not A-even mod 4"),
+        ],
+        ids=["float value", "bool value", "missing divisors", "unordered", "list",
+             "short pair", "zero modulus", "float modulus", "not A-even"],
+    )
+    def test_direct_construction_is_checked(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EvenFunction(*args)
 
 
 class TestInnerProduct:
@@ -356,11 +389,34 @@ class TestAEvenFunctions:
             rep = partial_sum_even(f, x)
             assert rep.exact_sum == brute and rep.passed
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=valid_specs(), data=st.data())
+    def test_integer_partial_sum_against_per_coefficient_route(self, spec, data):
+        # the integer route regroups the per-coefficient sums by the members
+        # of A(r); both must give the brute-force sum, exactly and as Fractions
+        system = system_from_dict(spec)
+        r = data.draw(in_scope_moduli(system), label="r")
+        members = divisor_set(system, r)
+        vals = data.draw(st.lists(RATIONAL_VALUES["int and fraction"],
+                                  min_size=len(members), max_size=len(members)))
+        drawn = dict(zip(members, vals))
+        f = EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
+        period = [f(n) for n in range(1, r + 1)]
+        q = data.draw(st.integers(0, 10**9), label="q")
+        rest = data.draw(st.integers(1, r), label="rest")
+        xs = (1, rest, r, q * r + rest)
+        for x, want in zip(xs, per_coefficient_partial_sums(f, xs)):
+            # f has period r
+            brute = x // r * sum(period) + sum(period[: x % r])
+            got = partial_sum_even(f, x).exact_sum
+            assert got == want == brute
+            assert type(got) is Fraction
+
     def test_unitary_bound_by_hand(self):
         # r = 12 under U: A(12) = {1, 3, 4, 12}, sigma_U(12) = 20, and
         # psi_U is 1, 4, 5, 20 on those members
         f = c_A_even(UNITARY, 12)
-        assert f.sup_norm() == 6
+        assert max(abs(v) for _, v in f.values) == 6
         assert certified_residual_bound(f) == 6 * Fraction(20, 12) * 30
 
 

@@ -102,6 +102,13 @@ class TestValidate:
             f"malformed entry {entry!r}: must be a tuple (p, a, t) of three integers"
         ]
 
+    def test_types_must_be_a_tuple(self):
+        # a list would be refused only when hashed, as a bare TypeError
+        assert refused(types=[(2, 1, 1)]) == ["types must be a tuple of (p, a, t) entries, got list"]
+
+    def test_name_must_be_a_str(self):
+        assert refused(name=["D"]) == ["name must be a str, got ['D']"]
+
     def test_unknown_default_rule(self):
         assert refused(default="other") == ["unknown default rule 'other'"]
 

@@ -22,6 +22,7 @@ from ramlab.systems import (
     system_from_dict,
 )
 from ramlab.verify import (
+    MAX_ORACLE_TALLY,
     OrthogonalityReport,
     additive_closure_witness,
     expansion_demo,
@@ -434,6 +435,22 @@ class TestMeanValueCheckTally:
         f = EvenFunction.from_callable(r, lambda d: Fraction(d % 7 - 3, d % 5 + 1))
         (rep,) = mean_value_check(f, [x])
         assert rep.exact_sum == partial_sum_even(f, x).exact_sum
+
+
+    def test_refuses_past_the_tally_budget_before_any_tally(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tallied past the budget")
+
+        cap = MAX_ORACLE_TALLY
+        f = EvenFunction.from_callable(2**24, lambda d: Fraction(1, d))
+        monkeypatch.setattr("ramlab.verify.gcd", refuse)
+        # min(x, r) is what the tally pays; the first x is fine and still untallied
+        with pytest.raises(ValueError, match=f"needs min\\(x, r\\) at most {cap}"):
+            mean_value_check(f, [100, cap + 1])
+        monkeypatch.undo()
+        small = EvenFunction.from_callable(12, lambda d: d)
+        (rep,) = mean_value_check(small, [10**15])
+        assert rep.exact_sum == partial_sum_even(small, 10**15).exact_sum
 
 
 class TestReports:
