@@ -40,18 +40,18 @@ MAX_TERMS = 10**7
 # processes each (CPython 3.11, x86-64 Xeon, 2 vCPUs)
 MAX_RMAX = 3000
 
-# JSON and CSV rows become text one chunk at a time, but `--what cA` keeps
-# one column list per modulus, plain output keeps every row for its width
-# pass, and `main` holds every chunk's text until the command succeeds. At
-# the cap a fresh process took, for a square `--what cA` table under MIX,
-# 0.3 s and 28 MB peak RSS as JSON, 0.45-0.5 s and 22 MB as CSV, and
-# 1.25-1.3 s and 43 MB as plain; for one column per modulus (--nmax 1, under
-# U) 4.0-4.5 s and 52 MB as JSON, 3.3-3.9 s and 46 MB as CSV, and 4.9-5.2 s
-# and 69 MB as plain (CPython 3.11, x86-64)
+# `--what cA` keeps one column list per modulus and `main` holds every
+# chunk's text until the command succeeds. At the cap a fresh process (no
+# bytecode cache) took, for a square `--what cA` table under MIX, 0.23-0.30 s
+# and 27 MB peak RSS as JSON, 0.21-0.28 s and 21 MB as CSV, and 0.24-0.27 s
+# and 22 MB as plain; for one column per modulus (--nmax 1, under U), most
+# of it factorizing the moduli, 3.9-4.6 s and 52 MB as JSON and 4.3-4.9 s
+# and 46 MB as plain; for --rmax 4 --nmax 65536 under D 0.31-0.35 s and
+# 27 MB as JSON (CPython 3.11, x86-64, three processes each)
 MAX_TABLE_ROWS = 2**18
 
-# rows per emitted text: JSON and CSV take the all-int check and the write
-# once per chunk, and `main` holds one string per chunk
+# rows per emitted text, at most: JSON and CSV take the all-int check and the
+# write once per chunk, and `main` holds one string per chunk
 CHUNK_ROWS = 4096
 
 # the oracle and all routes sum r floating-point terms, each after a scan of
@@ -120,24 +120,107 @@ def _plain_width(name: str, column: list) -> int:
     return max([len(name), *map(len, map(format_value, column))])
 
 
+def _plain_line(cells: Iterable[str], widths: Sequence[int]) -> str:
+    return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
+
+
+class _Grid:
+    """The c_A table as columns: `columns[j]` lists c_A(n, moduli[j]) for
+    n = 1..n_max. Iterated, it gives the rows (n, r, value), n-major, that
+    the table prints; `_emit_rows` writes it from the columns instead."""
+
+    __slots__ = ("moduli", "n_max", "columns")
+
+    def __init__(self, moduli: range, n_max: int, columns: list[list[int]]):
+        self.moduli, self.n_max, self.columns = moduli, n_max, columns
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        return chain.from_iterable(
+            zip(repeat(n), self.moduli, map(itemgetter(n - 1), self.columns))
+            for n in range(1, self.n_max + 1)
+        )
+
+
+def _grid_texts(header: list[str], grid: _Grid, fmt: str) -> Iterator[str]:
+    # each line joins three pieces, the n text, the r text and the value
+    # text, each from a %d template of its format: a value text is made once
+    # per distinct value, an n text once per chunk that holds n, and the r
+    # texts as the two loops below say
+    moduli, n_max, columns = grid.moduli, grid.n_max, grid.columns
+    if fmt == "plain":
+        # the value is the last cell, so its padding is what rstrip removes
+        widths = (max(len(header[0]), len(str(n_max))), max(len(header[1]), len(str(moduli[-1]))))
+        yield _plain_line(header, (*widths, 0))
+        pieces = (f"%-{widths[0]}d  ", f"%-{widths[1]}d  ", "%d\n")
+    elif fmt == "json":
+        n_key, r_key, v_key = (json.dumps(k).replace("%", "%%") for k in header)
+        pieces = (f"{{{n_key}: %d, {r_key}: ", f"%d, {v_key}: ", "%d}\n")
+    else:
+        yield from _emit_rows(header, (), fmt)  # the CSV header line
+        pieces = ("%d,", "%d,", "%d\n")
+    n_piece, r_piece, v_piece = pieces
+    value_text = {v: v_piece % v for v in set(chain.from_iterable(columns))}.__getitem__
+
+    def text(ns: range, cols: list, r_texts: list[str]) -> str:
+        # rows n in ns (0-based) by the given columns, n-major; the values
+        # are read by n when there are fewer n than columns, else by column
+        if len(ns) < len(cols):
+            values = chain.from_iterable(map(map, map(itemgetter, ns), repeat(cols)))
+        else:
+            values = chain.from_iterable(zip(*map(itemgetter(slice(ns.start, ns.stop)), cols)))
+        n_texts = map(n_piece.__mod__, range(ns.start + 1, ns.stop + 1))
+        lines = zip(
+            chain.from_iterable(map(repeat, n_texts, repeat(len(cols)))),
+            chain.from_iterable(repeat(r_texts, len(ns))),
+            map(value_text, values),
+        )
+        return "".join(chain.from_iterable(lines))
+
+    width = len(columns)
+    if width <= CHUNK_ROWS:
+        # whole rows of n, as many as fit in CHUNK_ROWS lines
+        r_texts = list(map(r_piece.__mod__, moduli))
+        step = CHUNK_ROWS // width
+        for n in range(0, n_max, step):
+            yield text(range(n, min(n + step, n_max)), columns, r_texts)
+        return
+    # a row longer than a chunk is cut into chunks, each building the r
+    # texts it prints, so no text of every modulus is held at once
+    for n in range(n_max):
+        for lo in range(0, width, CHUNK_ROWS):
+            hi = lo + CHUNK_ROWS
+            yield text(range(n, n + 1), columns[lo:hi], list(map(r_piece.__mod__, moduli[lo:hi])))
+
+
 def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterator[str]:
     """The text of `rows` under `header` as JSON lines, CSV or plain text,
-    one string per chunk of CHUNK_ROWS rows.
+    one string per chunk of at most CHUNK_ROWS rows.
 
-    JSON and CSV take each chunk as it arrives, so `rows` may be a generator;
-    only plain output consumes every row before its first text, to pad its
-    columns. A chunk whose cells are all exact ints is written as it is;
-    any other first passes each cell through `_json_cell` or `format_value`.
-    A JSON line is byte-identical to `json.dumps(dict(zip(header, row)))`
-    after the cell rules of `_json_cell`.
+    A `_Grid`, the c_A table, is written from its columns and is never
+    iterated as rows. Each line joins the n text, made once per n, the r
+    text, made once per modulus and reused down the table (once per chunk
+    when a row of moduli is longer than a chunk), and the value text, made
+    once per distinct value: no row tuple, type scan or % per cell. Plain
+    output pads n and r to the widths of n_max and the largest modulus,
+    and the last cell, the value, is not padded. At the 2^18-row cap that
+    takes the three formats to 0.21-0.30 s and 21-27 MB peak RSS in a fresh
+    process (see MAX_TABLE_ROWS).
+
+    Other rows are read as they come. JSON and CSV take each chunk as it
+    arrives, so `rows` may be a generator; plain output consumes every row
+    before its first text, to pad its columns. A chunk whose cells are all
+    exact ints is written as it is; any other first passes each cell
+    through `_json_cell` or `format_value`. Either way a JSON line is
+    byte-identical to `json.dumps(dict(zip(header, row)))` after the cell
+    rules of `_json_cell`, and a grid's text to that of its rows.
     """
+    if isinstance(rows, _Grid):
+        yield from _grid_texts(header, rows, fmt)
+        return
     if fmt == "plain":
         rows = list(rows)
         widths = [_plain_width(h, [r[i] for r in rows]) for i, h in enumerate(header)]
-        lines = (
-            "  ".join(format_value(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n"
-            for row in chain([header], rows)
-        )
+        lines = (_plain_line(map(format_value, row), widths) for row in chain([header], rows))
         yield from map("".join, _chunks(lines))
         return
     if fmt == "json":
@@ -193,11 +276,7 @@ def _cmd_table(args) -> list:
     if args.what == "cA":
         moduli = range(1, args.rmax + 1)
         columns = [gensums.c_A_column(system, r, n_max) for r in moduli]
-        rows = chain.from_iterable(
-            zip(repeat(n), moduli, map(itemgetter(n - 1), columns))
-            for n in range(1, n_max + 1)
-        )
-        return [(["n", "r", "value"], rows, True)]
+        return [(["n", "r", "value"], _Grid(moduli, n_max, columns), True)]
     fn = {"phiA": phi_A, "psiA": psi_A, "gammaA": gamma_A, "muA": mu_A}[args.what]
     rows = ((r, fn(system, r)) for r in range(1, args.rmax + 1))
     return [(["r", "value"], rows, True)]

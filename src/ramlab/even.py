@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm, prod
 from operator import mul
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .arith import divisors, factorize
 from .gensums import Numeric, PartialSumReport
@@ -155,8 +155,8 @@ class FourierCoeffs:
     c_A(., d) of `system`.
 
     The integer numerators S2(d) are kept in the transform's mixed-radix
-    order over `axes`, the order of `members`; `denominator` is r L, L the
-    lcm of the value denominators. `h` lists the Fractions by d."""
+    order over `axes`, the order of `members`, which starts at d = 1;
+    `denominator` is r L, L the lcm of the value denominators."""
 
     r: int
     system: RegularSystem
@@ -164,18 +164,6 @@ class FourierCoeffs:
     members: tuple[int, ...]
     numerators: tuple[int, ...]
     denominator: int
-
-    @cached_property
-    def h(self) -> tuple[tuple[int, Fraction], ...]:
-        scale = self.denominator
-        return tuple(sorted((d, Fraction(s, scale)) for d, s in zip(self.members, self.numerators)))
-
-    @cached_property
-    def coeff_map(self) -> dict[int, Fraction]:
-        return dict(self.h)
-
-    def coeff(self, q: int) -> Fraction:
-        return self.coeff_map[q]
 
 
 def inner_product(f: EvenFunction, g: EvenFunction) -> Fraction:
@@ -339,12 +327,14 @@ def _difference_matrix(k: int) -> list[list[int]]:
     return [[1 if i == j else -1 if i == j + 1 else 0 for i in range(k + 1)] for j in range(k + 1)]
 
 
-def partial_sum_even(f: EvenFunction, x) -> PartialSumReport:
-    """Exact partial sum of f up to x via the Fourier decomposition.
+def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport]:
+    """Exact partial sums of f up to each x in `x_list` via the Fourier
+    decomposition, f transformed once for all of them.
 
     sum_{n<=x} f(n) = sum_{d in A(r)} h(d) sum_{n<=x} c_A(n, d), each inner
     sum in closed form, so the cost is in |A(r)|, not x; the main term is
-    h(1) x. With X = floor(x) and h(d) = S2(d) / (r L) from `fourier_coeffs`,
+    h(1) x, read as S2(1) / (r L) since the transform order starts at
+    d = 1. With X = floor(x) and h(d) = S2(d) / (r L) from `fourier_coeffs`,
     the sum is regrouped by the members e of A(r):
 
         sum_d S2(d) c_A_sum(d, X) = sum_{e in A(r)} e floor(X/e) G(e),
@@ -359,19 +349,21 @@ def partial_sum_even(f: EvenFunction, x) -> PartialSumReport:
     j = i - 1 and 0 otherwise. Both conditions and mu_A are products over
     the axes, so G is S2 under the Kronecker product of the (k+1)-square
     matrices with 1 on the diagonal and -1 just above it, one more pass of
-    the transform. The result is an integer sum divided once by r L."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    big_x = floor(x)
+    the transform. Each result is an integer sum divided once by r L."""
+    for x in x_list:
+        if x < 1:
+            raise ValueError(f"x must be >= 1, got {x}")
     coeffs = fourier_coeffs(f)
     grouped = _kron_apply([_difference_matrix(k) for _, k in coeffs.axes], list(coeffs.numerators))
-    total = sum(g * e * (big_x // e) for e, g in zip(coeffs.members, grouped) if g)
-    return PartialSumReport(
-        x=big_x,
-        exact_sum=Fraction(total, coeffs.denominator),
-        main_term=coeffs.coeff(1) * big_x,
-        certified_bound=certified_residual_bound(f),
-    )
+    terms = [(e, g) for e, g in zip(coeffs.members, grouped) if g]
+    h1 = Fraction(coeffs.numerators[0], coeffs.denominator)
+    bound = certified_residual_bound(f)
+    reports = []
+    for x in x_list:
+        big_x = floor(x)
+        total = sum(g * e * (big_x // e) for e, g in terms)
+        reports.append(PartialSumReport(big_x, Fraction(total, coeffs.denominator), h1 * big_x, bound))
+    return reports
 
 
 _LITERAL_RE = re.compile(r"^\s*r\s*=\s*(\d+)\s*;\s*(.*)$", re.S)

@@ -339,8 +339,8 @@ def _mean_values(system, r_max, x_max, literal):
         )
     rows, passed = [], True
     for f, reports in [(f, mean_value_check(f, xs)) for f in functions] + tail:
-        for rep in reports:
-            ok = rep.passed and partial_sum_even(f, rep.x).exact_sum == rep.exact_sum
+        for rep, closed in zip(reports, partial_sum_even(f, xs)):
+            ok = rep.passed and closed.exact_sum == rep.exact_sum
             passed &= ok
             rows.append(_sum_row(f.r, rep, ok))
     return _SUM_HEADER, rows, passed

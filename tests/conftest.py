@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -88,10 +89,22 @@ def sigma(n):
     return prod((p ** (a + 1) - 1) // (p - 1) for p, a in factorize(n))
 
 
+def coeffs_h(coeffs):
+    """The coordinates (d, h(d)) by d, each h(d) = S2(d) / denominator as a
+    Fraction, from the integers the `FourierCoeffs` hold."""
+    scale = coeffs.denominator
+    return tuple(sorted((d, Fraction(s, scale)) for d, s in zip(coeffs.members, coeffs.numerators)))
+
+
+def coeff(coeffs, q):
+    """h(q) as a Fraction."""
+    return dict(coeffs_h(coeffs))[q]
+
+
 def reconstruct(coeffs):
     """The A-even function n -> sum_{d in A(r)} h(d) c_A(n, d) that the
     `FourierCoeffs` describe, tagged with the system they were computed in."""
     def value(n):
-        return sum(hd * c_A(coeffs.system, n, d) for d, hd in coeffs.h)
+        return sum(hd * c_A(coeffs.system, n, d) for d, hd in coeffs_h(coeffs))
 
     return EvenFunction.from_callable(coeffs.r, value, coeffs.system)

@@ -33,7 +33,7 @@ from ramlab.verify import (
     mean_value_check,
 )
 
-from conftest import euler_phi, reconstruct, sigma
+from conftest import coeff, euler_phi, reconstruct, sigma
 
 SYSTEMS = [("D", DIRICHLET), ("U", UNITARY), ("MIX", MIX)]
 
@@ -196,5 +196,5 @@ def test_criterion_9_hilbert_space_suite():
         )
         coeffs = fourier_coeffs(f)  # both coefficient formulas compared internally
         assert reconstruct(coeffs).value_map == {d: Fraction(v) for d, v in f.values}, r
-        assert mean_value(f) == coeffs.coeff(1), r
+        assert mean_value(f) == coeff(coeffs, 1), r
     _report(9, "orthogonality and Fourier round trip exact for all r <= 200")

@@ -20,10 +20,10 @@ from ramlab.cli import (
     main,
 )
 from ramlab.gensums import PartialSumReport
-from ramlab.systems import MIX, UNITARY
+from ramlab.systems import MIX, UNITARY, ExponentOutOfScopeError, system_from_dict
 from ramlab.verify import OrthogonalityReport
 
-from conftest import euler_phi
+from conftest import CUSTOM_OK, euler_phi, valid_specs
 
 
 def run(capsys, *argv):
@@ -374,7 +374,8 @@ class TestCommandVerify:
         # every prop1 row fails its closed-form comparison
         real = verify.partial_sum_even
         monkeypatch.setattr(verify, "partial_sum_even",
-                            lambda f, x: PartialSumReport(x, real(f, x).exact_sum + 1, 0, 0))
+                            lambda f, xs: [PartialSumReport(rep.x, rep.exact_sum + 1, 0, 0)
+                                           for rep in real(f, xs)])
         code, out, _ = run(capsys, "verify", "all", *argv)
         assert code == EXIT_MISMATCH
         assert want and out.endswith(want)
@@ -665,6 +666,49 @@ class TestEmitterOracle:
         assert code == EXIT_USAGE
         assert out == ""
         assert "2^13 exceeds declared exponent bound 12" in err
+
+
+# n_max and r_max across the 9 -> 10 and 99 -> 100 text widths, each side
+WIDTH_EDGES = st.sampled_from([1, 9, 10, 11, 99, 100, 101])
+
+
+class TestGridEmitter:
+    """`table --what cA` hands `_emit_rows` its columns; the text written
+    from them equals the generic emitter's on the same rows as tuples."""
+
+    @given(spec=valid_specs(), rmax=WIDTH_EDGES | st.integers(1, 120),
+           nmax=WIDTH_EDGES | st.integers(1, 120), chunk=st.sampled_from([4096, 1, 3, 50]))
+    @example(spec=CUSTOM_OK, rmax=9, nmax=10, chunk=4096)
+    @example(spec=CUSTOM_OK, rmax=10, nmax=9, chunk=4096)
+    @example(spec=CUSTOM_OK, rmax=99, nmax=100, chunk=4096)
+    @example(spec=CUSTOM_OK, rmax=100, nmax=99, chunk=50)
+    @example(spec=CUSTOM_OK, rmax=101, nmax=11, chunk=50)
+    @example(spec=CUSTOM_OK, rmax=11, nmax=101, chunk=3)
+    @settings(max_examples=60, deadline=None)
+    def test_grid_text_matches_generic_rows(self, spec, rmax, nmax, chunk):
+        system = system_from_dict(spec)
+        columns = []
+        for r in range(1, rmax + 1):
+            try:
+                columns.append(gensums.c_A_column(system, r, nmax))
+            except ExponentOutOfScopeError:
+                break  # the table stops before the first modulus the system refuses
+        moduli = range(1, len(columns) + 1)
+        # the grid writes values with %d, which needs exact ints
+        assert all(type(v) is int for column in columns for v in column)
+        rows = [(n, r, columns[r - 1][n - 1]) for n in range(1, nmax + 1) for r in moduli]
+        grid = cli._Grid(moduli, nmax, columns)
+        assert list(grid) == rows
+        header = ["n", "r", "value"]
+        # CHUNK_ROWS patched small cuts rows of moduli across texts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "CHUNK_ROWS", chunk)
+            for fmt in cli.FORMATS:
+                texts = list(cli._emit_rows(header, grid, fmt))
+                want = "".join(cli._emit_rows(header, rows, fmt))
+                # compared as lines, which pytest reports by the first index that differs
+                assert "".join(texts).split("\n") == want.split("\n"), fmt
+                assert max(text.count("\n") for text in texts) <= chunk
 
 
 class TestErrorsAndPlumbing:

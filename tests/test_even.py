@@ -36,7 +36,7 @@ from ramlab.systems import (
     system_from_dict,
 )
 
-from conftest import euler_phi, reconstruct, sigma, valid_specs
+from conftest import coeff, coeffs_h, euler_phi, reconstruct, sigma, valid_specs
 
 
 def random_rational_even(r, rng):
@@ -228,19 +228,19 @@ class TestFourier:
         for r in range(1, 101):
             coeffs = fourier_coeffs(c_A_even(DIRICHLET, r))
             for q in divisors(r):
-                assert coeffs.coeff(q) == (1 if q == r else 0)
+                assert coeff(coeffs, q) == (1 if q == r else 0)
 
     @pytest.mark.parametrize("system", [UNITARY, MIX], ids=["U", "MIX"])
     def test_A_basis_element(self, system):
         for r in range(1, 121):
             coeffs = fourier_coeffs(c_A_even(system, r))
-            assert [d for d, _ in coeffs.h] == list(divisor_set(system, r))
-            assert all(h == (1 if d == r else 0) for d, h in coeffs.h)
+            assert [d for d, _ in coeffs_h(coeffs)] == list(divisor_set(system, r))
+            assert all(h == (1 if d == r else 0) for d, h in coeffs_h(coeffs))
 
     def test_constant_function(self):
         coeffs = fourier_coeffs(EvenFunction.from_callable(12, lambda d: 1))
         for q in divisors(12):
-            assert coeffs.coeff(q) == (1 if q == 1 else 0)
+            assert coeff(coeffs, q) == (1 if q == 1 else 0)
 
     def test_round_trip_random(self):
         rng = random.Random(99)
@@ -275,14 +275,14 @@ class TestFourier:
                         mat[i] = [a - factor * b for a, b in zip(mat[i], mat[col])]
                         rhs[i] -= factor * rhs[col]
             coeffs = fourier_coeffs(f)
-            assert [coeffs.coeff(q) for q in divs] == rhs
+            assert [coeff(coeffs, q) for q in divs] == rhs
 
     def test_mean_is_first_coefficient(self):
         rng = random.Random(17)
         for _ in range(30):
             r = rng.randint(1, 150)
             f = random_rational_even(r, rng)
-            assert mean_value(f) == fourier_coeffs(f).coeff(1)
+            assert mean_value(f) == coeff(fourier_coeffs(f), 1)
 
 
 class TestFourierKernel:
@@ -295,14 +295,14 @@ class TestFourierKernel:
         divs = divisors(r)
         vals = data.draw(st.lists(RATIONAL_VALUES[kind], min_size=len(divs), max_size=len(divs)))
         f = EvenFunction.from_values(r, dict(zip(divs, vals)))
-        got = fourier_coeffs(f).h
+        got = coeffs_h(fourier_coeffs(f))
         assert got == reference_fourier_coeffs(f)
         assert all(type(h) is Fraction for _, h in got)
 
     @pytest.mark.parametrize("r", [50400, 110880])
     def test_highly_composite_moduli(self, r):
         f = random_rational_even(r, random.Random(r))
-        assert fourier_coeffs(f).h == reference_fourier_coeffs(f)
+        assert coeffs_h(fourier_coeffs(f)) == reference_fourier_coeffs(f)
 
     @pytest.mark.parametrize("formula", [0, 1])
     def test_corrupted_matrix_entry_is_caught(self, monkeypatch, formula):
@@ -334,7 +334,7 @@ def _corrupt_each_entry(monkeypatch, f, formula, axes):
                 with pytest.raises(ArithmeticError, match="formulas disagree"):
                     fourier_coeffs(f)
     monkeypatch.setattr(even, "_axis_matrices", honest)
-    assert fourier_coeffs(f).h == reference_fourier_coeffs(f)
+    assert coeffs_h(fourier_coeffs(f)) == reference_fourier_coeffs(f)
 
 
 @st.composite
@@ -369,13 +369,13 @@ class TestAEvenFunctions:
         drawn = dict(zip(members, vals))
         f = EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
         coeffs = fourier_coeffs(f)
-        assert coeffs.h == reference_fourier_coeffs(f)
-        assert [d for d, _ in coeffs.h] == list(members)
+        assert coeffs_h(coeffs) == reference_fourier_coeffs(f)
+        assert [d for d, _ in coeffs_h(coeffs)] == list(members)
         back = reconstruct(coeffs)
         assert back.system == system
         assert back.value_map == {d: Fraction(v) for d, v in f.values}
         mean = mean_value(f)
-        assert mean == coeffs.coeff(1) == Fraction(sum(f(n) for n in range(1, r + 1)), r)
+        assert mean == coeff(coeffs, 1) == Fraction(sum(f(n) for n in range(1, r + 1)), r)
         bound = certified_residual_bound(f)
         assert bound == reference_bound(f)
         assert type(mean) is type(bound) is Fraction
@@ -384,10 +384,10 @@ class TestAEvenFunctions:
         for x in range(1, r + 1):
             total += f(x)
             assert abs(total - mean * x) <= bound
-        for x in (1, r, 3 * r + data.draw(st.integers(0, r), label="rest")):
+        xs = (1, r, 3 * r + data.draw(st.integers(0, r), label="rest"))
+        for x, rep in zip(xs, partial_sum_even(f, xs), strict=True):
             brute = sum(f(n) for n in range(1, x + 1))
-            rep = partial_sum_even(f, x)
-            assert rep.exact_sum == brute and rep.passed
+            assert rep.x == x and rep.exact_sum == brute and rep.passed
 
     @settings(max_examples=40, deadline=None)
     @given(spec=valid_specs(), data=st.data())
@@ -405,10 +405,11 @@ class TestAEvenFunctions:
         q = data.draw(st.integers(0, 10**9), label="q")
         rest = data.draw(st.integers(1, r), label="rest")
         xs = (1, rest, r, q * r + rest)
-        for x, want in zip(xs, per_coefficient_partial_sums(f, xs)):
+        reports = partial_sum_even(f, xs)
+        for x, want, rep in zip(xs, per_coefficient_partial_sums(f, xs), reports, strict=True):
             # f has period r
             brute = x // r * sum(period) + sum(period[: x % r])
-            got = partial_sum_even(f, x).exact_sum
+            got = rep.exact_sum
             assert got == want == brute
             assert type(got) is Fraction
 
@@ -468,14 +469,38 @@ class TestProgressionTotient:
 
 
 class TestPartialSumEven:
+    @pytest.mark.parametrize("system", [None, DIRICHLET, UNITARY, MIX], ids=["untagged", "D", "U", "MIX"])
+    def test_transform_order_starts_at_one(self, system):
+        # the main term h(1) x reads numerators[0], so the member at index 0
+        # must be d = 1 for every r and system
+        for r in range(1, 121):
+            f = c_A_even(system, r) if system else EvenFunction.from_callable(r, lambda d: d % 5)
+            coeffs = fourier_coeffs(f)
+            assert coeffs.members[0] == 1
+            assert Fraction(coeffs.numerators[0], coeffs.denominator) == mean_value(f) == coeff(coeffs, 1)
+
+    def test_one_transform_for_every_x(self, monkeypatch):
+        calls = []
+        real = even.fourier_coeffs
+        monkeypatch.setattr(even, "fourier_coeffs", lambda f: calls.append(f) or real(f))
+        f = EvenFunction.from_callable(36, lambda d: Fraction(d % 7 - 3, d % 5 + 1))
+        reports = partial_sum_even(f, [1, 36, 10**3, 10**12])
+        assert len(calls) == 1
+        assert [rep.x for rep in reports] == [1, 36, 10**3, 10**12]
+        assert all(rep.main_term == mean_value(f) * rep.x and rep.passed for rep in reports)
+        # every x is checked before the transform runs
+        with pytest.raises(ValueError, match="x must be >= 1, got 0"):
+            partial_sum_even(f, [10, 0])
+        assert len(calls) == 1
+
     def test_constant_zero_residual(self):
         one = EvenFunction.from_callable(12, lambda d: 1)
         for x in (1, 10, 10**4):
-            rep = partial_sum_even(one, x)
+            (rep,) = partial_sum_even(one, [x])
             assert rep.residual == 0 and rep.passed
 
     def test_ramanujan_mod_6(self):
-        rep = partial_sum_even(c_A_even(DIRICHLET, 6), 10**4)
+        (rep,) = partial_sum_even(c_A_even(DIRICHLET, 6), [10**4])
         brute = sum(ramanujan_c(n, 6) for n in range(1, 10**4 + 1))
         assert rep.exact_sum == brute
         assert abs(rep.exact_sum) <= 12
@@ -486,7 +511,7 @@ class TestPartialSumEven:
             r = rng.randint(1, 50)
             f = random_rational_even(r, rng)
             for x in (10**3, 10**4):
-                rep = partial_sum_even(f, x)
+                (rep,) = partial_sum_even(f, [x])
                 brute = sum(Fraction(f.value_map[gcd(n, r)]) for n in range(1, x + 1))
                 assert rep.exact_sum == brute
                 assert rep.passed
