@@ -35,8 +35,9 @@ FORMATS = ("json", "csv", "plain")
 # (CPython 3.11, x86-64)
 MAX_TERMS = 10**7
 
-# prop3's diagonal rows cost sum r <= rmax^2/2 kernel values: `verify all` took
-# 1.5-1.8 s and 30 MB peak RSS at the cap under D, U and MIX, three fresh
+# prop2's period tallies and prop3's diagonal rows each cost sum r <= rmax^2/2
+# kernel values: `verify all` took 1.7-2.2 s and 28-29 MB peak RSS at the cap
+# under D, U and MIX, and `verify prop2` alone 0.9-1.3 s, three fresh
 # processes each (CPython 3.11, x86-64 Xeon, 2 vCPUs)
 MAX_RMAX = 3000
 
@@ -327,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--rmax", type=_positive_int, default=50, help=f"at most {MAX_RMAX}")
     p_v.add_argument("--xmax", type=_positive_int, default=1000)
     p_v.add_argument("--even", default=None,
-                     help="extra even function literal, e.g. 'r=6; 1:1, 2:-1, 3:0, 6:2'")
+                     help="extra (A, r)-even function literal, read in --system and "
+                          "refused if it is not A-even, e.g. 'r=6; 1:1, 2:-1, 3:0, 6:2'")
     p_v.set_defaults(func=_cmd_verify)
 
     p_e = sub.add_parser("expansion", help="truncated harmonic expansion of sigma(n)/n", parents=[common])

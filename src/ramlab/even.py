@@ -1,9 +1,8 @@
 """The finite space of r-even functions: values on divisors of r, evaluated
-anywhere through gcd(n, r). Tagged with a regular system A, a function is
-(A, r)-even, f(n) = f((n, r)_A), and expands in c_A(., d), d in A(r); an
-untagged one expands under D, in c(., q), q | r. Every value is an int or a
-Fraction, so inner products, Fourier coefficients, means and bounds are
-exact Fractions.
+anywhere through gcd(n, r). Each function names its regular system A (D by
+default): it is (A, r)-even, f(n) = f((n, r)_A), and expands in c_A(., d),
+d in A(r). Every value is an int or a Fraction, so inner products, Fourier
+coefficients, means and bounds are exact Fractions.
 
 The basis is orthogonal (`verify.mean_product_exact`); orthogonality fails
 only across A-sets, as in Prop 3's pair (p, p^a), p not in A(p^a).
@@ -38,11 +37,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm, prod
 from operator import mul
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .arith import divisors, factorize
 from .gensums import Numeric, PartialSumReport
-from .systems import DIRICHLET, RegularSystem, gcd_A, prime_power_types
+from .systems import DIRICHLET, RegularSystem, divisor_set, gcd_A, prime_power_types
 from . import gensums
 
 __all__ = [
@@ -51,6 +50,7 @@ __all__ = [
     "inner_product",
     "fourier_coeffs",
     "mean_value",
+    "certified_residual_bound",
     "c_A_even",
     "progression_totient",
     "progression_totient_even",
@@ -64,14 +64,14 @@ class EvenFunction:
     """A function with period r depending on n only through gcd(n, r).
 
     Stored as its values on the divisors of r, in increasing order, each an
-    int or a Fraction; an optional system tag asserts the stronger A-even
-    property (values constant on (., r)_A) and selects the basis c_A(., d),
-    d in A(r), that the closed forms use. Construction checks all three, so
-    every instance can be scaled to integers and transformed."""
+    int or a Fraction; the system A asserts the A-even property (values
+    constant on (., r)_A) and selects the basis c_A(., d), d in A(r), that
+    the closed forms use. Construction checks all three, so every instance
+    can be scaled to integers and transformed."""
 
     r: int
     values: tuple[tuple[int, Numeric], ...]
-    system: Optional[RegularSystem] = None
+    system: RegularSystem = DIRICHLET
 
     def __post_init__(self):
         r = self.r
@@ -83,34 +83,33 @@ class EvenFunction:
             raise ValueError("values must be a tuple of (divisor, value) pairs")
         if tuple(d for d, _ in self.values) != divisors(r):
             raise ValueError(f"values must be given on exactly the divisors of {r}, in increasing order")
+        if not isinstance(self.system, RegularSystem):
+            raise ValueError(f"system must be a RegularSystem, got {self.system!r}")
+        # (d, r)_A is d on A(r), every divisor under D, and else a smaller, checked one
+        members = set(divisor_set(self.system, r))
         for d, v in self.values:
             if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise ValueError(f"value at divisor {d} must be an int or a Fraction, got {v!r}")
-        if self.system is not None:
-            for d, v in self.values:
-                if v != self.value_map[gcd_A(self.system, d, r)]:
-                    raise ValueError(
-                        f"not A-even mod {r}: value at {d} differs from value at (d, r)_A"
-                    )
+            if d not in members and v != self.value_map[gcd_A(self.system, d, r)]:
+                raise ValueError(
+                    f"not A-even mod {r}: value at {d} differs from value at (d, r)_A"
+                )
 
     @classmethod
     def from_values(
         cls,
         r: int,
         values: Mapping[int, Numeric],
-        system: Optional[RegularSystem] = None,
+        system: RegularSystem = DIRICHLET,
     ) -> "EvenFunction":
-        divs = divisors(r)
-        if set(values) != set(divs):
-            raise ValueError(f"values must be given on exactly the divisors of {r}")
-        return cls(r, tuple((d, values[d]) for d in divs), system)
+        return cls(r, tuple(sorted(values.items())), system)
 
     @classmethod
     def from_callable(
         cls,
         r: int,
         fn: Callable[[int], Numeric],
-        system: Optional[RegularSystem] = None,
+        system: RegularSystem = DIRICHLET,
     ) -> "EvenFunction":
         return cls.from_values(r, {d: fn(d) for d in divisors(r)}, system)
 
@@ -122,7 +121,7 @@ class EvenFunction:
     def _bound(self) -> Fraction:
         # `certified_residual_bound`, kept: the brute-force partial sums and
         # the closed form of the same function both report it
-        _, axes, _, _ = _per_prime(self.system, self.r)
+        axes, _, _ = _per_prime(self.system, self.r)
         sums = [((q ** (k + 1) - 1) // (q - 1), (q**k - 1) // (q - 1)) for q, k in axes]
         sigma_a = prod(s for s, _ in sums)
         total = prod(s + s_prev for s, s_prev in sums)
@@ -135,18 +134,17 @@ class EvenFunction:
         return self.value_map[gcd(n, self.r)]
 
 
-def _per_prime(system: Optional[RegularSystem], r: int) -> tuple:
-    """The one pass every closed form here reads: the system (D when None),
-    the axis (q, k) = (p^t, a/t) of each p^a || r of type t, and the members
-    d of A(r) with phi_A(d), in the transform's mixed-radix order."""
-    system = system or DIRICHLET
+def _per_prime(system: RegularSystem, r: int) -> tuple:
+    """The one pass every closed form here reads: the axis (q, k) =
+    (p^t, a/t) of each p^a || r of type t, and the members d of A(r) with
+    phi_A(d), in the transform's mixed-radix order."""
     axes, members, phis = [], [1], [1]
     for _, a, t, high, low in prime_power_types(system, r):
         q, k = high // low, a // t
         axes.append((q, k))
         members = [d * q**i for d in members for i in range(k + 1)]
         phis = [x * (q**i - q ** (i - 1) if i else 1) for x in phis for i in range(k + 1)]
-    return system, axes, members, phis
+    return axes, members, phis
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ def inner_product(f: EvenFunction, g: EvenFunction) -> Fraction:
     if f.r != g.r:
         raise ValueError(f"modulus mismatch: {f.r} != {g.r}")
     r = f.r
-    _, _, divs, phis = _per_prime(None, r)
+    _, divs, phis = _per_prime(DIRICHLET, r)
     total = sum(phi * f.value_map[r // d] * g.value_map[r // d] for d, phi in zip(divs, phis))
     return Fraction(total, r)
 
@@ -224,7 +222,7 @@ def _scaled(values: list) -> tuple[list[int], int]:
 
 def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
     """The coefficients h(d) of f in the basis c_A(., d), d in A(r), with A
-    the system f is tagged with (D when untagged).
+    the system f names.
 
     Both closed forms are evaluated for every d in A(r):
 
@@ -241,7 +239,7 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
     docstring), and h(d) = S2(d) / (r L); the result keeps the integers
     S2 and the one denominator r L."""
     r = f.r
-    system, axes, members, phis = _per_prime(f.system, r)
+    axes, members, phis = _per_prime(f.system, r)
     mats = [_axis_matrices(q, k) for q, k in axes]
     values, scale = _scaled([f.value_map[r // e] for e in members])
     s1 = _kron_apply([k1 for k1, _ in mats], values)
@@ -252,19 +250,19 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
                 f"coefficient formulas disagree at d={d}: "
                 f"{Fraction(t1, r * scale * phi_d)} vs {Fraction(t2, r * scale)}"
             )
-    return FourierCoeffs(r, system, tuple(axes), tuple(members), tuple(s2), r * scale)
+    return FourierCoeffs(r, f.system, tuple(axes), tuple(members), tuple(s2), r * scale)
 
 
 def mean_value(f: EvenFunction) -> Fraction:
     """Exact mean (1/r) sum_{d in A(r)} phi_A(d) f(r/d); equals the coefficient h(1)."""
     r = f.r
-    _, _, members, phis = _per_prime(f.system, r)
+    _, members, phis = _per_prime(f.system, r)
     values, scale = _scaled([f.value_map[r // d] for d in members])
     return Fraction(sum(map(mul, values, phis)), r * scale)
 
 
 def c_A_even(system: RegularSystem, r: int) -> EvenFunction:
-    """c_A(., r) as an A-even-tagged element of the r-even space."""
+    """c_A(., r) as an (A, r)-even function."""
     return EvenFunction.from_callable(r, lambda n: gensums.c_A(system, n, r), system)
 
 
@@ -369,8 +367,9 @@ def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport
 _LITERAL_RE = re.compile(r"^\s*r\s*=\s*(\d+)\s*;\s*(.*)$", re.S)
 
 
-def parse_even_literal(text: str) -> EvenFunction:
-    """Parse the CLI literal `r=12; 1:1, 2:-1, ..., 12:5` (rationals as p/q)."""
+def parse_even_literal(text: str, system: RegularSystem) -> EvenFunction:
+    """Parse the CLI literal `r=12; 1:1, 2:-1, ..., 12:5` (rationals as p/q)
+    as an (A, r)-even function of `system`, refused unless it is one."""
     m = _LITERAL_RE.match(text)
     if not m:
         raise ValueError(f"malformed even-function literal: {text!r}")
@@ -390,4 +389,4 @@ def parse_even_literal(text: str) -> EvenFunction:
         if d in values:
             raise ValueError(f"divisor {d} is given more than once")
         values[d] = frac.numerator if frac.denominator == 1 else frac
-    return EvenFunction.from_values(r, values)
+    return EvenFunction.from_values(r, values, system)

@@ -53,6 +53,7 @@ __all__ = [
     "c_A_core",
     "c_A_oracle",
     "c_A_sum",
+    "Numeric",
     "PartialSumReport",
     "partial_sum_cA",
 ]

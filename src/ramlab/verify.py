@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
@@ -48,6 +48,7 @@ MAX_ORACLE_TALLY = 2**23
 PROPOSITIONS = ("prop1", "prop2", "prop3", "prop4")
 
 __all__ = [
+    "PROPOSITIONS",
     "mean_product_exact",
     "mean_product_empirical",
     "OrthogonalityReport",
@@ -317,16 +318,16 @@ def _sum_row(r: int, rep: PartialSumReport, ok: bool) -> list:
 
 def _mean_values(system, r_max, x_max, literal):
     # battery: the system's Ramanujan sums c_A(., r), the arithmetic-progression
-    # totient, seeded random rational (A, r)-even functions, one draw per
-    # member of A(r) in increasing order, and the literal; each brute-force
-    # sum must pass its bound and equal the closed form of partial_sum_even.
-    # The literal is the one function whose tally can be large, so it is
-    # tallied first, and refused past MAX_ORACLE_TALLY before any other work;
-    # its rows still come last
+    # totient (under D), seeded random rational (A, r)-even functions, one
+    # draw per member of A(r) in increasing order, and the literal, read in
+    # the system; each brute-force sum must pass its bound and equal the
+    # closed form of partial_sum_even. The literal is the one function whose
+    # tally can be large, so it is tallied first, and refused past
+    # MAX_ORACLE_TALLY before any other work; its rows still come last
     xs = [100, x_max] if x_max > 100 else [x_max]
     tail = []
     if literal:
-        f = parse_even_literal(literal)
+        f = parse_even_literal(literal, system)
         tail.append((f, mean_value_check(f, xs)))
     functions = [c_A_even(system, r) for r in range(1, min(r_max, 30) + 1)]
     functions.append(progression_totient_even(1, 12))
@@ -347,11 +348,21 @@ def _mean_values(system, r_max, x_max, literal):
 
 
 def _partial_sums(system, r_max, x_max, literal):
-    # the x <= x_max among 1, 2, 3, 10, 100, and x_max itself
+    # the x <= x_max among 1, 2, 3, 10, 100, and x_max itself. A row passes
+    # when the closed form of c_A_sum is within its bound and equals the
+    # tally S(x) = (x // r) S(r) + S(x mod r), read from the prefix sums of
+    # one period of the kernel's column, which never uses c_A_sum
     xs = sorted({min(x, x_max) for x in (1, 2, 3, 10, 100, x_max)})
-    reports = [(r, partial_sum_cA(system, r, x)) for r in range(1, r_max + 1) for x in xs]
-    rows = [_sum_row(r, rep, rep.passed) for r, rep in reports]
-    return _SUM_HEADER, rows, all(rep.passed for _, rep in reports)
+    rows, passed = [], True
+    for r in range(1, r_max + 1):
+        period = list(accumulate(c_A_column(system, r, r)))
+        for x in xs:
+            rep = partial_sum_cA(system, r, x)
+            q, rest = divmod(x, r)
+            ok = rep.passed and rep.exact_sum == q * period[-1] + (period[rest - 1] if rest else 0)
+            passed &= ok
+            rows.append(_sum_row(r, rep, ok))
+    return _SUM_HEADER, rows, passed
 
 
 def _orthogonality(system, r_max, x_max, literal):

@@ -20,7 +20,7 @@ from ramlab.cli import (
     main,
 )
 from ramlab.gensums import PartialSumReport
-from ramlab.systems import MIX, UNITARY, ExponentOutOfScopeError, system_from_dict
+from ramlab.systems import DIRICHLET, MIX, UNITARY, ExponentOutOfScopeError, system_from_dict
 from ramlab.verify import OrthogonalityReport
 
 from conftest import CUSTOM_OK, euler_phi, valid_specs
@@ -209,12 +209,35 @@ class TestCommandTable:
         assert f"at most {MAX_TABLE_ROWS}" in " ".join(out.split())
 
 
+# wrong closed forms for gensums.c_A_sum, each built from the real one
+PROP2_MUTANTS = {
+    # the psi_A bound holds on every row, so only the period tally tells
+    "zeroed": lambda real: lambda system, r, x: x if r == 1 else 0,
+    "sign flip": lambda real: lambda system, r, x: -real(system, r, x),
+}
+
+
 class TestCommandVerify:
     def test_prop2_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "prop2", "--system", "U",
                            "--rmax", "50", "--xmax", "1000", "--format", "csv")
         assert code == EXIT_OK
         assert "false" not in out
+
+    @pytest.mark.parametrize("system", ["D", "U", "MIX"])
+    @pytest.mark.parametrize("mutant", sorted(PROP2_MUTANTS))
+    def test_prop2_fails_a_wrong_closed_form(self, capsys, monkeypatch, mutant, system):
+        monkeypatch.setattr(gensums, "c_A_sum", PROP2_MUTANTS[mutant](gensums.c_A_sum))
+        code, out, _ = run(capsys, "verify", "prop2", "--system", system, "--rmax", "300",
+                           "--xmax", "100000", "--format", "json")
+        assert code == EXIT_MISMATCH
+        rows = [json.loads(line) for line in out.splitlines()]
+        failed = {row["r"] for row in rows if row["pass"] == "false"}
+        if mutant == "zeroed":
+            assert all(abs(row["residual"]) <= row["bound"] for row in rows)
+            assert failed and 1 not in failed  # the mutant is right at r = 1
+        else:
+            assert 1 in failed
 
     def test_prop3_dirichlet(self, capsys):
         code, out, _ = run(capsys, "verify", "prop3", "--system", "D", "--rmax", "30")
@@ -487,7 +510,7 @@ class TestEmitter:
                            "--even", literal, "--format", "json")
         assert code == EXIT_OK
         rows = [json.loads(line) for line in out.splitlines()][-2:]  # the literal's
-        reps = verify.mean_value_check(even.parse_even_literal(literal), [100, 250])
+        reps = verify.mean_value_check(even.parse_even_literal(literal, DIRICHLET), [100, 250])
         for row, rep in zip(rows, reps):
             assert isinstance(row["main_term"], str)  # 7/12 x is not integral
             back = PartialSumReport(row["x"], _number(row["exact_sum"]),

@@ -35,6 +35,7 @@ from ramlab.systems import (
     psi_A,
     system_from_dict,
 )
+from ramlab.verify import check_propositions
 
 from conftest import coeff, coeffs_h, euler_phi, reconstruct, sigma, valid_specs
 
@@ -47,13 +48,12 @@ def random_rational_even(r, rng):
 
 def reference_fourier_coeffs(f):
     """The definition, as the test oracle: both closed forms as tau_A^2
-    double sums over A(r), A the system f is tagged with (D when untagged),
-    in Fraction arithmetic.
+    double sums over A(r), A the system f names, in Fraction arithmetic.
 
         h(d) = (1 / (r phi_A(d))) sum_{e in A(r)} phi_A(e) f(r/e) c_A(r/e, d)
         h(d) = (1 / r)            sum_{e in A(r)} f(r/e) c_A(r/d, e)
     """
-    system = f.system or DIRICHLET
+    system = f.system
     r = f.r
     members = divisor_set(system, r)
     out = []
@@ -70,7 +70,7 @@ def reference_fourier_coeffs(f):
 
 def reference_bound(f):
     """sup|f| (sigma_A(r)/r) sum_{d in A(r)} psi_A(d), summed over A(r)."""
-    system = f.system or DIRICHLET
+    system = f.system
     members = divisor_set(system, f.r)
     return (
         Fraction(max(abs(v) for _, v in f.values))
@@ -84,7 +84,7 @@ def per_coefficient_partial_sums(f, xs):
     closed-form c_A_sum and one Fraction multiply-add per coefficient of the
     tau_A^2 definition: the oracle for the regrouped integer route of
     partial_sum_even."""
-    system = f.system or DIRICHLET
+    system = f.system
     coeffs = reference_fourier_coeffs(f)
     return [sum((hd * c_A_sum(system, d, x) for d, hd in coeffs), Fraction(0)) for x in xs]
 
@@ -150,7 +150,7 @@ class TestEvenFunction:
 
     # 6 is squarefree, so every 6-even function is also U-even: only the
     # value at 3 can be refused
-    @pytest.mark.parametrize("system", [None, UNITARY], ids=["untagged", "U"])
+    @pytest.mark.parametrize("system", [DIRICHLET, UNITARY], ids=["D", "U"])
     @pytest.mark.parametrize("bad", INEXACT_VALUES, ids=repr)
     def test_refuses_inexact_value(self, bad, system):
         values = {1: 1, 2: Fraction(1, 2), 3: bad, 6: -4}
@@ -175,13 +175,29 @@ class TestEvenFunction:
             ((0, ()), "modulus must be an int >= 1, got 0"),
             ((2.0, ((1, 1), (2, 1))), "modulus must be an int >= 1, got 2.0"),
             ((4, ((1, 0), (2, 1), (4, 2)), UNITARY), "not A-even mod 4"),
+            ((4, ((1, 1), (2, 1), (4, 1)), None), "system must be a RegularSystem, got None"),
+            ((4, ((1, 1), (2, 1), (4, 1)), "U"), "system must be a RegularSystem, got 'U'"),
         ],
         ids=["float value", "bool value", "missing divisors", "unordered", "list",
-             "short pair", "zero modulus", "float modulus", "not A-even"],
+             "short pair", "zero modulus", "float modulus", "not A-even", "no system",
+             "system name"],
     )
     def test_direct_construction_is_checked(self, args, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             EvenFunction(*args)
+
+    def test_evenness_check_skips_members(self, monkeypatch):
+        # (d, r)_A = d on A(r), so gcd_A runs only on the divisors outside
+        # it: never under D, the default, once per non-member under U
+        calls = []
+        real = even.gcd_A
+        monkeypatch.setattr(even, "gcd_A", lambda *a: calls.append(a[1]) or real(*a))
+        r = 110880  # 2^5 3^2 5 7 11, tau = 144
+        f = EvenFunction.from_callable(r, lambda d: Fraction(d % 7, d % 5 + 1))
+        assert f.system is DIRICHLET and calls == []
+        c_A_even(UNITARY, r)
+        outside = sorted(set(divisors(r)) - set(divisor_set(UNITARY, r)))
+        assert calls == outside and len(outside) == 144 - 32
 
 
 class TestInnerProduct:
@@ -469,7 +485,7 @@ class TestProgressionTotient:
 
 
 class TestPartialSumEven:
-    @pytest.mark.parametrize("system", [None, DIRICHLET, UNITARY, MIX], ids=["untagged", "D", "U", "MIX"])
+    @pytest.mark.parametrize("system", [None, DIRICHLET, UNITARY, MIX], ids=["default", "D", "U", "MIX"])
     def test_transform_order_starts_at_one(self, system):
         # the main term h(1) x reads numerators[0], so the member at index 0
         # must be d = 1 for every r and system
@@ -527,19 +543,61 @@ class TestPartialSumEven:
         assert bound == expected and type(bound) is Fraction
 
 
+def _literal(f):
+    """f as the CLI literal `r=...; d:v, ...` that parse_even_literal reads."""
+    return f"r={f.r}; " + ", ".join(f"{d}:{v}" for d, v in f.values)
+
+
 class TestLiteral:
     def test_integers(self):
-        f = parse_even_literal("r=12; 1:1, 2:-1, 3:0, 4:2, 6:0, 12:5")
-        assert f.r == 12 and f.value_map[4] == 2
+        f = parse_even_literal("r=12; 1:1, 2:-1, 3:0, 4:2, 6:0, 12:5", DIRICHLET)
+        assert f.r == 12 and f.value_map[4] == 2 and f.system is DIRICHLET
 
     def test_rationals(self):
-        f = parse_even_literal("r=2; 1:1/3, 2:-5/2")
+        f = parse_even_literal("r=2; 1:1/3, 2:-5/2", DIRICHLET)
         assert f.value_map == {1: Fraction(1, 3), 2: Fraction(-5, 2)}
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            parse_even_literal("1:1, 2:2")
+            parse_even_literal("1:1, 2:2", DIRICHLET)
         with pytest.raises(ValueError):
-            parse_even_literal("r=6; 1:one")
+            parse_even_literal("r=6; 1:one", DIRICHLET)
         with pytest.raises(ValueError):
-            parse_even_literal("r=6; 1:1, 2:2")  # missing divisors
+            parse_even_literal("r=6; 1:1, 2:2", DIRICHLET)  # missing divisors
+
+    @pytest.mark.parametrize("system", [UNITARY, MIX], ids=["U", "MIX"])
+    def test_read_in_the_system(self, system):
+        # (2, 4)_A = 1 under U and MIX, so f(2) must equal f(1)
+        f = parse_even_literal("r=4; 1:1, 2:1, 4:3", system)
+        assert f.system is system
+        assert [d for d, _ in coeffs_h(fourier_coeffs(f))] == [1, 4]
+        with pytest.raises(ValueError, match=re.escape("not A-even mod 4: value at 2 ")):
+            parse_even_literal("r=4; 1:1, 2:2, 4:3", system)
+        assert parse_even_literal("r=4; 1:1, 2:2, 4:3", DIRICHLET).value_map[2] == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=valid_specs(), data=st.data())
+    def test_printed_literal_round_trips_and_passes_prop1(self, spec, data):
+        system = system_from_dict(spec)
+        r = data.draw(in_scope_moduli(system), label="r")
+        members = divisor_set(system, r)
+        vals = data.draw(st.lists(RATIONAL_VALUES["int and fraction"],
+                                  min_size=len(members), max_size=len(members)))
+        drawn = dict(zip(members, vals))
+        f = EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
+        literal = _literal(f)
+        assert parse_even_literal(literal, system) == f
+        x_max = data.draw(st.integers(1, 3 * r), label="x_max")
+        ((_, rows, passed),) = check_propositions(["prop1"], system, 1, x_max, literal)
+        assert passed and rows[-1][:2] == [r, x_max]
+        # a changed value at a divisor outside A(r) breaks f(d) = f((d, r)_A)
+        outside = sorted(set(divisors(r)) - set(members))
+        if outside:
+            d = data.draw(st.sampled_from(outside), label="d")
+            values = dict(f.values)
+            values[d] += 1
+            bad = _literal(EvenFunction.from_values(r, values))
+            with pytest.raises(ValueError, match=rf"^not A-even mod {r}: value at {d} "):
+                parse_even_literal(bad, system)
+            with pytest.raises(ValueError, match=rf"value at {d} "):
+                check_propositions(["prop1"], system, 1, x_max, bad)

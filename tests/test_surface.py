@@ -31,25 +31,36 @@ def _ramlab_imports(tree: ast.Module):
                 yield module, alias.name
 
 
-@pytest.mark.parametrize("stem", MODULES + ["__init__"])
-def test_no_private_cross_module_names(stem):
-    tree = _tree(stem)
+def _cross_module_reads(tree: ast.Module):
+    """(module, name) for each name imported from another module of the
+    package, and for each `module.name` read after `from . import module`."""
     imported_modules = set()
-    offences = []
     for module, name in _ramlab_imports(tree):
         if not module and name in MODULES:
             imported_modules.add(name)  # `from . import gensums`
-        elif name.startswith("_"):
-            offences.append(f"from .{module} import {name}")
+        else:
+            yield module, name
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id in imported_modules
-            and node.attr.startswith("_")
         ):
-            offences.append(f"{node.value.id}.{node.attr}")
+            yield node.value.id, node.attr
+
+
+@pytest.mark.parametrize("stem", MODULES + ["__init__"])
+def test_no_private_cross_module_names(stem):
+    offences = [f"{m}.{n}" for m, n in _cross_module_reads(_tree(stem)) if n.startswith("_")]
     assert offences == []
+
+
+@pytest.mark.parametrize("stem", MODULES + ["__init__"])
+def test_cross_module_names_are_exported(stem):
+    # a name one module takes from another is on that module's surface
+    exported = _exported()
+    stray = [f"{m}.{n}" for m, n in _cross_module_reads(_tree(stem)) if n not in exported[m]]
+    assert stray == []
 
 
 # each module imports only modules before it
