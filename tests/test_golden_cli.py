@@ -13,7 +13,8 @@ oracle that looped over every n <= x, and the `verify prop3` ones on the
 systems {A} and {B} and on D at `--rmax 200` from the search that tried
 every pair r != s <= rmax. The `table --what cA --rmax 70 --nmax 70` ones,
 4900 rows each, were recorded from the emitter that wrote JSON and CSV one
-row at a time.
+row at a time. The `verify prop1 --even` ones under U and MIX were recorded
+from the literal read in `--system`, and the refused one prints nothing.
 Any change to what the CLI prints for these inputs, even one byte, fails
 here. To record them again from the current code (only when an output
 change is intended):
@@ -49,6 +50,10 @@ SPEC_FILES = {
 SYSTEMS = ("D", "U", "MIX", CUSTOM)
 FORMATS = ("json", "csv", "plain")
 EVEN_MODULI = (50400, 110880)  # tau = 108 and 144
+# (36, 4) under U and MIX: the first is constant on each class (d, 36)_A,
+# which MIX splits finer at 3; the second has f(2) != f(1) = f((2, 4)_A)
+A_EVEN_LITERALS = ("r=36; 1:1, 2:1, 3:1, 4:-2/3, 6:1, 9:5, 12:-2/3, 18:5, 36:7",
+                   "r=4; 1:1, 2:2, 4:3")
 
 
 def _even_literal(r: int) -> str:
@@ -92,6 +97,10 @@ def _cases() -> list[tuple[str, ...]]:
         for fmt in FORMATS:
             cases.append(("verify", "prop1", "--rmax", "12", "--xmax", "60",
                           "--even", f"{{even:{r}}}", "--format", fmt))
+    for system in ("U", "MIX"):
+        for literal in A_EVEN_LITERALS:
+            cases.append(("verify", "prop1", "--system", system, "--rmax", "12", "--xmax", "60",
+                          "--even", literal, "--format", "json"))
     # x = 100003 is prime, so x mod r != 0 for every r > 1 in the battery:
     # these pin the partial-period remainder of Prop 1's one-period tally
     for fmt in FORMATS:
