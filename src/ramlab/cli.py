@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import gensums, verify
@@ -43,12 +43,13 @@ MAX_RMAX = 3000
 
 # `--what cA` keeps one column list per modulus and `main` holds every
 # chunk's text until the command succeeds. At the cap a fresh process (no
-# bytecode cache) took, for a square `--what cA` table under MIX, 0.23-0.30 s
-# and 27 MB peak RSS as JSON, 0.21-0.28 s and 21 MB as CSV, and 0.24-0.27 s
-# and 22 MB as plain; for one column per modulus (--nmax 1, under U), most
-# of it factorizing the moduli, 3.9-4.6 s and 52 MB as JSON and 4.3-4.9 s
-# and 46 MB as plain; for --rmax 4 --nmax 65536 under D 0.31-0.35 s and
-# 27 MB as JSON (CPython 3.11, x86-64, three processes each)
+# bytecode cache) took, for a square `--what cA` table under MIX, 0.14-0.18 s
+# and 27.5-27.6 MB peak RSS as JSON, 0.13-0.14 s and 21.5-21.7 MB as CSV,
+# and 0.14-0.24 s and 22.1-22.3 MB as plain; for one column per modulus
+# (--nmax 1, under U), most of it factorizing the moduli, 2.5-2.8 s and
+# 51 MB as JSON and 2.8-2.9 s and 46 MB as plain; for --rmax 4 --nmax 65536
+# under D 0.19-0.28 s and 27 MB as JSON (CPython 3.11, x86-64, three
+# processes each)
 MAX_TABLE_ROWS = 2**18
 
 # rows per emitted text, at most: JSON and CSV take the all-int check and the
@@ -143,54 +144,44 @@ class _Grid:
 
 
 def _grid_texts(header: list[str], grid: _Grid, fmt: str) -> Iterator[str]:
-    # each line joins three pieces, the n text, the r text and the value
-    # text, each from a %d template of its format: a value text is made once
-    # per distinct value, an n text once per chunk that holds n, and the r
-    # texts as the two loops below say
+    # each line joins two pieces, the n text and a tail, the r text and the
+    # value text of one column, each from a %d template of its format, so a
+    # row of n is the tails of its columns joined by its n text
     moduli, n_max, columns = grid.moduli, grid.n_max, grid.columns
     if fmt == "plain":
         # the value is the last cell, so its padding is what rstrip removes
         widths = (max(len(header[0]), len(str(n_max))), max(len(header[1]), len(str(moduli[-1]))))
         yield _plain_line(header, (*widths, 0))
-        pieces = (f"%-{widths[0]}d  ", f"%-{widths[1]}d  ", "%d\n")
+        n_piece, tail = f"%-{widths[0]}d  ", f"%-{widths[1]}d  %d\n"
     elif fmt == "json":
         n_key, r_key, v_key = (json.dumps(k).replace("%", "%%") for k in header)
-        pieces = (f"{{{n_key}: %d, {r_key}: ", f"%d, {v_key}: ", "%d}\n")
+        n_piece, tail = f"{{{n_key}: %d", f", {r_key}: %d, {v_key}: %d}}\n"
     else:
         yield from _emit_rows(header, (), fmt)  # the CSV header line
-        pieces = ("%d,", "%d,", "%d\n")
-    n_piece, r_piece, v_piece = pieces
-    value_text = {v: v_piece % v for v in set(chain.from_iterable(columns))}.__getitem__
-
-    def text(ns: range, cols: list, r_texts: list[str]) -> str:
-        # rows n in ns (0-based) by the given columns, n-major; the values
-        # are read by n when there are fewer n than columns, else by column
-        if len(ns) < len(cols):
-            values = chain.from_iterable(map(map, map(itemgetter, ns), repeat(cols)))
-        else:
-            values = chain.from_iterable(zip(*map(itemgetter(slice(ns.start, ns.stop)), cols)))
-        n_texts = map(n_piece.__mod__, range(ns.start + 1, ns.stop + 1))
-        lines = zip(
-            chain.from_iterable(map(repeat, n_texts, repeat(len(cols)))),
-            chain.from_iterable(repeat(r_texts, len(ns))),
-            map(value_text, values),
-        )
-        return "".join(chain.from_iterable(lines))
+        n_piece, tail = "%d,", "%d,%d\n"
 
     width = len(columns)
     if width <= CHUNK_ROWS:
-        # whole rows of n, as many as fit in CHUNK_ROWS lines
-        r_texts = list(map(r_piece.__mod__, moduli))
+        # whole rows of n, as many as fit in CHUNK_ROWS lines; a column's
+        # tail is made once per distinct value and looked up per cell
+        tails = [{v: tail % (r, v) for v in set(column)} for r, column in zip(moduli, columns)]
         step = CHUNK_ROWS // width
-        for n in range(0, n_max, step):
-            yield text(range(n, min(n + step, n_max)), columns, r_texts)
+        for lo in range(0, n_max, step):
+            hi = min(lo + step, n_max)
+            n_texts = list(map(n_piece.__mod__, range(lo + 1, hi + 1)))
+            rows = zip(*[column[lo:hi] for column in columns])
+            lines = map(str.join, n_texts, map(map, repeat(getitem), repeat(tails), rows))
+            yield "".join(chain.from_iterable(zip(n_texts, lines)))
         return
-    # a row longer than a chunk is cut into chunks, each building the r
-    # texts it prints, so no text of every modulus is held at once
+    # a row longer than a chunk is cut into chunks, each formatting its tails
+    # where it prints them, so no text of every modulus is held at once; the
+    # leading "" puts the n text before the chunk's first tail in the one join
     for n in range(n_max):
+        n_text = n_piece % (n + 1)
         for lo in range(0, width, CHUNK_ROWS):
             hi = lo + CHUNK_ROWS
-            yield text(range(n, n + 1), columns[lo:hi], list(map(r_piece.__mod__, moduli[lo:hi])))
+            cells = zip(moduli[lo:hi], map(itemgetter(n), columns[lo:hi]))
+            yield n_text.join(chain(("",), map(tail.__mod__, cells)))
 
 
 def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterator[str]:
@@ -198,14 +189,16 @@ def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterato
     one string per chunk of at most CHUNK_ROWS rows.
 
     A `_Grid`, the c_A table, is written from its columns and is never
-    iterated as rows. Each line joins the n text, made once per n, the r
-    text, made once per modulus and reused down the table (once per chunk
-    when a row of moduli is longer than a chunk), and the value text, made
-    once per distinct value: no row tuple, type scan or % per cell. Plain
-    output pads n and r to the widths of n_max and the largest modulus,
-    and the last cell, the value, is not padded. At the 2^18-row cap that
-    takes the three formats to 0.21-0.30 s and 21-27 MB peak RSS in a fresh
-    process (see MAX_TABLE_ROWS).
+    iterated as rows. Each line joins two pieces: the n text, made once per
+    n, and a tail, the r text and the value text of one column. Where a row
+    of moduli fits in a chunk, each column's tails are made once per
+    distinct value in it, and a row of n is one join of its cells' tails by
+    its n text; a longer row formats each tail where it is printed. There
+    is no row tuple or type scan per cell. Plain output pads n and r to the
+    widths of n_max and the largest modulus, and the last cell, the value,
+    is not padded. At the 2^18-row cap that takes the three formats to
+    0.13-0.24 s and 21.5-27.6 MB peak RSS in a fresh process (see
+    MAX_TABLE_ROWS).
 
     Other rows are read as they come. JSON and CSV take each chunk as it
     arrives, so `rows` may be a generator; plain output consumes every row
@@ -319,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_t.add_argument("--system", default="D")
     p_t.add_argument("--rmax", type=_positive_int, required=True,
                      help=f"the table has rmax rows, rmax * nmax for cA, at most {MAX_TABLE_ROWS}")
-    p_t.add_argument("--nmax", type=_positive_int, default=None)
+    p_t.add_argument("--nmax", type=_positive_int, default=None,
+                     help="cA only: n = 1..nmax, default rmax")
     p_t.set_defaults(func=_cmd_table)
 
     p_v = sub.add_parser("verify", help="run the proposition checkers", parents=[common])

@@ -90,9 +90,11 @@ class EvenFunction:
         for d, v in self.values:
             if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise ValueError(f"value at divisor {d} must be an int or a Fraction, got {v!r}")
-            if d not in members and v != self.value_map[gcd_A(self.system, d, r)]:
+            g = d if d in members else gcd_A(self.system, d, r)
+            if v != self.value_map[g]:
                 raise ValueError(
-                    f"not A-even mod {r}: value at {d} differs from value at (d, r)_A"
+                    f"not A-even mod {r}: value at {d} is {v}, "
+                    f"but ({d}, {r})_A = {g} has value {self.value_map[g]}"
                 )
 
     @classmethod

@@ -207,6 +207,7 @@ class TestCommandTable:
         code, out, _ = run(capsys, "table", "--help")
         assert code == EXIT_OK
         assert f"at most {MAX_TABLE_ROWS}" in " ".join(out.split())
+        assert "--nmax NMAX cA only: n = 1..nmax, default rmax" in " ".join(out.split())
 
 
 # wrong closed forms for gensums.c_A_sum, each built from the real one
@@ -707,6 +708,7 @@ class TestGridEmitter:
     @example(spec=CUSTOM_OK, rmax=100, nmax=99, chunk=50)
     @example(spec=CUSTOM_OK, rmax=101, nmax=11, chunk=50)
     @example(spec=CUSTOM_OK, rmax=11, nmax=101, chunk=3)
+    @example(spec=CUSTOM_OK, rmax=7, nmax=2, chunk=3)
     @settings(max_examples=60, deadline=None)
     def test_grid_text_matches_generic_rows(self, spec, rmax, nmax, chunk):
         system = system_from_dict(spec)
@@ -732,6 +734,8 @@ class TestGridEmitter:
                 # compared as lines, which pytest reports by the first index that differs
                 assert "".join(texts).split("\n") == want.split("\n"), fmt
                 assert max(text.count("\n") for text in texts) <= chunk
+                # each text is whole lines, also where a row of moduli is cut
+                assert all(text.endswith("\n") for text in texts), fmt
 
 
 class TestErrorsAndPlumbing:
@@ -799,6 +803,22 @@ class TestErrorsAndPlumbing:
         assert message in err
         assert "invalid literal for int()" not in err
         assert "factorize" not in err
+
+    @pytest.mark.parametrize(
+        "system, literal, message",
+        [
+            ("U", "r=4; 1:1, 2:2, 4:3", "not A-even mod 4: value at 2 is 2, but (2, 4)_A = 1 has value 1"),
+            ("MIX", "r=4; 1:1, 2:2, 4:3", "not A-even mod 4: value at 2 is 2, but (2, 4)_A = 1 has value 1"),
+            ("U", "r=36; 1:1, 2:1, 3:1, 4:1, 6:5/2, 9:1, 12:1, 18:1, 36:2",
+             "not A-even mod 36: value at 6 is 5/2, but (6, 36)_A = 1 has value 1"),
+            ("MIX", "r=36; 1:1, 2:1, 3:-1, 4:1, 6:5/2, 9:1, 12:1, 18:1, 36:2",
+             "not A-even mod 36: value at 6 is 5/2, but (6, 36)_A = 3 has value -1"),
+        ],
+    )
+    def test_non_even_literal_names_the_divisor_and_both_values(self, capsys, system, literal, message):
+        code, out, err = run(capsys, "verify", "prop1", "--system", system, "--rmax", "1",
+                             "--xmax", "10", "--even", literal)
+        assert (code, out, err) == (EXIT_USAGE, "", message + "\n")
 
     def test_invalid_spec_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
