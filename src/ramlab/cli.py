@@ -30,9 +30,11 @@ EXIT_MISMATCH = 2
 
 FORMATS = ("json", "csv", "plain")
 
-# `expansion` holds one Moebius sieve of --terms signed bytes: 45 MB peak RSS
-# and 1.6-2.2 s at the cap (`expansion 720720`), three fresh processes
-# (CPython 3.11, x86-64)
+# `expansion` sieves floor(R^(2/3)) signed bytes above 2^17 terms and takes
+# the larger prefix sums of mu(m)/m^2 from a recursion: 0.11-0.22 s and
+# 17.9-18.1 MB peak RSS at the cap (`expansion 720720`), about what the
+# interpreter and the package take to start, seven fresh processes (CPython
+# 3.11, x86-64, 2 vCPUs)
 MAX_TERMS = 10**7
 
 # prop2's period tallies and prop3's diagonal rows each cost sum r <= rmax^2/2
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_e = sub.add_parser("expansion", help="truncated harmonic expansion of sigma(n)/n", parents=[common])
     p_e.add_argument("n", type=int)
     p_e.add_argument("--terms", type=_positive_int, default=1000,
-                     help=f"at most {MAX_TERMS}, where the run peaks at about 45 MB RSS")
+                     help=f"at most {MAX_TERMS}, where the run peaks at about 18 MB RSS")
     p_e.set_defaults(func=_cmd_expansion)
     return parser
 

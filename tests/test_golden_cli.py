@@ -3,9 +3,10 @@
 The digests in `golden_cli.json` were recorded from the divisor-route
 implementation of `table` and `c`, and the `verify prop1 --even` ones from
 the tau^2 double-sum implementation of `even.fourier_coeffs`. The
-`expansion` digests were recorded from the prefix-table evaluation of
-`verify.expansion_demo`, and `verify all` under D from the checkers that
-read the system's `kind` tag. `verify all` under U, MIX and the custom
+`expansion` digests up to 10^5 terms were recorded from the prefix-table
+evaluation of `verify.expansion_demo`, and the 10^6 and 10^7 ones from
+its Mertens-type recursion above floor(R^(2/3)). `verify all` under D was
+recorded from the checkers that read the system's `kind` tag. `verify all` under U, MIX and the custom
 system (with the `--xmax 100003` ones under U and MIX) were recorded from
 the Prop 1 battery of (A, r)-even functions expanded in c_A(., d),
 d in A(r). The D `--xmax 100003` ones were recorded from the Prop 1
@@ -119,6 +120,10 @@ def _cases() -> list[tuple[str, ...]]:
     expansions = [(n, terms) for terms in (1, 1000, 100000) for n in (1, 6, 5040, 720720)]
     for i, (n, terms) in enumerate(expansions):
         cases.append(("expansion", str(n), "--terms", str(terms), "--format", FORMATS[i % 3]))
+    # above 2^17 terms the cuts above floor(R^(2/3)) come from the recursion
+    for terms in (1000000, 10000000):
+        for n in (1, 720720):
+            cases.append(("expansion", str(n), "--terms", str(terms), "--format", "json"))
     return cases
 
 

@@ -1,14 +1,17 @@
 import random
+import time
+from array import array
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, pi
+from itertools import combinations
+from math import fsum, gcd, lcm, pi, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramlab import even
-from ramlab.arith import divisors
+from ramlab.arith import divisors, primes_up_to
 from ramlab.even import EvenFunction, c_A_even, partial_sum_even
 from ramlab.gensums import PartialSumReport, c_A_divisor
 from ramlab.systems import (
@@ -23,6 +26,7 @@ from ramlab.systems import (
     system_from_dict,
 )
 from ramlab.verify import (
+    IN_ORDER_TERMS,
     MAX_ORACLE_TALLY,
     OrthogonalityReport,
     additive_closure_witness,
@@ -34,6 +38,7 @@ from ramlab.verify import (
     mean_value_check,
     orthogonality_report,
 )
+from ramlab.verify import _divisors_up_to, _in_order_limit, _moebius_square_sums, _square_tail
 
 from conftest import SPEC_A, SPEC_B, euler_phi, sigma, valid_specs
 from test_arith import linear_moebius_sieve
@@ -328,7 +333,12 @@ class TestExpansionDemo:
             if mu[m]:
                 acc += mu[m] / (m * m)
             prefix[m] = acc
-        return (pi**2 / 6) * sum(prefix[terms // d] / d for d in divisors(n))
+        # left to right: built-in sum() adds floats with compensation from
+        # CPython 3.12 on
+        total = 0.0
+        for d in divisors(n):
+            total += prefix[terms // d] / d
+        return (pi**2 / 6) * total
 
     @pytest.mark.parametrize("terms", [1, 2, 7, 100, 1000, 12345])
     @pytest.mark.parametrize("n", [1, 2, 6, 12, 97, 360, 5040, 720720, 2**20])
@@ -337,13 +347,70 @@ class TestExpansionDemo:
         reference = self.prefix_table_reference(n, terms, linear_moebius_sieve(terms))
         assert expansion_demo(n, terms).truncated_value == reference
 
-    def test_bit_identical_at_a_million_terms(self):
-        # the golden CLI corpus stops at 10^5 terms
-        terms = 10**6
+    def test_bit_identical_at_the_in_order_cap(self):
+        # the golden CLI corpus stops at 10^5 terms; up to IN_ORDER_TERMS
+        # every cut is the left-to-right prefix sum, bit for bit
+        terms = IN_ORDER_TERMS
         mu = linear_moebius_sieve(terms)
         for n in (720720, 997920):
             reference = self.prefix_table_reference(n, terms, mu)
             assert expansion_demo(n, terms).truncated_value == reference
+
+    def test_accurate_at_a_million_terms(self):
+        # against each cut's correctly rounded sum, the recursion is within
+        # 1e-14; a left-to-right sum over every m <= 10^6 is 6-9e-14 off
+        terms = 10**6
+        mu = linear_moebius_sieve(terms)
+        quotients = array("d", (mu[m] / (m * m) if m else 0.0 for m in range(terms + 1)))
+        for n in (1, 5040, 720720, 997920):
+            exact = sum(Fraction(fsum(quotients[1 : terms // d + 1])) / d for d in divisors(n))
+            reference = Fraction(pi**2 / 6) * exact
+            truncated = expansion_demo(n, terms).truncated_value
+            assert abs(Fraction(truncated) - reference) <= 1e-14
+
+    def test_recursion_keeps_the_identity(self):
+        # sum_{d<=x} F(x // d) / d^2 = 1 at cuts x > U, each F(x) within
+        # 1e-15 of the correctly rounded sum of mu(m)/m^2 over m <= x
+        terms = 10**6
+        prefix, above = _moebius_square_sums(terms)
+        limit = len(prefix) - 1
+        assert limit == _in_order_limit(terms) == 10**4 and min(above) > limit
+        mu = linear_moebius_sieve(terms)
+        for x in (terms, terms // 3, terms // 10, terms // 64, min(above)):
+            values = [above[v] if v > limit else prefix[v] for v in (x // d for d in range(1, x + 1))]
+            assert abs(fsum(f / (d * d) for d, f in enumerate(values, 1)) - 1) <= 1e-15
+            assert abs(above[x] - fsum(mu[m] / (m * m) for m in range(1, x + 1) if mu[m])) <= 1e-15
+
+    def test_tail_series(self):
+        # T(a) - T(b) = sum_{a<d<=b} 1/d^2 at the split point of 10^6 terms,
+        # the in-order cap and 10^6
+        for a, b in combinations((_in_order_limit(10**6), IN_ORDER_TERMS, 10**6), 2):
+            expected = fsum(1.0 / (d * d) for d in range(a + 1, b + 1))
+            assert abs(_square_tail(a) - _square_tail(b) - expected) <= 1e-13 * expected
+
+    def test_divisors_up_to_terms_match_the_full_list(self):
+        # only the divisors d <= R are listed; sigma(n) comes from the
+        # factorization, and the truncation equals the full-divisor
+        # reference, whose divisors above R add F(0) = 0
+        rng = random.Random(1048576)
+        ns = [rng.randint(1, 2**20) for _ in range(300)] + [720720, 831600, 997920, 2**20]
+        terms_list = (1, 12, 1000)
+        mu = linear_moebius_sieve(max(terms_list))
+        for n in ns:
+            for terms in terms_list:
+                assert _divisors_up_to(n, terms) == [d for d in divisors(n) if d <= terms]
+                res = expansion_demo(n, terms)
+                assert res.target == sum(divisors(n)) / n
+                assert res.truncated_value == self.prefix_table_reference(n, terms, mu)
+
+    def test_primorial_costs_only_the_divisors_below_terms(self):
+        # the product of the first 26 primes has 2^26 divisors; listing them
+        # all took seconds and hundreds of MB at 22 primes
+        n = prod(primes_up_to(101))
+        start = time.perf_counter()
+        res = expansion_demo(n, 1000)
+        assert time.perf_counter() - start < 1.0
+        assert res.target == sigma(n) / n
 
     def test_error_shrinks(self):
         for n in (1, 6, 20):
