@@ -71,11 +71,21 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=4096)
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, strictly increasing."""
-    divs = [1]
+def divisors(n: int, bound: int | None = None) -> tuple[int, ...]:
+    """The positive divisors of n, strictly increasing; given a bound, only
+    those d <= bound. A divisor above the bound is never made, so the work
+    grows with the divisors kept, not with tau(n)."""
+    bound = n if bound is None else bound
+    divs = [1] if bound >= 1 else []
     for p, a in factorize(n):
-        divs = [d * p**i for d in divs for i in range(a + 1)]
+        grown = []
+        for d in divs:
+            for _ in range(a):
+                d *= p
+                if d > bound:
+                    break
+                grown.append(d)
+        divs += grown
     return tuple(sorted(divs))
 
 

@@ -58,9 +58,10 @@ MAX_TABLE_ROWS = 2**18
 # write once per chunk, and `main` holds one string per chunk
 CHUNK_ROWS = 4096
 
-# the oracle and all routes sum r floating-point terms, each after a scan of
-# A(r): the slowest r below the cap, 83160 and 98280, took 0.55 s in a fresh
-# process (CPython 3.11, x86-64)
+# the oracle and all routes sum r floating-point terms, each after a
+# per-prime (k, r)_A: of the r tried below the cap, 98280 was the slowest,
+# 0.20-0.31 s and 17 MB peak RSS under D, U and MIX with --route all, three
+# fresh processes each (CPython 3.11, x86-64, 2 vCPUs)
 MAX_ORACLE_R = 10**5
 
 
@@ -80,11 +81,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
-
-
-def _default_format() -> str:
-    fmt = os.environ.get("RAMLAB_FORMAT", "plain")
-    return fmt if fmt in FORMATS else "plain"
 
 
 def format_value(v) -> str:
@@ -130,19 +126,13 @@ def _plain_line(cells: Iterable[str], widths: Sequence[int]) -> str:
 
 class _Grid:
     """The c_A table as columns: `columns[j]` lists c_A(n, moduli[j]) for
-    n = 1..n_max. Iterated, it gives the rows (n, r, value), n-major, that
-    the table prints; `_emit_rows` writes it from the columns instead."""
+    n = 1..n_max; `_emit_rows` writes its rows (n, r, value), n-major, from
+    the columns."""
 
     __slots__ = ("moduli", "n_max", "columns")
 
     def __init__(self, moduli: range, n_max: int, columns: list[list[int]]):
         self.moduli, self.n_max, self.columns = moduli, n_max, columns
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        return chain.from_iterable(
-            zip(repeat(n), self.moduli, map(itemgetter(n - 1), self.columns))
-            for n in range(1, self.n_max + 1)
-        )
 
 
 def _grid_texts(header: list[str], grid: _Grid, fmt: str) -> Iterator[str]:
@@ -190,17 +180,16 @@ def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterato
     """The text of `rows` under `header` as JSON lines, CSV or plain text,
     one string per chunk of at most CHUNK_ROWS rows.
 
-    A `_Grid`, the c_A table, is written from its columns and is never
-    iterated as rows. Each line joins two pieces: the n text, made once per
-    n, and a tail, the r text and the value text of one column. Where a row
-    of moduli fits in a chunk, each column's tails are made once per
-    distinct value in it, and a row of n is one join of its cells' tails by
-    its n text; a longer row formats each tail where it is printed. There
-    is no row tuple or type scan per cell. Plain output pads n and r to the
-    widths of n_max and the largest modulus, and the last cell, the value,
-    is not padded. At the 2^18-row cap that takes the three formats to
-    0.13-0.24 s and 21.5-27.6 MB peak RSS in a fresh process (see
-    MAX_TABLE_ROWS).
+    A `_Grid`, the c_A table, is written from its columns. Each line joins
+    two pieces: the n text, made once per n, and a tail, the r text and the
+    value text of one column. Where a row of moduli fits in a chunk, each
+    column's tails are made once per distinct value in it, and a row of n
+    is one join of its cells' tails by its n text; a longer row formats
+    each tail where it is printed. There is no row tuple or type scan per
+    cell. Plain output pads n and r to the widths of n_max and the largest
+    modulus, and the last cell, the value, is not padded. At the 2^18-row
+    cap that takes the three formats to 0.13-0.24 s and 21.5-27.6 MB peak
+    RSS in a fresh process (see MAX_TABLE_ROWS).
 
     Other rows are read as they come. JSON and CSV take each chunk as it
     arrives, so `rows` may be a generator; plain output consumes every row
@@ -297,7 +286,8 @@ def _cmd_expansion(args) -> list:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ramlab", description=__doc__)
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=_default_format())
+    common.add_argument("--format", choices=FORMATS,
+                        default=os.environ.get("RAMLAB_FORMAT", "plain"))
     common.add_argument("-o", "--output", default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -342,6 +332,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # argparse checks the choices of a given --format, not of its default
+    if args.format not in FORMATS:
+        print(f"RAMLAB_FORMAT must be one of {', '.join(FORMATS)}, got {args.format!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     # the chunk texts are held until every table is made, so a failed run
     # prints nothing
     texts = []

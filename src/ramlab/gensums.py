@@ -14,10 +14,11 @@ into one period of c_A(., r), so a column costs omega(r) list products of
 length min(r, n_max) and no Python-level call per n.
 
 Three independent routes stay as the references the kernel is checked
-against. Route 1 (divisor form): sum over d in A(r) with d | n of
-d * mu_A(r/d). Route 2 (core form): sum of classical c(n, d) over d | r
-divisible by the core gamma_A(r). Route 3 is the literal exponential sum
-over residues k with (k, r)_A = 1 -- floating point, test oracle only.
+against. Route 1 (divisor form): d * mu_A(r/d) summed over A((n, r)_A),
+the members of A(r) dividing n. Route 2 (core form): classical c(n, d)
+summed over the multiples d = g m, m | r/g, of the core g = gamma_A(r).
+Route 3 is the literal exponential sum over residues k with (k, r)_A = 1
+-- floating point, test oracle only.
 
 The partial sums (`c_A_sum`, and the checker `partial_sum_cA`) use the
 closed form over A(r), sum_{d in A(r)} d mu_A(r/d) floor(x/d). Only the
@@ -108,7 +109,9 @@ def c_A_divisor(system: RegularSystem, n: int, r: int) -> int:
     """c_A(n, r) by the divisor form; exact integer."""
     if n < 1 or r < 1:
         raise ValueError(f"c_A_divisor requires n, r >= 1, got n={n}, r={r}")
-    return sum(d * mu_A(system, r // d) for d in divisor_set(system, r) if n % d == 0)
+    # A(r)'s members dividing n are A((n, r)_A): (n, r)_A takes p^(jt) at
+    # each p^a || r of type t, and p^(jt) has type t, so its chain heads r's
+    return sum(d * mu_A(system, r // d) for d in divisor_set(system, gcd_A(system, n, r)))
 
 
 def c_A_core(system: RegularSystem, n: int, r: int) -> int:
@@ -116,7 +119,7 @@ def c_A_core(system: RegularSystem, n: int, r: int) -> int:
     if n < 1 or r < 1:
         raise ValueError(f"c_A_core requires n, r >= 1, got n={n}, r={r}")
     g = gamma_A(system, r)
-    return sum(ramanujan_c(n, d) for d in divisors(r) if d % g == 0)
+    return sum(ramanujan_c(n, g * m) for m in divisors(r // g))
 
 
 def c_A_oracle(system: RegularSystem, n: int, r: int) -> complex:

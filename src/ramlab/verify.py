@@ -80,10 +80,10 @@ def mean_product_exact(system: RegularSystem, r: int, s: int) -> int:
     both cores, and the mean is 0: orthogonality fails only across A-sets."""
     if r < 1 or s < 1:
         raise ValueError(f"mean_product_exact requires r, s >= 1, got r={r}, s={s}")
-    gr, gs = gamma_A(system, r), gamma_A(system, s)
-    return sum(
-        phi_A(DIRICHLET, d) for d in divisors(gcd(r, s)) if d % gr == 0 and d % gs == 0
-    )
+    common, core = gcd(r, s), lcm(gamma_A(system, r), gamma_A(system, s))
+    if common % core:
+        return 0
+    return sum(phi_A(DIRICHLET, core * m) for m in divisors(common // core))
 
 
 def mean_product_empirical(system: RegularSystem, r: int, s: int, x: int) -> Fraction:
@@ -245,23 +245,6 @@ class ExpansionResult:
     abs_error: float
 
 
-def _divisors_up_to(n: int, bound: int) -> list[int]:
-    """The divisors d <= bound of n, increasing, built from factorize(n):
-    a divisor above the bound is never made, so the work grows with the
-    divisors kept, not with tau(n)."""
-    divs = [1]
-    for p, a in factorize(n):
-        grown = []
-        for d in divs:
-            for _ in range(a):
-                d *= p
-                if d > bound:
-                    break
-                grown.append(d)
-        divs += grown
-    return sorted(divs)
-
-
 def _square_tail(y: int) -> float:
     """T(y) = sum_{d>y} 1/d^2 for y >= 1 by its Euler-Maclaurin series
     1/y - 1/(2y^2) + 1/(6y^3) - 1/(30y^5), in Horner form; the series
@@ -351,7 +334,7 @@ def expansion_demo(n: int, terms: int) -> ExpansionResult:
         raise ValueError(f"expansion_demo requires n, terms >= 1, got n={n}, terms={terms}")
     prefix, above = _moebius_square_sums(terms)
     total = 0.0
-    for d in _divisors_up_to(n, terms):
+    for d in divisors(n, terms):
         cut = terms // d
         total += (prefix[cut] if cut < len(prefix) else above[cut]) / d
     truncated = (math.pi**2 / 6) * total

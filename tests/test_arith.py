@@ -1,5 +1,6 @@
 import cmath
-from math import gcd, isqrt
+import time
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ class TestDivisors:
     @settings(max_examples=50, deadline=None)
     def test_matches_definition(self, n):
         assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+
+    @given(st.integers(min_value=1, max_value=5000), st.integers(min_value=0, max_value=6000))
+    @settings(max_examples=100, deadline=None)
+    def test_bounded_matches_definition(self, n, bound):
+        assert divisors(n, bound) == tuple(d for d in range(1, min(n, bound) + 1) if n % d == 0)
+
+    def test_bounded_primorial_costs_only_the_divisors_kept(self):
+        # the product of the first 26 primes has 2^26 divisors; listing them
+        # all took seconds and hundreds of MB at 22 primes
+        n = prod(primes_up_to(101))
+        start = time.perf_counter()
+        kept = divisors(n, 1000)
+        assert time.perf_counter() - start < 1.0
+        assert kept == tuple(d for d in range(1, 1001) if n % d == 0)
 
 
 class TestClassicalFunctions:

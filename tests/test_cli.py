@@ -181,10 +181,15 @@ class TestCommandTable:
         emitted = []
         monkeypatch.setattr(gensums, "c_A_column", lambda system, r, n_max: [0] * n_max)
         monkeypatch.setattr(cli, "phi_A", lambda system, r: 0)
-        # rows may be a generator: count what the emitter would iterate
+        # rows may be a generator: count what the emitter would iterate; a
+        # grid's rows are its cells, one per modulus and n
+        def count(rows):
+            if isinstance(rows, cli._Grid):
+                return sum(map(len, rows.columns))
+            return sum(1 for _ in rows)
+
         monkeypatch.setattr(
-            cli, "_emit_rows",
-            lambda header, rows, fmt: emitted.append(sum(1 for _ in rows)) or [],
+            cli, "_emit_rows", lambda header, rows, fmt: emitted.append(count(rows)) or []
         )
         code, _, _ = run(capsys, "table", *argv)
         assert code == EXIT_OK
@@ -723,7 +728,6 @@ class TestGridEmitter:
         assert all(type(v) is int for column in columns for v in column)
         rows = [(n, r, columns[r - 1][n - 1]) for n in range(1, nmax + 1) for r in moduli]
         grid = cli._Grid(moduli, nmax, columns)
-        assert list(grid) == rows
         header = ["n", "r", "value"]
         # CHUNK_ROWS patched small cuts rows of moduli across texts
         with pytest.MonkeyPatch.context() as mp:
@@ -843,6 +847,17 @@ class TestErrorsAndPlumbing:
     def test_env_format_override(self, capsys, monkeypatch):
         monkeypatch.setenv("RAMLAB_FORMAT", "json")
         code, out, _ = run(capsys, "c", "1", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == 1
+
+    def test_env_format_unknown_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("RAMLAB_FORMAT", "xml")
+        code, out, err = run(capsys, "c", "1", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "'xml'" in err and "json, csv, plain" in err
+        # a given --format is read instead of the environment
+        code, out, _ = run(capsys, "c", "1", "1", "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["value"] == 1
 

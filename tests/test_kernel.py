@@ -9,13 +9,13 @@ built directly from A(r).
 """
 
 import time
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ramlab.arith import divisors, factorize, primes_up_to
+from ramlab.arith import divisors, factorize, primes_up_to, ramanujan_c
 from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor, c_A_sum
 from ramlab.systems import (
     DIRICHLET,
@@ -32,7 +32,7 @@ from ramlab.systems import (
     psi_A,
     system_from_dict,
 )
-from ramlab.verify import additive_closure_witness
+from ramlab.verify import additive_closure_witness, mean_product_exact
 
 from conftest import valid_specs
 from test_verify import h_fails_all_by_scan, is_A_even, witness_functions
@@ -79,6 +79,54 @@ def test_A_functions_against_definitions(spec, data):
     kernel = max(d for d in members if mu_A(system, d) != 0)
     radical = prod(p for p, _ in factorize(r))
     assert gamma_A(system, r) == r * radical // kernel
+
+
+# The list-then-filter forms of gcd_A and the three exact sums: each lists
+# a whole divisor set and keeps the members its formula sums, the oracles
+# that the bounded enumerations in the package must match.
+def _gcd_A_by_scan(system, k, r):
+    return max(d for d in divisor_set(system, r) if k % d == 0)
+
+
+def _c_A_divisor_by_filter(system, n, r):
+    return sum(d * mu_A(system, r // d) for d in divisor_set(system, r) if n % d == 0)
+
+
+def _c_A_core_by_filter(system, n, r):
+    g = gamma_A(system, r)
+    return sum(ramanujan_c(n, d) for d in divisors(r) if d % g == 0)
+
+
+def _mean_product_by_filter(system, r, s):
+    gr, gs = gamma_A(system, r), gamma_A(system, s)
+    return sum(phi_A(DIRICHLET, d) for d in divisors(gcd(r, s)) if d % gr == 0 and d % gs == 0)
+
+
+@given(valid_specs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_gcd_A_per_prime_matches_the_scan(spec, data):
+    # k = 0 included: every chain is then taken whole
+    system = system_from_dict(spec)
+    r = _modulus(data, system, limit=1000)
+    for k in range(3 * r + 1):
+        assert gcd_A(system, k, r) == _gcd_A_by_scan(system, k, r), k
+
+
+@given(valid_specs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_routes_match_their_list_then_filter_forms(spec, data):
+    system = system_from_dict(spec)
+    r = _modulus(data, system)
+    ns = [1, r, *(data.draw(st.integers(1, 3 * r), label="n") for _ in range(3))]
+    ns += [d * data.draw(st.integers(1, 30), label="k") for d in divisor_set(system, r)[-3:]]
+    for n in ns:
+        assert c_A_divisor(system, n, r) == _c_A_divisor_by_filter(system, n, r), n
+        assert c_A_core(system, n, r) == _c_A_core_by_filter(system, n, r), n
+    # `shared` has a divisor of r, so the common divisors can reach both cores
+    shared = data.draw(st.sampled_from(divisors(r)), label="d") * data.draw(st.integers(1, 30))
+    for s in (r, shared, _modulus(data, system)):
+        if all(_type_or_none(system, p, a) is not None for p, a in factorize(s)):
+            assert mean_product_exact(system, r, s) == _mean_product_by_filter(system, r, s), s
 
 
 @given(valid_specs(), st.data())

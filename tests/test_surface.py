@@ -185,3 +185,16 @@ def test_every_cache_is_bounded(stem):
             if not bounded:
                 offences.append(f"line {node.lineno}: {ast.unparse(node)}")
     assert offences == []
+
+
+def test_caches_sit_where_traffic_repeats():
+    # a cache is kept only where measured traffic repeats its arguments;
+    # a new one names itself here with its measurement in its comment
+    cached = sorted(
+        f"{stem}.{node.name}"
+        for stem in MODULES
+        for node in ast.walk(_tree(stem))
+        if isinstance(node, ast.FunctionDef)
+        and any(_ident(getattr(dec, "func", dec)) in CACHES for dec in node.decorator_list)
+    )
+    assert cached == ["arith.divisors", "arith.factorize", "systems.prime_power_types"]

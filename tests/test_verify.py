@@ -38,7 +38,7 @@ from ramlab.verify import (
     mean_value_check,
     orthogonality_report,
 )
-from ramlab.verify import _divisors_up_to, _in_order_limit, _moebius_square_sums, _square_tail
+from ramlab.verify import _in_order_limit, _moebius_square_sums, _square_tail
 
 from conftest import SPEC_A, SPEC_B, euler_phi, sigma, valid_specs
 from test_arith import linear_moebius_sieve
@@ -398,7 +398,7 @@ class TestExpansionDemo:
         mu = linear_moebius_sieve(max(terms_list))
         for n in ns:
             for terms in terms_list:
-                assert _divisors_up_to(n, terms) == [d for d in divisors(n) if d <= terms]
+                assert divisors(n, terms) == tuple(d for d in divisors(n) if d <= terms)
                 res = expansion_demo(n, terms)
                 assert res.target == sum(divisors(n)) / n
                 assert res.truncated_value == self.prefix_table_reference(n, terms, mu)
