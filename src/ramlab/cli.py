@@ -24,34 +24,40 @@ from typing import Iterable, Iterator, Sequence
 from . import gensums, verify
 from .systems import InvalidSystemError, gamma_A, load_system, mu_A, phi_A, psi_A
 
+# `entrypoint` is the console script and `python -m ramlab`
+__all__ = ["build_parser", "entrypoint", "main"]
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
 FORMATS = ("json", "csv", "plain")
 
+# Each cap's time and memory budget is a row of tests/budgets.json, which
+# `tools/budgets.py` runs; each comment names its cap's rows and gives
+# their latest peaks, from that runner's fresh processes (CPython 3.11,
+# x86-64 Xeon, 2 vCPUs).
+
 # `expansion` sieves floor(R^(2/3)) signed bytes above 2^17 terms and takes
-# the larger prefix sums of mu(m)/m^2 from a recursion: 0.11-0.22 s and
-# 17.9-18.1 MB peak RSS at the cap (`expansion 720720`), about what the
-# interpreter and the package take to start, seven fresh processes (CPython
-# 3.11, x86-64, 2 vCPUs)
+# the larger prefix sums of mu(m)/m^2 from a recursion. Rows "expansion at
+# its --terms cap" (`expansion 720720`: 0.15-0.24 s, 20.3-20.5 MB) and
+# "expansion refuses --terms above its cap"
 MAX_TERMS = 10**7
 
 # prop2's period tallies and prop3's diagonal rows each cost sum r <= rmax^2/2
-# kernel values: `verify all` took 1.7-2.2 s and 28-29 MB peak RSS at the cap
-# under D, U and MIX, and `verify prop2` alone 0.9-1.3 s, three fresh
-# processes each (CPython 3.11, x86-64 Xeon, 2 vCPUs)
+# kernel values. Rows "verify all at the --rmax cap under U" and "... under
+# MIX" (1.5-1.9 s, 27.7-27.8 MB), "Prop 3 costs only its diagonal rows"
+# (0.8-1.1 s, 21.6 MB) and "verify refuses --rmax above its cap"
 MAX_RMAX = 3000
 
 # `--what cA` keeps one column list per modulus and `main` holds every
-# chunk's text until the command succeeds. At the cap a fresh process (no
-# bytecode cache) took, for a square `--what cA` table under MIX, 0.14-0.18 s
-# and 27.5-27.6 MB peak RSS as JSON, 0.13-0.14 s and 21.5-21.7 MB as CSV,
-# and 0.14-0.24 s and 22.1-22.3 MB as plain; for one column per modulus
-# (--nmax 1, under U), most of it factorizing the moduli, 2.5-2.8 s and
-# 51 MB as JSON and 2.8-2.9 s and 46 MB as plain; for --rmax 4 --nmax 65536
-# under D 0.19-0.28 s and 27 MB as JSON (CPython 3.11, x86-64, three
-# processes each)
+# chunk's text until the command succeeds. Rows "... table at the row cap
+# ..." and "The table refuses more rows than its cap": a square cA table
+# under MIX 0.13-0.25 s and 27.4-27.8 MB as JSON, 21.5-22.0 MB as CSV and
+# 22.1-22.4 MB as plain; one column per modulus (--nmax 1, under U), most
+# of it factorizing the moduli, 2.9-4.4 s and 51.3-51.5 MB as JSON and
+# 45.1-45.2 MB as CSV; four columns under D 0.14-0.30 s and 27.2-27.3 MB;
+# `--what phiA` under U 1.8-3.3 s and 29.3-29.5 MB
 MAX_TABLE_ROWS = 2**18
 
 # rows per emitted text, at most: JSON and CSV take the all-int check and the
@@ -59,9 +65,10 @@ MAX_TABLE_ROWS = 2**18
 CHUNK_ROWS = 4096
 
 # the oracle and all routes sum r floating-point terms, each after a
-# per-prime (k, r)_A: of the r tried below the cap, 98280 was the slowest,
-# 0.20-0.31 s and 17 MB peak RSS under D, U and MIX with --route all, three
-# fresh processes each (CPython 3.11, x86-64, 2 vCPUs)
+# per-prime (k, r)_A. Of the r tried below the cap, 98280 was the slowest:
+# rows "c at the slowest r below the oracle cap under D", U and MIX
+# (--route all, 0.18-0.35 s, 16.7-17.1 MB), and "The oracle route refuses
+# r just above its cap" and "... far above its cap"
 MAX_ORACLE_R = 10**5
 
 
@@ -253,6 +260,8 @@ def _cmd_c(args) -> list:
 
 
 def _cmd_table(args) -> list:
+    if args.nmax is not None and args.what != "cA":
+        raise ValueError(f"--nmax applies only to --what cA, not --what {args.what}")
     n_max = args.nmax or args.rmax
     n_rows = args.rmax * n_max if args.what == "cA" else args.rmax
     if n_rows > MAX_TABLE_ROWS:
@@ -270,6 +279,8 @@ def _cmd_table(args) -> list:
 def _cmd_verify(args) -> list:
     if args.rmax > MAX_RMAX:
         raise ValueError(f"--rmax must be at most {MAX_RMAX}, got {args.rmax}")
+    if args.even is not None and args.target not in ("prop1", "all"):
+        raise ValueError(f"--even applies only to prop1 and all, not {args.target}")
     system = load_system(args.system)
     names = verify.PROPOSITIONS if args.target == "all" else (args.target,)
     return verify.check_propositions(names, system, args.rmax, args.xmax, args.even)
@@ -314,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--rmax", type=_positive_int, default=50, help=f"at most {MAX_RMAX}")
     p_v.add_argument("--xmax", type=_positive_int, default=1000)
     p_v.add_argument("--even", default=None,
-                     help="extra (A, r)-even function literal, read in --system and "
-                          "refused if it is not A-even, e.g. 'r=6; 1:1, 2:-1, 3:0, 6:2'")
+                     help="prop1 and all only: an extra (A, r)-even function literal, read in "
+                          "--system and refused if it is not A-even, e.g. 'r=6; 1:1, 2:-1, 3:0, 6:2'")
     p_v.set_defaults(func=_cmd_verify)
 
     p_e = sub.add_parser("expansion", help="truncated harmonic expansion of sigma(n)/n", parents=[common])
     p_e.add_argument("n", type=int)
     p_e.add_argument("--terms", type=_positive_int, default=1000,
-                     help=f"at most {MAX_TERMS}, where the run peaks at about 18 MB RSS")
+                     help=f"at most {MAX_TERMS}")
     p_e.set_defaults(func=_cmd_expansion)
     return parser
 

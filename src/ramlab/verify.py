@@ -35,14 +35,16 @@ from .systems import DIRICHLET, RegularSystem, divisor_set, gamma_A, gcd_A, phi_
 # the cap on p^t, the witness prime power in `additive_closure_witness`. Its
 # checks read the t + 3 divisors of p and p^t and make two gcd_A calls per
 # modulus, so their cost does not grow with r_max * p^t; inside the cap
-# p <= 2^10 when t >= 2, so trial division factorizes p^t at once
+# p <= 2^10 when t >= 2, so trial division factorizes p^t at once. Rows of
+# tests/budgets.json (see cli's caps): "Prop 4 answers --rmax 3000 with its
+# witness at the budget 2^20" (0.11-0.17 s, 18.6-18.8 MB), "Prop 4 refuses
+# a witness beyond its budget at once" and "... a huge table power at once"
 MAX_WITNESS_WORK = 2**20
 
 # the cap on min(x, r) in `mean_value_check`, whose tally makes fewer than
-# 2 min(x, r) gcd calls per x. `verify prop1 --rmax 1 --even <literal>` took
-# 3.4-3.9 s for a tau = 384 literal at r = 6126120 with --xmax 10^12, and
-# 5.1-5.7 s and 17 MB peak RSS at the cap, r = 2^23 with --xmax 2^24 - 1,
-# fresh processes (CPython 3.11, x86-64, 2 vCPUs)
+# 2 min(x, r) gcd calls per x. Rows "Prop 1 tallies an even literal at its
+# tally cap" (r = 2^23, --xmax 2^24 - 1: 4.5-6.2 s, 16.6-16.9 MB) and
+# "Prop 1 refuses an even literal past its tally budget at once" (r = 2^40)
 MAX_ORACLE_TALLY = 2**23
 
 # up to this many terms, `expansion_demo` adds every prefix sum of

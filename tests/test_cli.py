@@ -1,8 +1,11 @@
 import csv
+import importlib
 import io
 import json
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -202,11 +205,24 @@ class TestCommandTable:
         # its rows as it makes them); none of them may reach stdout
         spec = tmp_path / "a3.json"
         spec.write_text(json.dumps({"a_max": 3, "types": [{"p": 2, "a": 2, "t": 1}]}))
+        nmax = ["--nmax", "2"] if what == "cA" else []  # --nmax is cA's alone
         code, out, err = run(capsys, "table", "--what", what, "--system", str(spec),
-                             "--rmax", "40", "--nmax", "2", "--format", fmt)
+                             "--rmax", "40", *nmax, "--format", fmt)
         assert code == EXIT_USAGE
         assert out == ""
         assert "2^4 exceeds declared exponent bound 3" in err
+
+    @pytest.mark.parametrize("what", ["phiA", "psiA", "gammaA", "muA"])
+    def test_nmax_outside_cA_exits_1_before_any_work(self, capsys, monkeypatch, what):
+        # these tables have one row per r, so an --nmax would be ignored
+        def refuse(*args):
+            raise AssertionError("table started with an --nmax it would ignore")
+
+        monkeypatch.setattr(cli, "load_system", refuse)
+        code, out, err = run(capsys, "table", "--what", what, "--rmax", "3", "--nmax", "7")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--nmax applies only to --what cA, not --what {what}" in err
 
     def test_table_help_states_the_cap(self, capsys):
         code, out, _ = run(capsys, "table", "--help")
@@ -365,6 +381,19 @@ class TestCommandVerify:
         assert out == ""
         assert (f"the brute-force partial sum of an r={2**40} function up to x={10**12} "
                 f"needs min(x, r) at most {verify.MAX_ORACLE_TALLY}") in err
+
+    @pytest.mark.parametrize("target", ["prop2", "prop3", "prop4"])
+    def test_even_literal_outside_prop1_exits_1_before_any_work(self, capsys, monkeypatch, target):
+        # only Prop 1's battery reads the literal, so any other target would
+        # pass without reading it
+        def refuse(*args):
+            raise AssertionError("verify started with an --even it would not read")
+
+        monkeypatch.setattr(cli, "load_system", refuse)
+        code, out, err = run(capsys, "verify", target, "--rmax", "2", "--even", "garbage")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--even applies only to prop1 and all, not {target}" in err
 
     def test_even_literal_within_the_tally_budget_answers(self, capsys):
         # r = 2^3 3^2 5 7 11 13 17, tau = 384 on 7 axes: the closed form's
@@ -843,6 +872,12 @@ class TestErrorsAndPlumbing:
                            "--route", "all", "--format", "csv")
         assert code == EXIT_OK
         assert out.splitlines()[1].split(",")[2] == "-1"
+
+    def test_console_script_runs_the_entrypoint(self):
+        # the installed `ramlab` script calls the target pyproject names
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        module, name = re.search(r'^ramlab = "([\w.]+):(\w+)"$', text, re.M).groups()
+        assert getattr(importlib.import_module(module), name) is cli.entrypoint
 
     def test_env_format_override(self, capsys, monkeypatch):
         monkeypatch.setenv("RAMLAB_FORMAT", "json")

@@ -28,12 +28,14 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import ramlab
 from ramlab.cli import main
 
 from conftest import CUSTOM_OK, SPEC_A, SPEC_B
@@ -166,9 +168,22 @@ def test_output_is_byte_identical(case, spec_dir, digests):
     assert _run(case, spec_dir) == digests[" ".join(case)]
 
 
+def test_python_m_ramlab_prints_the_golden_bytes(digests):
+    # `python -m ramlab` is the CLI in a fresh interpreter, run from this
+    # package's source; `c 12 36 --format csv` is the corpus case with its
+    # defaults spelled out
+    src = str(Path(ramlab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "ramlab", "c", "12", "36", "--format", "csv"],
+                          capture_output=True, env=env, timeout=60)
+    got = {"exit": done.returncode, "sha256": hashlib.sha256(done.stdout).hexdigest()}
+    assert got == digests["c 12 36 --system D --route divisor --format csv"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         _write_specs(Path(tmp))
         recorded = {" ".join(c): _run(c, tmp) for c in _cases()}
     DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(recorded)} digests in {DIGESTS}", file=sys.stderr)
+
