@@ -16,6 +16,8 @@ import io
 import json
 import os
 import sys
+from array import array
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import getitem, itemgetter
@@ -38,10 +40,11 @@ FORMATS = ("json", "csv", "plain")
 # their latest peaks, from that runner's fresh processes (CPython 3.11,
 # x86-64 Xeon, 2 vCPUs).
 
-# `expansion` sieves floor(R^(2/3)) signed bytes above 2^17 terms and takes
-# the larger prefix sums of mu(m)/m^2 from a recursion. Rows "expansion at
-# its --terms cap" (`expansion 720720`: 0.15-0.24 s, 20.3-20.5 MB) and
-# "expansion refuses --terms above its cap"
+# `expansion` keeps F(x) for x <= U as floats in an array, U = R up to 2^17
+# terms, its largest table, else floor(R^(2/3)). Rows "expansion at its
+# largest prefix table, 2^17 terms" (`expansion 720720`: 0.11-0.22 s,
+# 17.9-18.1 MB), "expansion at its --terms cap" (0.15-0.24 s, 17.8-17.9 MB)
+# and "expansion refuses --terms above its cap"
 MAX_TERMS = 10**7
 
 # prop2's period tallies and prop3's diagonal rows each cost sum r <= rmax^2/2
@@ -50,18 +53,18 @@ MAX_TERMS = 10**7
 # (0.8-1.1 s, 21.6 MB) and "verify refuses --rmax above its cap"
 MAX_RMAX = 3000
 
-# `--what cA` keeps one column list per modulus and `main` holds every
-# chunk's text until the command succeeds. Rows "... table at the row cap
-# ..." and "The table refuses more rows than its cap": a square cA table
-# under MIX 0.13-0.25 s and 27.4-27.8 MB as JSON, 21.5-22.0 MB as CSV and
-# 22.1-22.4 MB as plain; one column per modulus (--nmax 1, under U), most
-# of it factorizing the moduli, 2.9-4.4 s and 51.3-51.5 MB as JSON and
-# 45.1-45.2 MB as CSV; four columns under D 0.14-0.30 s and 27.2-27.3 MB;
-# `--what phiA` under U 1.8-3.3 s and 29.3-29.5 MB
+# `--what cA` keeps one column list per modulus, the other tables an array
+# of 8-byte ints (each value is at most sigma(r) < 2^63). Rows "... table at
+# the row cap ..." and "The table refuses more rows than its cap": square cA
+# under MIX 0.15-0.32 s and 19.3-19.5 MB as JSON, 19.2-19.3 MB as CSV and
+# 19.1-19.4 MB as plain; one column per modulus (--nmax 1, under U), most of
+# it factorizing, 2.6-4.2 s and 42.8-43.2 MB as JSON and 42.8-43.0 MB as
+# CSV; four columns under D 0.15-0.19 s and 19.4-19.6 MB; `--what phiA`
+# under U 1.8-2.7 s and 23.9-24.1 MB
 MAX_TABLE_ROWS = 2**18
 
 # rows per emitted text, at most: JSON and CSV take the all-int check and the
-# write once per chunk, and `main` holds one string per chunk
+# write once per chunk, and `main` writes each text before the next is made
 CHUNK_ROWS = 4096
 
 # the oracle and all routes sum r floating-point terms, each after a
@@ -195,7 +198,7 @@ def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterato
     each tail where it is printed. There is no row tuple or type scan per
     cell. Plain output pads n and r to the widths of n_max and the largest
     modulus, and the last cell, the value, is not padded. At the 2^18-row
-    cap that takes the three formats to 0.13-0.24 s and 21.5-27.6 MB peak
+    cap that takes the three formats to 0.15-0.32 s and 19.1-19.5 MB peak
     RSS in a fresh process (see MAX_TABLE_ROWS).
 
     Other rows are read as they come. JSON and CSV take each chunk as it
@@ -267,13 +270,13 @@ def _cmd_table(args) -> list:
     if n_rows > MAX_TABLE_ROWS:
         raise ValueError(f"table must have at most {MAX_TABLE_ROWS} rows, got {n_rows}")
     system = load_system(args.system)
+    moduli = range(1, args.rmax + 1)
     if args.what == "cA":
-        moduli = range(1, args.rmax + 1)
         columns = [gensums.c_A_column(system, r, n_max) for r in moduli]
         return [(["n", "r", "value"], _Grid(moduli, n_max, columns), True)]
     fn = {"phiA": phi_A, "psiA": psi_A, "gammaA": gamma_A, "muA": mu_A}[args.what]
-    rows = ((r, fn(system, r)) for r in range(1, args.rmax + 1))
-    return [(["r", "value"], rows, True)]
+    values = array("q", (fn(system, r) for r in moduli))
+    return [(["r", "value"], zip(moduli, values), True)]
 
 
 def _cmd_verify(args) -> list:
@@ -338,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Every command computes its tables before `main` writes a byte, so a
+    failed run prints nothing; each text is written as `_emit_rows` makes it."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -348,19 +353,11 @@ def main(argv=None) -> int:
         print(f"RAMLAB_FORMAT must be one of {', '.join(FORMATS)}, got {args.format!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    # the chunk texts are held until every table is made, so a failed run
-    # prints nothing
-    texts = []
-    passed = True
     try:
-        for header, rows, ok in args.func(args):
-            texts.extend(_emit_rows(header, rows, args.format))
-            passed &= ok
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.writelines(texts)
-        else:
-            sys.stdout.writelines(texts)
+        tables = args.func(args)
+        with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+            for header, rows, _ in tables:
+                out.writelines(_emit_rows(header, rows, args.format))
     except InvalidSystemError as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)
@@ -368,7 +365,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK if passed else EXIT_MISMATCH
+    return EXIT_OK if all(ok for _, _, ok in tables) else EXIT_MISMATCH
 
 
 def entrypoint() -> None:

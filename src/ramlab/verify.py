@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -269,21 +270,21 @@ def _in_order_limit(terms: int) -> int:
     return u
 
 
-def _moebius_square_sums(terms: int) -> tuple[list[float], dict[int, float]]:
+def _moebius_square_sums(terms: int) -> tuple[array, dict[int, float]]:
     """F(x) = sum_{m<=x} mu(m)/m^2 as (prefix, above): prefix[x] for every
     x <= U = `_in_order_limit(terms)`, and above[x] for each x = R // k > U.
     See `expansion_demo` for the method."""
     limit = _in_order_limit(terms)
     ms = range(1, limit + 1)
     quotients = map(truediv, moebius_sieve(limit)[1:], map(mul, ms, ms))
-    prefix = list(accumulate(quotients, initial=0.0))
+    prefix = array("d", accumulate(quotients, initial=0.0))
     above: dict[int, float] = {}
     if terms == limit:
         return prefix, above
     # tails[y] = T(y) for y <= U, added downwards from the series at U
     down = range(limit, 0, -1)
     reciprocals = map(truediv, repeat(1.0), map(mul, down, down))
-    tails = list(accumulate(reciprocals, initial=_square_tail(limit)))
+    tails = array("d", accumulate(reciprocals, initial=_square_tail(limit)))
     tails.reverse()
     for k in range(terms // (limit + 1), 0, -1):
         x = terms // k

@@ -4,6 +4,8 @@ import io
 import json
 import re
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -201,8 +203,8 @@ class TestCommandTable:
     @pytest.mark.parametrize("what", ["phiA", "cA"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_refusal_mid_table_prints_no_rows(self, capsys, tmp_path, what, fmt):
-        # 2^4 is refused at r = 16, after the rows for r < 16 (phiA writes
-        # its rows as it makes them); none of them may reach stdout
+        # 2^4 is refused at r = 16, after the rows for r < 16 are made;
+        # none of them may reach stdout
         spec = tmp_path / "a3.json"
         spec.write_text(json.dumps({"a_max": 3, "types": [{"p": 2, "a": 2, "t": 1}]}))
         nmax = ["--nmax", "2"] if what == "cA" else []  # --nmax is cA's alone
@@ -211,6 +213,30 @@ class TestCommandTable:
         assert code == EXIT_USAGE
         assert out == ""
         assert "2^4 exceeds declared exponent bound 3" in err
+
+    def test_main_never_holds_the_whole_output(self):
+        # the square cap table's text is written chunk by chunk as it is made:
+        # the traced peak stays below the size of the output
+        class Sink(io.TextIOBase):
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+                return len(text)
+
+        argv = ["table", "--what", "cA", "--system", "MIX", "--rmax", "512", "--nmax", "512",
+                "--format", "json"]
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert sink.chars > 8 * 2**20
+        assert peak < sink.chars
 
     @pytest.mark.parametrize("what", ["phiA", "psiA", "gammaA", "muA"])
     def test_nmax_outside_cA_exits_1_before_any_work(self, capsys, monkeypatch, what):
@@ -810,6 +836,8 @@ class TestErrorsAndPlumbing:
             ({"types": [[2, 2, 2]]},
              "entry [2, 2, 2] must be an object with exactly the keys p, a, t"),
             ({"types": {"p": 2, "a": 2, "t": 2}}, "types must be a list"),
+            ({"types": [{"p": 2, "a": 2, "t": 1}, {"p": 2, "a": 2, "t": 2}]},
+             "conflicting types for prime power 2^2"),
         ],
     )
     def test_bad_spec_file_exits_1(self, capsys, tmp_path, spec, message):

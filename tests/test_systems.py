@@ -634,6 +634,21 @@ class TestLoader:
             system_from_dict(spec)
         assert any(message in v for v in exc.value.violations)
 
+    @pytest.mark.parametrize(
+        "types, message",
+        [
+            ([{"p": 1, "a": 1, "t": 1}], "malformed entry (p=1, a=1, t=1)"),
+            ([{"p": 2, "a": 0, "t": 1}], "malformed entry (p=2, a=0, t=1)"),
+            ([{"p": 2, "a": 2, "t": 1}, {"p": 2, "a": 2, "t": 2}],
+             "conflicting types for prime power 2^2"),
+        ],
+        ids=["p below 2", "a below 1", "conflicting types"],
+    )
+    def test_entry_refusals_are_exact(self, types, message):
+        with pytest.raises(InvalidSystemError) as exc:
+            system_from_dict({"types": types})
+        assert exc.value.violations == [message]
+
     def test_readme_examples_load(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
