@@ -101,40 +101,20 @@ def moebius(n: int) -> int:
 
 # swaps the bytes of 1 and -1, keeps 0
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
-# a prime flag 1 becomes -1, a flag 0 becomes 1
-_PRIME_SIGN = bytes.maketrans(b"\x01\x00", b"\xff\x01")
 
 
 def moebius_sieve(limit: int) -> array:
     """Moebius values mu[0..limit] as signed bytes (mu[0] = 0), one byte per
     entry: mu[m] is the int -1, 0 or 1.
 
-    With s = isqrt(limit), every m starts at -1 if prime, else 1. A prime
-    q > s divides m <= limit at most once, as m = j*q with j < q, so for
-    each j = 2..limit//(s+1) one strided pass writes the prime signs of
-    s+1..limit//j over the multiples j*(s+1)..limit of j. Taking j in
-    increasing order never overwrites a -1 that a smaller j' wrote for a
-    prime q > s: j*m = j'*q with j' < j gives m < q, and q | j*m with
-    j <= s < q gives q | m, which no 0 < m < q allows. Then each prime p <= s
-    negates its multiples from 2p and zeroes the multiples of p^2: fewer
-    than 2*sqrt(limit) C-level slice passes in all, not one per prime."""
+    Every entry but mu[0] starts at 1; each prime p <= limit negates its
+    multiples (one `bytes.translate` pass) and zeroes those of p^2. It serves
+    `verify._in_order_limit(R)` entries: at most 2^17, 46415 at the cap R = 10^7."""
     if limit < 0:
         raise ValueError(f"moebius_sieve requires limit >= 0, got {limit}")
-    root = isqrt(limit)
-    flags = _prime_flags(limit)
-    small = list(compress(range(root + 1), flags))
-    mu = flags.translate(_PRIME_SIGN)
-    del flags
-    mu[0] = 0
-    lo = root + 1
-    # the signs of lo..limit//2 as they are before any pass writes there
-    signs = mu[lo : limit // 2 + 1]
-    for j in range(2, limit // lo + 1):
-        hi = limit // j
-        mu[j * lo : j * hi + 1 : j] = signs[: hi - lo + 1]
-    del signs
-    for p in small:
-        mu[2 * p :: p] = mu[2 * p :: p].translate(_NEGATE)
+    mu = bytearray(b"\0" + b"\1" * limit)
+    for p in primes_up_to(limit):
+        mu[p::p] = mu[p::p].translate(_NEGATE)
         mu[p * p :: p * p] = bytes(limit // (p * p))
     return array("b", mu)
 

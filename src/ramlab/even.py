@@ -12,9 +12,9 @@ One per-prime kernel gives the coefficients. At p^a || r of type t, with
 and c_A(p^(it), p^(jt)) is the classical c(p^i, p^j) with p replaced by q.
 So both closed forms' |A(r)|^2 matrices are Kronecker products of the
 classical (k+1)-square Ramanujan matrices at (q, k); D is t = 1.
-`fourier_coeffs` scales rational values to integers and applies one factor
-per axis: |A(r)| * sum(k+1) integer multiply-adds per formula instead of
-|A(r)|^2 Fraction operations, and still compares both formulas exactly.
+`fourier_coeffs` applies one factor per axis to `EvenFunction._form`'s
+integer values: |A(r)| * sum(k+1) integer multiply-adds per formula
+instead of |A(r)|^2 Fraction operations, and compares both formulas exactly.
 
 The partial sums reuse that transform. sum_{n<=X} f(n) is
 sum_{d in A(r)} h(d) sum_{n<=X} c_A(n, d), and each inner sum is
@@ -26,7 +26,7 @@ is 1, -1, 0 for m = 0, 1, >= 2, so G is h under the Kronecker product of
 the matrices with 1 on the diagonal and -1 just above it: one more
 integer pass over the numerators of h (proof at `partial_sum_even`).
 `mean_value`, `certified_residual_bound` and `partial_sum_even` each take
-one integer sum over the scaled values and divide once.
+one integer sum over `_form`'s scaled values and divide once.
 """
 
 from __future__ import annotations
@@ -120,15 +120,13 @@ class EvenFunction:
         return dict(self.values)
 
     @cached_property
-    def _bound(self) -> Fraction:
-        # `certified_residual_bound`, kept: the brute-force partial sums and
-        # the closed form of the same function both report it
-        axes, _, _ = _per_prime(self.system, self.r)
-        sums = [((q ** (k + 1) - 1) // (q - 1), (q**k - 1) // (q - 1)) for q, k in axes]
-        sigma_a = prod(s for s, _ in sums)
-        total = prod(s + s_prev for s, s_prev in sums)
-        values, scale = _scaled([v for _, v in self.values])
-        return Fraction(max(map(abs, values)) * sigma_a * total, self.r * scale)
+    def _form(self) -> tuple:
+        # `_per_prime`'s pass, then f(r/e) at its members e as integers over
+        # their lcm L, and L: built once, read by the coefficients, mean and bound
+        axes, members, phis = _per_prime(self.system, self.r)
+        values = [self.value_map[self.r // e] for e in members]
+        scale = lcm(*(v.denominator for v in values))
+        return axes, members, phis, [v.numerator * (scale // v.denominator) for v in values], scale
 
     def __call__(self, n: int) -> Numeric:
         if n < 1:
@@ -215,13 +213,6 @@ def _kron_apply(mats: list[list[list[int]]], vec: list) -> list:
     return vec
 
 
-def _scaled(values: list) -> tuple[list[int], int]:
-    # the values as integers over their one common denominator L, and L:
-    # each exact result here is one integer sum over these, divided once
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
     """The coefficients h(d) of f in the basis c_A(., d), d in A(r), with A
     the system f names.
@@ -236,14 +227,13 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
     result reconstructs f is not re-checked here; the round-trip tests
     cover it.
 
-    The values are scaled to integers by the lcm L of their denominators,
-    each formula's matrix is applied one axis at a time (see the module
-    docstring), and h(d) = S2(d) / (r L); the result keeps the integers
-    S2 and the one denominator r L."""
+    The values come scaled to integers by the lcm L of their denominators
+    (`EvenFunction._form`), each formula's matrix is applied one axis at a
+    time (see the module docstring), and h(d) = S2(d) / (r L); the result
+    keeps the integers S2 and the one denominator r L."""
     r = f.r
-    axes, members, phis = _per_prime(f.system, r)
+    axes, members, phis, values, scale = f._form
     mats = [_axis_matrices(q, k) for q, k in axes]
-    values, scale = _scaled([f.value_map[r // e] for e in members])
     s1 = _kron_apply([k1 for k1, _ in mats], values)
     s2 = _kron_apply([k2 for _, k2 in mats], values)
     for d, phi_d, t1, t2 in zip(members, phis, s1, s2):
@@ -257,10 +247,8 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
 
 def mean_value(f: EvenFunction) -> Fraction:
     """Exact mean (1/r) sum_{d in A(r)} phi_A(d) f(r/d); equals the coefficient h(1)."""
-    r = f.r
-    _, members, phis = _per_prime(f.system, r)
-    values, scale = _scaled([f.value_map[r // d] for d in members])
-    return Fraction(sum(map(mul, values, phis)), r * scale)
+    _, _, phis, values, scale = f._form
+    return Fraction(sum(map(mul, values, phis)), f.r * scale)
 
 
 def c_A_even(system: RegularSystem, r: int) -> EvenFunction:
@@ -316,9 +304,12 @@ def certified_residual_bound(f: EvenFunction) -> Fraction:
     at most sum_m m = psi_A(d) in absolute value. The d = 1 term only
     loosens the bound. Both factors are products over the axes (q, k):
     s(k) and s(k) + s(k-1), where s(k) = 1 + q + ... + q^k. sup|f| is read
-    from the values scaled to integers, so the bound is one Fraction, and
-    it is computed once per function (`EvenFunction._bound`)."""
-    return f._bound
+    from the scaled f(r/e), e in A(r), of `EvenFunction._form`: that is the
+    sup over all divisors, as r/e runs over A(r) and f(d) = f((d, r)_A)."""
+    axes, _, _, values, scale = f._form
+    sigma_a = prod((q ** (k + 1) - 1) // (q - 1) for q, k in axes)
+    total = prod((q ** (k + 1) + q**k - 2) // (q - 1) for q, k in axes)
+    return Fraction(max(map(abs, values)) * sigma_a * total, f.r * scale)
 
 
 def _difference_matrix(k: int) -> list[list[int]]:

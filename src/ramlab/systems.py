@@ -271,16 +271,19 @@ def psi_A(system: RegularSystem, r: int) -> int:
     return prod(high + low for _, _, _, high, low in prime_power_types(system, r))
 
 
+def _integral(value):
+    # an integral JSON number as its int, else as it is, for the caller to refuse
+    return int(value) if type(value) is float and value.is_integer() else value
+
+
 def _entry(entry: dict) -> tuple[int, int, int]:
     """(p, a, t) of one `types` entry: an object with exactly these keys."""
     if not isinstance(entry, dict) or set(entry) != {"p", "a", "t"}:
         raise ValueError(f"entry {entry!r} must be an object with exactly the keys p, a, t")
-    # int() would truncate 2.5 to 2, read True as 1 and parse "5"; refuse all three
     for key in "pat":
-        value = entry[key]
-        if type(value) not in (int, float) or (type(value) is float and not value.is_integer()):
-            raise ValueError(f"{key} must be an integer, got {value!r} in entry {entry!r}")
-    return int(entry["p"]), int(entry["a"]), int(entry["t"])
+        if type(_integral(entry[key])) is not int:
+            raise ValueError(f"{key} must be an integer, got {entry[key]!r} in entry {entry!r}")
+    return _integral(entry["p"]), _integral(entry["a"]), _integral(entry["t"])
 
 
 def system_from_dict(spec: dict, name: str = "") -> RegularSystem:
@@ -309,7 +312,7 @@ def system_from_dict(spec: dict, name: str = "") -> RegularSystem:
     except ValueError as exc:
         raise InvalidSystemError([f"malformed types table: {exc}"]) from exc
     default = spec.get("default", "dirichlet-default")
-    a_max = spec.get("a_max", DEFAULT_A_MAX)
+    a_max = _integral(spec.get("a_max", DEFAULT_A_MAX))
     return RegularSystem(types=types, default=default, a_max=a_max, name=name)
 
 

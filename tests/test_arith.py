@@ -164,11 +164,10 @@ class TestClassicalFunctions:
             assert mu[n] == moebius(n)
 
     def test_moebius_sieve_equals_linear_sieve(self):
-        # the slice sieve against the linear sieve it replaced, on every
-        # limit through 3000: each p^2 and p^2 +- 1 for p <= 53, and each
-        # sqrt(limit) boundary, where a prime moves from the strided
-        # passes of the primes above sqrt(limit) to the small-prime passes.
-        # Signed entries, so -1 is not read back as the byte 255
+        # the textbook sieve against a linear sieve, on every limit through
+        # 3000: each p^2 and p^2 +- 1 for p <= 53, where the zeroing pass
+        # of p first reaches an entry, and each prime, where its negating
+        # pass first runs. Signed entries, so -1 is not read back as 255
         reference = linear_moebius_sieve(3000)
         for limit in range(3001):
             mu = moebius_sieve(limit)

@@ -848,6 +848,21 @@ class TestErrorsAndPlumbing:
         assert out == ""
         assert message in err
 
+    def test_integral_float_a_max_loads(self, capsys, tmp_path):
+        # a_max 3.0 is the integer 3, as an entry's 2.0 is 2: 2^3 answers
+        # as under a_max 3, and 2^4 is refused at the bound 3
+        path = tmp_path / "spec.json"
+        outs = []
+        for a_max in (3, 3.0):
+            path.write_text(json.dumps({"a_max": a_max, "types": [{"p": 2.0, "a": 2, "t": 1}]}))
+            code, out, err = run(capsys, "c", "5", "8", "--system", str(path))
+            assert (code, err) == (EXIT_OK, "")
+            outs.append(out)
+        assert outs[0] == outs[1] != ""
+        code, out, err = run(capsys, "c", "5", "16", "--system", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "2^4 exceeds declared exponent bound 3\n" in err
+
     @pytest.mark.parametrize(
         "literal, message",
         [

@@ -627,6 +627,10 @@ class TestLoader:
             ({"types": [[2, 2, 2]]},
              "entry [2, 2, 2] must be an object with exactly the keys p, a, t"),
             ({"types": {"p": 2, "a": 2, "t": 2}}, "malformed types table: types must be a list"),
+            ({"a_max": True}, "exponent bound must be an integer, got True"),
+            ({"a_max": "4"}, "exponent bound must be an integer, got '4'"),
+            ({"a_max": float("inf")}, "exponent bound must be an integer, got inf"),
+            ({"a_max": float("nan")}, "exponent bound must be an integer, got nan"),
         ],
     )
     def test_bad_spec_lists_violation(self, spec, message):
@@ -648,6 +652,21 @@ class TestLoader:
         with pytest.raises(InvalidSystemError) as exc:
             system_from_dict({"types": types})
         assert exc.value.violations == [message]
+
+    @pytest.mark.parametrize("a_max", [1.0, 3.0, 16.0, 1e18])
+    def test_integral_a_max_reads_as_an_integer_like_an_entry(self, a_max):
+        # JSON may write an integer as 3.0 or 1e18: a_max reads it as p, a
+        # and t do, and the system equals the one spelled with ints
+        system = system_from_dict({"a_max": a_max, "types": [{"p": 2.0, "a": 1.0, "t": 1}]})
+        assert type(system.a_max) is int
+        assert system == system_from_dict({"a_max": int(a_max), "types": [{"p": 2, "a": 1, "t": 1}]})
+
+    def test_constructor_still_refuses_a_float_a_max(self):
+        # only the JSON loader reads an integral number; a RegularSystem
+        # built directly takes an int
+        with pytest.raises(InvalidSystemError) as exc:
+            RegularSystem(a_max=2.0)
+        assert exc.value.violations == ["declared exponent bound must be an integer, got 2.0"]
 
     def test_readme_examples_load(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

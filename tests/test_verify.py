@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlab import even
+from ramlab import even, verify
+from ramlab.cli import MAX_TERMS
 from ramlab.arith import divisors, primes_up_to
 from ramlab.even import EvenFunction, c_A_even, partial_sum_even
 from ramlab.gensums import PartialSumReport, c_A_divisor
@@ -412,6 +413,21 @@ class TestExpansionDemo:
         assert time.perf_counter() - start < 1.0
         assert res.target == sigma(n) / n
 
+    def test_sieve_stays_within_2_17_entries_up_to_MAX_TERMS_and_IN_ORDER_TERMS(self, monkeypatch):
+        # moebius_sieve is the textbook sieve, one slice pass per prime,
+        # sized for the at most 2^17 entries its one caller reads: R itself
+        # up to IN_ORDER_TERMS = 2^17, and floor(R^(2/3)) above, which stays
+        # within 2^17 while R <= 2^25.5 (about 4.7e7, past MAX_TERMS = 10^7).
+        # A rise in either constant that breaks this asks the sieve to be
+        # measured again at its new size
+        limits = []
+        real = verify.moebius_sieve
+        monkeypatch.setattr(verify, "moebius_sieve", lambda limit: limits.append(limit) or real(limit))
+        for terms in (2**17 - 1, 2**17, 2**17 + 1, 10**6, MAX_TERMS):
+            expansion_demo(1, terms)
+        assert limits == [2**17 - 1, 2**17, 2580, 10**4, 46415]
+        assert max(limits) <= 2**17
+
     def test_error_shrinks(self):
         for n in (1, 6, 20):
             e3 = expansion_demo(n, 10**3).abs_error
@@ -451,6 +467,27 @@ class TestMeanValueCheck:
         ((_, rows, passed),) = check_propositions(["prop1"], MIX, 50, 30000)
         assert passed and len(rows) == 2 * 41
         assert len(calls) == 41
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: EvenFunction.from_callable(360, lambda d: Fraction(d % 7 - 3, d % 5 + 1)),
+            lambda: c_A_even(UNITARY, 360),
+        ],
+        ids=["rational-under-D", "c_A-under-U"],
+    )
+    def test_one_per_prime_pass_per_function(self, make, monkeypatch):
+        # a Prop 1 row of one function reads its mean and bound on the
+        # brute-force side and its coefficients and bound on the closed-form
+        # side, all from one per-prime pass and one integer scaling
+        f = make()
+        calls = []
+        real = even._per_prime
+        monkeypatch.setattr(even, "_per_prime", lambda system, r: calls.append(r) or real(system, r))
+        oracle = mean_value_check(f, [100, 1000])
+        closed = partial_sum_even(f, [100, 1000])
+        assert oracle == closed and all(rep.passed for rep in closed)
+        assert calls == [360]
 
 
 PRIME_POWERS = (2, 4, 64, 256, 3, 27, 243, 5, 125, 7, 343, 11, 121, 397)
