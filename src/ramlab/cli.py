@@ -20,7 +20,7 @@ from array import array
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import getitem, itemgetter
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 from . import gensums, verify
@@ -53,18 +53,18 @@ MAX_TERMS = 10**7
 # (0.8-1.1 s, 21.6 MB) and "verify refuses --rmax above its cap"
 MAX_RMAX = 3000
 
-# `--what cA` keeps one column list per modulus, the other tables an array
-# of 8-byte ints (each value is at most sigma(r) < 2^63). Rows "... table at
-# the row cap ..." and "The table refuses more rows than its cap": square cA
-# under MIX 0.15-0.32 s and 19.3-19.5 MB as JSON, 19.2-19.3 MB as CSV and
-# 19.1-19.4 MB as plain; one column per modulus (--nmax 1, under U), most of
-# it factorizing, 2.6-4.2 s and 42.8-43.2 MB as JSON and 42.8-43.0 MB as
-# CSV; four columns under D 0.15-0.19 s and 19.4-19.6 MB; `--what phiA`
-# under U 1.8-2.7 s and 23.9-24.1 MB
+# Every table keeps its values in one flat sequence, `--what cA` a list and
+# the other tables an array of 8-byte ints (each value is at most sigma(r) <
+# 2^63). Rows "... table at the row cap ..." and "The table refuses more rows
+# than its cap": square cA under MIX 0.14-0.27 s and 18.8-19.5 MB as JSON,
+# 18.7-19.4 MB as CSV and 18.6-19.4 MB as plain; one row (--nmax 1, under U),
+# most of it factorizing, 2.5-4.4 s and 21.0-21.9 MB as JSON and 20.8-21.7 MB
+# as CSV; four columns under D 0.16-0.33 s and 18.8-19.9 MB; `--what phiA`
+# under U 1.4-3.0 s and 20.9-21.6 MB as JSON, 20.8-21.7 MB as plain
 MAX_TABLE_ROWS = 2**18
 
-# rows per emitted text, at most: JSON and CSV take the all-int check and the
-# write once per chunk, and `main` writes each text before the next is made
+# rows per emitted text, at most: `main` writes each text before the next is
+# made, so one chunk's text is held at a time
 CHUNK_ROWS = 4096
 
 # the oracle and all routes sum r floating-point terms, each after a
@@ -121,57 +121,59 @@ def _chunks(items: Iterable) -> Iterator[list]:
         yield chunk
 
 
-def _plain_width(name: str, column: list) -> int:
-    # an exact int's text is longest at the column's max or min, so the cells
-    # of an all-int column are formatted only once, in their lines; bools
-    # print true/false and take the general pass
-    if column and all(type(v) is int for v in column):
-        column = [max(column), min(column)]
-    return max([len(name), *map(len, map(format_value, column))])
-
-
 def _plain_line(cells: Iterable[str], widths: Sequence[int]) -> str:
     return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
 
 
 class _Grid:
-    """The c_A table as columns: `columns[j]` lists c_A(n, moduli[j]) for
-    n = 1..n_max; `_emit_rows` writes its rows (n, r, value), n-major, from
-    the columns."""
+    """A table of ints as one column-major sequence: `values[j * n_max +
+    n - 1]` is the value at n and `moduli[j]`. `_emit_rows` writes its
+    rows (n, r, value), n-major, or (r, value) under a two-key header,
+    whose grid has n_max 1."""
 
-    __slots__ = ("moduli", "n_max", "columns")
+    __slots__ = ("moduli", "n_max", "values")
 
-    def __init__(self, moduli: range, n_max: int, columns: list[list[int]]):
-        self.moduli, self.n_max, self.columns = moduli, n_max, columns
+    def __init__(self, moduli: range, n_max: int, values: Sequence[int]):
+        self.moduli, self.n_max, self.values = moduli, n_max, values
 
 
 def _grid_texts(header: list[str], grid: _Grid, fmt: str) -> Iterator[str]:
     # each line joins two pieces, the n text and a tail, the r text and the
-    # value text of one column, each from a %d template of its format, so a
-    # row of n is the tails of its columns joined by its n text
-    moduli, n_max, columns = grid.moduli, grid.n_max, grid.columns
+    # value text of one modulus, both cut from the one field template per
+    # key of its format, so a row of n is the tails of its moduli joined by
+    # its n text. Without an n key, the n text is the line's opening alone:
+    # its %.0s takes the n and prints none of it
+    moduli, n_max, values = grid.moduli, grid.n_max, grid.values
+    *n_key, _, _ = header
     if fmt == "plain":
         # the value is the last cell, so its padding is what rstrip removes
-        widths = (max(len(header[0]), len(str(n_max))), max(len(header[1]), len(str(moduli[-1]))))
+        tops = [n_max] * len(n_key) + [moduli[-1]]
+        widths = [max(len(k), len(str(top))) for k, top in zip(header, tops)]
         yield _plain_line(header, (*widths, 0))
-        n_piece, tail = f"%-{widths[0]}d  ", f"%-{widths[1]}d  %d\n"
+        fields = [f"%-{w}d" for w in widths] + ["%d"]
+        opening, sep, closing = "", "  ", "\n"
     elif fmt == "json":
-        n_key, r_key, v_key = (json.dumps(k).replace("%", "%%") for k in header)
-        n_piece, tail = f"{{{n_key}: %d", f", {r_key}: %d, {v_key}: %d}}\n"
+        fields = [json.dumps(k).replace("%", "%%") + ": %d" for k in header]
+        opening, sep, closing = "{", ", ", "}\n"
     else:
         yield from _emit_rows(header, (), fmt)  # the CSV header line
-        n_piece, tail = "%d,", "%d,%d\n"
+        fields = ["%d"] * len(header)
+        opening, sep, closing = "", ",", "\n"
+    n_piece = opening + (fields[0] + sep if n_key else "%.0s")
+    tail = sep.join(fields[-2:]) + closing
 
-    width = len(columns)
+    width = len(moduli)
     if width <= CHUNK_ROWS:
-        # whole rows of n, as many as fit in CHUNK_ROWS lines; a column's
-        # tail is made once per distinct value and looked up per cell
-        tails = [{v: tail % (r, v) for v in set(column)} for r, column in zip(moduli, columns)]
+        # whole rows of n, as many as fit in CHUNK_ROWS lines, row n the
+        # slice values[n::n_max]; a modulus's tail is made once per distinct
+        # value in its column and looked up per cell
+        starts = range(0, width * n_max, n_max)
+        tails = [{v: tail % (r, v) for v in set(values[j:j + n_max])} for r, j in zip(moduli, starts)]
         step = CHUNK_ROWS // width
         for lo in range(0, n_max, step):
             hi = min(lo + step, n_max)
             n_texts = list(map(n_piece.__mod__, range(lo + 1, hi + 1)))
-            rows = zip(*[column[lo:hi] for column in columns])
+            rows = (values[n::n_max] for n in range(lo, hi))
             lines = map(str.join, n_texts, map(map, repeat(getitem), repeat(tails), rows))
             yield "".join(chain.from_iterable(zip(n_texts, lines)))
         return
@@ -182,7 +184,7 @@ def _grid_texts(header: list[str], grid: _Grid, fmt: str) -> Iterator[str]:
         n_text = n_piece % (n + 1)
         for lo in range(0, width, CHUNK_ROWS):
             hi = lo + CHUNK_ROWS
-            cells = zip(moduli[lo:hi], map(itemgetter(n), columns[lo:hi]))
+            cells = zip(moduli[lo:hi], values[lo * n_max + n:hi * n_max:n_max])
             yield n_text.join(chain(("",), map(tail.__mod__, cells)))
 
 
@@ -190,33 +192,26 @@ def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterato
     """The text of `rows` under `header` as JSON lines, CSV or plain text,
     one string per chunk of at most CHUNK_ROWS rows.
 
-    A `_Grid`, the c_A table, is written from its columns. Each line joins
-    two pieces: the n text, made once per n, and a tail, the r text and the
-    value text of one column. Where a row of moduli fits in a chunk, each
-    column's tails are made once per distinct value in it, and a row of n
-    is one join of its cells' tails by its n text; a longer row formats
-    each tail where it is printed. There is no row tuple or type scan per
-    cell. Plain output pads n and r to the widths of n_max and the largest
-    modulus, and the last cell, the value, is not padded. At the 2^18-row
-    cap that takes the three formats to 0.15-0.32 s and 19.1-19.5 MB peak
-    RSS in a fresh process (see MAX_TABLE_ROWS).
+    A `_Grid`, every `table`, is written by `_grid_texts` from its values,
+    with no row tuple or type scan per cell. Plain output pads n and r to
+    the widths of n_max and the largest modulus, and the last cell, the
+    value, is not padded.
 
-    Other rows are read as they come. JSON and CSV take each chunk as it
-    arrives, so `rows` may be a generator; plain output consumes every row
-    before its first text, to pad its columns. A chunk whose cells are all
-    exact ints is written as it is; any other first passes each cell
-    through `_json_cell` or `format_value`. Either way a JSON line is
-    byte-identical to `json.dumps(dict(zip(header, row)))` after the cell
-    rules of `_json_cell`, and a grid's text to that of its rows.
+    Other rows, the small tables of `c`, `verify` and `expansion`, are read
+    as they come. JSON and CSV take each chunk as it arrives, so `rows` may
+    be a generator; plain output formats every cell before its first text,
+    to pad its columns to their widest text. Every cell passes through
+    `_json_cell` or `format_value`, so a JSON line is byte-identical to
+    `json.dumps(dict(zip(header, row)))` after the cell rules of
+    `_json_cell`, and a grid's text to that of its rows.
     """
     if isinstance(rows, _Grid):
         yield from _grid_texts(header, rows, fmt)
         return
     if fmt == "plain":
-        rows = list(rows)
-        widths = [_plain_width(h, [r[i] for r in rows]) for i, h in enumerate(header)]
-        lines = (_plain_line(map(format_value, row), widths) for row in chain([header], rows))
-        yield from map("".join, _chunks(lines))
+        texts = [header, *(tuple(map(format_value, row)) for row in rows)]
+        widths = [max(map(len, column)) for column in zip(*texts)]
+        yield from map("".join, _chunks(_plain_line(row, widths) for row in texts))
         return
     if fmt == "json":
         # one %-template per header: each key quoted once, its own % escaped
@@ -225,7 +220,7 @@ def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterato
         cell = _json_cell
 
         def text(chunk):
-            return "".join(map(template.__mod__, map(tuple, chunk)))
+            return "".join(map(template.__mod__, chunk))
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -239,9 +234,7 @@ def _emit_rows(header: list[str], rows: Iterable[Sequence], fmt: str) -> Iterato
 
         yield text([header])
     for chunk in _chunks(rows):
-        if not set(map(type, chain.from_iterable(chunk))) <= {int}:
-            chunk = [tuple(map(cell, row)) for row in chunk]
-        yield text(chunk)
+        yield text([tuple(map(cell, row)) for row in chunk])
 
 
 def _cmd_c(args) -> list:
@@ -272,11 +265,11 @@ def _cmd_table(args) -> list:
     system = load_system(args.system)
     moduli = range(1, args.rmax + 1)
     if args.what == "cA":
-        columns = [gensums.c_A_column(system, r, n_max) for r in moduli]
-        return [(["n", "r", "value"], _Grid(moduli, n_max, columns), True)]
+        columns = (gensums.c_A_column(system, r, n_max) for r in moduli)
+        return [(["n", "r", "value"], _Grid(moduli, n_max, list(chain.from_iterable(columns))), True)]
     fn = {"phiA": phi_A, "psiA": psi_A, "gammaA": gamma_A, "muA": mu_A}[args.what]
     values = array("q", (fn(system, r) for r in moduli))
-    return [(["r", "value"], zip(moduli, values), True)]
+    return [(["r", "value"], _Grid(moduli, 1, values), True)]
 
 
 def _cmd_verify(args) -> list:

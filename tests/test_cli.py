@@ -5,6 +5,7 @@ import json
 import re
 import time
 import tracemalloc
+from array import array
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,17 @@ from ramlab.cli import (
     main,
 )
 from ramlab.gensums import PartialSumReport
-from ramlab.systems import DIRICHLET, MIX, UNITARY, ExponentOutOfScopeError, system_from_dict
+from ramlab.systems import (
+    DIRICHLET,
+    MIX,
+    UNITARY,
+    ExponentOutOfScopeError,
+    gamma_A,
+    mu_A,
+    phi_A,
+    psi_A,
+    system_from_dict,
+)
 from ramlab.verify import OrthogonalityReport
 
 from conftest import CUSTOM_OK, euler_phi, valid_specs
@@ -190,7 +201,7 @@ class TestCommandTable:
         # grid's rows are its cells, one per modulus and n
         def count(rows):
             if isinstance(rows, cli._Grid):
-                return sum(map(len, rows.columns))
+                return len(rows.values)
             return sum(1 for _ in rows)
 
         monkeypatch.setattr(
@@ -237,6 +248,35 @@ class TestCommandTable:
         assert code == EXIT_OK
         assert sink.chars > 8 * 2**20
         assert peak < sink.chars
+
+    @pytest.mark.parametrize(
+        "what, nmax, fmt",
+        [("cA", ["--nmax", "1"], "json"), ("phiA", [], "plain")],
+        ids=["cA-one-row-json", "phiA-plain"],
+    )
+    def test_tables_hold_no_object_per_modulus(self, monkeypatch, tmp_path, what, nmax, fmt):
+        # a table holds its values in one flat sequence: no list per modulus
+        # (one-row cA) and no tuple per row (plain phiA). The values are
+        # stubbed, so the traced peak is what the table and its writer hold;
+        # a list per modulus or a tuple per row reads 1.6-2.5 MiB here
+        monkeypatch.setattr(gensums, "c_A_column", lambda system, r, n_max: [r % 5 - 2] * n_max)
+        monkeypatch.setattr(cli, "phi_A", lambda system, r: r % 251)
+        out = tmp_path / "table"
+
+        def table(rmax):
+            return main(["table", "--what", what, "--system", "U", "--rmax", str(rmax), *nmax,
+                         "--format", fmt, "-o", str(out)])
+
+        assert table(1) == EXIT_OK  # so the one-time costs of a first call are not traced
+        tracemalloc.start()
+        try:
+            code = table(16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert out.read_text().count("\n") == 16384 + (fmt == "plain")
+        assert peak < 2**20
 
     @pytest.mark.parametrize("what", ["phiA", "psiA", "gammaA", "muA"])
     def test_nmax_outside_cA_exits_1_before_any_work(self, capsys, monkeypatch, what):
@@ -757,8 +797,8 @@ WIDTH_EDGES = st.sampled_from([1, 9, 10, 11, 99, 100, 101])
 
 
 class TestGridEmitter:
-    """`table --what cA` hands `_emit_rows` its columns; the text written
-    from them equals the generic emitter's on the same rows as tuples."""
+    """Every `table` hands `_emit_rows` a grid of its values; the text
+    written from it equals the generic emitter's on the same rows as tuples."""
 
     @given(spec=valid_specs(), rmax=WIDTH_EDGES | st.integers(1, 120),
            nmax=WIDTH_EDGES | st.integers(1, 120), chunk=st.sampled_from([4096, 1, 3, 50]))
@@ -772,29 +812,52 @@ class TestGridEmitter:
     @settings(max_examples=60, deadline=None)
     def test_grid_text_matches_generic_rows(self, spec, rmax, nmax, chunk):
         system = system_from_dict(spec)
-        columns = []
+        values = []
         for r in range(1, rmax + 1):
             try:
-                columns.append(gensums.c_A_column(system, r, nmax))
+                values += gensums.c_A_column(system, r, nmax)
             except ExponentOutOfScopeError:
                 break  # the table stops before the first modulus the system refuses
-        moduli = range(1, len(columns) + 1)
+        moduli = range(1, len(values) // nmax + 1)
         # the grid writes values with %d, which needs exact ints
-        assert all(type(v) is int for column in columns for v in column)
-        rows = [(n, r, columns[r - 1][n - 1]) for n in range(1, nmax + 1) for r in moduli]
-        grid = cli._Grid(moduli, nmax, columns)
-        header = ["n", "r", "value"]
-        # CHUNK_ROWS patched small cuts rows of moduli across texts
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "CHUNK_ROWS", chunk)
-            for fmt in cli.FORMATS:
-                texts = list(cli._emit_rows(header, grid, fmt))
-                want = "".join(cli._emit_rows(header, rows, fmt))
-                # compared as lines, which pytest reports by the first index that differs
-                assert "".join(texts).split("\n") == want.split("\n"), fmt
-                assert max(text.count("\n") for text in texts) <= chunk
-                # each text is whole lines, also where a row of moduli is cut
-                assert all(text.endswith("\n") for text in texts), fmt
+        assert all(type(v) is int for v in values)
+        rows = [(n, r, values[(r - 1) * nmax + n - 1]) for n in range(1, nmax + 1) for r in moduli]
+        _assert_grid_writes_its_rows(["n", "r", "value"], cli._Grid(moduli, nmax, values), rows, chunk)
+
+    @given(spec=valid_specs(), rmax=WIDTH_EDGES | st.integers(1, 120),
+           what=st.sampled_from(["phiA", "psiA", "gammaA", "muA"]),
+           chunk=st.sampled_from([4096, 1, 3, 50]))
+    @example(spec=CUSTOM_OK, rmax=10, what="muA", chunk=4096)
+    @example(spec=CUSTOM_OK, rmax=101, what="psiA", chunk=50)
+    @example(spec=CUSTOM_OK, rmax=9, what="phiA", chunk=3)
+    @settings(max_examples=60, deadline=None)
+    def test_two_key_grid_matches_generic_rows(self, spec, rmax, what, chunk):
+        # the A-function tables: one row (r, value) per modulus, n_max 1, no n text
+        system = system_from_dict(spec)
+        fn = {"phiA": phi_A, "psiA": psi_A, "gammaA": gamma_A, "muA": mu_A}[what]
+        values = []
+        for r in range(1, rmax + 1):
+            try:
+                values.append(fn(system, r))
+            except ExponentOutOfScopeError:
+                break
+        moduli = range(1, len(values) + 1)
+        grid = cli._Grid(moduli, 1, array("q", values))
+        _assert_grid_writes_its_rows(["r", "value"], grid, list(zip(moduli, values)), chunk)
+
+
+def _assert_grid_writes_its_rows(header, grid, rows, chunk):
+    # both paths run: a row of moduli wider than CHUNK_ROWS is cut across texts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CHUNK_ROWS", chunk)
+        for fmt in cli.FORMATS:
+            texts = list(cli._emit_rows(header, grid, fmt))
+            want = "".join(cli._emit_rows(header, rows, fmt))
+            # compared as lines, which pytest reports by the first index that differs
+            assert "".join(texts).split("\n") == want.split("\n"), fmt
+            assert max(text.count("\n") for text in texts) <= chunk
+            # each text is whole lines, also where a row of moduli is cut
+            assert all(text.endswith("\n") for text in texts), fmt
 
 
 class TestErrorsAndPlumbing:

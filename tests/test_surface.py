@@ -197,4 +197,4 @@ def test_caches_sit_where_traffic_repeats():
         if isinstance(node, ast.FunctionDef)
         and any(_ident(getattr(dec, "func", dec)) in CACHES for dec in node.decorator_list)
     )
-    assert cached == ["arith.divisors", "arith.factorize", "systems.prime_power_types"]
+    assert cached == ["arith.divisors", "systems.prime_power_types"]
