@@ -1,6 +1,6 @@
 """`python -m ramlab`: the `ramlab` command, run from the package."""
 
-if __name__ == "__main__":
-    from .cli import entrypoint
+from .cli import entrypoint
 
+if __name__ == "__main__":
     entrypoint()

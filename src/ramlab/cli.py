@@ -293,14 +293,13 @@ def _cmd_expansion(args) -> list:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ramlab", description=__doc__)
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=FORMATS,
-                        default=os.environ.get("RAMLAB_FORMAT", "plain"))
+    common.add_argument("--format", choices=FORMATS)
     common.add_argument("-o", "--output", default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_c = sub.add_parser("c", help="generalized Ramanujan sum c_A(n, r)", parents=[common])
-    p_c.add_argument("n", type=int)
-    p_c.add_argument("r", type=int)
+    p_c.add_argument("n", type=_positive_int)
+    p_c.add_argument("r", type=_positive_int)
     p_c.add_argument("--system", default="D", help="D, U, MIX, or a JSON spec file")
     p_c.add_argument("--route", choices=("divisor", "core", "oracle", "all"), default="divisor",
                      help=f"oracle and all need r at most {MAX_ORACLE_R}")
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.set_defaults(func=_cmd_verify)
 
     p_e = sub.add_parser("expansion", help="truncated harmonic expansion of sigma(n)/n", parents=[common])
-    p_e.add_argument("n", type=int)
+    p_e.add_argument("n", type=_positive_int)
     p_e.add_argument("--terms", type=_positive_int, default=1000,
                      help=f"at most {MAX_TERMS}")
     p_e.set_defaults(func=_cmd_expansion)
@@ -341,16 +340,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # argparse checks the choices of a given --format, not of its default
-    if args.format not in FORMATS:
-        print(f"RAMLAB_FORMAT must be one of {', '.join(FORMATS)}, got {args.format!r}",
-              file=sys.stderr)
+    # argparse checks a given --format; the environment's is checked here
+    fmt = args.format or os.environ.get("RAMLAB_FORMAT", "plain")
+    if fmt not in FORMATS:
+        print(f"RAMLAB_FORMAT must be one of {', '.join(FORMATS)}, got {fmt!r}", file=sys.stderr)
         return EXIT_USAGE
     try:
         tables = args.func(args)
         with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
             for header, rows, _ in tables:
-                out.writelines(_emit_rows(header, rows, args.format))
+                out.writelines(_emit_rows(header, rows, fmt))
     except InvalidSystemError as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)

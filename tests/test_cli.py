@@ -876,6 +876,10 @@ class TestErrorsAndPlumbing:
             (["verify", "prop2", "--xmax", "0"], "--xmax"),
             (["verify", "prop2", "--xmax", "ten"], "--xmax"),
             (["expansion", "6", "--terms", "-1"], "--terms"),
+            (["c", "0", "5"], "n"),
+            (["c", "5", "-3", "--route", "core"], "r"),
+            (["c", "5", "0", "--route", "oracle"], "r"),
+            (["expansion", "0"], "n"),
         ],
     )
     def test_nonpositive_range_rejected(self, capsys, argv, flag):
@@ -990,6 +994,13 @@ class TestErrorsAndPlumbing:
         code, out, _ = run(capsys, "c", "1", "1")
         assert code == EXIT_OK
         assert json.loads(out)["value"] == 1
+
+    def test_parser_reads_no_environment(self, monkeypatch):
+        # RAMLAB_FORMAT is resolved by `main` per call, not baked into a default
+        monkeypatch.delenv("RAMLAB_FORMAT", raising=False)
+        unset = cli.build_parser().parse_args(["c", "2", "4"])
+        monkeypatch.setenv("RAMLAB_FORMAT", "json")
+        assert cli.build_parser().parse_args(["c", "2", "4"]) == unset
 
     def test_env_format_unknown_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("RAMLAB_FORMAT", "xml")

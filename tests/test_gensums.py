@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from ramlab import gensums
 from ramlab.arith import ramanujan_c
 from ramlab.gensums import (
     c_A,
@@ -12,7 +13,7 @@ from ramlab.gensums import (
     c_A_oracle,
     partial_sum_cA,
 )
-from ramlab.systems import DIRICHLET, MIX, UNITARY, gcd_A, phi_A, psi_A
+from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, gcd_A, phi_A, psi_A
 
 
 class TestDivisorRoute:
@@ -28,6 +29,24 @@ class TestDivisorRoute:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             c_A_divisor(UNITARY, 0, 4)
+
+    @pytest.mark.parametrize(
+        "system, n, r, members",
+        [(DIRICHLET, 30030, 30030, 64), (DIRICHLET, 1, 30030, 1), (UNITARY, 720, 720, 8),
+         (MIX, 3072, 9216, 4)],
+        ids=["D square-free", "D coprime", "U", "MIX"],
+    )
+    def test_sums_only_the_members_of_the_gcd(self, monkeypatch, system, n, r, members):
+        # one divisor_set call, on (n, r)_A, and one mu_A call per member:
+        # A(r) is never listed to be filtered by d | n
+        sets, mus = [], []
+        real_set, real_mu = gensums.divisor_set, gensums.mu_A
+        monkeypatch.setattr(gensums, "divisor_set", lambda s, m: sets.append(m) or real_set(s, m))
+        monkeypatch.setattr(gensums, "mu_A", lambda s, m: mus.append(m) or real_mu(s, m))
+        value = c_A_divisor(system, n, r)
+        assert sets == [gcd_A(system, n, r)]
+        assert len(mus) == len(divisor_set(system, sets[0])) == members
+        assert value == c_A(system, n, r)
 
 
 class TestCoreRoute:

@@ -1,11 +1,17 @@
 """The package's public surface: private names stay inside their module,
-every exported name resolves and has a caller, and every cache is bounded.
+every exported name resolves and has a caller, each layer imports and loads
+only the layers before it, and every cache is bounded.
 
 Read from the sources with `ast`, so a private import is caught even when
-it happens to work."""
+it happens to work; what a layer loads is read from `sys.modules` in a
+fresh interpreter. The package itself re-exports nothing: each name is
+imported from its module."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +86,19 @@ def test_imports_only_lower_layers(stem):
     assert imported <= set(below)
 
 
+@pytest.mark.parametrize("stem", LAYERS)
+def test_importing_a_layer_loads_only_the_layers_before_it(stem):
+    # a fresh interpreter, run on this package's source, imports the layer
+    # and lists the package's modules it then holds
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys, ramlab.{stem}; print(*sorted(m for m in sys.modules if m.startswith('ramlab.')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True,
+                          timeout=60, check=True)
+    loaded = done.stdout.split()
+    assert loaded == sorted(f"ramlab.{layer}" for layer in LAYERS[: LAYERS.index(stem) + 1])
+
+
 @pytest.mark.parametrize("stem", MODULES)
 def test_all_entries_resolve(stem):
     module = importlib.import_module(f"ramlab.{stem}")
@@ -143,19 +162,6 @@ def test_every_public_method_of_an_exported_class_has_a_caller():
                     and item.name not in referenced
                 ]
     assert uncalled == []
-
-
-def test_package_namespace_reexports_public_names():
-    # each name `ramlab` re-exports is listed in its module's __all__, or is
-    # public when the module has none
-    stray = []
-    for module, name in _ramlab_imports(_tree("__init__")):
-        source = importlib.import_module(f"ramlab.{module}")
-        assert getattr(ramlab, name) is getattr(source, name)
-        public = getattr(source, "__all__", None)
-        if (name not in public) if public is not None else name.startswith("_"):
-            stray.append(f"{module}.{name}")
-    assert stray == []
 
 
 CACHES = ("lru_cache", "cache")

@@ -285,6 +285,23 @@ class TestAdditiveClosure:
         assert w.g_even and is_A_even(system, g, pt, 4 * pt)
         assert w.h_fails_all and h_fails_all_by_scan(system, h, pt, 100)
 
+    @pytest.mark.parametrize("system", [UNITARY, MIX, system_from_dict(SPEC_A),
+                                        system_from_dict(SPEC_B)], ids=["U", "MIX", "A", "B"])
+    def test_two_gcd_calls_per_modulus(self, monkeypatch, system):
+        # t + 3 for the evenness of f and g, then two per modulus r <= r_max;
+        # each witness here is at p^2
+        calls = 0
+        real = verify.gcd_A
+
+        def counting_gcd_A(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(verify, "gcd_A", counting_gcd_A)
+        w = additive_closure_witness(system, r_max=100)
+        assert w.h_fails_all and calls == 2 * 100 + w.t + 3 == 205
+
     @pytest.mark.parametrize("r_max", [0, -1])
     def test_no_vacuous_pass(self, r_max):
         # an empty range of moduli would make h_fails_all hold vacuously
