@@ -84,9 +84,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
+    # ASCII digits alone: int() also reads "1_0", " 3", "+3" and other scripts' digits
     try:
-        value = int(text)
-    except ValueError:
+        value = int(text) if text.isascii() and text.isdigit() else 0
+    except ValueError:  # more digits than int() converts
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")

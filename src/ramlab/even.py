@@ -32,12 +32,11 @@ one integer sum over `_form`'s scaled values and divide once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm, prod
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .arith import divisors, factorize
 from .gensums import Numeric, PartialSumReport
@@ -59,7 +58,6 @@ __all__ = [
     "parse_even_literal",
 ]
 
-@dataclass(frozen=True)
 class EvenFunction:
     """A function with period r depending on n only through gcd(n, r).
 
@@ -67,35 +65,49 @@ class EvenFunction:
     int or a Fraction; the system A asserts the A-even property (values
     constant on (., r)_A) and selects the basis c_A(., d), d in A(r), that
     the closed forms use. Construction checks all three, so every instance
-    can be scaled to integers and transformed."""
+    can be scaled to integers and transformed. An instance is immutable,
+    and equal and hash equal to another by r, values and system."""
 
-    r: int
-    values: tuple[tuple[int, Numeric], ...]
-    system: RegularSystem = DIRICHLET
-
-    def __post_init__(self):
-        r = self.r
+    def __init__(self, r: int, values: tuple[tuple[int, Numeric], ...],
+                 system: RegularSystem = DIRICHLET):
+        # set in __dict__, where the two cached properties also go
+        vars(self).update(r=r, values=values, system=system)
         if type(r) is not int or r < 1:
             raise ValueError(f"modulus must be an int >= 1, got {r!r}")
-        if type(self.values) is not tuple or any(
-            type(item) is not tuple or len(item) != 2 for item in self.values
-        ):
+        if type(values) is not tuple or any(type(i) is not tuple or len(i) != 2 for i in values):
             raise ValueError("values must be a tuple of (divisor, value) pairs")
-        if tuple(d for d, _ in self.values) != divisors(r):
+        if tuple(d for d, _ in values) != divisors(r):
             raise ValueError(f"values must be given on exactly the divisors of {r}, in increasing order")
-        if not isinstance(self.system, RegularSystem):
-            raise ValueError(f"system must be a RegularSystem, got {self.system!r}")
-        # (d, r)_A is d on A(r), every divisor under D, and else a smaller, checked one
-        members = set(divisor_set(self.system, r))
-        for d, v in self.values:
+        if not isinstance(system, RegularSystem):
+            raise ValueError(f"system must be a RegularSystem, got {system!r}")
+        # (d, r)_A is d on A(r), so only a divisor outside A(r) (none under D)
+        # is compared, with its smaller (d, r)_A, whose value is checked already
+        members = set(divisor_set(system, r))
+        for d, v in values:
             if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise ValueError(f"value at divisor {d} must be an int or a Fraction, got {v!r}")
-            g = d if d in members else gcd_A(self.system, d, r)
-            if v != self.value_map[g]:
+            if d not in members and v != self.value_map[g := gcd_A(system, d, r)]:
                 raise ValueError(
                     f"not A-even mod {r}: value at {d} is {v}, "
                     f"but ({d}, {r})_A = {g} has value {self.value_map[g]}"
                 )
+
+    def _key(self) -> tuple:
+        return self.r, self.values, self.system
+
+    def __setattr__(self, attr, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {attr!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "EvenFunction(r={!r}, values={!r}, system={!r})".format(*self._key())
 
     @classmethod
     def from_values(
@@ -147,8 +159,7 @@ def _per_prime(system: RegularSystem, r: int) -> tuple:
     return axes, members, phis
 
 
-@dataclass(frozen=True)
-class FourierCoeffs:
+class FourierCoeffs(NamedTuple):
     """Coordinates h(d) = S2(d) / denominator, d in A(r), in the basis
     c_A(., d) of `system`.
 
@@ -357,7 +368,7 @@ def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport
     return reports
 
 
-_LITERAL_RE = re.compile(r"^\s*r\s*=\s*(\d+)\s*;\s*(.*)$", re.S)
+_LITERAL_RE = re.compile(r"^\s*r\s*=\s*([0-9]+)\s*;\s*(.*)$", re.S)
 
 
 def parse_even_literal(text: str, system: RegularSystem) -> EvenFunction:

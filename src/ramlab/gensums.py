@@ -29,12 +29,11 @@ p^(a-t) at each prime power p^a || r, the kernel's two terms.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
 from math import floor
 from operator import mul
-from typing import Union
+from typing import NamedTuple, Union
 
 from .arith import divisors, ramanujan_c
 from .systems import (
@@ -149,8 +148,7 @@ def c_A_sum(system: RegularSystem, r: int, x: int) -> int:
     return sum(s * d * (x // d) for d, s in signed)
 
 
-@dataclass(frozen=True)
-class PartialSumReport:
+class PartialSumReport(NamedTuple):
     """Exact partial sum of a function against its predicted main term.
 
     The residual and the verdict are derived, so they cannot disagree with

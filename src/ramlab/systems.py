@@ -12,7 +12,6 @@ entries alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from math import prod
@@ -54,51 +53,68 @@ class ExponentOutOfScopeError(ValueError):
     """A system was asked about a prime power beyond its table's declared bound."""
 
 
-@dataclass(frozen=True)
 class RegularSystem:
     """A regular system of divisor sets: a prime-power type table over a
     default rule. Construction validates it and raises InvalidSystemError
-    listing every offence, so every instance is regular."""
+    listing every offence, so every instance is regular. An instance is
+    immutable, and equal and hash equal to another by its four fields."""
 
-    types: tuple[tuple[int, int, int], ...] = ()  # (prime, exponent, type)
-    default: str = "dirichlet-default"
-    a_max: int = DEFAULT_A_MAX  # bounds the exponents at the table's primes
-    name: str = ""
+    __slots__ = ("types", "default", "a_max", "name", "_rows", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, types: tuple[tuple[int, int, int], ...] = (),  # (prime, exponent, type)
+                 default: str = "dirichlet-default",
+                 a_max: int = DEFAULT_A_MAX,  # bounds the exponents at the table's primes
+                 name: str = ""):
+        # the four fields lead the slots
+        for field, value in zip(self.__slots__, (types, default, a_max, name)):
+            object.__setattr__(self, field, value)
         # the table is a tuple and the name a str, both in the hash key below,
         # and an entry is three exact ints; a float, a bool or a str would
         # otherwise pass the checks below or fail in them as a TypeError
-        if type(self.types) is not tuple:
+        if type(types) is not tuple:
             raise InvalidSystemError(
-                [f"types must be a tuple of (p, a, t) entries, got {type(self.types).__name__}"]
+                [f"types must be a tuple of (p, a, t) entries, got {type(types).__name__}"]
             )
-        if type(self.name) is not str:
-            raise InvalidSystemError([f"name must be a str, got {self.name!r}"])
+        if type(name) is not str:
+            raise InvalidSystemError([f"name must be a str, got {name!r}"])
         malformed = [
             f"malformed entry {entry!r}: must be a tuple (p, a, t) of three integers"
-            for entry in self.types
+            for entry in types
             if type(entry) is not tuple or len(entry) != 3 or any(type(v) is not int for v in entry)
         ]
         if malformed:
             raise InvalidSystemError(malformed)
         # compiled once: exponent -> type per table prime, first entry for p^a wins
         rows: dict[int, dict[int, int]] = {}
-        for p, a, t in self.types:
+        for p, a, t in types:
             rows.setdefault(p, {}).setdefault(a, t)
         object.__setattr__(self, "_rows", rows)
         violations = _violations(self)
         if violations:
             raise InvalidSystemError(violations)
         # the cache key of every operation, hashed once a_max is known to be an int
-        object.__setattr__(self, "_hash", hash((self.types, self.default, self.a_max, self.name)))
+        object.__setattr__(self, "_hash", hash(self._key()))
+
+    def _key(self) -> tuple:
+        return self.types, self.default, self.a_max, self.name
+
+    def __setattr__(self, attr, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {attr!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return "RegularSystem(types={!r}, default={!r}, a_max={!r}, name={!r})".format(*self._key())
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         # pickle by fields, so the receiving process validates and rehashes
-        return (type(self), (self.types, self.default, self.a_max, self.name))
+        return (type(self), self._key())
 
     def type_of(self, p: int, a: int) -> int:
         """The type t of p^a, A(p^a) = {1, p^t, ..., p^a}: the table's entry,

@@ -13,12 +13,11 @@ import math
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import fsum, gcd, isqrt, lcm
 from operator import mul, sub, truediv
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import divisors, factorize, moebius_sieve
 from .even import (
@@ -101,8 +100,7 @@ def mean_product_empirical(system: RegularSystem, r: int, s: int, x: int) -> Fra
     return Fraction(total, x)
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     """Mean of a product of two generalized Ramanujan sums, exact vs empirical."""
 
     system: str
@@ -157,8 +155,7 @@ def find_orthogonality_violation(
     return min(found)[1:] if found else None
 
 
-@dataclass(frozen=True)
-class Prop4Witness:
+class Prop4Witness(NamedTuple):
     """Two A-even functions whose sum is A-even for no modulus at all.
 
     f(n) = (n, p)_A and g(n) = (n, p^t)_A for a prime power of type t > 1;
@@ -237,8 +234,7 @@ def additive_closure_witness(
     )
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     """Truncation of the harmonic expansion of sigma(n)/n."""
 
     n: int

@@ -888,6 +888,25 @@ class TestErrorsAndPlumbing:
         assert out == ""
         assert f"argument {flag}: must be a positive integer" in err
 
+    # int() reads each of these as 10 or 3; a count is ASCII digits alone
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", " 3", "+3"],
+                             ids=["underscore", "arabic-indic", "space", "plus"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["c", "TEXT", "5"], "n"),
+            (["c", "5", "TEXT"], "r"),
+            (["table", "--what", "cA", "--rmax", "TEXT"], "--rmax"),
+            (["table", "--what", "cA", "--rmax", "3", "--nmax", "TEXT"], "--nmax"),
+            (["verify", "prop2", "--xmax", "TEXT"], "--xmax"),
+            (["expansion", "6", "--terms", "TEXT"], "--terms"),
+        ],
+    )
+    def test_count_takes_ascii_digits_only(self, capsys, argv, flag, text):
+        code, out, err = run(capsys, *(text if arg == "TEXT" else arg for arg in argv))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument {flag}: must be a positive integer, got {text!r}" in err
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -936,6 +955,8 @@ class TestErrorsAndPlumbing:
             ("r=2; 1:1, x:2", "malformed divisor:value pair 'x:2'"),
             ("r=2; 1:1, 2:3, 2:5", "divisor 2 is given more than once"),
             ("r=0; 1:1", "modulus must be >= 1, got r=0 in even-function literal 'r=0; 1:1'"),
+            ("r=\u0666; 1:1, 2:1, 3:1, 6:1", "malformed even-function literal"),
+            ("r=1_0; 1:1, 2:1, 5:1, 10:1", "malformed even-function literal"),
         ],
     )
     def test_bad_even_literal_exits_1(self, capsys, literal, message):

@@ -199,6 +199,33 @@ class TestEvenFunction:
         outside = sorted(set(divisors(r)) - set(divisor_set(UNITARY, r)))
         assert calls == outside and len(outside) == 144 - 32
 
+    def test_evenness_compares_only_non_members(self):
+        # a member d of A(r) is its own (d, r)_A, so its value is never
+        # compared: no comparison under D, one per non-member under U
+        compared = []
+
+        class Counted(Fraction):
+            def __ne__(self, other):
+                compared.append(self)
+                return Fraction.__ne__(self, other)
+
+        r = 36
+        values = {d: Counted(1, gcd_A(UNITARY, d, r)) for d in divisors(r)}
+        EvenFunction.from_values(r, values)
+        assert compared == []
+        EvenFunction.from_values(r, values, UNITARY)
+        outside = set(divisors(r)) - set(divisor_set(UNITARY, r))
+        assert len(compared) == len(outside) == 5
+
+    def test_twins_are_equal_and_hash_equal(self):
+        # equality and hash are by (r, values, system), whatever the cached
+        # properties hold
+        f, twin = c_A_even(UNITARY, 12), c_A_even(UNITARY, 12)
+        fourier_coeffs(f)
+        assert f is not twin and f == twin and hash(f) == hash(twin)
+        assert len({f, twin}) == 1
+        assert f != EvenFunction(12, f.values) and f != (12, f.values, UNITARY)
+
 
 class TestInnerProduct:
     def test_modulus_mismatch(self):

@@ -3,7 +3,6 @@ import pickle
 import random
 import re
 import time
-from dataclasses import replace
 from math import gcd, prod
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -35,6 +34,14 @@ from ramlab.verify import MAX_WITNESS_WORK, additive_closure_witness
 from conftest import CUSTOM_OK, PRIMES, euler_phi, sigma, valid_specs
 
 
+FIELDS = ("types", "default", "a_max", "name")
+
+
+def fields_of(system, **changes):
+    """The keyword arguments that rebuild `system`, with `changes` applied."""
+    return {**{field: getattr(system, field) for field in FIELDS}, **changes}
+
+
 def refused(**fields):
     """The violations construction raises for these fields."""
     with pytest.raises(InvalidSystemError) as exc:
@@ -46,10 +53,29 @@ class TestValidate:
     def test_dirichlet_ok(self):
         # rebuilding each built-in from its fields passes construction again
         for system in (DIRICHLET, UNITARY, MIX):
-            assert replace(system) == system
+            assert RegularSystem(**fields_of(system)) == system
 
     def test_custom_ok(self, custom_system):
-        assert replace(custom_system) == custom_system
+        assert RegularSystem(**fields_of(custom_system)) == custom_system
+
+    def test_equal_and_hash_equal_by_fields(self):
+        twin = RegularSystem(**fields_of(MIX))
+        assert twin is not MIX and twin == MIX and hash(twin) == hash(MIX)
+        assert RegularSystem(**fields_of(MIX, name="other")) != MIX
+        assert MIX != fields_of(MIX) and MIX != tuple(fields_of(MIX).values())
+
+    def test_pickle_rebuilds_a_smuggled_system_from_its_fields(self):
+        # made without the constructor, with a compiled table and a hash
+        # that disagree with its fields, it pickles by the fields alone: the
+        # copy is validated, compiled and hashed afresh
+        smuggled = object.__new__(RegularSystem)
+        for slot, value in zip((*FIELDS, "_rows", "_hash"),
+                               ((), "unitary-default", 16, "U", {2: {2: 1}}, 0)):
+            object.__setattr__(smuggled, slot, value)
+        assert smuggled.type_of(2, 2) == 1 and hash(smuggled) == 0
+        copy = pickle.loads(pickle.dumps(smuggled))
+        assert copy == UNITARY and hash(copy) == hash(UNITARY)
+        assert copy.type_of(2, 2) == 2
 
     def test_non_divisor_type(self):
         violations = refused(types=((2, 4, 3),))
@@ -114,19 +140,19 @@ class TestValidate:
 
     def test_invalid_system_rejected_by_operations(self, tmp_path):
         # every construction path refuses the same broken table with the same
-        # list: the constructor, replace, the loader, a spec file and a pickle
-        # written from a system that never passed the constructor
+        # list: the constructor, a rebuild from another system's fields, the
+        # loader, a spec file and a pickle written from a system that never
+        # passed the constructor
         expected = ["type 3 does not divide exponent 4 at prime power 2^4"]
         spec = {"types": [{"p": 2, "a": 4, "t": 3}]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
         smuggled = object.__new__(RegularSystem)
-        for field, value in zip(("types", "default", "a_max", "name"),
-                                (((2, 4, 3),), "dirichlet-default", 16, "")):
+        for field, value in zip(FIELDS, (((2, 4, 3),), "dirichlet-default", 16, "")):
             object.__setattr__(smuggled, field, value)
         paths = [
             lambda: RegularSystem(types=((2, 4, 3),)),
-            lambda: replace(DIRICHLET, types=((2, 4, 3),)),
+            lambda: RegularSystem(**fields_of(DIRICHLET, types=((2, 4, 3),))),
             lambda: system_from_dict(spec),
             lambda: load_system(str(path)),
             lambda: pickle.loads(pickle.dumps(smuggled)),

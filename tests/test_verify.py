@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ramlab import even, verify
 from ramlab.cli import MAX_TERMS
 from ramlab.arith import divisors, primes_up_to
-from ramlab.even import EvenFunction, c_A_even, partial_sum_even
+from ramlab.even import EvenFunction, FourierCoeffs, c_A_even, fourier_coeffs, partial_sum_even
 from ramlab.gensums import PartialSumReport, c_A_divisor
 from ramlab.systems import (
     DIRICHLET,
@@ -28,8 +28,10 @@ from ramlab.systems import (
 )
 from ramlab.verify import (
     IN_ORDER_TERMS,
+    ExpansionResult,
     MAX_ORACLE_TALLY,
     OrthogonalityReport,
+    Prop4Witness,
     additive_closure_witness,
     check_propositions,
     expansion_demo,
@@ -599,3 +601,35 @@ class TestReports:
         assert OrthogonalityReport("U", 3, 3, 2, Fraction(2)).verdict == "diagonal"
         assert OrthogonalityReport("U", 2, 3, 0, Fraction(0)).verdict == "orthogonal"
         assert OrthogonalityReport("U", 2, 4, 1, Fraction(1)).verdict == "violating"
+
+    @pytest.mark.parametrize(
+        "record",
+        ["RegularSystem", "EvenFunction", "PartialSumReport", "FourierCoeffs",
+         "OrthogonalityReport", "Prop4Witness", "ExpansionResult"],
+    )
+    def test_every_record_is_immutable(self, record):
+        f = c_A_even(UNITARY, 12)
+        instances = {
+            "RegularSystem": (MIX, ("types", "default", "a_max", "name")),
+            "EvenFunction": (f, ("r", "values", "system")),
+        }
+        for rec in (partial_sum_even(f, [5])[0], fourier_coeffs(f), orthogonality_report(MIX, 2, 4),
+                    additive_closure_witness(MIX, 2), expansion_demo(6, 10)):
+            instances[type(rec).__name__] = (rec, rec._fields)
+        rec, fields = instances[record]
+        for field in fields:
+            before = getattr(rec, field)
+            with pytest.raises(AttributeError):
+                setattr(rec, field, before)
+            with pytest.raises(AttributeError):
+                delattr(rec, field)
+            assert getattr(rec, field) is before
+
+    def test_result_records_are_tuples_of_their_fields(self):
+        # the five result records are NamedTuples: iterable, and equal to
+        # the tuple of their fields
+        for cls in (PartialSumReport, FourierCoeffs, OrthogonalityReport, Prop4Witness,
+                    ExpansionResult):
+            assert issubclass(cls, tuple)
+        rep = PartialSumReport(1, Fraction(7, 2), 1, 2)
+        assert rep == (1, Fraction(7, 2), 1, 2) and list(rep) == [1, Fraction(7, 2), 1, 2]
