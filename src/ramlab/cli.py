@@ -24,7 +24,8 @@ from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 from . import gensums, verify
-from .systems import InvalidSystemError, gamma_A, load_system, mu_A, phi_A, psi_A
+from .even import EvenFunction
+from .systems import InvalidSystemError, RegularSystem, gamma_A, load_system, mu_A, phi_A, psi_A
 
 # `entrypoint` is the console script and `python -m ramlab`
 __all__ = ["build_parser", "entrypoint", "main"]
@@ -83,15 +84,49 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    # ASCII digits alone: int() also reads "1_0", " 3", "+3" and other scripts' digits
+def _digits(text: str) -> int:
+    # ASCII digits alone, else -1: int() also reads "1_0", " 3", "+3" and
+    # other scripts' digits
     try:
-        value = int(text) if text.isascii() and text.isdigit() else 0
+        return int(text) if text.isascii() and text.isdigit() else -1
     except ValueError:  # more digits than int() converts
-        value = 0
+        return -1
+
+
+def _positive_int(text: str) -> int:
+    value = _digits(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
+
+
+def _even_function(text: str, system: RegularSystem) -> EvenFunction:
+    """The `--even` literal `r=12; 1:1, 2:-1, ..., 12:5/2` as an (A, r)-even
+    function of `system`. r, each divisor and each value's numerator and
+    denominator (nonzero) are `_digits`, a value may start with -, and
+    whitespace may surround each token; an empty item is skipped."""
+    head, semicolon, body = text.partition(";")
+    key, equals, modulus = head.partition("=")
+    r = _digits(modulus.strip())
+    if not (semicolon and equals and key.strip() == "r" and r >= 0):
+        raise ValueError(f"malformed even-function literal: {text!r}")
+    if r < 1:
+        raise ValueError(f"modulus must be >= 1, got r={r} in even-function literal {text!r}")
+    values = {}
+    for item in filter(None, map(str.strip, body.split(","))):
+        divisor, _, value = item.partition(":")
+        value = value.strip()
+        negative = value[:1] == "-"
+        numerator, slash, denominator = value[negative:].partition("/")
+        d, p = _digits(divisor.rstrip()), _digits(numerator.rstrip())
+        q = _digits(denominator.strip()) if slash else 1
+        if d < 0 or p < 0 or q < 1:
+            raise ValueError(f"malformed divisor:value pair {item!r}")
+        if d in values:
+            raise ValueError(f"divisor {d} is given more than once")
+        v = Fraction(-p if negative else p, q)
+        values[d] = v.numerator if v.denominator == 1 else v
+    return EvenFunction.from_values(r, values, system)
 
 
 def format_value(v) -> str:
@@ -279,8 +314,9 @@ def _cmd_verify(args) -> list:
     if args.even is not None and args.target not in ("prop1", "all"):
         raise ValueError(f"--even applies only to prop1 and all, not {args.target}")
     system = load_system(args.system)
+    extra = None if args.even is None else _even_function(args.even, system)
     names = verify.PROPOSITIONS if args.target == "all" else (args.target,)
-    return verify.check_propositions(names, system, args.rmax, args.xmax, args.even)
+    return verify.check_propositions(names, system, args.rmax, args.xmax, extra)
 
 
 def _cmd_expansion(args) -> list:

@@ -31,7 +31,6 @@ one integer sum over `_form`'s scaled values and divide once.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm, prod
@@ -55,7 +54,6 @@ __all__ = [
     "progression_totient_even",
     "progression_totient_mean",
     "partial_sum_even",
-    "parse_even_literal",
 ]
 
 class EvenFunction:
@@ -108,6 +106,11 @@ class EvenFunction:
 
     def __repr__(self) -> str:
         return "EvenFunction(r={!r}, values={!r}, system={!r})".format(*self._key())
+
+    def __reduce__(self):
+        # pickle by fields, as a RegularSystem does: the receiving process
+        # checks the values again, and no cached property travels
+        return (type(self), self._key())
 
     @classmethod
     def from_values(
@@ -366,31 +369,3 @@ def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport
         total = sum(g * e * (big_x // e) for e, g in terms)
         reports.append(PartialSumReport(big_x, Fraction(total, coeffs.denominator), h1 * big_x, bound))
     return reports
-
-
-_LITERAL_RE = re.compile(r"^\s*r\s*=\s*([0-9]+)\s*;\s*(.*)$", re.S)
-
-
-def parse_even_literal(text: str, system: RegularSystem) -> EvenFunction:
-    """Parse the CLI literal `r=12; 1:1, 2:-1, ..., 12:5` (rationals as p/q)
-    as an (A, r)-even function of `system`, refused unless it is one."""
-    m = _LITERAL_RE.match(text)
-    if not m:
-        raise ValueError(f"malformed even-function literal: {text!r}")
-    r = int(m.group(1))
-    if r < 1:
-        raise ValueError(f"modulus must be >= 1, got r={r} in even-function literal {text!r}")
-    values: dict[int, Numeric] = {}
-    for item in m.group(2).split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            key, val = item.split(":")
-            d, frac = int(key), Fraction(val.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed divisor:value pair {item!r}") from exc
-        if d in values:
-            raise ValueError(f"divisor {d} is given more than once")
-        values[d] = frac.numerator if frac.denominator == 1 else frac
-    return EvenFunction.from_values(r, values, system)

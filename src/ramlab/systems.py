@@ -65,30 +65,9 @@ class RegularSystem:
                  default: str = "dirichlet-default",
                  a_max: int = DEFAULT_A_MAX,  # bounds the exponents at the table's primes
                  name: str = ""):
-        # the four fields lead the slots
-        for field, value in zip(self.__slots__, (types, default, a_max, name)):
+        # the four fields lead the slots, then the rows `_violations` fills
+        for field, value in zip(self.__slots__, (types, default, a_max, name, {})):
             object.__setattr__(self, field, value)
-        # the table is a tuple and the name a str, both in the hash key below,
-        # and an entry is three exact ints; a float, a bool or a str would
-        # otherwise pass the checks below or fail in them as a TypeError
-        if type(types) is not tuple:
-            raise InvalidSystemError(
-                [f"types must be a tuple of (p, a, t) entries, got {type(types).__name__}"]
-            )
-        if type(name) is not str:
-            raise InvalidSystemError([f"name must be a str, got {name!r}"])
-        malformed = [
-            f"malformed entry {entry!r}: must be a tuple (p, a, t) of three integers"
-            for entry in types
-            if type(entry) is not tuple or len(entry) != 3 or any(type(v) is not int for v in entry)
-        ]
-        if malformed:
-            raise InvalidSystemError(malformed)
-        # compiled once: exponent -> type per table prime, first entry for p^a wins
-        rows: dict[int, dict[int, int]] = {}
-        for p, a, t in types:
-            rows.setdefault(p, {}).setdefault(a, t)
-        object.__setattr__(self, "_rows", rows)
         violations = _violations(self)
         if violations:
             raise InvalidSystemError(violations)
@@ -153,16 +132,30 @@ def _is_prime(p: int) -> bool:
 
 
 def _violations(system: RegularSystem) -> list[str]:
-    """Check the regularity conditions; empty list means ok.
+    """Check the regularity conditions, filling `system._rows` (exponent ->
+    type per table prime) as each entry passes; empty list means ok.
 
-    Reports every violation (malformed, non-prime, out-of-bound or
-    conflicting entries, a type not dividing its exponent, broken chains)
-    rather than stopping at the first. By induction on a, the chain rule
-    (type t at p^a forces type t at every p^(it), i <= a/t) holds iff each
-    p^a of type t < a has p^(a-t) of type t. Off the table only the
-    Dirichlet default makes such links, and only p^(a+1) above an entry p^a
-    can break, so the cost depends on the entries, not on a_max.
+    The shape comes first: a float, a bool or a str in the table or name
+    would otherwise pass the checks below or fail in them as a TypeError.
+    Past it, every violation is reported (malformed, non-prime, out-of-bound
+    or conflicting entries, a type not dividing its exponent, broken chains)
+    rather than the first. By induction on a, the chain rule (type t at p^a
+    forces type t at every p^(it), i <= a/t) holds iff each p^a of type
+    t < a has p^(a-t) of type t. Off the table only the Dirichlet default
+    makes such links, and only p^(a+1) above an entry p^a can break, so the
+    cost depends on the entries, not on a_max.
     """
+    if type(system.types) is not tuple:
+        return [f"types must be a tuple of (p, a, t) entries, got {type(system.types).__name__}"]
+    if type(system.name) is not str:
+        return [f"name must be a str, got {system.name!r}"]
+    malformed = [
+        f"malformed entry {entry!r}: must be a tuple (p, a, t) of three integers"
+        for entry in system.types
+        if type(entry) is not tuple or len(entry) != 3 or any(type(v) is not int for v in entry)
+    ]
+    if malformed:
+        return malformed
     if system.default not in ("dirichlet-default", "unitary-default"):
         return [f"unknown default rule {system.default!r}"]
     if isinstance(system.a_max, bool) or not isinstance(system.a_max, int):
@@ -170,32 +163,26 @@ def _violations(system: RegularSystem) -> list[str]:
     if system.a_max < 1:
         return [f"declared exponent bound must be >= 1, got {system.a_max}"]
     violations = []
-    table = {}
+    rows = system._rows
     for p, a, t in system.types:
         if p < 2 or a < 1:
             violations.append(f"malformed entry (p={p}, a={a}, t={t})")
-            continue
-        if not _is_prime(p):
+        elif not _is_prime(p):
             violations.append(f"entry (p={p}, a={a}, t={t}) names {p}, which is not a prime")
-            continue
-        if a > system.a_max:
+        elif a > system.a_max:
             violations.append(
                 f"entry exponent {a} at prime {p} exceeds declared bound {system.a_max}"
             )
-            continue
-        if t < 1 or a % t != 0:
+        elif t < 1 or a % t != 0:
             violations.append(f"type {t} does not divide exponent {a} at prime power {p}^{a}")
-            continue
-        if (p, a) in table and table[(p, a)] != t:
+        elif rows.setdefault(p, {}).setdefault(a, t) != t:
             violations.append(f"conflicting types for prime power {p}^{a}")
-            continue
-        table[(p, a)] = t
     if violations:
         return violations
-    # the entries now agree with the compiled rows that type_of reads
-    links = set(table)
+    # the rows now hold every entry, which type_of reads
+    links = {(p, a) for p, row in rows.items() for a in row}
     if system.default != "unitary-default":
-        links.update((p, a + 1) for p, a in table if a < system.a_max)
+        links |= {(p, a + 1) for p, a in links if a < system.a_max}
     for p, a in sorted(links):
         t = system.type_of(p, a)
         if t < a and system.type_of(p, a - t) != t:

@@ -25,7 +25,6 @@ from .even import (
     c_A_even,
     certified_residual_bound,
     mean_value,
-    parse_even_literal,
     partial_sum_even,
     progression_totient_even,
 )
@@ -387,19 +386,16 @@ def _sum_row(r: int, rep: PartialSumReport, ok: bool) -> list:
             "true" if ok else "false"]
 
 
-def _mean_values(system, r_max, x_max, literal):
+def _mean_values(system, r_max, x_max, extra):
     # battery: the system's Ramanujan sums c_A(., r), the arithmetic-progression
     # totient (under D), seeded random rational (A, r)-even functions, one
-    # draw per member of A(r) in increasing order, and the literal, read in
-    # the system; each brute-force sum must pass its bound and equal the
-    # closed form of partial_sum_even. The literal is the one function whose
-    # tally can be large, so it is tallied first, and refused past
-    # MAX_ORACLE_TALLY before any other work; its rows still come last
+    # draw per member of A(r) in increasing order, and the extra function;
+    # each brute-force sum must pass its bound and equal the closed form of
+    # partial_sum_even. The extra function is the one whose tally can be
+    # large, so it is tallied first, and refused past MAX_ORACLE_TALLY before
+    # any other work; its rows still come last
     xs = [100, x_max] if x_max > 100 else [x_max]
-    tail = []
-    if literal:
-        f = parse_even_literal(literal, system)
-        tail.append((f, mean_value_check(f, xs)))
+    tail = [] if extra is None else [(extra, mean_value_check(extra, xs))]
     functions = [c_A_even(system, r) for r in range(1, min(r_max, 30) + 1)]
     functions.append(progression_totient_even(1, 12))
     rng = random.Random(20040233)
@@ -418,7 +414,7 @@ def _mean_values(system, r_max, x_max, literal):
     return _SUM_HEADER, rows, passed
 
 
-def _partial_sums(system, r_max, x_max, literal):
+def _partial_sums(system, r_max, x_max):
     # the x <= x_max among 1, 2, 3, 10, 100, and x_max itself. A row passes
     # when the closed form of c_A_sum is within its bound and equals the
     # tally S(x) = (x // r) S(r) + S(x mod r), read from the prefix sums of
@@ -436,7 +432,7 @@ def _partial_sums(system, r_max, x_max, literal):
     return _SUM_HEADER, rows, passed
 
 
-def _orthogonality(system, r_max, x_max, literal):
+def _orthogonality(system, r_max):
     # the diagonal r = s <= r_max, then the first violating pair, if any
     reports = [orthogonality_report(system, r, r) for r in range(1, r_max + 1)]
     hit = find_orthogonality_violation(system, r_max)
@@ -451,7 +447,7 @@ def _orthogonality(system, r_max, x_max, literal):
     return ["system", "r", "s", "exact_mean", "empirical_mean", "verdict"], rows, passed
 
 
-def _additive_closure(system, r_max, x_max, literal):
+def _additive_closure(system, r_max):
     witness = additive_closure_witness(system, r_max=r_max)
     if witness is None:
         return ["system", "status"], [[system.label(), "not-applicable"]], True
@@ -463,18 +459,19 @@ def _additive_closure(system, r_max, x_max, literal):
 
 def check_propositions(
     names: Sequence[str], system: RegularSystem, r_max: int, x_max: int,
-    literal: Optional[str] = None,
+    extra: Optional[EvenFunction] = None,
 ) -> list[tuple[list[str], list[list], bool]]:
     """Check each proposition of PROPOSITIONS named in `names`, in that order,
     as a table (header, rows, passed); every check runs, even after one fails.
 
-    In order they check mean values of (A, r)-even functions, with `literal`
-    (an `--even` CLI literal) added to the battery; partial sums of
+    In order they check mean values of (A, r)-even functions, with `extra`
+    (the CLI's `--even` function) added to the battery; partial sums of
     c_A(., r); orthogonality and its first failure; and non-closure under
     addition. r_max bounds the moduli, x_max the partial sums of the first two."""
-    checks = (_mean_values, _partial_sums, _orthogonality, _additive_closure)
-    return [
-        check(system, r_max, x_max, literal)
-        for name, check in zip(PROPOSITIONS, checks)
-        if name in names
-    ]
+    checks = (
+        (_mean_values, (system, r_max, x_max, extra)),
+        (_partial_sums, (system, r_max, x_max)),
+        (_orthogonality, (system, r_max)),
+        (_additive_closure, (system, r_max)),
+    )
+    return [check(*args) for name, (check, args) in zip(PROPOSITIONS, checks) if name in names]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ramlab.arith import factorize
 from ramlab.even import EvenFunction
 from ramlab.gensums import c_A
-from ramlab.systems import DIRICHLET, MIX, UNITARY, system_from_dict
+from ramlab.systems import DIRICHLET, MIX, UNITARY, ExponentOutOfScopeError, system_from_dict
 
 # unitary-default with one non-trivial table entry: types at 5 are
 # 1, 2, 3, 2, 5, 6, ... (exponent 4 demoted to type 2)
@@ -50,6 +50,26 @@ def any_system(request):
     return {"D": DIRICHLET, "U": UNITARY, "MIX": MIX}[request.param]
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """`count_calls(module, name)` rebinds `module.name` to a wrapper that
+    calls it and records each call's arguments, and returns that list of
+    argument tuples. With `limit`, the call past the limit fails at once,
+    so a test of a bound never runs the unbounded loop it guards against."""
+    def install(module, name, limit=None):
+        calls, real = [], getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            assert limit is None or len(calls) <= limit, f"more than {limit} calls to {name}"
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
 PRIMES = (2, 3, 5, 7)
 DEFAULT_TYPE = {"dirichlet-default": lambda a: 1, "unitary-default": lambda a: a}
 
@@ -74,6 +94,29 @@ def valid_specs(draw):
             if t != DEFAULT_TYPE[default](a) or draw(st.booleans()):
                 entries.append({"p": p, "a": a, "t": t})
     return {"kind": "custom", "default": default, "a_max": a_max, "types": entries}
+
+
+RATIONAL_VALUES = {
+    "int": st.integers(min_value=-10**6, max_value=10**6),
+    "fraction": st.fractions(min_value=-1000, max_value=1000, max_denominator=100),
+}
+RATIONAL_VALUES["int and fraction"] = st.one_of(*RATIONAL_VALUES.values())
+
+
+@st.composite
+def in_scope_moduli(draw, system):
+    """r = prod p^e over 2, 3, 5, 7, 11 with each p^e inside the system's
+    exponent bound, r <= 20000."""
+    r = 1
+    for p in (2, 3, 5, 7, 11):
+        e = draw(st.integers(min_value=0, max_value=6), label=f"v_{p}")
+        if e and r * p**e <= 20000:
+            try:
+                system.type_of(p, e)
+            except ExponentOutOfScopeError:
+                continue
+            r *= p**e
+    return r
 
 
 # Test-side oracles. The package computes phi as phi_A under D and sigma(n)

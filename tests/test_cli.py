@@ -3,10 +3,11 @@ import importlib
 import io
 import json
 import re
+import sys
 import time
 import tracemalloc
 from array import array
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramlab import cli, even, gensums, verify
+from ramlab import cli, gensums, verify
 from ramlab.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -25,27 +26,46 @@ from ramlab.cli import (
     MAX_TERMS,
     main,
 )
+from ramlab.arith import divisors
+from ramlab.even import EvenFunction, fourier_coeffs
 from ramlab.gensums import PartialSumReport
 from ramlab.systems import (
     DIRICHLET,
     MIX,
     UNITARY,
     ExponentOutOfScopeError,
+    divisor_set,
     gamma_A,
+    gcd_A,
     mu_A,
     phi_A,
     psi_A,
     system_from_dict,
 )
-from ramlab.verify import OrthogonalityReport
+from ramlab.verify import OrthogonalityReport, check_propositions
 
-from conftest import CUSTOM_OK, euler_phi, valid_specs
+from conftest import CUSTOM_OK, RATIONAL_VALUES, coeffs_h, euler_phi, in_scope_moduli, valid_specs
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(*argv):
+    # `run` without capsys, for a Hypothesis test: capsys is function scoped
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# int()'s digit limit: 0 where it has none (before CPython 3.11) or it is off
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    not INT_DIGIT_LIMIT, reason="int() reads any number of digits here"
+)
 
 
 class TestCommandC:
@@ -611,7 +631,7 @@ class TestEmitter:
                            "--even", literal, "--format", "json")
         assert code == EXIT_OK
         rows = [json.loads(line) for line in out.splitlines()][-2:]  # the literal's
-        reps = verify.mean_value_check(even.parse_even_literal(literal, DIRICHLET), [100, 250])
+        reps = verify.mean_value_check(cli._even_function(literal, DIRICHLET), [100, 250])
         for row, rep in zip(rows, reps):
             assert isinstance(row["main_term"], str)  # 7/12 x is not integral
             back = PartialSumReport(row["x"], _number(row["exact_sum"]),
@@ -907,6 +927,13 @@ class TestErrorsAndPlumbing:
         assert (code, out) == (EXIT_USAGE, "")
         assert f"argument {flag}: must be a positive integer, got {text!r}" in err
 
+    @needs_int_digit_limit
+    def test_count_past_the_int_digit_limit_exits_1(self, capsys):
+        # int() refuses it; without the limit, factorize would run for hours
+        code, out, err = run(capsys, "c", "1", "9" * (INT_DIGIT_LIMIT + 1))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "argument r: must be a positive integer" in err
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -957,6 +984,14 @@ class TestErrorsAndPlumbing:
             ("r=0; 1:1", "modulus must be >= 1, got r=0 in even-function literal 'r=0; 1:1'"),
             ("r=\u0666; 1:1, 2:1, 3:1, 6:1", "malformed even-function literal"),
             ("r=1_0; 1:1, 2:1, 5:1, 10:1", "malformed even-function literal"),
+            ("", "malformed even-function literal: ''"),
+            # int() or Fraction() reads each of these; a token is ASCII digits alone
+            ("r=2; 1:1, \u0662:1", "malformed divisor:value pair '\u0662:1'"),
+            ("r=2; 1:1, +2:1", "malformed divisor:value pair '+2:1'"),
+            ("r=2; 1:1, 2:1_0", "malformed divisor:value pair '2:1_0'"),
+            ("r=2; 1:1, 2:+1", "malformed divisor:value pair '2:+1'"),
+            ("r=2; 1:1, 2:1.5", "malformed divisor:value pair '2:1.5'"),
+            ("r=2; 1:1, 2:1e1", "malformed divisor:value pair '2:1e1'"),
         ],
     )
     def test_bad_even_literal_exits_1(self, capsys, literal, message):
@@ -1096,3 +1131,103 @@ class TestErrorsAndPlumbing:
         out2 = run(capsys, "verify", "prop1", "--rmax", "8", "--xmax", "100",
                    "--format", "json")[1]
         assert out1 == out2
+
+
+def _literal(f):
+    """f as the CLI literal `r=...; d:v, ...` that `cli._even_function` reads."""
+    return f"r={f.r}; " + ", ".join(f"{d}:{v}" for d, v in f.values)
+
+
+# a token's ASCII digits rewritten as int() or Fraction() may still read them
+TOKEN_REWRITES = {
+    "plus": lambda digits: "+" + digits,
+    "underscore": lambda digits: digits + "_0",
+    "arabic-indic": lambda digits: digits[:-1] + chr(0x660 + int(digits[-1])),
+    "decimal": lambda digits: digits + ".5",
+    "exponent": lambda digits: digits + "e1",
+}
+
+
+class TestLiteral:
+    """The `--even` literal, read where it enters, by `cli._even_function`."""
+
+    def test_integers(self):
+        f = cli._even_function("r=12; 1:1, 2:-1, 3:0, 4:2, 6:0, 12:5", DIRICHLET)
+        assert f.r == 12 and f.value_map[4] == 2 and f.system is DIRICHLET
+
+    def test_rationals(self):
+        f = cli._even_function("r=2; 1:1/3, 2:-5/2", DIRICHLET)
+        assert f.value_map == {1: Fraction(1, 3), 2: Fraction(-5, 2)}
+
+    def test_malformed(self):
+        with pytest.raises(ValueError):
+            cli._even_function("1:1, 2:2", DIRICHLET)
+        with pytest.raises(ValueError):
+            cli._even_function("r=6; 1:one", DIRICHLET)
+        with pytest.raises(ValueError):
+            cli._even_function("r=6; 1:1, 2:2", DIRICHLET)  # missing divisors
+
+    @pytest.mark.parametrize("system", [UNITARY, MIX], ids=["U", "MIX"])
+    def test_read_in_the_system(self, system):
+        # (2, 4)_A = 1 under U and MIX, so f(2) must equal f(1)
+        f = cli._even_function("r=4; 1:1, 2:1, 4:3", system)
+        assert f.system is system
+        assert [d for d, _ in coeffs_h(fourier_coeffs(f))] == [1, 4]
+        with pytest.raises(ValueError, match=re.escape("not A-even mod 4: value at 2 ")):
+            cli._even_function("r=4; 1:1, 2:2, 4:3", system)
+        assert cli._even_function("r=4; 1:1, 2:2, 4:3", DIRICHLET).value_map[2] == 2
+
+    def test_empty_items_are_skipped(self, capsys):
+        argv = ("verify", "prop1", "--rmax", "1", "--xmax", "5", "--format", "json", "--even")
+        code, out, _ = run(capsys, *argv, "r=2; 1:1, , 2:1,")
+        assert code == EXIT_OK and out != ""
+        assert out == run(capsys, *argv, "r=2; 1:1, 2:1")[1]
+
+    @needs_int_digit_limit
+    def test_value_past_the_int_digit_limit_is_a_malformed_pair(self, capsys):
+        item = "1:" + "9" * (INT_DIGIT_LIMIT + 1)
+        code, out, err = run(capsys, "verify", "prop1", "--rmax", "1", "--xmax", "5",
+                             "--even", "r=1; " + item)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"malformed divisor:value pair {item!r}" in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=valid_specs(), data=st.data())
+    def test_printed_literal_round_trips_and_passes_prop1(self, tmp_path_factory, spec, data):
+        system = system_from_dict(spec)
+        r = data.draw(in_scope_moduli(system), label="r")
+        members = divisor_set(system, r)
+        vals = data.draw(st.lists(RATIONAL_VALUES["int and fraction"],
+                                  min_size=len(members), max_size=len(members)))
+        drawn = dict(zip(members, vals))
+        f = EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
+        literal = _literal(f)
+        assert cli._even_function(literal, system) == f
+        x_max = data.draw(st.integers(1, 3 * r), label="x_max")
+        ((_, rows, passed),) = check_propositions(["prop1"], system, 1, x_max, f)
+        assert passed and rows[-1][:2] == [r, x_max]
+        # one drawn token, the divisor, numerator or denominator of a pair,
+        # rewritten in each way that int() or Fraction() reads
+        pairs = [[str(d), *re.fullmatch(r"(-?)(\d+)/?(\d*)", str(v)).groups()] for d, v in f.values]
+        i = data.draw(st.integers(0, len(pairs) - 1), label="pair")
+        token = data.draw(st.sampled_from([0, 2, 3] if pairs[i][3] else [0, 2]), label="token")
+        for rewrite in TOKEN_REWRITES.values():
+            bad_pairs = [list(pair) for pair in pairs]
+            bad_pairs[i][token] = rewrite(pairs[i][token])
+            items = (f"{d}:{sign}{p}" + (f"/{q}" if q else "") for d, sign, p, q in bad_pairs)
+            with pytest.raises(ValueError, match="^malformed divisor:value pair "):
+                cli._even_function(f"r={r}; " + ", ".join(items), system)
+        # a changed value at a divisor outside A(r) breaks f(d) = f((d, r)_A)
+        outside = sorted(set(divisors(r)) - set(members))
+        if outside:
+            d = data.draw(st.sampled_from(outside), label="d")
+            values = dict(f.values)
+            values[d] += 1
+            bad = _literal(EvenFunction.from_values(r, values))
+            with pytest.raises(ValueError, match=rf"^not A-even mod {r}: value at {d} "):
+                cli._even_function(bad, system)
+            path = tmp_path_factory.getbasetemp() / "round_trip_spec.json"
+            path.write_text(json.dumps(spec))
+            code, out, err = run_captured("verify", "prop1", "--system", str(path), "--rmax", "1",
+                                          "--xmax", str(x_max), "--even", bad)
+            assert (code, out) == (EXIT_USAGE, "") and f"value at {d} " in err

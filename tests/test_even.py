@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from decimal import Decimal
@@ -18,7 +20,6 @@ from ramlab.even import (
     fourier_coeffs,
     inner_product,
     mean_value,
-    parse_even_literal,
     partial_sum_even,
     progression_totient,
     progression_totient_even,
@@ -28,16 +29,23 @@ from ramlab.systems import (
     DIRICHLET,
     MIX,
     UNITARY,
-    ExponentOutOfScopeError,
     divisor_set,
     gcd_A,
     phi_A,
     psi_A,
     system_from_dict,
 )
-from ramlab.verify import check_propositions
 
-from conftest import coeff, coeffs_h, euler_phi, reconstruct, sigma, valid_specs
+from conftest import (
+    RATIONAL_VALUES,
+    coeff,
+    coeffs_h,
+    euler_phi,
+    in_scope_moduli,
+    reconstruct,
+    sigma,
+    valid_specs,
+)
 
 
 def random_rational_even(r, rng):
@@ -108,12 +116,6 @@ def moduli(draw):
             r, tau = r * p**a, tau * (a + 1)
     return r
 
-
-RATIONAL_VALUES = {
-    "int": st.integers(min_value=-10**6, max_value=10**6),
-    "fraction": st.fractions(min_value=-1000, max_value=1000, max_denominator=100),
-}
-RATIONAL_VALUES["int and fraction"] = st.one_of(*RATIONAL_VALUES.values())
 
 # values that are neither an int nor a Fraction, refused at construction
 INEXACT_VALUES = [0.5, 1.0, 1j, "1", Decimal("0.5"), None, True]
@@ -186,18 +188,38 @@ class TestEvenFunction:
         with pytest.raises(ValueError, match=re.escape(message)):
             EvenFunction(*args)
 
-    def test_evenness_check_skips_members(self, monkeypatch):
+    def test_evenness_check_skips_members(self, count_calls):
         # (d, r)_A = d on A(r), so gcd_A runs only on the divisors outside
         # it: never under D, the default, once per non-member under U
-        calls = []
-        real = even.gcd_A
-        monkeypatch.setattr(even, "gcd_A", lambda *a: calls.append(a[1]) or real(*a))
+        calls = count_calls(even, "gcd_A")
         r = 110880  # 2^5 3^2 5 7 11, tau = 144
         f = EvenFunction.from_callable(r, lambda d: Fraction(d % 7, d % 5 + 1))
         assert f.system is DIRICHLET and calls == []
         c_A_even(UNITARY, r)
         outside = sorted(set(divisors(r)) - set(divisor_set(UNITARY, r)))
-        assert calls == outside and len(outside) == 144 - 32
+        assert [d for _, d, _ in calls] == outside and len(outside) == 144 - 32
+
+    def test_pickle_checks_the_values_again(self):
+        # built around the constructor, so its values were never checked:
+        # under U, (2, 4)_A = 1, so f(2) must equal f(1)
+        smuggled = object.__new__(EvenFunction)
+        vars(smuggled).update(r=4, values=((1, 1), (2, 2), (4, 3)), system=UNITARY)
+        text = pickle.dumps(smuggled)
+        with pytest.raises(ValueError, match=re.escape("not A-even mod 4: value at 2 ")):
+            pickle.loads(text)
+
+    def test_copies_carry_no_cached_transform(self):
+        # a copy is built by its fields and checked again, so the transform
+        # cached on f is made afresh by the copy that needs it
+        f = EvenFunction.from_callable(
+            72, lambda n: Fraction(gcd_A(MIX, n, 72) ** 2 + 1, gcd_A(MIX, n, 72) + 2), MIX
+        )
+        want = fourier_coeffs(f)
+        assert "_form" in vars(f)
+        for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f)):
+            assert copied == f and copied is not f
+            assert "_form" not in vars(copied)
+            assert fourier_coeffs(copied) == want
 
     def test_evenness_compares_only_non_members(self):
         # a member d of A(r) is its own (d, r)_A, so its value is never
@@ -380,22 +402,6 @@ def _corrupt_each_entry(monkeypatch, f, formula, axes):
     assert coeffs_h(fourier_coeffs(f)) == reference_fourier_coeffs(f)
 
 
-@st.composite
-def in_scope_moduli(draw, system):
-    """r = prod p^e over 2, 3, 5, 7, 11 with each p^e inside the system's
-    exponent bound, r <= 20000."""
-    r = 1
-    for p in (2, 3, 5, 7, 11):
-        e = draw(st.integers(min_value=0, max_value=6), label=f"v_{p}")
-        if e and r * p**e <= 20000:
-            try:
-                system.type_of(p, e)
-            except ExponentOutOfScopeError:
-                continue
-            r *= p**e
-    return r
-
-
 class TestAEvenFunctions:
     """(A, r)-even functions on random valid systems: the per-prime transform
     against the tau_A^2 definition, the round trip, the mean, and the certified
@@ -522,10 +528,8 @@ class TestPartialSumEven:
             assert coeffs.members[0] == 1
             assert Fraction(coeffs.numerators[0], coeffs.denominator) == mean_value(f) == coeff(coeffs, 1)
 
-    def test_one_transform_for_every_x(self, monkeypatch):
-        calls = []
-        real = even.fourier_coeffs
-        monkeypatch.setattr(even, "fourier_coeffs", lambda f: calls.append(f) or real(f))
+    def test_one_transform_for_every_x(self, count_calls):
+        calls = count_calls(even, "fourier_coeffs")
         f = EvenFunction.from_callable(36, lambda d: Fraction(d % 7 - 3, d % 5 + 1))
         reports = partial_sum_even(f, [1, 36, 10**3, 10**12])
         assert len(calls) == 1
@@ -568,63 +572,3 @@ class TestPartialSumEven:
         )
         bound = certified_residual_bound(f)
         assert bound == expected and type(bound) is Fraction
-
-
-def _literal(f):
-    """f as the CLI literal `r=...; d:v, ...` that parse_even_literal reads."""
-    return f"r={f.r}; " + ", ".join(f"{d}:{v}" for d, v in f.values)
-
-
-class TestLiteral:
-    def test_integers(self):
-        f = parse_even_literal("r=12; 1:1, 2:-1, 3:0, 4:2, 6:0, 12:5", DIRICHLET)
-        assert f.r == 12 and f.value_map[4] == 2 and f.system is DIRICHLET
-
-    def test_rationals(self):
-        f = parse_even_literal("r=2; 1:1/3, 2:-5/2", DIRICHLET)
-        assert f.value_map == {1: Fraction(1, 3), 2: Fraction(-5, 2)}
-
-    def test_malformed(self):
-        with pytest.raises(ValueError):
-            parse_even_literal("1:1, 2:2", DIRICHLET)
-        with pytest.raises(ValueError):
-            parse_even_literal("r=6; 1:one", DIRICHLET)
-        with pytest.raises(ValueError):
-            parse_even_literal("r=6; 1:1, 2:2", DIRICHLET)  # missing divisors
-
-    @pytest.mark.parametrize("system", [UNITARY, MIX], ids=["U", "MIX"])
-    def test_read_in_the_system(self, system):
-        # (2, 4)_A = 1 under U and MIX, so f(2) must equal f(1)
-        f = parse_even_literal("r=4; 1:1, 2:1, 4:3", system)
-        assert f.system is system
-        assert [d for d, _ in coeffs_h(fourier_coeffs(f))] == [1, 4]
-        with pytest.raises(ValueError, match=re.escape("not A-even mod 4: value at 2 ")):
-            parse_even_literal("r=4; 1:1, 2:2, 4:3", system)
-        assert parse_even_literal("r=4; 1:1, 2:2, 4:3", DIRICHLET).value_map[2] == 2
-
-    @settings(max_examples=40, deadline=None)
-    @given(spec=valid_specs(), data=st.data())
-    def test_printed_literal_round_trips_and_passes_prop1(self, spec, data):
-        system = system_from_dict(spec)
-        r = data.draw(in_scope_moduli(system), label="r")
-        members = divisor_set(system, r)
-        vals = data.draw(st.lists(RATIONAL_VALUES["int and fraction"],
-                                  min_size=len(members), max_size=len(members)))
-        drawn = dict(zip(members, vals))
-        f = EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
-        literal = _literal(f)
-        assert parse_even_literal(literal, system) == f
-        x_max = data.draw(st.integers(1, 3 * r), label="x_max")
-        ((_, rows, passed),) = check_propositions(["prop1"], system, 1, x_max, literal)
-        assert passed and rows[-1][:2] == [r, x_max]
-        # a changed value at a divisor outside A(r) breaks f(d) = f((d, r)_A)
-        outside = sorted(set(divisors(r)) - set(members))
-        if outside:
-            d = data.draw(st.sampled_from(outside), label="d")
-            values = dict(f.values)
-            values[d] += 1
-            bad = _literal(EvenFunction.from_values(r, values))
-            with pytest.raises(ValueError, match=rf"^not A-even mod {r}: value at {d} "):
-                parse_even_literal(bad, system)
-            with pytest.raises(ValueError, match=rf"value at {d} "):
-                check_propositions(["prop1"], system, 1, x_max, bad)

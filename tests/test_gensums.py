@@ -36,16 +36,14 @@ class TestDivisorRoute:
          (MIX, 3072, 9216, 4)],
         ids=["D square-free", "D coprime", "U", "MIX"],
     )
-    def test_sums_only_the_members_of_the_gcd(self, monkeypatch, system, n, r, members):
+    def test_sums_only_the_members_of_the_gcd(self, count_calls, system, n, r, members):
         # one divisor_set call, on (n, r)_A, and one mu_A call per member:
         # A(r) is never listed to be filtered by d | n
-        sets, mus = [], []
-        real_set, real_mu = gensums.divisor_set, gensums.mu_A
-        monkeypatch.setattr(gensums, "divisor_set", lambda s, m: sets.append(m) or real_set(s, m))
-        monkeypatch.setattr(gensums, "mu_A", lambda s, m: mus.append(m) or real_mu(s, m))
+        sets = count_calls(gensums, "divisor_set")
+        mus = count_calls(gensums, "mu_A")
         value = c_A_divisor(system, n, r)
-        assert sets == [gcd_A(system, n, r)]
-        assert len(mus) == len(divisor_set(system, sets[0])) == members
+        assert [m for _, m in sets] == [gcd_A(system, n, r)]
+        assert len(mus) == len(divisor_set(system, sets[0][1])) == members
         assert value == c_A(system, n, r)
 
 

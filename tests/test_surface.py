@@ -87,6 +87,19 @@ def test_imports_only_lower_layers(stem):
     assert imported <= set(below)
 
 
+@pytest.mark.parametrize("stem", MODULES + ["__init__"])
+def test_only_cli_parses_text(stem):
+    # command-line text is read where it enters, by cli's one grammar: no
+    # other layer holds a parser of its own
+    imported = set()
+    for node in ast.walk(_tree(stem)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    assert stem == "cli" or not imported & {"re", "argparse"}
+
+
 @pytest.mark.parametrize("stem", LAYERS)
 def test_importing_a_layer_loads_only_the_layers_before_it(stem):
     # a fresh interpreter, run on this package's source, imports the layer

@@ -289,20 +289,12 @@ class TestAdditiveClosure:
 
     @pytest.mark.parametrize("system", [UNITARY, MIX, system_from_dict(SPEC_A),
                                         system_from_dict(SPEC_B)], ids=["U", "MIX", "A", "B"])
-    def test_two_gcd_calls_per_modulus(self, monkeypatch, system):
+    def test_two_gcd_calls_per_modulus(self, count_calls, system):
         # t + 3 for the evenness of f and g, then two per modulus r <= r_max;
         # each witness here is at p^2
-        calls = 0
-        real = verify.gcd_A
-
-        def counting_gcd_A(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        monkeypatch.setattr(verify, "gcd_A", counting_gcd_A)
+        calls = count_calls(verify, "gcd_A")
         w = additive_closure_witness(system, r_max=100)
-        assert w.h_fails_all and calls == 2 * 100 + w.t + 3 == 205
+        assert w.h_fails_all and len(calls) == 2 * 100 + w.t + 3 == 205
 
     @pytest.mark.parametrize("r_max", [0, -1])
     def test_no_vacuous_pass(self, r_max):
@@ -432,18 +424,17 @@ class TestExpansionDemo:
         assert time.perf_counter() - start < 1.0
         assert res.target == sigma(n) / n
 
-    def test_sieve_stays_within_2_17_entries_up_to_MAX_TERMS_and_IN_ORDER_TERMS(self, monkeypatch):
+    def test_sieve_stays_within_2_17_entries_up_to_MAX_TERMS_and_IN_ORDER_TERMS(self, count_calls):
         # moebius_sieve is the textbook sieve, one slice pass per prime,
         # sized for the at most 2^17 entries its one caller reads: R itself
         # up to IN_ORDER_TERMS = 2^17, and floor(R^(2/3)) above, which stays
         # within 2^17 while R <= 2^25.5 (about 4.7e7, past MAX_TERMS = 10^7).
         # A rise in either constant that breaks this asks the sieve to be
         # measured again at its new size
-        limits = []
-        real = verify.moebius_sieve
-        monkeypatch.setattr(verify, "moebius_sieve", lambda limit: limits.append(limit) or real(limit))
+        calls = count_calls(verify, "moebius_sieve")
         for terms in (2**17 - 1, 2**17, 2**17 + 1, 10**6, MAX_TERMS):
             expansion_demo(1, terms)
+        limits = [limit for (limit,) in calls]
         assert limits == [2**17 - 1, 2**17, 2580, 10**4, 46415]
         assert max(limits) <= 2**17
 
@@ -477,12 +468,10 @@ class TestMeanValueCheck:
         for rep in mean_value_check(f, [10**3, 10**4]):
             assert rep.passed
 
-    def test_prop1_transforms_each_function_once(self, monkeypatch):
+    def test_prop1_transforms_each_function_once(self, count_calls):
         # 30 sums c_A(., r), one progression totient and 10 drawn functions,
         # each checked at x = 100 and x = --xmax
-        calls = []
-        real = even.fourier_coeffs
-        monkeypatch.setattr(even, "fourier_coeffs", lambda f: calls.append(f) or real(f))
+        calls = count_calls(even, "fourier_coeffs")
         ((_, rows, passed),) = check_propositions(["prop1"], MIX, 50, 30000)
         assert passed and len(rows) == 2 * 41
         assert len(calls) == 41
@@ -495,18 +484,16 @@ class TestMeanValueCheck:
         ],
         ids=["rational-under-D", "c_A-under-U"],
     )
-    def test_one_per_prime_pass_per_function(self, make, monkeypatch):
+    def test_one_per_prime_pass_per_function(self, make, count_calls):
         # a Prop 1 row of one function reads its mean and bound on the
         # brute-force side and its coefficients and bound on the closed-form
         # side, all from one per-prime pass and one integer scaling
         f = make()
-        calls = []
-        real = even._per_prime
-        monkeypatch.setattr(even, "_per_prime", lambda system, r: calls.append(r) or real(system, r))
+        calls = count_calls(even, "_per_prime")
         oracle = mean_value_check(f, [100, 1000])
         closed = partial_sum_even(f, [100, 1000])
         assert oracle == closed and all(rep.passed for rep in closed)
-        assert calls == [360]
+        assert [r for _, r in calls] == [360]
 
 
 PRIME_POWERS = (2, 4, 64, 256, 3, 27, 243, 5, 125, 7, 343, 11, 121, 397)
@@ -556,17 +543,10 @@ class TestMeanValueCheckTally:
 
     @pytest.mark.parametrize("r", [1, 397, 360, 5040])
     @pytest.mark.parametrize("x", [10**12, 10**12 + 396])
-    def test_gcd_calls_are_bounded_by_the_period(self, r, x, monkeypatch):
-        calls = 0
-
-        def counting_gcd(a, b):
-            nonlocal calls
-            calls += 1
-            # fail at once rather than run a loop over every n <= x
-            assert calls <= 2 * r, f"more than 2r = {2 * r} gcd calls"
-            return gcd(a, b)
-
-        monkeypatch.setattr("ramlab.verify.gcd", counting_gcd)
+    def test_gcd_calls_are_bounded_by_the_period(self, r, x, count_calls):
+        # at most 2r gcd calls, the one past them failing at once rather
+        # than running a loop over every n <= x
+        count_calls(verify, "gcd", limit=2 * r)
         f = EvenFunction.from_callable(r, lambda d: Fraction(d % 7 - 3, d % 5 + 1))
         (rep,) = mean_value_check(f, [x])
         assert [rep] == partial_sum_even(f, [x])
