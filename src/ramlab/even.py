@@ -15,6 +15,9 @@ classical (k+1)-square Ramanujan matrices at (q, k); D is t = 1.
 `fourier_coeffs` applies one factor per axis to `EvenFunction._form`'s
 integer values: |A(r)| * sum(k+1) integer multiply-adds per formula
 instead of |A(r)|^2 Fraction operations, and compares both formulas exactly.
+An axis of size m = k+1 takes min(m^2, |A(r)|) Python-level steps, each a
+C-level map or sum (`_kron_apply`), and its matrices are built once per
+(q, k) (`_axis_matrices`).
 
 The partial sums reuse that transform. sum_{n<=X} f(n) is
 sum_{d in A(r)} h(d) sum_{n<=X} c_A(n, d), and each inner sum is
@@ -32,9 +35,10 @@ one integer sum over `_form`'s scaled values and divide once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import repeat
 from math import floor, gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .arith import divisors, factorize
@@ -198,32 +202,48 @@ def _ramanujan_pp(q: int, b: int, j: int) -> int:
     return -(q ** (j - 1)) if b == j - 1 else 0
 
 
-def _axis_matrices(q: int, k: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The per-prime factors of both coefficient formulas on the axis (q, k).
+@lru_cache(maxsize=4096)
+def _axis_matrices(q: int, k: int) -> tuple:
+    """The per-prime factors on the axis (q, k) of formula 1, formula 2 and
+    `partial_sum_even`'s regrouping, as tuples of rows.
 
     Row i and column j are the exponents i and j of q in d and e: formula
-    1's phi_A(q^j) c_A(q^(k-j), q^i) and formula 2's c_A(q^(k-i), q^j)."""
+    2's c_A(q^(k-i), q^j); formula 1's phi_A(q^j) c_A(q^(k-j), q^i), which
+    is formula 2's transpose with column j scaled; and mu_A(q^(j-i)) for
+    j >= i, 1 on the diagonal and -1 just above it. Cached, since the
+    functions of one Prop 1 battery read the same few axes."""
     phi = [1] + [q**j - q ** (j - 1) for j in range(1, k + 1)]
-    k1 = [[phi[j] * _ramanujan_pp(q, k - j, i) for j in range(k + 1)] for i in range(k + 1)]
-    k2 = [[_ramanujan_pp(q, k - i, j) for j in range(k + 1)] for i in range(k + 1)]
-    return k1, k2
+    k2 = tuple(tuple(_ramanujan_pp(q, k - i, j) for j in range(k + 1)) for i in range(k + 1))
+    k1 = tuple(tuple(map(mul, phi, col)) for col in zip(*k2))
+    diff = tuple(tuple((j == i) - (j == i + 1) for j in range(k + 1)) for i in range(k + 1))
+    return k1, k2, diff
 
 
-def _kron_apply(mats: list[list[list[int]]], vec: list) -> list:
-    # (mats[0] x mats[1] x ...) vec, one axis at a time; vec is indexed
-    # mixed-radix with the last matrix's axis varying fastest
-    stride = len(vec)
-    for mat in mats:
-        size = len(mat)
-        stride //= size
-        block = stride * size
-        out = [0] * len(vec)
-        for start in range(0, len(vec), block):
-            for off in range(start, start + stride):
-                col = vec[off : start + block : stride]
-                for i, row in enumerate(mat):
-                    out[off + i * stride] = sum(map(mul, row, col))
-        vec = out
+def _kron_apply(mats: Sequence[Sequence[Sequence[int]]], vec: list) -> list:
+    # (mats[0] x mats[1] x ...) vec, vec indexed mixed-radix with the last
+    # matrix's axis varying fastest. Each pass applies the fastest axis's
+    # m-square matrix to all of vec and writes its rows as contiguous
+    # blocks, so that axis becomes the slowest and the next one the fastest;
+    # after one pass per axis the order is back. A pass takes min(m^2, tau)
+    # Python steps, tau = len(vec): on a wide axis (m^2 <= tau) one C-level
+    # map per nonzero entry over the strided slices vec[j::m], on a deep one
+    # one sum per entry over the contiguous fibers vec[c:c+m]
+    size = len(vec)
+    for mat in reversed(mats):
+        m = len(mat)
+        if m * m > size:
+            fibers = [vec[c : c + m] for c in range(0, size, m)]
+            vec = [sum(map(mul, row, fiber)) for row in mat for fiber in fibers]
+            continue
+        cols = [vec[j::m] for j in range(m)]
+        vec = []
+        for row in mat:
+            acc = None
+            for c, col in zip(row, cols):
+                if c:
+                    term = col if c == 1 else map(mul, col, repeat(c))
+                    acc = term if acc is None else list(map(add, acc, term))
+            vec.extend(repeat(0, size // m) if acc is None else acc)
     return vec
 
 
@@ -248,14 +268,15 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
     r = f.r
     axes, members, phis, values, scale = f._form
     mats = [_axis_matrices(q, k) for q, k in axes]
-    s1 = _kron_apply([k1 for k1, _ in mats], values)
-    s2 = _kron_apply([k2 for _, k2 in mats], values)
-    for d, phi_d, t1, t2 in zip(members, phis, s1, s2):
-        if t1 != phi_d * t2:
-            raise ArithmeticError(
-                f"coefficient formulas disagree at d={d}: "
-                f"{Fraction(t1, r * scale * phi_d)} vs {Fraction(t2, r * scale)}"
-            )
+    s1 = _kron_apply([m[0] for m in mats], values)
+    s2 = _kron_apply([m[1] for m in mats], values)
+    if list(map(mul, phis, s2)) != s1:
+        for d, phi_d, t1, t2 in zip(members, phis, s1, s2):
+            if t1 != phi_d * t2:
+                raise ArithmeticError(
+                    f"coefficient formulas disagree at d={d}: "
+                    f"{Fraction(t1, r * scale * phi_d)} vs {Fraction(t2, r * scale)}"
+                )
     return FourierCoeffs(r, f.system, tuple(axes), tuple(members), tuple(s2), r * scale)
 
 
@@ -326,12 +347,6 @@ def certified_residual_bound(f: EvenFunction) -> Fraction:
     return Fraction(max(map(abs, values)) * sigma_a * total, f.r * scale)
 
 
-def _difference_matrix(k: int) -> list[list[int]]:
-    # row j, column i: mu_A(q^(i-j)) for i >= j, that is 1 on the diagonal
-    # and -1 just above it; the transpose of the map d -> its c_A_sum terms
-    return [[1 if i == j else -1 if i == j + 1 else 0 for i in range(k + 1)] for j in range(k + 1)]
-
-
 def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport]:
     """Exact partial sums of f up to each x in `x_list` via the Fourier
     decomposition, f transformed once for all of them.
@@ -359,7 +374,8 @@ def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport
         if x < 1:
             raise ValueError(f"x must be >= 1, got {x}")
     coeffs = fourier_coeffs(f)
-    grouped = _kron_apply([_difference_matrix(k) for _, k in coeffs.axes], list(coeffs.numerators))
+    diffs = [_axis_matrices(q, k)[2] for q, k in coeffs.axes]
+    grouped = _kron_apply(diffs, list(coeffs.numerators))
     terms = [(e, g) for e, g in zip(coeffs.members, grouped) if g]
     h1 = Fraction(coeffs.numerators[0], coeffs.denominator)
     bound = certified_residual_bound(f)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramlab import cli, gensums, verify
+from ramlab import cli, even, gensums, verify
 from ramlab.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -26,7 +26,7 @@ from ramlab.cli import (
     MAX_TERMS,
     main,
 )
-from ramlab.arith import divisors
+from ramlab.arith import divisors, factorize
 from ramlab.even import EvenFunction, fourier_coeffs
 from ramlab.gensums import PartialSumReport
 from ramlab.systems import (
@@ -493,6 +493,19 @@ class TestCommandVerify:
         assert code == EXIT_OK
         row = json.loads(out.splitlines()[-1])
         assert (row["r"], row["x"], row["pass"]) == (r, 100, "true")
+
+    def test_prop1_builds_each_axis_matrix_once(self, capsys):
+        # the sums c(., r) and the drawn functions for r <= 12 and the literal
+        # at r = 2^5 3^2 5 7 11 read 9 distinct axes (q, k), 70 times in all
+        r = 110880
+        literal = f"r={r}; " + ", ".join(f"{d}:{d % 7 - 3}/{d % 5 + 1}" for d in divisors(r))
+        axes = {(p, a) for n in [*range(1, 13), r] for p, a in factorize(n)}
+        even._axis_matrices.cache_clear()
+        code, _, _ = run(capsys, "verify", "prop1", "--rmax", "12", "--xmax", "100",
+                         "--even", literal, "--format", "json")
+        assert code == EXIT_OK
+        info = even._axis_matrices.cache_info()
+        assert info.misses == info.currsize == len(axes) == 9
 
     def test_huge_table_exponent_answers_at_once(self, capsys, tmp_path):
         # 2^(10^9) of type 10^9: built, it took 8.6 s; no power is built now

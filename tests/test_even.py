@@ -4,7 +4,8 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,17 @@ def per_coefficient_partial_sums(f, xs):
     system = f.system
     coeffs = reference_fourier_coeffs(f)
     return [sum((hd * c_A_sum(system, d, x) for d, hd in coeffs), Fraction(0)) for x in xs]
+
+
+def dense_kron_apply(mats, vec):
+    """(mats[0] x mats[1] x ...) vec from the definition: entry (I, J) of the
+    Kronecker product is the product over the axes of mats[a][I_a][J_a], over
+    the digit tuples I, J in mixed-radix order, the last axis fastest."""
+    digits = list(product(*(range(len(mat)) for mat in mats)))
+    return [
+        sum(prod(mat[i][j] for mat, i, j in zip(mats, row, col)) * v for col, v in zip(digits, vec))
+        for row in digits
+    ]
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -369,6 +381,25 @@ class TestFourierKernel:
         f = random_rational_even(r, random.Random(r))
         assert coeffs_h(fourier_coeffs(f)) == reference_fourier_coeffs(f)
 
+    def test_kron_apply_is_the_kronecker_product(self):
+        # wide axes (m^2 <= tau) of size 1-6 and one deep axis of up to 41 that
+        # alone outweighs the rest, with zero, +-1 and large entries
+        rng = random.Random(33)
+        entries = (0, 0, 1, -1, 2, -3, 10**30, -(10**25) + 7)
+        for _ in range(150):
+            sizes = [rng.randint(1, 6) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.3:
+                sizes.insert(rng.randint(0, len(sizes)), rng.randint(7, 41))
+            if prod(sizes) > 150:
+                continue
+            mats = [[[rng.choice(entries) for _ in range(m)] for _ in range(m)] for m in sizes]
+            vec = [rng.choice((0, 1, -1, rng.randint(-10**40, 10**40))) for _ in range(prod(sizes))]
+            assert even._kron_apply(mats, vec) == dense_kron_apply(mats, vec), sizes
+        # by hand: the last matrix copies each block's first entry, the first
+        # adds twice the first block to the second
+        mats = [[[2, 1], [0, 1]], [[1, 0, 0]] * 3]
+        assert even._kron_apply(mats, [1, 2, 3, 4, 5, 6]) == [6, 6, 6, 4, 4, 4]
+
     @pytest.mark.parametrize("formula", [0, 1])
     def test_corrupted_matrix_entry_is_caught(self, monkeypatch, formula):
         # r = 2^2 * 3: every entry of every per-prime matrix, one at a time
@@ -390,7 +421,8 @@ def _corrupt_each_entry(monkeypatch, f, formula, axes):
         for i in range(k + 1):
             for j in range(k + 1):
                 def corrupted(qq, kk, q=q, i=i, j=j):
-                    mats = honest(qq, kk)
+                    # a copy: the honest matrices are cached, and shared
+                    mats = [list(map(list, mat)) for mat in honest(qq, kk)]
                     if qq == q:
                         mats[formula][i][j] += 1
                     return mats
