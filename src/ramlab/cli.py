@@ -140,15 +140,14 @@ def format_value(v) -> str:
 
 
 def _json_cell(v):
-    # an exact int is its own JSON text; integral rationals become JSON numbers,
-    # other rationals and floats text, as json.dumps of the row's dict has them
+    # an exact int is its own JSON text, and so is an integral rational's
+    # numerator; other rationals are the JSON string "p/q", written from the
+    # two integers, and floats text, as json.dumps of the row's dict has them
     if type(v) is int:
         return v
-    if isinstance(v, Fraction) and v.denominator == 1:
-        v = v.numerator
-    elif isinstance(v, (Fraction, float)):
-        v = format_value(v)
-    return json.dumps(v)
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else f'"{v.numerator}/{v.denominator}"'
+    return json.dumps(format_value(v) if isinstance(v, float) else v)
 
 
 def _chunks(items: Iterable) -> Iterator[list]:

@@ -27,9 +27,13 @@ sum_{e in A(r)} e floor(X/e) G(e), G(e) = sum_{d: e in A(d)} mu_A(d/e) h(d).
 On the axis (q, k), e in A(d) reads j <= i on the exponents, and mu_A(q^m)
 is 1, -1, 0 for m = 0, 1, >= 2, so G is h under the Kronecker product of
 the matrices with 1 on the diagonal and -1 just above it: one more
-integer pass over the numerators of h (proof at `partial_sum_even`).
-`mean_value`, `certified_residual_bound` and `partial_sum_even` each take
-one integer sum over `_form`'s scaled values and divide once.
+integer pass over the numerators of h (proof at `partial_sum_numerators`).
+Everything here about partial sums is an integer over D = r L:
+`mean_and_bound` gives the mean's numerator M and the bound's B, once per
+function, and `partial_sum_numerators` each sum's T. `verify` decides a
+Prop 1 row by comparing these with its own tally in integers;
+`mean_value`, `certified_residual_bound` and `partial_sum_even` divide
+them once each.
 """
 
 from __future__ import annotations
@@ -52,11 +56,13 @@ __all__ = [
     "inner_product",
     "fourier_coeffs",
     "mean_value",
+    "mean_and_bound",
     "certified_residual_bound",
     "c_A_even",
     "progression_totient",
     "progression_totient_even",
     "progression_totient_mean",
+    "partial_sum_numerators",
     "partial_sum_even",
 ]
 
@@ -282,8 +288,8 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
 
 def mean_value(f: EvenFunction) -> Fraction:
     """Exact mean (1/r) sum_{d in A(r)} phi_A(d) f(r/d); equals the coefficient h(1)."""
-    _, _, phis, values, scale = f._form
-    return Fraction(sum(map(mul, values, phis)), f.r * scale)
+    mean, _, denominator = mean_and_bound(f)
+    return Fraction(mean, denominator)
 
 
 def c_A_even(system: RegularSystem, r: int) -> EvenFunction:
@@ -324,16 +330,19 @@ def progression_totient_mean(s: int, n: int) -> Fraction:
     return out
 
 
-def certified_residual_bound(f: EvenFunction) -> Fraction:
-    """x-uniform bound on |sum_{n<=x} f(n) - M(f) x|:
-    sup|f| (sigma_A(r)/r) sum_{d in A(r)} psi_A(d), sigma_A(r) the sum of
-    A(r); under D, sup|f| (sigma(r)/r) sum_{q|r} psi(q).
+def mean_and_bound(f: EvenFunction) -> tuple[int, int, int]:
+    """(M, B, D): the mean M(f) = M / D and the x-uniform bound B / D on
+    |sum_{n<=x} f(n) - M(f) x|, over D = r L, L the lcm of the value
+    denominators, from `EvenFunction._form`. M is sum_{d in A(r)} phi_A(d)
+    f(r/d) scaled by L, and B / D is sup|f| (sigma_A(r)/r) sum_{d in A(r)}
+    psi_A(d), sigma_A(r) the sum of A(r); under D, sup|f| (sigma(r)/r)
+    sum_{q|r} psi(q). The one computation of the bound.
 
-    Proof. By formula (2) of `fourier_coeffs`, h(d) = (1/r) sum_{e in A(r)}
-    f(r/e) c_A(r/d, e). At p^b || e of type t the kernel takes the values
-    p^b - p^(b-t), -p^(b-t) and 0, so |c_A(m, e)| <= e and |h(d)| <=
-    sup|f| sigma_A(r)/r. As c_A(., 1) = 1 and h(1) = M(f) (formula (1) at
-    d = 1), the residual is sum_{d>1} h(d) sum_{n<=x} c_A(n, d). For d > 1
+    Proof of the bound. By formula (2) of `fourier_coeffs`, h(d) = (1/r)
+    sum_{e in A(r)} f(r/e) c_A(r/d, e). At p^b || e of type t the kernel
+    takes the values p^b - p^(b-t), -p^(b-t) and 0, so |c_A(m, e)| <= e
+    and |h(d)| <= sup|f| sigma_A(r)/r. As c_A(., 1) = 1 and h(1) = M(f)
+    (formula (1) at d = 1), the residual is sum_{d>1} h(d) sum_{n<=x} c_A(n, d). For d > 1
     that inner sum is sum_m s_m m floor(x/m) over the 2^omega(d) terms of
     `gensums.c_A_sum`, whose signs s_m sum to 0, so it is -sum_m s_m m {x/m},
     at most sum_m m = psi_A(d) in absolute value. The d = 1 term only
@@ -341,23 +350,30 @@ def certified_residual_bound(f: EvenFunction) -> Fraction:
     s(k) and s(k) + s(k-1), where s(k) = 1 + q + ... + q^k. sup|f| is read
     from the scaled f(r/e), e in A(r), of `EvenFunction._form`: that is the
     sup over all divisors, as r/e runs over A(r) and f(d) = f((d, r)_A)."""
-    axes, _, _, values, scale = f._form
+    axes, _, phis, values, scale = f._form
     sigma_a = prod((q ** (k + 1) - 1) // (q - 1) for q, k in axes)
     total = prod((q ** (k + 1) + q**k - 2) // (q - 1) for q, k in axes)
-    return Fraction(max(map(abs, values)) * sigma_a * total, f.r * scale)
+    return sum(map(mul, values, phis)), max(map(abs, values)) * sigma_a * total, f.r * scale
 
 
-def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport]:
-    """Exact partial sums of f up to each x in `x_list` via the Fourier
-    decomposition, f transformed once for all of them.
+def certified_residual_bound(f: EvenFunction) -> Fraction:
+    """x-uniform bound on |sum_{n<=x} f(n) - M(f) x|: B / D of
+    `mean_and_bound`, which proves it."""
+    _, bound, denominator = mean_and_bound(f)
+    return Fraction(bound, denominator)
+
+
+def partial_sum_numerators(f: EvenFunction, x_list: Sequence) -> list[int]:
+    """T(x) with sum_{n<=x} f(n) = T(x) / D for each x in `x_list`, D = r L
+    the denominator of `mean_and_bound`, via the Fourier decomposition, f
+    transformed once for all of them.
 
     sum_{n<=x} f(n) = sum_{d in A(r)} h(d) sum_{n<=x} c_A(n, d), each inner
-    sum in closed form, so the cost is in |A(r)|, not x; the main term is
-    h(1) x, read as S2(1) / (r L) since the transform order starts at
-    d = 1. With X = floor(x) and h(d) = S2(d) / (r L) from `fourier_coeffs`,
-    the sum is regrouped by the members e of A(r):
+    sum in closed form, so the cost is in |A(r)|, not x. With X = floor(x)
+    and h(d) = S2(d) / (r L) from `fourier_coeffs`, the sum is regrouped by
+    the members e of A(r):
 
-        sum_d S2(d) c_A_sum(d, X) = sum_{e in A(r)} e floor(X/e) G(e),
+        T(x) = sum_d S2(d) c_A_sum(d, X) = sum_{e in A(r)} e floor(X/e) G(e),
         G(e) = sum_{d in A(r), e in A(d)} mu_A(d/e) S2(d).
 
     Proof. `gensums.c_A_sum` gives sum_{n<=X} c_A(n, d) = sum_{e in A(d)}
@@ -369,7 +385,7 @@ def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport
     j = i - 1 and 0 otherwise. Both conditions and mu_A are products over
     the axes, so G is S2 under the Kronecker product of the (k+1)-square
     matrices with 1 on the diagonal and -1 just above it, one more pass of
-    the transform. Each result is an integer sum divided once by r L."""
+    the transform."""
     for x in x_list:
         if x < 1:
             raise ValueError(f"x must be >= 1, got {x}")
@@ -377,11 +393,17 @@ def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport
     diffs = [_axis_matrices(q, k)[2] for q, k in coeffs.axes]
     grouped = _kron_apply(diffs, list(coeffs.numerators))
     terms = [(e, g) for e, g in zip(coeffs.members, grouped) if g]
-    h1 = Fraction(coeffs.numerators[0], coeffs.denominator)
-    bound = certified_residual_bound(f)
-    reports = []
-    for x in x_list:
-        big_x = floor(x)
-        total = sum(g * e * (big_x // e) for e, g in terms)
-        reports.append(PartialSumReport(big_x, Fraction(total, coeffs.denominator), h1 * big_x, bound))
-    return reports
+    return [sum(g * e * (big_x // e) for e, g in terms) for big_x in map(floor, x_list)]
+
+
+def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport]:
+    """Exact partial sums of f up to each x in `x_list`, X = floor(x): the
+    closed form T(x) / D of `partial_sum_numerators` against the main term
+    M(f) X and the bound of `mean_and_bound`, each divided once by D."""
+    sums = partial_sum_numerators(f, x_list)
+    mean, bound, denominator = mean_and_bound(f)
+    bound = Fraction(bound, denominator)
+    return [
+        PartialSumReport(big_x, Fraction(total, denominator), Fraction(mean * big_x, denominator), bound)
+        for big_x, total in zip(map(floor, x_list), sums)
+    ]

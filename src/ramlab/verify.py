@@ -23,9 +23,8 @@ from .arith import divisors, factorize, moebius_sieve
 from .even import (
     EvenFunction,
     c_A_even,
-    certified_residual_bound,
-    mean_value,
-    partial_sum_even,
+    mean_and_bound,
+    partial_sum_numerators,
     progression_totient_even,
 )
 from .gensums import PartialSumReport, c_A_column, partial_sum_cA
@@ -40,7 +39,7 @@ from .systems import DIRICHLET, RegularSystem, divisor_set, gamma_A, gcd_A, phi_
 # a witness beyond its budget at once" and "... a huge table power at once"
 MAX_WITNESS_WORK = 2**20
 
-# the cap on min(x, r) in `mean_value_check`, whose tally makes fewer than
+# the cap on min(x, r) in `mean_value_check`'s tally, which makes fewer than
 # 2 min(x, r) gcd calls per x. Rows "Prop 1 tallies an even literal at its
 # tally cap" (r = 2^23, --xmax 2^24 - 1: 4.5-6.2 s, 16.6-16.9 MB) and
 # "Prop 1 refuses an even literal past its tally budget at once" (r = 2^40)
@@ -340,19 +339,19 @@ def expansion_demo(n: int, terms: int) -> ExpansionResult:
     return ExpansionResult(n, terms, truncated, target, abs(truncated - target))
 
 
-def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumReport]:
-    """Brute-force partial sums of f against M(f) x with the certified bound.
+def _tally(f: EvenFunction, x_list: Sequence[int]) -> tuple[list[int], int]:
+    """(S, L): sum_{n<=x} f(n) = S(x) / L for each x in `x_list`, L the lcm
+    of the value denominators, by brute force.
 
     The sum tallies n <= x by gcd class. Since gcd(n + r, r) = gcd(n, r),
     that tally is q = x // r copies of the tally over one period n = 1..r
     plus the tally over n = 1..x - q r, so each x costs O(min(x, r)) gcds;
     an x with min(x, r) above MAX_ORACLE_TALLY is refused before any x is
     tallied. The classes and counts are the same integers as a loop over
-    every n <= x gives. The values are scaled to integers by the lcm L of
-    their denominators, so the sum is one integer sum of count times scaled
-    value over the classes, divided once by L. Only periodicity is used,
-    never phi, c(., q) or the Fourier coefficients: this stays the oracle
-    side, independent of the closed form in partial_sum_even."""
+    every n <= x gives, and S(x) is one integer sum of count times scaled
+    value over the classes. Only `f.values` and periodicity are used, never
+    phi, c(., q), `_form` or the Fourier coefficients: this is the oracle
+    side, independent of the closed form of `even.partial_sum_numerators`."""
     for x in x_list:
         if x < 1:
             raise ValueError(f"x must be >= 1, got {x}")
@@ -361,11 +360,9 @@ def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumR
                 f"the brute-force partial sum of an r={f.r} function up to x={x} needs "
                 f"min(x, r) at most {MAX_ORACLE_TALLY}"
             )
-    reports = []
-    bound = certified_residual_bound(f)
-    mf = mean_value(f)
     scale = lcm(*(v.denominator for _, v in f.values))
     scaled = {d: v.numerator * (scale // v.denominator) for d, v in f.values}
+    sums = []
     for x in x_list:
         q, rest = divmod(x, f.r)
         counts = Counter(gcd(n, f.r) for n in range(1, min(x, f.r) + 1))
@@ -373,29 +370,52 @@ def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumR
             for d in counts:
                 counts[d] *= q
             counts.update(gcd(n, f.r) for n in range(1, rest + 1))
-        exact = Fraction(sum(scaled[d] * c for d, c in counts.items()), scale)
-        reports.append(PartialSumReport(x, exact, mf * x, bound))
-    return reports
+        sums.append(sum(scaled[d] * c for d, c in counts.items()))
+    return sums, scale
+
+
+def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumReport]:
+    """Brute-force partial sums of f (`_tally`, S / L) against M(f) x with
+    the certified bound, both from `even.mean_and_bound`."""
+    sums, scale = _tally(f, x_list)
+    mean, bound, denominator = mean_and_bound(f)
+    bound = Fraction(bound, denominator)
+    return [PartialSumReport(x, Fraction(s, scale), Fraction(mean * x, denominator), bound)
+            for x, s in zip(x_list, sums)]
 
 
 _SUM_HEADER = ["r", "x", "exact_sum", "main_term", "residual", "bound", "pass"]
 
 
-def _sum_row(r: int, rep: PartialSumReport, ok: bool) -> list:
-    return [r, rep.x, rep.exact_sum, rep.main_term, rep.residual, rep.certified_bound,
-            "true" if ok else "false"]
+def _mean_rows(f: EvenFunction, xs: list[int]) -> tuple[list[list], bool]:
+    # one Prop 1 row per x, decided in integers: the tally S / L_o, the
+    # closed form T / D and M(f) = M / D with the bound B / D. A row passes
+    # iff T L_o = S D and |S D - M x L_o| <= B L_o; each printed cell is one
+    # Fraction, the value of the PartialSumReport field it stands for
+    sums, scale = _tally(f, xs)
+    mean, bound, denominator = mean_and_bound(f)
+    bound_cell = Fraction(bound, denominator)
+    rows, passed = [], True
+    for x, s, t in zip(xs, sums, partial_sum_numerators(f, xs)):
+        oracle = s * denominator
+        residual = oracle - mean * x * scale
+        ok = t * scale == oracle and abs(residual) <= bound * scale
+        passed &= ok
+        rows.append([f.r, x, Fraction(s, scale), Fraction(mean * x, denominator),
+                     Fraction(residual, denominator * scale), bound_cell, "true" if ok else "false"])
+    return rows, passed
 
 
 def _mean_values(system, r_max, x_max, extra):
     # battery: the system's Ramanujan sums c_A(., r), the arithmetic-progression
     # totient (under D), seeded random rational (A, r)-even functions, one
     # draw per member of A(r) in increasing order, and the extra function;
-    # each brute-force sum must pass its bound and equal the closed form of
-    # partial_sum_even. The extra function is the one whose tally can be
-    # large, so it is tallied first, and refused past MAX_ORACLE_TALLY before
-    # any other work; its rows still come last
+    # each brute-force sum must equal the closed form and pass its bound
+    # (`_mean_rows`). The extra function is the one whose tally can be
+    # large, so its rows are made first, and it is refused past
+    # MAX_ORACLE_TALLY before any other work; its rows still come last
     xs = [100, x_max] if x_max > 100 else [x_max]
-    tail = [] if extra is None else [(extra, mean_value_check(extra, xs))]
+    tail = [] if extra is None else [_mean_rows(extra, xs)]
     functions = [c_A_even(system, r) for r in range(1, min(r_max, 30) + 1)]
     functions.append(progression_totient_even(1, 12))
     rng = random.Random(20040233)
@@ -406,11 +426,9 @@ def _mean_values(system, r_max, x_max, extra):
             EvenFunction.from_callable(r, lambda n: drawn[gcd_A(system, n, r)], system)
         )
     rows, passed = [], True
-    for f, reports in [(f, mean_value_check(f, xs)) for f in functions] + tail:
-        for rep, closed in zip(reports, partial_sum_even(f, xs)):
-            ok = rep.passed and closed.exact_sum == rep.exact_sum
-            passed &= ok
-            rows.append(_sum_row(f.r, rep, ok))
+    for part, ok in [_mean_rows(f, xs) for f in functions] + tail:
+        rows += part
+        passed &= ok
     return _SUM_HEADER, rows, passed
 
 
@@ -428,7 +446,8 @@ def _partial_sums(system, r_max, x_max):
             q, rest = divmod(x, r)
             ok = rep.passed and rep.exact_sum == q * period[-1] + (period[rest - 1] if rest else 0)
             passed &= ok
-            rows.append(_sum_row(r, rep, ok))
+            rows.append([r, rep.x, rep.exact_sum, rep.main_term, rep.residual, rep.certified_bound,
+                         "true" if ok else "false"])
     return _SUM_HEADER, rows, passed
 
 

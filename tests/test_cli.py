@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramlab import cli, even, gensums, verify
+from ramlab import arith, cli, even, gensums, systems, verify
 from ramlab.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -181,6 +181,17 @@ class TestCommandTable:
         assert len(rows) == 16
         lookup = {(r["n"], r["r"]): r["value"] for r in rows}
         assert lookup[(2, 4)] == -1 and lookup[(4, 4)] == 3
+
+    @pytest.mark.parametrize("rmax", [1, 30, 360])
+    def test_cA_column_factorizes_each_modulus_once(self, capsys, count_calls, rmax):
+        # with the per-prime cache cold, one factorize call per modulus r,
+        # and none for the single n
+        systems.prime_power_types.cache_clear()
+        calls = [count_calls(module, "factorize") for module in (arith, systems)]
+        code, out, _ = run(capsys, "table", "--what", "cA", "--system", "D",
+                           "--rmax", str(rmax), "--nmax", "1", "--format", "csv")
+        assert code == EXIT_OK and len(out.splitlines()) == rmax + 1
+        assert sorted(n for module_calls in calls for (n,) in module_calls) == list(range(1, rmax + 1))
 
     # MAX_TABLE_ROWS + 1 = 5 * 52429 rows
     @pytest.mark.parametrize(
@@ -529,10 +540,9 @@ class TestCommandVerify:
         want = "".join(run(capsys, "verify", target, *argv)[1]
                        for target in ("prop2", "prop3", "prop4"))
         # every prop1 row fails its closed-form comparison
-        real = verify.partial_sum_even
-        monkeypatch.setattr(verify, "partial_sum_even",
-                            lambda f, xs: [PartialSumReport(rep.x, rep.exact_sum + 1, 0, 0)
-                                           for rep in real(f, xs)])
+        real = verify.partial_sum_numerators
+        monkeypatch.setattr(verify, "partial_sum_numerators",
+                            lambda f, xs: [t + 1 for t in real(f, xs)])
         code, out, _ = run(capsys, "verify", "all", *argv)
         assert code == EXIT_MISMATCH
         assert want and out.endswith(want)
@@ -686,6 +696,26 @@ class TestEmitter:
                                        Fraction(row["empirical_mean"]))
             assert back == verify.orthogonality_report(UNITARY, row["r"], row["s"])
             assert back.verdict == row["verdict"]
+
+
+FRACTIONS = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40)),
+    st.builds(Fraction, st.integers(-10**40, 10**40)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=FRACTIONS)
+@example(v=Fraction(-7, 2))
+@example(v=Fraction(-10**40))
+@example(v=Fraction(10**40, 3))
+def test_json_cell_writes_a_fraction_as_json_dumps_did(v):
+    # the %-template prints the cell as %s: a JSON integer when the
+    # denominator is 1, else the JSON string of format_value's text
+    want = json.dumps(v.numerator) if v.denominator == 1 else json.dumps(cli.format_value(v))
+    assert "%s" % (cli._json_cell(v),) == want
+    assert json.loads(want) == (v.numerator if v.denominator == 1 else str(v))
 
 
 def _format_oracle(v) -> str:

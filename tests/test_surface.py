@@ -131,6 +131,11 @@ ENTRY_POINTS = {
     "inner_product",  # the inner product that makes the c_A basis orthogonal
     "progression_totient",  # the paper's totient over an arithmetic progression
     "progression_totient_mean",  # its closed-form mean value
+    # Prop 1 as Fractions; verify's rows read the integers behind them
+    "mean_value",  # M(f)
+    "certified_residual_bound",  # the x-uniform bound on the residual
+    "mean_value_check",  # the brute-force side as reports
+    "partial_sum_even",  # the closed-form side as reports
 }
 
 

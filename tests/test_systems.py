@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ramlab import arith, systems
 from ramlab.arith import divisors, factorize, primes_up_to
 from ramlab.systems import (
     DIRICHLET,
@@ -426,6 +427,16 @@ class TestGcdA:
         for k in range(1, 100):
             for r in range(1, 100):
                 assert gcd_A(DIRICHLET, k, r) == gcd(k, r)
+
+    def test_lists_no_divisors(self, any_system, custom_system, count_calls):
+        # gcd_A steps along each chain of A(r): a divisor list of r, or of
+        # A(r), fails at its first call
+        count_calls(systems, "divisor_set", limit=0)
+        count_calls(arith, "divisors", limit=0)
+        for system in (any_system, custom_system):
+            for r in (1, 12, 360, 5**4 * 7, 2**12 * 3**5):
+                for k in (0, 1, 4, 6, r, 2 * r, 10**12):
+                    assert r % gcd_A(system, k, r) == 0
 
 
 def convolve_A(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlab import even, verify
+from ramlab import cli, even, verify
 from ramlab.cli import MAX_TERMS
 from ramlab.arith import divisors, primes_up_to
 from ramlab.even import EvenFunction, FourierCoeffs, c_A_even, fourier_coeffs, partial_sum_even
@@ -43,7 +43,15 @@ from ramlab.verify import (
 )
 from ramlab.verify import _in_order_limit, _moebius_square_sums, _square_tail
 
-from conftest import SPEC_A, SPEC_B, euler_phi, sigma, valid_specs
+from conftest import (
+    RATIONAL_VALUES,
+    SPEC_A,
+    SPEC_B,
+    euler_phi,
+    in_scope_moduli,
+    sigma,
+    valid_specs,
+)
 from test_arith import linear_moebius_sieve
 
 
@@ -476,6 +484,28 @@ class TestMeanValueCheck:
         assert passed and len(rows) == 2 * 41
         assert len(calls) == 41
 
+    def test_prop1_computes_each_bound_once(self, count_calls):
+        # mean_and_bound is the bound's one computation, read once per
+        # function for both sides of its rows, wherever it is bound
+        calls = [count_calls(module, "mean_and_bound") for module in (even, verify)]
+        ((_, rows, passed),) = check_propositions(["prop1"], MIX, 50, 30000)
+        assert passed and len(rows) == 2 * 41
+        assert sum(map(len, calls)) == 41
+
+    def test_tally_reads_only_the_values(self, monkeypatch):
+        # the oracle side: no phi, c_A, per-prime pass or coefficients
+        def refuse(*args):
+            raise AssertionError("the tally used the closed form's machinery")
+
+        f = EvenFunction.from_callable(360, lambda d: Fraction(d % 7 - 3, d % 5 + 1))
+        for module, name in [(even, "_per_prime"), (even, "fourier_coeffs"),
+                             (even, "mean_and_bound"), (verify, "phi_A"),
+                             (verify, "mean_and_bound"), (verify, "partial_sum_numerators")]:
+            monkeypatch.setattr(module, name, refuse)
+        sums, scale = verify._tally(f, [7, 360, 1000])
+        assert "_form" not in vars(f)
+        assert [Fraction(s, scale) for s in sums] == [full_loop_sum(f, x) for x in (7, 360, 1000)]
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -566,6 +596,109 @@ class TestMeanValueCheckTally:
         small = EvenFunction.from_callable(12, lambda d: d)
         (rep,) = mean_value_check(small, [10**15])
         assert [rep] == partial_sum_even(small, [10**15])
+
+
+def reference_rows(f: EvenFunction, xs: list[int]) -> list[list]:
+    """Prop 1's rows of one function composed in Fractions from the public
+    reports, as the battery made them before it decided in integers: a row
+    passes when the brute-force sum is within its bound and equals the
+    closed form."""
+    rows = []
+    for rep, closed in zip(mean_value_check(f, xs), partial_sum_even(f, xs), strict=True):
+        ok = rep.passed and closed.exact_sum == rep.exact_sum
+        rows.append([f.r, rep.x, rep.exact_sum, rep.main_term, rep.residual, rep.certified_bound,
+                     "true" if ok else "false"])
+    return rows
+
+
+SYSTEMS = st.one_of(st.sampled_from((DIRICHLET, UNITARY, MIX)),
+                    valid_specs().map(lambda spec: system_from_dict(spec, name="T")))
+
+
+@st.composite
+def even_functions(draw, system):
+    """An (A, r)-even function of `system`: one int or Fraction value per
+    member of A(r), read through (d, r)_A."""
+    r = draw(in_scope_moduli(system), label="r")
+    members = divisor_set(system, r)
+    kind = draw(st.sampled_from(sorted(RATIONAL_VALUES)), label="kind")
+    vals = draw(st.lists(RATIONAL_VALUES[kind], min_size=len(members), max_size=len(members)))
+    by_class = dict(zip(members, vals))
+    return EvenFunction.from_callable(r, lambda d: by_class[gcd_A(system, d, r)], system)
+
+
+def period_xs(data, r: int) -> list[int]:
+    """x <= r, x = q r and x = q r + rest for one drawn q."""
+    q = data.draw(st.integers(1, 3), label="q")
+    return [data.draw(st.integers(1, r), label="x <= r"), q * r,
+            q * r + data.draw(st.integers(0, r - 1), label="rest")]
+
+
+def battery_and_reference(system, r_max, x_max, extra=None):
+    """check_propositions' Prop 1 table, and the reference rows of every
+    function its battery checked, in the table's order (the extra last)."""
+    seen = []
+    real = verify._mean_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_mean_rows", lambda f, xs: seen.append((f, xs)) or real(f, xs))
+        ((header, rows, passed),) = check_propositions(["prop1"], system, r_max, x_max, extra)
+    order = seen[1:] + seen[:1] if extra is not None else seen
+    return header, rows, passed, [row for f, xs in order for row in reference_rows(f, xs)]
+
+
+def assert_same_cells(header, rows, want):
+    # equal values of the same types, so every format prints the same bytes
+    assert rows == want
+    assert [list(map(type, row)) for row in rows] == [list(map(type, row)) for row in want]
+    for fmt in ("json", "csv", "plain"):
+        assert "".join(cli._emit_rows(header, rows, fmt)) == "".join(cli._emit_rows(header, want, fmt))
+
+
+class TestMeanRowsDifferential:
+    """Prop 1's integer rows against the Fraction composition of
+    `reference_rows`, cell for cell and pass flag for pass flag."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_the_reference(self, data):
+        system = data.draw(SYSTEMS, label="system")
+        f = data.draw(even_functions(system), label="f")
+        xs = period_xs(data, f.r)
+        rows, passed = verify._mean_rows(f, xs)
+        want = reference_rows(f, xs)
+        assert_same_cells(verify._SUM_HEADER, rows, want)
+        assert passed and {row[-1] for row in rows} == {"true"}
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_battery_with_an_extra_equals_the_reference(self, data):
+        system = data.draw(SYSTEMS, label="system")
+        extra = data.draw(even_functions(system), label="extra")
+        x_max = data.draw(st.sampled_from(period_xs(data, extra.r)), label="x_max")
+        r_max = data.draw(st.integers(1, 12), label="r_max")
+        header, rows, passed, want = battery_and_reference(system, r_max, x_max, extra)
+        assert_same_cells(header, rows, want)
+        assert passed == all(row[-1] == "true" for row in want)
+
+    @pytest.mark.parametrize("corrupt", ["closed form", "mean", "bound"])
+    def test_a_corrupted_side_fails_the_same_rows(self, corrupt, monkeypatch):
+        # each corruption rebinds the name in both modules, so the reference
+        # (through even's reports) and the rows (through verify) read it alike
+        name, wrong = {
+            "closed form": ("partial_sum_numerators", lambda sums: [t + 1 for t in sums]),
+            "mean": ("mean_and_bound", lambda mbd: (mbd[0] + 1, *mbd[1:])),
+            "bound": ("mean_and_bound", lambda mbd: (mbd[0], 0, mbd[2])),
+        }[corrupt]
+        real = getattr(even, name)
+        for module in (even, verify):
+            monkeypatch.setattr(module, name, lambda *args: wrong(real(*args)))
+        drawn = {d: Fraction(d % 7 - 3, d % 5 + 1) for d in divisor_set(MIX, 360)}
+        extra = EvenFunction.from_callable(360, lambda d: drawn[gcd_A(MIX, d, 360)], MIX)
+        header, rows, passed, want = battery_and_reference(MIX, 12, 1000, extra)
+        assert_same_cells(header, rows, want)
+        flags = [row[-1] for row in rows]
+        assert not passed and "false" in flags
+        assert corrupt != "closed form" or set(flags) == {"false"}
 
 
 class TestReports:

@@ -12,10 +12,19 @@ nothing else: on Linux a child's ru_maxrss includes the peak of the
 process that spawns it. The child's stdout goes to a file, where its
 lines are counted, so no table is held in memory. One JSON record per row
 goes to stdout, and the exit code is 1 if any row fails. Stdlib only.
+
+    python3 tools/budgets.py --repeat 5 --record BENCH_<n>.json
+
+runs every row k times, checking each run, and writes the min, median and
+max of each row's `wall_s` and `peak_rss_mb` over its k runs to PATH, with
+the interpreter, platform, CPU count and commit they were measured on.
 """
 
+import argparse
 import json
 import os
+import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -79,14 +88,51 @@ def run_row(row: dict, tmp: Path) -> dict:
     return record | ({"failed": failed} if failed else {})
 
 
-def main() -> int:
+def _commit() -> dict:
+    # the checked-out commit, and whether the tree differs from it
+    def git(*args):
+        done = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
+
+
+def summarize(runs: dict[str, list[dict]]) -> dict:
+    """The record --record writes: per row, the min, median and max of
+    `wall_s` and `peak_rss_mb` over its runs and how many passed, with the
+    host and commit they were measured on."""
+    def spread(values):
+        return {"min": min(values), "median": statistics.median(values), "max": max(values)}
+
+    rows = [{"name": name, "runs": len(records), "passed": sum(r["pass"] for r in records),
+             **{key: spread([r[key] for r in records]) for key in ("wall_s", "peak_rss_mb")}}
+            for name, records in runs.items()]
+    host = {"python": f"{platform.python_implementation()} {platform.python_version()}",
+            "platform": platform.platform(), "cpu_count": os.cpu_count()}
+    return {**_commit(), **host, "rows": rows}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Run every row of tests/budgets.json.")
+    parser.add_argument("--repeat", type=int, default=1, metavar="K",
+                        help="run each row K times, checking every run (default 1)")
+    parser.add_argument("--record", type=Path, metavar="PATH",
+                        help="write each row's min, median and max wall_s and peak_rss_mb to PATH")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error(f"--repeat must be at least 1, got {args.repeat}")
     rows = json.loads(TABLE.read_text())
-    failures = 0
+    runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for row in rows:
-            record = run_row(row, Path(tmp))
-            print(json.dumps(record), flush=True)
-            failures += not record["pass"]
+            for _ in range(args.repeat):
+                record = run_row(row, Path(tmp))
+                print(json.dumps(record), flush=True)
+                runs.setdefault(row["name"], []).append(record)
+    if args.record:
+        args.record.write_text(json.dumps(summarize(runs), indent=1) + "\n")
+    failures = sum(not all(r["pass"] for r in records) for records in runs.values())
     if failures:
         print(f"{failures} of {len(rows)} rows failed", file=sys.stderr)
     return 1 if failures else 0
