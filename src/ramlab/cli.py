@@ -37,31 +37,28 @@ EXIT_MISMATCH = 2
 FORMATS = ("json", "csv", "plain")
 
 # Each cap's time and memory budget is a row of tests/budgets.json, which
-# `tools/budgets.py` runs; each comment names its cap's rows and gives
-# their latest peaks, from that runner's fresh processes (CPython 3.11,
-# x86-64 Xeon, 2 vCPUs).
+# `tools/budgets.py` runs; each comment names its cap's rows, whose `cap`
+# field names it. Their measured wall time and peak RSS are in the latest
+# BENCH_*.json at the top of the repository, which that runner records.
 
 # `expansion` keeps F(x) for x <= U as floats in an array, U = R up to 2^17
 # terms, its largest table, else floor(R^(2/3)). Rows "expansion at its
-# largest prefix table, 2^17 terms" (`expansion 720720`: 0.11-0.22 s,
-# 17.9-18.1 MB), "expansion at its --terms cap" (0.15-0.24 s, 17.8-17.9 MB)
-# and "expansion refuses --terms above its cap"
+# largest prefix table, 2^17 terms" (`expansion 720720`), "expansion at its
+# --terms cap" and "expansion refuses --terms above its cap"
 MAX_TERMS = 10**7
 
 # prop2's period tallies and prop3's diagonal rows each cost sum r <= rmax^2/2
 # kernel values. Rows "verify all at the --rmax cap under U" and "... under
-# MIX" (1.5-1.9 s, 27.7-27.8 MB), "Prop 3 costs only its diagonal rows"
-# (0.8-1.1 s, 21.6 MB) and "verify refuses --rmax above its cap"
+# MIX", "Prop 3 costs only its diagonal rows", "Prop 4 answers --rmax 3000
+# with its witness at 101^2" and "verify refuses --rmax above its cap"
 MAX_RMAX = 3000
 
 # Every table keeps its values in one flat sequence, `--what cA` a list and
 # the other tables an array of 8-byte ints (each value is at most sigma(r) <
-# 2^63). Rows "... table at the row cap ..." and "The table refuses more rows
-# than its cap": square cA under MIX 0.14-0.27 s and 18.8-19.5 MB as JSON,
-# 18.7-19.4 MB as CSV and 18.6-19.4 MB as plain; one row (--nmax 1, under U),
-# most of it factorizing, 2.5-4.4 s and 21.0-21.9 MB as JSON and 20.8-21.7 MB
-# as CSV; four columns under D 0.16-0.33 s and 18.8-19.9 MB; `--what phiA`
-# under U 1.4-3.0 s and 20.9-21.6 MB as JSON, 20.8-21.7 MB as plain
+# 2^63). Rows "... table at the row cap ...": square cA under MIX in each
+# format, one row (--nmax 1, under U, most of it factorizing), four columns
+# under D and `--what phiA` under U; "A ... table of many chunks writes
+# every row once" and "The table refuses more rows than its cap"
 MAX_TABLE_ROWS = 2**18
 
 # rows per emitted text, at most: `main` writes each text before the next is
@@ -71,8 +68,8 @@ CHUNK_ROWS = 4096
 # the oracle and all routes sum r floating-point terms, each after a
 # per-prime (k, r)_A. Of the r tried below the cap, 98280 was the slowest:
 # rows "c at the slowest r below the oracle cap under D", U and MIX
-# (--route all, 0.18-0.35 s, 16.7-17.1 MB), and "The oracle route refuses
-# r just above its cap" and "... far above its cap"
+# (--route all), and "The oracle route refuses r just above its cap" and
+# "... far above its cap"
 MAX_ORACLE_R = 10**5
 
 

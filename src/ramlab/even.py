@@ -1,8 +1,9 @@
 """The finite space of r-even functions: values on divisors of r, evaluated
 anywhere through gcd(n, r). Each function names its regular system A (D by
 default): it is (A, r)-even, f(n) = f((n, r)_A), and expands in c_A(., d),
-d in A(r). Every value is an int or a Fraction, so inner products, Fourier
-coefficients, means and bounds are exact Fractions.
+d in A(r). Every value is an int or a Fraction, so everything here is
+exact: inner products are Fractions, and the Fourier coefficients, the
+mean, the bound and the partial sums are integers over one denominator.
 
 The basis is orthogonal (`verify.mean_product_exact`); orthogonality fails
 only across A-sets, as in Prop 3's pair (p, p^a), p not in A(p^a).
@@ -31,9 +32,8 @@ integer pass over the numerators of h (proof at `partial_sum_numerators`).
 Everything here about partial sums is an integer over D = r L:
 `mean_and_bound` gives the mean's numerator M and the bound's B, once per
 function, and `partial_sum_numerators` each sum's T. `verify` decides a
-Prop 1 row by comparing these with its own tally in integers;
-`mean_value`, `certified_residual_bound` and `partial_sum_even` divide
-them once each.
+Prop 1 row by comparing these with its own tally in integers, and divides
+them only to print a row.
 """
 
 from __future__ import annotations
@@ -43,28 +43,28 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from math import floor, gcd, lcm, prod
 from operator import add, mul
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .arith import divisors, factorize
-from .gensums import Numeric, PartialSumReport
 from .systems import DIRICHLET, RegularSystem, divisor_set, gcd_A, prime_power_types
 from . import gensums
 
 __all__ = [
+    "Numeric",
     "EvenFunction",
     "FourierCoeffs",
     "inner_product",
     "fourier_coeffs",
-    "mean_value",
     "mean_and_bound",
-    "certified_residual_bound",
     "c_A_even",
     "progression_totient",
     "progression_totient_even",
     "progression_totient_mean",
     "partial_sum_numerators",
-    "partial_sum_even",
 ]
+
+Numeric = Union[int, Fraction]
+
 
 class EvenFunction:
     """A function with period r depending on n only through gcd(n, r).
@@ -211,7 +211,7 @@ def _ramanujan_pp(q: int, b: int, j: int) -> int:
 @lru_cache(maxsize=4096)
 def _axis_matrices(q: int, k: int) -> tuple:
     """The per-prime factors on the axis (q, k) of formula 1, formula 2 and
-    `partial_sum_even`'s regrouping, as tuples of rows.
+    `partial_sum_numerators`' regrouping, as tuples of rows.
 
     Row i and column j are the exponents i and j of q in d and e: formula
     2's c_A(q^(k-i), q^j); formula 1's phi_A(q^j) c_A(q^(k-j), q^i), which
@@ -286,12 +286,6 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
     return FourierCoeffs(r, f.system, tuple(axes), tuple(members), tuple(s2), r * scale)
 
 
-def mean_value(f: EvenFunction) -> Fraction:
-    """Exact mean (1/r) sum_{d in A(r)} phi_A(d) f(r/d); equals the coefficient h(1)."""
-    mean, _, denominator = mean_and_bound(f)
-    return Fraction(mean, denominator)
-
-
 def c_A_even(system: RegularSystem, r: int) -> EvenFunction:
     """c_A(., r) as an (A, r)-even function."""
     return EvenFunction.from_callable(r, lambda n: gensums.c_A(system, n, r), system)
@@ -302,28 +296,37 @@ def _progression_count(s: int, d: int, n: int) -> int:
     return sum(1 for k in range(n) if gcd(s + k * d, n) == 1)
 
 
+def _progression_domain(s: int, n: int) -> None:
+    # the (s, n) all three progression functions take: the tabulation reads
+    # the count at every divisor d of n, which needs gcd(s, d) = 1 there
+    if s < 1 or n < 1:
+        raise ValueError(f"s and n must be >= 1, got s={s}, n={n}")
+    if gcd(s, n) != 1:
+        raise ValueError(f"s and n must be coprime, got gcd({s}, {n}) = {gcd(s, n)}")
+
+
 def progression_totient(s: int, d: int, n: int) -> int:
-    """Count of k in [1, n] with s + (k-1)d coprime to n; requires gcd(s, d) = 1."""
-    if s < 1 or d < 1 or n < 1:
-        raise ValueError(f"arguments must be >= 1, got s={s}, d={d}, n={n}")
+    """Count of k in [1, n] with s + (k-1)d coprime to n; requires d >= 1,
+    gcd(s, d) = 1 and the domain of `progression_totient_even`."""
+    _progression_domain(s, n)
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got d={d}")
     if gcd(s, d) != 1:
         raise ValueError(f"s and d must be coprime, got gcd({s}, {d}) = {gcd(s, d)}")
     return _progression_count(s, d, n)
 
 
 def progression_totient_even(s: int, n: int) -> EvenFunction:
-    """d -> progression_totient(s, d, n) tabulated as an n-even function.
-
-    Needs gcd(s, n) = 1 so the count is defined at every divisor of n."""
-    if gcd(s, n) != 1:
-        raise ValueError(f"tabulation needs gcd(s, n) = 1, got gcd({s}, {n}) = {gcd(s, n)}")
+    """d -> progression_totient(s, d, n) tabulated as an n-even function,
+    for s, n >= 1 with gcd(s, n) = 1."""
+    _progression_domain(s, n)
     return EvenFunction.from_values(n, {d: _progression_count(s, d, n) for d in divisors(n)})
 
 
 def progression_totient_mean(s: int, n: int) -> Fraction:
-    """Average of progression_totient(s, ., n): n * prod_{p|n} (1 - 1/p + 1/p^2)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """Average of progression_totient(s, ., n): n * prod_{p|n} (1 - 1/p + 1/p^2),
+    on the domain of `progression_totient_even`."""
+    _progression_domain(s, n)
     out = Fraction(n)
     for p, _ in factorize(n):
         out *= 1 - Fraction(1, p) + Fraction(1, p * p)
@@ -354,13 +357,6 @@ def mean_and_bound(f: EvenFunction) -> tuple[int, int, int]:
     sigma_a = prod((q ** (k + 1) - 1) // (q - 1) for q, k in axes)
     total = prod((q ** (k + 1) + q**k - 2) // (q - 1) for q, k in axes)
     return sum(map(mul, values, phis)), max(map(abs, values)) * sigma_a * total, f.r * scale
-
-
-def certified_residual_bound(f: EvenFunction) -> Fraction:
-    """x-uniform bound on |sum_{n<=x} f(n) - M(f) x|: B / D of
-    `mean_and_bound`, which proves it."""
-    _, bound, denominator = mean_and_bound(f)
-    return Fraction(bound, denominator)
 
 
 def partial_sum_numerators(f: EvenFunction, x_list: Sequence) -> list[int]:
@@ -394,16 +390,3 @@ def partial_sum_numerators(f: EvenFunction, x_list: Sequence) -> list[int]:
     grouped = _kron_apply(diffs, list(coeffs.numerators))
     terms = [(e, g) for e, g in zip(coeffs.members, grouped) if g]
     return [sum(g * e * (big_x // e) for e, g in terms) for big_x in map(floor, x_list)]
-
-
-def partial_sum_even(f: EvenFunction, x_list: Sequence) -> list[PartialSumReport]:
-    """Exact partial sums of f up to each x in `x_list`, X = floor(x): the
-    closed form T(x) / D of `partial_sum_numerators` against the main term
-    M(f) X and the bound of `mean_and_bound`, each divided once by D."""
-    sums = partial_sum_numerators(f, x_list)
-    mean, bound, denominator = mean_and_bound(f)
-    bound = Fraction(bound, denominator)
-    return [
-        PartialSumReport(big_x, Fraction(total, denominator), Fraction(mean * big_x, denominator), bound)
-        for big_x, total in zip(map(floor, x_list), sums)
-    ]

@@ -20,20 +20,17 @@ summed over the multiples d = g m, m | r/g, of the core g = gamma_A(r).
 Route 3 is the literal exponential sum over residues k with (k, r)_A = 1
 -- floating point, test oracle only.
 
-The partial sums (`c_A_sum`, and the checker `partial_sum_cA`) use the
-closed form over A(r), sum_{d in A(r)} d mu_A(r/d) floor(x/d). Only the
-2^omega(r) members d with mu_A(r/d) != 0 contribute: those taking p^a or
-p^(a-t) at each prime power p^a || r, the kernel's two terms.
+The partial sum `c_A_sum` uses the closed form over A(r),
+sum_{d in A(r)} d mu_A(r/d) floor(x/d). Only the 2^omega(r) members d
+with mu_A(r/d) != 0 contribute: those taking p^a or p^(a-t) at each prime
+power p^a || r, the kernel's two terms.
 """
 
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from itertools import cycle
-from math import floor
 from operator import mul
-from typing import NamedTuple, Union
 
 from .arith import divisors, ramanujan_c
 from .systems import (
@@ -43,7 +40,6 @@ from .systems import (
     gcd_A,
     mu_A,
     prime_power_types,
-    psi_A,
 )
 
 __all__ = [
@@ -53,12 +49,7 @@ __all__ = [
     "c_A_core",
     "c_A_oracle",
     "c_A_sum",
-    "Numeric",
-    "PartialSumReport",
-    "partial_sum_cA",
 ]
-
-Numeric = Union[int, Fraction]
 
 
 def _kernel_value(local: tuple, n: int) -> int:
@@ -146,40 +137,3 @@ def c_A_sum(system: RegularSystem, r: int, x: int) -> int:
     for _, _, _, high, low in prime_power_types(system, r):
         signed = [(d * high, s) for d, s in signed] + [(d * low, -s) for d, s in signed]
     return sum(s * d * (x // d) for d, s in signed)
-
-
-class PartialSumReport(NamedTuple):
-    """Exact partial sum of a function against its predicted main term.
-
-    The residual and the verdict are derived, so they cannot disagree with
-    the sum, the main term and the bound."""
-
-    x: int
-    exact_sum: Numeric
-    main_term: Numeric
-    certified_bound: Numeric
-
-    @property
-    def residual(self) -> Numeric:
-        return self.exact_sum - self.main_term
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.residual) <= self.certified_bound
-
-
-def partial_sum_cA(system: RegularSystem, r: int, x) -> PartialSumReport:
-    """Exact partial sum of c_A(., r) up to x with its certified bound psi_A(r).
-
-    The sum is `c_A_sum` at floor(x); real x is floored first, which leaves
-    every floor(x/d) unchanged.
-    """
-    if r < 1 or x < 1:
-        raise ValueError(f"partial_sum_cA requires r >= 1, x >= 1, got r={r}, x={x}")
-    big_x = floor(x)
-    return PartialSumReport(
-        x=big_x,
-        exact_sum=c_A_sum(system, r, big_x),
-        main_term=big_x if r == 1 else 0,
-        certified_bound=psi_A(system, r),
-    )

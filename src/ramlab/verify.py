@@ -27,22 +27,22 @@ from .even import (
     partial_sum_numerators,
     progression_totient_even,
 )
-from .gensums import PartialSumReport, c_A_column, partial_sum_cA
-from .systems import DIRICHLET, RegularSystem, divisor_set, gamma_A, gcd_A, phi_A
+from .gensums import c_A_column, c_A_sum
+from .systems import DIRICHLET, RegularSystem, divisor_set, gamma_A, gcd_A, phi_A, psi_A
 
 # the cap on p^t, the witness prime power in `additive_closure_witness`. Its
 # checks read the t + 3 divisors of p and p^t and make two gcd_A calls per
 # modulus, so their cost does not grow with r_max * p^t; inside the cap
 # p <= 2^10 when t >= 2, so trial division factorizes p^t at once. Rows of
 # tests/budgets.json (see cli's caps): "Prop 4 answers --rmax 3000 with its
-# witness at the budget 2^20" (0.11-0.17 s, 18.6-18.8 MB), "Prop 4 refuses
-# a witness beyond its budget at once" and "... a huge table power at once"
+# witness at the budget 2^20", "Prop 4 refuses a witness beyond its budget
+# at once" and "... a huge table power at once"
 MAX_WITNESS_WORK = 2**20
 
-# the cap on min(x, r) in `mean_value_check`'s tally, which makes fewer than
-# 2 min(x, r) gcd calls per x. Rows "Prop 1 tallies an even literal at its
-# tally cap" (r = 2^23, --xmax 2^24 - 1: 4.5-6.2 s, 16.6-16.9 MB) and
-# "Prop 1 refuses an even literal past its tally budget at once" (r = 2^40)
+# the cap on min(x, r) in `_tally`, which makes fewer than 2 min(x, r) gcd
+# calls per x. Rows "Prop 1 tallies an even literal at its tally cap"
+# (r = 2^23, --xmax 2^24 - 1) and "Prop 1 refuses an even literal past its
+# tally budget at once" (r = 2^40)
 MAX_ORACLE_TALLY = 2**23
 
 # up to this many terms, `expansion_demo` adds every prefix sum of
@@ -64,7 +64,6 @@ __all__ = [
     "additive_closure_witness",
     "ExpansionResult",
     "expansion_demo",
-    "mean_value_check",
     "check_propositions",
 ]
 
@@ -374,24 +373,14 @@ def _tally(f: EvenFunction, x_list: Sequence[int]) -> tuple[list[int], int]:
     return sums, scale
 
 
-def mean_value_check(f: EvenFunction, x_list: Sequence[int]) -> list[PartialSumReport]:
-    """Brute-force partial sums of f (`_tally`, S / L) against M(f) x with
-    the certified bound, both from `even.mean_and_bound`."""
-    sums, scale = _tally(f, x_list)
-    mean, bound, denominator = mean_and_bound(f)
-    bound = Fraction(bound, denominator)
-    return [PartialSumReport(x, Fraction(s, scale), Fraction(mean * x, denominator), bound)
-            for x, s in zip(x_list, sums)]
-
-
 _SUM_HEADER = ["r", "x", "exact_sum", "main_term", "residual", "bound", "pass"]
 
 
 def _mean_rows(f: EvenFunction, xs: list[int]) -> tuple[list[list], bool]:
     # one Prop 1 row per x, decided in integers: the tally S / L_o, the
     # closed form T / D and M(f) = M / D with the bound B / D. A row passes
-    # iff T L_o = S D and |S D - M x L_o| <= B L_o; each printed cell is one
-    # Fraction, the value of the PartialSumReport field it stands for
+    # iff T L_o = S D and |S D - M x L_o| <= B L_o; only the printed cells
+    # are Fractions: the sum S / L_o, the main term, the residual, the bound
     sums, scale = _tally(f, xs)
     mean, bound, denominator = mean_and_bound(f)
     bound_cell = Fraction(bound, denominator)
@@ -434,20 +423,22 @@ def _mean_values(system, r_max, x_max, extra):
 
 def _partial_sums(system, r_max, x_max):
     # the x <= x_max among 1, 2, 3, 10, 100, and x_max itself. A row passes
-    # when the closed form of c_A_sum is within its bound and equals the
-    # tally S(x) = (x // r) S(r) + S(x mod r), read from the prefix sums of
-    # one period of the kernel's column, which never uses c_A_sum
+    # when the closed form of c_A_sum is within psi_A(r), read once per r,
+    # of its main term [r = 1] x, and equals the tally S(x) = (x // r) S(r)
+    # + S(x mod r), read from the prefix sums of one period of the kernel's
+    # column, which never uses c_A_sum
     xs = sorted({min(x, x_max) for x in (1, 2, 3, 10, 100, x_max)})
     rows, passed = [], True
     for r in range(1, r_max + 1):
         period = list(accumulate(c_A_column(system, r, r)))
+        bound = psi_A(system, r)
         for x in xs:
-            rep = partial_sum_cA(system, r, x)
+            exact, main = c_A_sum(system, r, x), x if r == 1 else 0
             q, rest = divmod(x, r)
-            ok = rep.passed and rep.exact_sum == q * period[-1] + (period[rest - 1] if rest else 0)
+            tally = q * period[-1] + (period[rest - 1] if rest else 0)
+            ok = exact == tally and abs(exact - main) <= bound
             passed &= ok
-            rows.append([r, rep.x, rep.exact_sum, rep.main_term, rep.residual, rep.certified_bound,
-                         "true" if ok else "false"])
+            rows.append([r, x, exact, main, exact - main, bound, "true" if ok else "false"])
     return _SUM_HEADER, rows, passed
 
 

@@ -4,6 +4,7 @@ from math import prod
 import pytest
 from hypothesis import strategies as st
 
+from ramlab import even, verify
 from ramlab.arith import factorize
 from ramlab.even import EvenFunction
 from ramlab.gensums import c_A
@@ -151,3 +152,17 @@ def reconstruct(coeffs):
         return sum(hd * c_A(coeffs.system, n, d) for d, hd in coeffs_h(coeffs))
 
     return EvenFunction.from_callable(coeffs.r, value, coeffs.system)
+
+
+def prop1_fractions(f, xs=()):
+    """(mean, bound, tallies, sums): f's Prop 1 quantities as Fractions, from
+    the integers the package decides by. The mean M(f) and the x-uniform
+    residual bound are M / D and B / D of `even.mean_and_bound`; for each x
+    in `xs`, the brute-force sum is S / L of `verify._tally` and the closed
+    form T / D of `even.partial_sum_numerators`. Each is read through its
+    module, so a test that rebinds one there reaches these values too."""
+    mean, bound, denominator = even.mean_and_bound(f)
+    tallies, scale = verify._tally(f, xs)
+    sums = even.partial_sum_numerators(f, xs) if xs else []
+    return (Fraction(mean, denominator), Fraction(bound, denominator),
+            [Fraction(s, scale) for s in tallies], [Fraction(t, denominator) for t in sums])

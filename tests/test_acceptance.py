@@ -18,7 +18,6 @@ from ramlab.even import (
     EvenFunction,
     fourier_coeffs,
     inner_product,
-    mean_value,
     progression_totient_even,
     progression_totient_mean,
 )
@@ -30,10 +29,9 @@ from ramlab.verify import (
     find_orthogonality_violation,
     mean_product_empirical,
     mean_product_exact,
-    mean_value_check,
 )
 
-from conftest import coeff, euler_phi, reconstruct, sigma
+from conftest import coeff, euler_phi, prop1_fractions, reconstruct, sigma
 
 SYSTEMS = [("D", DIRICHLET), ("U", UNITARY), ("MIX", MIX)]
 
@@ -76,9 +74,11 @@ def test_criterion_2_mean_value_bound():
         # Dedekind psi(q) = sum_{d|q} d |mu(q/d)|, from the definition
         psi = [sum(d * abs(moebius(q // d)) for d in divisors(q)) for q in divisors(r)]
         bound = k_f * Fraction(sigma(r), r) * sum(psi)
-        for rep in mean_value_check(f, [10**3, 10**4]):
-            assert rep.certified_bound == bound
-            assert abs(rep.residual) <= bound
+        xs = [10**3, 10**4]
+        mean, certified, tallies, _ = prop1_fractions(f, xs)
+        assert certified == bound
+        for x, tally in zip(xs, tallies):
+            assert abs(tally - mean * x) <= bound
             checked += 1
     _report(2, f"{checked} brute-force partial sums within the certified bound")
 
@@ -156,7 +156,7 @@ def test_criterion_8_progression_totient_mean():
             if gcd(s, n) != 1:
                 continue  # tabulation undefined off the coprime case
             f = progression_totient_even(s, n)
-            assert mean_value(f) == progression_totient_mean(s, n), (s, n)
+            assert prop1_fractions(f)[0] == progression_totient_mean(s, n), (s, n)
             checked += 1
     for n in range(1, 51):
         for s in (1, 5, 7):
@@ -196,5 +196,5 @@ def test_criterion_9_hilbert_space_suite():
         )
         coeffs = fourier_coeffs(f)  # both coefficient formulas compared internally
         assert reconstruct(coeffs).value_map == {d: Fraction(v) for d, v in f.values}, r
-        assert mean_value(f) == coeff(coeffs, 1), r
+        assert prop1_fractions(f)[0] == coeff(coeffs, 1), r
     _report(9, "orthogonality and Fourier round trip exact for all r <= 200")

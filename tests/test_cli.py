@@ -28,7 +28,6 @@ from ramlab.cli import (
 )
 from ramlab.arith import divisors, factorize
 from ramlab.even import EvenFunction, fourier_coeffs
-from ramlab.gensums import PartialSumReport
 from ramlab.systems import (
     DIRICHLET,
     MIX,
@@ -44,7 +43,15 @@ from ramlab.systems import (
 )
 from ramlab.verify import OrthogonalityReport, check_propositions
 
-from conftest import CUSTOM_OK, RATIONAL_VALUES, coeffs_h, euler_phi, in_scope_moduli, valid_specs
+from conftest import (
+    CUSTOM_OK,
+    RATIONAL_VALUES,
+    coeffs_h,
+    euler_phi,
+    in_scope_moduli,
+    prop1_fractions,
+    valid_specs,
+)
 
 
 def run(capsys, *argv):
@@ -328,7 +335,7 @@ class TestCommandTable:
         assert "--nmax NMAX cA only: n = 1..nmax, default rmax" in " ".join(out.split())
 
 
-# wrong closed forms for gensums.c_A_sum, each built from the real one
+# wrong closed forms for the c_A_sum that verify binds, each built from the real one
 PROP2_MUTANTS = {
     # the psi_A bound holds on every row, so only the period tally tells
     "zeroed": lambda real: lambda system, r, x: x if r == 1 else 0,
@@ -346,7 +353,7 @@ class TestCommandVerify:
     @pytest.mark.parametrize("system", ["D", "U", "MIX"])
     @pytest.mark.parametrize("mutant", sorted(PROP2_MUTANTS))
     def test_prop2_fails_a_wrong_closed_form(self, capsys, monkeypatch, mutant, system):
-        monkeypatch.setattr(gensums, "c_A_sum", PROP2_MUTANTS[mutant](gensums.c_A_sum))
+        monkeypatch.setattr(verify, "c_A_sum", PROP2_MUTANTS[mutant](verify.c_A_sum))
         code, out, _ = run(capsys, "verify", "prop2", "--system", system, "--rmax", "300",
                            "--xmax", "100000", "--format", "json")
         assert code == EXIT_MISMATCH
@@ -634,7 +641,8 @@ def _number(v):
 
 
 class TestEmitter:
-    """The CLI is the only serializer: its rows read back to the reports."""
+    """The CLI is the only serializer: its rows read back to the values
+    they print."""
 
     def test_prop2_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "verify", "prop2", "--system", "MIX", "--rmax", "12",
@@ -642,10 +650,10 @@ class TestEmitter:
         assert code == EXIT_OK
         for line in out.splitlines():
             row = json.loads(line)
-            rep = gensums.partial_sum_cA(MIX, row["r"], row["x"])
-            back = PartialSumReport(row["x"], row["exact_sum"], row["main_term"], row["bound"])
-            assert back == rep
-            assert row["residual"] == rep.residual
+            r, x = row["r"], row["x"]
+            exact, main = gensums.c_A_sum(MIX, r, x), x if r == 1 else 0
+            assert (row["exact_sum"], row["main_term"]) == (exact, main)
+            assert (row["residual"], row["bound"]) == (exact - main, psi_A(MIX, r))
             assert row["pass"] == "true"
 
     def test_prop1_json_round_trip_rationals(self, capsys):
@@ -654,13 +662,13 @@ class TestEmitter:
                            "--even", literal, "--format", "json")
         assert code == EXIT_OK
         rows = [json.loads(line) for line in out.splitlines()][-2:]  # the literal's
-        reps = verify.mean_value_check(cli._even_function(literal, DIRICHLET), [100, 250])
-        for row, rep in zip(rows, reps):
+        xs = [100, 250]
+        mean, bound, tallies, _ = prop1_fractions(cli._even_function(literal, DIRICHLET), xs)
+        for row, x, tally in zip(rows, xs, tallies, strict=True):
             assert isinstance(row["main_term"], str)  # 7/12 x is not integral
-            back = PartialSumReport(row["x"], _number(row["exact_sum"]),
-                                    _number(row["main_term"]), _number(row["bound"]))
-            assert back == rep
-            assert _number(row["residual"]) == rep.residual
+            assert row["x"] == x
+            assert [_number(row[key]) for key in ("exact_sum", "main_term", "residual", "bound")] == [
+                tally, mean * x, tally - mean * x, bound]
 
     def test_prop2_csv(self, capsys):
         code, out, _ = run(capsys, "verify", "prop2", "--system", "U", "--rmax", "8",
@@ -670,9 +678,10 @@ class TestEmitter:
         assert header == ["r", "x", "exact_sum", "main_term", "residual", "bound", "pass"]
         assert any(row[2].startswith("-") for row in rows)
         for r, x, exact, main, residual, bound, ok in rows:
-            rep = gensums.partial_sum_cA(UNITARY, int(r), int(x))
+            r, x = int(r), int(x)
+            want = gensums.c_A_sum(UNITARY, r, x)
             assert (int(exact), int(main), int(residual), int(bound)) == (
-                rep.exact_sum, rep.main_term, rep.residual, rep.certified_bound
+                want, x if r == 1 else 0, want - (x if r == 1 else 0), psi_A(UNITARY, r)
             )
             assert ok == "true"
 

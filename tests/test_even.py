@@ -17,11 +17,10 @@ from ramlab.gensums import c_A, c_A_sum
 from ramlab.even import (
     EvenFunction,
     c_A_even,
-    certified_residual_bound,
     fourier_coeffs,
     inner_product,
-    mean_value,
-    partial_sum_even,
+    mean_and_bound,
+    partial_sum_numerators,
     progression_totient,
     progression_totient_even,
     progression_totient_mean,
@@ -43,6 +42,7 @@ from conftest import (
     coeffs_h,
     euler_phi,
     in_scope_moduli,
+    prop1_fractions,
     reconstruct,
     sigma,
     valid_specs,
@@ -92,7 +92,7 @@ def per_coefficient_partial_sums(f, xs):
     """sum_{d in A(r)} h(d) sum_{n<=x} c_A(n, d) for each x in xs, one
     closed-form c_A_sum and one Fraction multiply-add per coefficient of the
     tau_A^2 definition: the oracle for the regrouped integer route of
-    partial_sum_even."""
+    partial_sum_numerators."""
     system = f.system
     coeffs = reference_fourier_coeffs(f)
     return [sum((hd * c_A_sum(system, d, x) for d, hd in coeffs), Fraction(0)) for x in xs]
@@ -359,7 +359,7 @@ class TestFourier:
         for _ in range(30):
             r = rng.randint(1, 150)
             f = random_rational_even(r, rng)
-            assert mean_value(f) == coeff(fourier_coeffs(f), 1)
+            assert prop1_fractions(f)[0] == coeff(fourier_coeffs(f), 1)
 
 
 class TestFourierKernel:
@@ -455,20 +455,18 @@ class TestAEvenFunctions:
         back = reconstruct(coeffs)
         assert back.system == system
         assert back.value_map == {d: Fraction(v) for d, v in f.values}
-        mean = mean_value(f)
+        xs = (1, r, 3 * r + data.draw(st.integers(0, r), label="rest"))
+        mean, bound, _, sums = prop1_fractions(f, xs)
         assert mean == coeff(coeffs, 1) == Fraction(sum(f(n) for n in range(1, r + 1)), r)
-        bound = certified_residual_bound(f)
         assert bound == reference_bound(f)
-        assert type(mean) is type(bound) is Fraction
         # the residual has period r, so x <= r covers every x
         total = Fraction(0)
         for x in range(1, r + 1):
             total += f(x)
             assert abs(total - mean * x) <= bound
-        xs = (1, r, 3 * r + data.draw(st.integers(0, r), label="rest"))
-        for x, rep in zip(xs, partial_sum_even(f, xs), strict=True):
+        for x, exact in zip(xs, sums, strict=True):
             brute = sum(f(n) for n in range(1, x + 1))
-            assert rep.x == x and rep.exact_sum == brute and rep.passed
+            assert exact == brute and abs(exact - mean * x) <= bound
 
     @settings(max_examples=40, deadline=None)
     @given(spec=valid_specs(), data=st.data())
@@ -486,35 +484,50 @@ class TestAEvenFunctions:
         q = data.draw(st.integers(0, 10**9), label="q")
         rest = data.draw(st.integers(1, r), label="rest")
         xs = (1, rest, r, q * r + rest)
-        reports = partial_sum_even(f, xs)
-        for x, want, rep in zip(xs, per_coefficient_partial_sums(f, xs), reports, strict=True):
+        _, _, denominator = mean_and_bound(f)
+        sums = partial_sum_numerators(f, xs)
+        for x, want, total in zip(xs, per_coefficient_partial_sums(f, xs), sums, strict=True):
             # f has period r
             brute = x // r * sum(period) + sum(period[: x % r])
-            got = rep.exact_sum
-            assert got == want == brute
-            assert type(got) is Fraction
+            assert Fraction(total, denominator) == want == brute
 
     def test_unitary_bound_by_hand(self):
         # r = 12 under U: A(12) = {1, 3, 4, 12}, sigma_U(12) = 20, and
         # psi_U is 1, 4, 5, 20 on those members
         f = c_A_even(UNITARY, 12)
         assert max(abs(v) for _, v in f.values) == 6
-        assert certified_residual_bound(f) == 6 * Fraction(20, 12) * 30
+        _, bound, denominator = mean_and_bound(f)
+        assert Fraction(bound, denominator) == 6 * Fraction(20, 12) * 30
 
 
 class TestMeanValue:
+    """M(f) = M / D of `mean_and_bound`."""
+
     def test_ramanujan_sums(self):
-        assert mean_value(c_A_even(DIRICHLET, 1)) == 1
+        assert mean_and_bound(c_A_even(DIRICHLET, 1))[0] == 1
         for r in range(2, 120):
-            assert mean_value(c_A_even(DIRICHLET, r)) == 0
+            assert mean_and_bound(c_A_even(DIRICHLET, r))[0] == 0
 
     def test_constant(self):
-        mean = mean_value(EvenFunction.from_callable(30, lambda d: 1))
-        assert mean == 1 and type(mean) is Fraction
+        mean, _, denominator = mean_and_bound(EvenFunction.from_callable(30, lambda d: 1))
+        assert mean == denominator == 30
 
     def test_two_term_hand_evaluation(self):
         f = c_A_even(DIRICHLET, 2)
-        assert mean_value(f) == Fraction(ramanujan_c(1, 2) + ramanujan_c(2, 2), 2) == 0
+        assert prop1_fractions(f)[0] == Fraction(ramanujan_c(1, 2) + ramanujan_c(2, 2), 2) == 0
+
+    @pytest.mark.parametrize("system", [UNITARY, MIX], ids=["U", "MIX"])
+    def test_is_the_inner_product_with_one(self, system):
+        # the mean's definition, (1/r) sum_{n<=r} f(n) = <f, 1>, read over
+        # all divisors of r with phi, against M / D over A(r) with phi_A
+        rng = random.Random(35)
+        for r in range(1, 200):
+            one = EvenFunction.from_callable(r, lambda d: 1)
+            drawn = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for d in divisor_set(system, r)}
+            rational = EvenFunction.from_callable(r, lambda d: drawn[gcd_A(system, d, r)], system)
+            for f in (c_A_even(system, r), rational):
+                mean, _, denominator = mean_and_bound(f)
+                assert Fraction(mean, denominator) == inner_product(f, one), (r, f)
 
 
 class TestProgressionTotient:
@@ -535,11 +548,32 @@ class TestProgressionTotient:
     def test_mean_matches_tabulated_route(self):
         for n in range(1, 80):
             f = progression_totient_even(1, n)
-            assert mean_value(f) == progression_totient_mean(1, n)
+            assert prop1_fractions(f)[0] == progression_totient_mean(1, n)
 
     def test_tabulation_needs_coprime_modulus(self):
         with pytest.raises(ValueError):
             progression_totient_even(5, 10)
+
+    @pytest.mark.parametrize(
+        "s, n, message",
+        [(2, 4, "s and n must be coprime, got gcd(2, 4) = 2"),
+         (0, 5, "s and n must be >= 1, got s=0, n=5"),
+         (-3, 5, "s and n must be >= 1, got s=-3, n=5"),
+         (0, 1, "s and n must be >= 1, got s=0, n=1"),
+         (1, 0, "s and n must be >= 1, got s=1, n=0")],
+        ids=["shared factor", "s zero", "s negative", "s zero at n 1", "n zero"],
+    )
+    def test_one_domain_for_all_three(self, s, n, message):
+        # the count, its tabulation and its mean take the same (s, n), with
+        # the same message: none answers where the tabulation is refused
+        for call in (lambda: progression_totient(s, 1, n), lambda: progression_totient_even(s, n),
+                     lambda: progression_totient_mean(s, n)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    def test_count_needs_a_positive_step(self):
+        with pytest.raises(ValueError, match="d must be >= 1, got d=0"):
+            progression_totient(1, 0, 5)
 
     def test_empirical_average_at_period(self):
         for n in (2, 6, 12):
@@ -558,42 +592,48 @@ class TestPartialSumEven:
             f = c_A_even(system, r) if system else EvenFunction.from_callable(r, lambda d: d % 5)
             coeffs = fourier_coeffs(f)
             assert coeffs.members[0] == 1
-            assert Fraction(coeffs.numerators[0], coeffs.denominator) == mean_value(f) == coeff(coeffs, 1)
+            mean, _, denominator = mean_and_bound(f)
+            assert (coeffs.numerators[0], coeffs.denominator) == (mean, denominator)
+            assert Fraction(mean, denominator) == coeff(coeffs, 1)
 
     def test_one_transform_for_every_x(self, count_calls):
         calls = count_calls(even, "fourier_coeffs")
         f = EvenFunction.from_callable(36, lambda d: Fraction(d % 7 - 3, d % 5 + 1))
-        reports = partial_sum_even(f, [1, 36, 10**3, 10**12])
+        xs = [1, 36, 10**3, 10**12]
+        sums = partial_sum_numerators(f, xs)
         assert len(calls) == 1
-        assert [rep.x for rep in reports] == [1, 36, 10**3, 10**12]
-        assert all(rep.main_term == mean_value(f) * rep.x and rep.passed for rep in reports)
+        mean, bound, _ = mean_and_bound(f)
+        assert all(abs(total - mean * x) <= bound for x, total in zip(xs, sums, strict=True))
         # every x is checked before the transform runs
         with pytest.raises(ValueError, match="x must be >= 1, got 0"):
-            partial_sum_even(f, [10, 0])
+            partial_sum_numerators(f, [10, 0])
         assert len(calls) == 1
 
     def test_constant_zero_residual(self):
         one = EvenFunction.from_callable(12, lambda d: 1)
-        for x in (1, 10, 10**4):
-            (rep,) = partial_sum_even(one, [x])
-            assert rep.residual == 0 and rep.passed
+        xs = [1, 10, 10**4]
+        mean, _, denominator = mean_and_bound(one)
+        assert partial_sum_numerators(one, xs) == [mean * x for x in xs] == [denominator * x for x in xs]
 
     def test_ramanujan_mod_6(self):
-        (rep,) = partial_sum_even(c_A_even(DIRICHLET, 6), [10**4])
+        f = c_A_even(DIRICHLET, 6)
+        _, _, denominator = mean_and_bound(f)
+        (total,) = partial_sum_numerators(f, [10**4])
         brute = sum(ramanujan_c(n, 6) for n in range(1, 10**4 + 1))
-        assert rep.exact_sum == brute
-        assert abs(rep.exact_sum) <= 12
+        assert Fraction(total, denominator) == brute
+        assert abs(brute) <= 12
 
     def test_random_within_certified_bound(self):
         rng = random.Random(41)
         for _ in range(15):
             r = rng.randint(1, 50)
             f = random_rational_even(r, rng)
-            for x in (10**3, 10**4):
-                (rep,) = partial_sum_even(f, [x])
+            xs = [10**3, 10**4]
+            mean, bound, tallies, sums = prop1_fractions(f, xs)
+            for x, tally, exact in zip(xs, tallies, sums, strict=True):
                 brute = sum(Fraction(f.value_map[gcd(n, r)]) for n in range(1, x + 1))
-                assert rep.exact_sum == brute
-                assert rep.passed
+                assert exact == tally == brute
+                assert abs(exact - mean * x) <= bound
 
     def test_bound_formula(self):
         f = c_A_even(DIRICHLET, 6)
@@ -602,5 +642,5 @@ class TestPartialSumEven:
             * Fraction(sigma(6), 6)
             * sum(psi_A(DIRICHLET, q) for q in divisors(6))
         )
-        bound = certified_residual_bound(f)
-        assert bound == expected and type(bound) is Fraction
+        _, bound, denominator = mean_and_bound(f)
+        assert Fraction(bound, denominator) == expected

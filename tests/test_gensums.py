@@ -4,16 +4,16 @@ from math import gcd
 import pytest
 
 from ramlab import gensums
-from ramlab.arith import ramanujan_c
+from ramlab.arith import factorize, ramanujan_c
 from ramlab.gensums import (
     c_A,
     c_A_column,
     c_A_core,
     c_A_divisor,
     c_A_oracle,
-    partial_sum_cA,
+    c_A_sum,
 )
-from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, gcd_A, phi_A, psi_A
+from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, gcd_A, mu_A, phi_A, psi_A
 
 
 class TestDivisorRoute:
@@ -102,39 +102,53 @@ class TestIdentities:
 class TestPartialSum:
     def test_modulus_one(self, any_system):
         for x in (1, 17, 1000):
-            rep = partial_sum_cA(any_system, 1, x)
-            assert rep.exact_sum == x and rep.residual == 0 and rep.passed
+            assert c_A_sum(any_system, 1, x) == x
 
     def test_unitary_example(self):
-        rep = partial_sum_cA(UNITARY, 4, 10)
-        assert rep.exact_sum == -2
-        assert rep.certified_bound == psi_A(UNITARY, 4) == 5
-        assert rep.passed
+        exact = c_A_sum(UNITARY, 4, 10)
+        assert exact == -2 and abs(exact) <= psi_A(UNITARY, 4) == 5
 
     def test_dirichlet_example(self):
-        rep = partial_sum_cA(DIRICHLET, 6, 100)
-        assert abs(rep.residual) <= psi_A(DIRICHLET, 6) == 12
+        exact = c_A_sum(DIRICHLET, 6, 100)
+        assert abs(exact) <= psi_A(DIRICHLET, 6) == 12
         brute = sum(ramanujan_c(n, 6) for n in range(1, 101))
-        assert rep.exact_sum == brute
+        assert exact == brute
 
     def test_closed_form_matches_brute(self, any_system):
         for r in range(1, 51):
             for x in (1, 7, 100, 731):
-                rep = partial_sum_cA(any_system, r, x)
+                exact = c_A_sum(any_system, r, x)
                 brute = sum(c_A_divisor(any_system, n, r) for n in range(1, x + 1))
-                assert rep.exact_sum == brute
-                assert rep.residual == rep.exact_sum - rep.main_term
-                assert rep.passed
-
-    def test_real_x_floors(self):
-        assert partial_sum_cA(DIRICHLET, 6, 100.9) == partial_sum_cA(DIRICHLET, 6, 100)
+                assert exact == brute
+                assert abs(exact - (x if r == 1 else 0)) <= psi_A(any_system, r)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            partial_sum_cA(DIRICHLET, 6, 0)
+        for r, x in ((6, -1), (0, 10)):
+            with pytest.raises(ValueError, match="c_A_sum requires r >= 1, x >= 0"):
+                c_A_sum(DIRICHLET, r, x)
+
+    @pytest.mark.parametrize("r", [1, 12, 360, 720720])
+    def test_reads_the_types_once_and_lists_no_members(self, count_calls, any_system, r):
+        # the 2^omega(r) signed terms come from one prime_power_types call;
+        # A(r) is never listed and mu_A never evaluated
+        types = count_calls(gensums, "prime_power_types")
+        sets = count_calls(gensums, "divisor_set")
+        mus = count_calls(gensums, "mu_A")
+        exact = c_A_sum(any_system, r, 10**6)
+        assert (len(types), sets, mus) == (1, [], [])
+        assert exact == sum(d * mu_A(any_system, r // d) * (10**6 // d)
+                            for d in divisor_set(any_system, r))
 
 
 class TestColumn:
+    @pytest.mark.parametrize("r", [1, 12, 360, 720720])
+    def test_one_product_per_prime(self, count_calls, any_system, r):
+        # omega(r) periodic factors, each cycled once along the period
+        cycles = count_calls(gensums, "cycle")
+        column = c_A_column(any_system, r, 2000)
+        assert len(cycles) == len(factorize(r))
+        assert column == [c_A(any_system, n, r) for n in range(1, 2001)]
+
     def test_against_routes(self, any_system):
         columns = {r: c_A_column(any_system, r, 30) for r in range(1, 31)}
         for r, column in columns.items():

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from ramlab import cli, even, verify
 from ramlab.cli import MAX_TERMS
 from ramlab.arith import divisors, primes_up_to
-from ramlab.even import EvenFunction, FourierCoeffs, c_A_even, fourier_coeffs, partial_sum_even
-from ramlab.gensums import PartialSumReport, c_A_divisor
+from ramlab.even import EvenFunction, FourierCoeffs, c_A_even, fourier_coeffs
+from ramlab.gensums import c_A_divisor
 from ramlab.systems import (
     DIRICHLET,
     MIX,
@@ -38,7 +38,6 @@ from ramlab.verify import (
     find_orthogonality_violation,
     mean_product_empirical,
     mean_product_exact,
-    mean_value_check,
     orthogonality_report,
 )
 from ramlab.verify import _in_order_limit, _moebius_square_sums, _square_tail
@@ -49,6 +48,7 @@ from conftest import (
     SPEC_B,
     euler_phi,
     in_scope_moduli,
+    prop1_fractions,
     sigma,
     valid_specs,
 )
@@ -455,26 +455,30 @@ class TestExpansionDemo:
 
 
 class TestMeanValueCheck:
+    """Prop 1's quantities of one function: its tally, mean and bound."""
+
     def test_trivial_function(self):
         f = c_A_even(DIRICHLET, 1)
-        for rep in mean_value_check(f, [1, 10, 500]):
-            assert rep.residual == 0 and rep.passed
+        xs = [1, 10, 500]
+        mean, _, tallies, _ = prop1_fractions(f, xs)
+        assert tallies == [mean * x for x in xs] == xs
 
     def test_progression_totient_mod_2(self):
         from ramlab.even import progression_totient_even, progression_totient_mean
 
         f = progression_totient_even(1, 2)
-        (rep,) = mean_value_check(f, [10**4])
-        assert rep.main_term == progression_totient_mean(1, 2) * 10**4
-        assert rep.passed
+        mean, bound, (tally,), _ = prop1_fractions(f, [10**4])
+        assert mean == progression_totient_mean(1, 2)
+        assert abs(tally - mean * 10**4) <= bound
 
     def test_random_rational_on_36(self):
         rng = random.Random(8)
         f = EvenFunction.from_callable(
             36, lambda d: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         )
-        for rep in mean_value_check(f, [10**3, 10**4]):
-            assert rep.passed
+        xs = [10**3, 10**4]
+        mean, bound, tallies, _ = prop1_fractions(f, xs)
+        assert all(abs(tally - mean * x) <= bound for x, tally in zip(xs, tallies))
 
     def test_prop1_transforms_each_function_once(self, count_calls):
         # 30 sums c_A(., r), one progression totient and 10 drawn functions,
@@ -520,10 +524,33 @@ class TestMeanValueCheck:
         # side, all from one per-prime pass and one integer scaling
         f = make()
         calls = count_calls(even, "_per_prime")
-        oracle = mean_value_check(f, [100, 1000])
-        closed = partial_sum_even(f, [100, 1000])
-        assert oracle == closed and all(rep.passed for rep in closed)
+        rows, passed = verify._mean_rows(f, [100, 1000])
+        assert passed and len(rows) == 2
         assert [r for _, r in calls] == [360]
+
+
+class TestPartialSums:
+    """Prop 2's rows: c_A_sum against its bound psi_A(r) and the period tally."""
+
+    def test_prop2_reads_each_bound_once_per_modulus(self, count_calls):
+        # psi_A once per r and c_A_sum once per row; the tally reads the
+        # kernel's column, never c_A_sum
+        bounds = count_calls(verify, "psi_A")
+        sums = count_calls(verify, "c_A_sum")
+        ((_, rows, passed),) = check_propositions(["prop2"], UNITARY, 50, 1000)
+        assert passed and len(rows) == 50 * 6
+        assert [r for _, r in bounds] == list(range(1, 51))
+        assert len(sums) == 300
+
+    def test_prop2_fails_exactly_the_rows_past_a_zero_bound(self, monkeypatch):
+        # with psi_A read as 0 a row may pass only with a zero residual: the
+        # bound half of the rule decides, as the tally half still holds
+        monkeypatch.setattr(verify, "psi_A", lambda system, r: 0)
+        ((_, rows, passed),) = check_propositions(["prop2"], MIX, 30, 1000)
+        flags = [row[-1] for row in rows]
+        assert not passed and {row[5] for row in rows} == {0}
+        assert flags == ["true" if row[4] == 0 else "false" for row in rows]
+        assert set(flags) == {"true", "false"}
 
 
 PRIME_POWERS = (2, 4, 64, 256, 3, 27, 243, 5, 125, 7, 343, 11, 121, 397)
@@ -534,7 +561,7 @@ VALUES = {
 
 
 def full_loop_sum(f: EvenFunction, x: int):
-    """The tally over every n <= x: the reference for mean_value_check."""
+    """The tally over every n <= x: the reference for `verify._tally`."""
     counts = Counter(gcd(n, f.r) for n in range(1, x + 1))
     return sum((f.value_map[d] * c for d, c in counts.items()), Fraction(0))
 
@@ -566,10 +593,8 @@ class TestMeanValueCheckTally:
             q * r,
             q * r + data.draw(st.integers(0, r - 1), label="rest"),
         ]
-        for x, rep in zip(xs, mean_value_check(f, xs)):
-            want = full_loop_sum(f, x)
-            assert rep.exact_sum == want
-            assert type(rep.exact_sum) is type(want)
+        sums, scale = verify._tally(f, xs)
+        assert [Fraction(s, scale) for s in sums] == [full_loop_sum(f, x) for x in xs]
 
     @pytest.mark.parametrize("r", [1, 397, 360, 5040])
     @pytest.mark.parametrize("x", [10**12, 10**12 + 396])
@@ -578,8 +603,8 @@ class TestMeanValueCheckTally:
         # than running a loop over every n <= x
         count_calls(verify, "gcd", limit=2 * r)
         f = EvenFunction.from_callable(r, lambda d: Fraction(d % 7 - 3, d % 5 + 1))
-        (rep,) = mean_value_check(f, [x])
-        assert [rep] == partial_sum_even(f, [x])
+        _, _, (tally,), (exact,) = prop1_fractions(f, [x])
+        assert tally == exact
 
 
     def test_refuses_past_the_tally_budget_before_any_tally(self, monkeypatch):
@@ -591,23 +616,24 @@ class TestMeanValueCheckTally:
         monkeypatch.setattr("ramlab.verify.gcd", refuse)
         # min(x, r) is what the tally pays; the first x is fine and still untallied
         with pytest.raises(ValueError, match=f"needs min\\(x, r\\) at most {cap}"):
-            mean_value_check(f, [100, cap + 1])
+            verify._tally(f, [100, cap + 1])
         monkeypatch.undo()
         small = EvenFunction.from_callable(12, lambda d: d)
-        (rep,) = mean_value_check(small, [10**15])
-        assert [rep] == partial_sum_even(small, [10**15])
+        _, _, (tally,), (exact,) = prop1_fractions(small, [10**15])
+        assert tally == exact
 
 
 def reference_rows(f: EvenFunction, xs: list[int]) -> list[list]:
-    """Prop 1's rows of one function composed in Fractions from the public
-    reports, as the battery made them before it decided in integers: a row
-    passes when the brute-force sum is within its bound and equals the
+    """Prop 1's rows of one function composed in Fractions, as the battery
+    made them before it decided in integers: a row passes when the
+    brute-force sum is within its bound of the main term and equals the
     closed form."""
+    mean, bound, tallies, sums = prop1_fractions(f, xs)
     rows = []
-    for rep, closed in zip(mean_value_check(f, xs), partial_sum_even(f, xs), strict=True):
-        ok = rep.passed and closed.exact_sum == rep.exact_sum
-        rows.append([f.r, rep.x, rep.exact_sum, rep.main_term, rep.residual, rep.certified_bound,
-                     "true" if ok else "false"])
+    for x, tally, exact in zip(xs, tallies, sums, strict=True):
+        residual = tally - mean * x
+        ok = abs(residual) <= bound and exact == tally
+        rows.append([f.r, x, tally, mean * x, residual, bound, "true" if ok else "false"])
     return rows
 
 
@@ -632,6 +658,14 @@ def period_xs(data, r: int) -> list[int]:
     q = data.draw(st.integers(1, 3), label="q")
     return [data.draw(st.integers(1, r), label="x <= r"), q * r,
             q * r + data.draw(st.integers(0, r - 1), label="rest")]
+
+
+def within_bound(system: RegularSystem, r: int) -> bool:
+    try:
+        divisor_set(system, r)
+    except ExponentOutOfScopeError:
+        return False
+    return True
 
 
 def battery_and_reference(system, r_max, x_max, extra=None):
@@ -675,7 +709,12 @@ class TestMeanRowsDifferential:
         system = data.draw(SYSTEMS, label="system")
         extra = data.draw(even_functions(system), label="extra")
         x_max = data.draw(st.sampled_from(period_xs(data, extra.r)), label="x_max")
-        r_max = data.draw(st.integers(1, 12), label="r_max")
+        # the battery reads every modulus up to r_max, so r_max stays below
+        # the first one past a table prime's exponent bound
+        limit = 1
+        while limit < 12 and within_bound(system, limit + 1):
+            limit += 1
+        r_max = data.draw(st.integers(1, limit), label="r_max")
         header, rows, passed, want = battery_and_reference(system, r_max, x_max, extra)
         assert_same_cells(header, rows, want)
         assert passed == all(row[-1] == "true" for row in want)
@@ -683,7 +722,8 @@ class TestMeanRowsDifferential:
     @pytest.mark.parametrize("corrupt", ["closed form", "mean", "bound"])
     def test_a_corrupted_side_fails_the_same_rows(self, corrupt, monkeypatch):
         # each corruption rebinds the name in both modules, so the reference
-        # (through even's reports) and the rows (through verify) read it alike
+        # (through even, in `prop1_fractions`) and the rows (through verify)
+        # read it alike
         name, wrong = {
             "closed form": ("partial_sum_numerators", lambda sums: [t + 1 for t in sums]),
             "mean": ("mean_and_bound", lambda mbd: (mbd[0] + 1, *mbd[1:])),
@@ -702,12 +742,6 @@ class TestMeanRowsDifferential:
 
 
 class TestReports:
-    def test_partial_sum_derived_fields(self):
-        rep = PartialSumReport(x=1, exact_sum=Fraction(7, 2), main_term=1, certified_bound=2)
-        assert rep.residual == Fraction(5, 2)
-        assert not rep.passed
-        assert PartialSumReport(1, -2, 0, 2).passed
-
     def test_verdict_is_derived(self):
         # a nonzero mean on the diagonal is no violation, and r != s decides
         # by the mean alone, so a contradictory verdict cannot be built
@@ -717,8 +751,8 @@ class TestReports:
 
     @pytest.mark.parametrize(
         "record",
-        ["RegularSystem", "EvenFunction", "PartialSumReport", "FourierCoeffs",
-         "OrthogonalityReport", "Prop4Witness", "ExpansionResult"],
+        ["RegularSystem", "EvenFunction", "FourierCoeffs", "OrthogonalityReport", "Prop4Witness",
+         "ExpansionResult"],
     )
     def test_every_record_is_immutable(self, record):
         f = c_A_even(UNITARY, 12)
@@ -726,7 +760,7 @@ class TestReports:
             "RegularSystem": (MIX, ("types", "default", "a_max", "name")),
             "EvenFunction": (f, ("r", "values", "system")),
         }
-        for rec in (partial_sum_even(f, [5])[0], fourier_coeffs(f), orthogonality_report(MIX, 2, 4),
+        for rec in (fourier_coeffs(f), orthogonality_report(MIX, 2, 4),
                     additive_closure_witness(MIX, 2), expansion_demo(6, 10)):
             instances[type(rec).__name__] = (rec, rec._fields)
         rec, fields = instances[record]
@@ -739,10 +773,9 @@ class TestReports:
             assert getattr(rec, field) is before
 
     def test_result_records_are_tuples_of_their_fields(self):
-        # the five result records are NamedTuples: iterable, and equal to
+        # the four result records are NamedTuples: iterable, and equal to
         # the tuple of their fields
-        for cls in (PartialSumReport, FourierCoeffs, OrthogonalityReport, Prop4Witness,
-                    ExpansionResult):
+        for cls in (FourierCoeffs, OrthogonalityReport, Prop4Witness, ExpansionResult):
             assert issubclass(cls, tuple)
-        rep = PartialSumReport(1, Fraction(7, 2), 1, 2)
-        assert rep == (1, Fraction(7, 2), 1, 2) and list(rep) == [1, Fraction(7, 2), 1, 2]
+        rep = OrthogonalityReport("U", 2, 4, 1, Fraction(1))
+        assert rep == ("U", 2, 4, 1, Fraction(1)) and list(rep) == ["U", 2, 4, 1, Fraction(1)]
