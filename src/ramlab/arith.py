@@ -14,6 +14,7 @@ from typing import Iterator
 
 __all__ = [
     "primes_up_to",
+    "smallest_prime_powers",
     "factorize",
     "divisors",
     "moebius",
@@ -41,6 +42,31 @@ def primes_up_to(limit: int) -> Iterator[int]:
 
 
 _SMALL_PRIMES = list(primes_up_to(1000))
+
+
+def smallest_prime_powers(limit: int) -> Iterator[tuple[int, int, int, int]]:
+    """(r1, p, a, p^a) for r = 2, 3, ..., limit in turn, with r = p^a r1,
+    p the smallest prime of r and r1 prime to p: each modulus as a prime
+    power times a smaller cofactor, so a multiplicative function of every
+    r <= limit is one product per modulus.
+
+    One sieve holds the smallest prime of each composite r <= limit, 2
+    bytes per modulus, written from the primes up to isqrt(limit); 0 marks
+    a prime. That smallest prime is at most isqrt(limit), so it fits in 2
+    bytes for every limit < 2^32. Each r then costs a + 1 Python-level
+    divisions and no trial division."""
+    if limit < 0:
+        raise ValueError(f"smallest_prime_powers requires limit >= 0, got {limit}")
+    smallest = array("H", bytes(2 * (limit + 1)))
+    # the largest prime first, so that each smaller one overwrites its multiples
+    for p in reversed(list(primes_up_to(isqrt(limit)))):
+        smallest[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
+    for r in range(2, limit + 1):
+        p = smallest[r] or r
+        high, r1, a = p, r // p, 1
+        while r1 % p == 0:
+            high, r1, a = high * p, r1 // p, a + 1
+        yield r1, p, a, high
 
 
 # not cached: the callers whose arguments recur, `divisors` and

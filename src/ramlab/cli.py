@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from array import array
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -25,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import gensums, verify
 from .even import EvenFunction
-from .systems import InvalidSystemError, RegularSystem, gamma_A, load_system, mu_A, phi_A, psi_A
+from .systems import InvalidSystemError, RegularSystem, load_system, multiplicative_table
 
 # `entrypoint` is the console script and `python -m ramlab`
 __all__ = ["build_parser", "entrypoint", "main"]
@@ -55,10 +54,11 @@ MAX_RMAX = 3000
 
 # Every table keeps its values in one flat sequence, `--what cA` a list and
 # the other tables an array of 8-byte ints (each value is at most sigma(r) <
-# 2^63). Rows "... table at the row cap ...": square cA under MIX in each
-# format, one row (--nmax 1, under U, most of it factorizing), four columns
-# under D and `--what phiA` under U; "A ... table of many chunks writes
-# every row once" and "The table refuses more rows than its cap"
+# 2^63), built in one walk over the moduli with one product per modulus.
+# Rows "... table at the row cap ...": square cA under MIX in each format,
+# one row (--nmax 1, under U), four columns under D, and `--what phiA`,
+# psiA, gammaA and muA under U; "A ... table of many chunks writes every
+# row once" and "The table refuses more rows than its cap"
 MAX_TABLE_ROWS = 2**18
 
 # rows per emitted text, at most: `main` writes each text before the next is
@@ -297,11 +297,9 @@ def _cmd_table(args) -> list:
     system = load_system(args.system)
     moduli = range(1, args.rmax + 1)
     if args.what == "cA":
-        columns = (gensums.c_A_column(system, r, n_max) for r in moduli)
-        return [(["n", "r", "value"], _Grid(moduli, n_max, list(chain.from_iterable(columns))), True)]
-    fn = {"phiA": phi_A, "psiA": psi_A, "gammaA": gamma_A, "muA": mu_A}[args.what]
-    values = array("q", (fn(system, r) for r in moduli))
-    return [(["r", "value"], _Grid(moduli, 1, values), True)]
+        grid = _Grid(moduli, n_max, gensums.c_A_grid(system, args.rmax, n_max))
+        return [(["n", "r", "value"], grid, True)]
+    return [(["r", "value"], _Grid(moduli, 1, multiplicative_table(system, args.what, args.rmax)), True)]
 
 
 def _cmd_verify(args) -> list:

@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from math import floor, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
@@ -359,21 +359,22 @@ def mean_and_bound(f: EvenFunction) -> tuple[int, int, int]:
     return sum(map(mul, values, phis)), max(map(abs, values)) * sigma_a * total, f.r * scale
 
 
-def partial_sum_numerators(f: EvenFunction, x_list: Sequence) -> list[int]:
+def partial_sum_numerators(f: EvenFunction, x_list: Sequence[int]) -> list[int]:
     """T(x) with sum_{n<=x} f(n) = T(x) / D for each x in `x_list`, D = r L
     the denominator of `mean_and_bound`, via the Fourier decomposition, f
-    transformed once for all of them.
+    transformed once for all of them. Each x is an int >= 0, the domain of
+    `gensums.c_A_sum`, and T(0) = 0.
 
     sum_{n<=x} f(n) = sum_{d in A(r)} h(d) sum_{n<=x} c_A(n, d), each inner
-    sum in closed form, so the cost is in |A(r)|, not x. With X = floor(x)
-    and h(d) = S2(d) / (r L) from `fourier_coeffs`, the sum is regrouped by
-    the members e of A(r):
+    sum in closed form, so the cost is in |A(r)|, not x. With h(d) =
+    S2(d) / (r L) from `fourier_coeffs`, the sum is regrouped by the
+    members e of A(r):
 
-        T(x) = sum_d S2(d) c_A_sum(d, X) = sum_{e in A(r)} e floor(X/e) G(e),
+        T(x) = sum_d S2(d) c_A_sum(d, x) = sum_{e in A(r)} e floor(x/e) G(e),
         G(e) = sum_{d in A(r), e in A(d)} mu_A(d/e) S2(d).
 
-    Proof. `gensums.c_A_sum` gives sum_{n<=X} c_A(n, d) = sum_{e in A(d)}
-    mu_A(d/e) e floor(X/e). Every e in A(d) is in A(r), since A(d) is a
+    Proof. `gensums.c_A_sum` gives sum_{n<=x} c_A(n, d) = sum_{e in A(d)}
+    mu_A(d/e) e floor(x/e). Every e in A(d) is in A(r), since A(d) is a
     subset of A(r) for d in A(r), so swapping the two finite sums gives the
     identity term for term. On the axis (q, k) of p^a || r of type t, d and
     e have exponents i and j of q; p^(it) has type t by the chain rule, so
@@ -383,10 +384,10 @@ def partial_sum_numerators(f: EvenFunction, x_list: Sequence) -> list[int]:
     matrices with 1 on the diagonal and -1 just above it, one more pass of
     the transform."""
     for x in x_list:
-        if x < 1:
-            raise ValueError(f"x must be >= 1, got {x}")
+        if type(x) is not int or x < 0:
+            raise ValueError(f"x must be an int >= 0, got {x!r}")
     coeffs = fourier_coeffs(f)
     diffs = [_axis_matrices(q, k)[2] for q, k in coeffs.axes]
     grouped = _kron_apply(diffs, list(coeffs.numerators))
     terms = [(e, g) for e, g in zip(coeffs.members, grouped) if g]
-    return [sum(g * e * (big_x // e) for e, g in terms) for big_x in map(floor, x_list)]
+    return [sum(g * e * (x // e) for e, g in terms) for x in x_list]

@@ -1,17 +1,20 @@
 """Generalized Ramanujan sums c_A(n, r): one kernel and three cross-checks.
 
-The kernel (`c_A`, and `c_A_column` for many n at one modulus) is the hot
-path: the CLI's `table --what cA`, the empirical means in `verify` and
-`even.c_A_even` use it. For a regular system c_A(n, r) is
-multiplicative in r, and since mu_A vanishes on p^(jt) for j >= 2, at a
-prime power p^a of type t it is
+The kernel is the hot path: `c_A` for one value, `c_A_column` for many n
+at one modulus (the empirical means in `verify`, `even.c_A_even`), and
+`c_A_grid` for every modulus up to a bound (the CLI's `table --what cA`).
+For a regular system c_A(n, r) is multiplicative in r, and since mu_A
+vanishes on p^(jt) for j >= 2, at a prime power p^a of type t it is
 
     c_A(n, p^a) = p^a [p^a | n] - p^(a-t) [p^(a-t) | n].
 
 `c_A` multiplies these local factors for one n. `c_A_column` builds each
 factor as a list periodic in n mod p^a and multiplies the lists entrywise
 into one period of c_A(., r), so a column costs omega(r) list products of
-length min(r, n_max) and no Python-level call per n.
+length min(r, n_max) and no Python-level call per n. `c_A_grid` walks the
+moduli in increasing order from one sieve and builds column r = p^a r1
+from column r1, already built, and the one factor at p^a: one list
+product per modulus, and no factorization.
 
 Three independent routes stay as the references the kernel is checked
 against. Route 1 (divisor form): d * mu_A(r/d) summed over A((n, r)_A),
@@ -40,11 +43,13 @@ from .systems import (
     gcd_A,
     mu_A,
     prime_power_types,
+    prime_power_walk,
 )
 
 __all__ = [
     "c_A",
     "c_A_column",
+    "c_A_grid",
     "c_A_divisor",
     "c_A_core",
     "c_A_oracle",
@@ -70,29 +75,53 @@ def c_A(system: RegularSystem, n: int, r: int) -> int:
     return _kernel_value(prime_power_types(system, r), n)
 
 
+def _times_local(period: list[int], high: int, low: int) -> list[int]:
+    # the period times the local factor at p^a = high of type t, low =
+    # p^(a-t), which is periodic in n mod p^a: p^a - p^(a-t) where p^a | n,
+    # -p^(a-t) where only p^(a-t) | n, 0 otherwise. The factor is built over
+    # its first min(p^a, len(period)) values, where p^a itself is the one
+    # multiple of p^a if it is reached, and cycled along the period
+    size = min(high, len(period))
+    factor = [0] * size
+    factor[low - 1::low] = [-low] * (size // low)
+    if size == high:
+        factor[-1] = high - low
+    return list(map(mul, period, cycle(factor)))
+
+
+def _repeat(period: list[int], r: int, n_max: int) -> list[int]:
+    # c_A(n, r) for n = 1..n_max from one period n = 1..min(r, n_max)
+    return period * (n_max // r) + period[:n_max % r]
+
+
 def c_A_column(system: RegularSystem, r: int, n_max: int) -> list[int]:
     """[c_A(n, r) for n = 1..n_max], factorizing r once.
 
     c_A(n, r) depends on n only through n mod r, so one period
-    n = 1..m, m = min(r, n_max), is built and repeated. The period is the
-    product of the local factors, each periodic in n mod p^a: p^a - p^(a-t)
-    where p^a | n, -p^(a-t) where only p^(a-t) | n, 0 otherwise. Each factor
-    is built over its first min(p^a, m) values, where p^a itself is the one
-    multiple of p^a if it is reached, and cycled along the period.
+    n = 1..m, m = min(r, n_max), is built and repeated: the product of the
+    omega(r) local factors, each periodic in n mod p^a, multiplied in as
+    lists of length m.
     """
     if r < 1:
         raise ValueError(f"c_A_column requires r >= 1, got r={r}")
-    m = min(r, n_max)
-    period = [1] * m
+    period = [1] * min(r, n_max)
     for _, _, _, high, low in prime_power_types(system, r):
-        size = min(high, m)
-        factor = [0] * size
-        factor[low - 1::low] = [-low] * (size // low)
-        if size == high:
-            factor[-1] = high - low
-        period = list(map(mul, period, cycle(factor)))
-    repeats, rest = divmod(n_max, r)
-    return period * repeats + period[:rest]
+        period = _times_local(period, high, low)
+    return _repeat(period, r, n_max)
+
+
+def c_A_grid(system: RegularSystem, r_max: int, n_max: int) -> list[int]:
+    """c_A(n, r) for r = 1..r_max and n = 1..n_max, column-major: c_A(n, r)
+    at index (r - 1) n_max + n - 1. Along `prime_power_walk`, column
+    r = p^a r1 is one period of column r1, already built, times the local
+    factor at p^a, repeated: one list product of length min(r, n_max) and
+    2 bytes of sieve per modulus, with no factorization and no cache."""
+    grid = [1] * n_max  # c_A(n, 1) = 1
+    for r, (r1, (_, _, _, high, low)) in enumerate(prime_power_walk(system, r_max), 2):
+        start = (r1 - 1) * n_max
+        period = _times_local(grid[start:start + min(r, n_max)], high, low)
+        grid += _repeat(period, r, n_max)
+    return grid
 
 
 def c_A_divisor(system: RegularSystem, n: int, r: int) -> int:
@@ -131,8 +160,8 @@ def c_A_sum(system: RegularSystem, r: int, x: int) -> int:
 
     Closed form: sum_{d in A(r)} d * mu_A(r/d) * floor(x/d), over the
     members d with mu_A(r/d) = +-1 only."""
-    if r < 1 or x < 0:
-        raise ValueError(f"c_A_sum requires r >= 1, x >= 0, got r={r}, x={x}")
+    if r < 1 or type(x) is not int or x < 0:
+        raise ValueError(f"c_A_sum requires r >= 1, x >= 0, x an int, got r={r}, x={x!r}")
     signed = [(1, 1)]  # (d, mu_A(r/d)) over the contributing d built so far
     for _, _, _, high, low in prime_power_types(system, r):
         signed = [(d * high, s) for d, s in signed] + [(d * low, -s) for d, s in signed]

@@ -12,12 +12,13 @@ entries alone.
 from __future__ import annotations
 
 import json
+from array import array
 from functools import lru_cache
-from itertools import count
+from itertools import count, starmap
 from math import prod
 from typing import Iterator, Sequence
 
-from .arith import factorize
+from .arith import factorize, smallest_prime_powers
 
 __all__ = [
     "RegularSystem",
@@ -34,6 +35,8 @@ __all__ = [
     "phi_A",
     "gamma_A",
     "psi_A",
+    "prime_power_walk",
+    "multiplicative_table",
     "system_from_dict",
     "load_system",
 ]
@@ -254,24 +257,69 @@ def gcd_A(system: RegularSystem, k: int, r: int) -> int:
     return out
 
 
+# Each A-function is multiplicative: the product, over the prime powers p^a
+# exactly dividing r, of one local factor read from the power's entry
+# (p, a, t, p^a, p^(a-t)) of `prime_power_types` or `prime_power_walk`. Each
+# factor is written here once, keyed by the name `ramlab table --what` gives
+# its function, and read both for one modulus and by `multiplicative_table`
+_LOCAL_FACTORS = {
+    "muA": lambda p, a, t, high, low: -1 if t == a else 0,
+    "phiA": lambda p, a, t, high, low: high - low,
+    "gammaA": lambda p, a, t, high, low: p * low,
+    "psiA": lambda p, a, t, high, low: high + low,
+}
+
+
+def _product(name: str, system: RegularSystem, r: int) -> int:
+    return prod(starmap(_LOCAL_FACTORS[name], prime_power_types(system, r)))
+
+
 def mu_A(system: RegularSystem, n: int) -> int:
     """Generalized Moebius function: -1 on A-primitive prime powers, 0 else."""
-    return prod(-1 if t == a else 0 for _, a, t, _, _ in prime_power_types(system, n))
+    return _product("muA", system, n)
 
 
 def phi_A(system: RegularSystem, r: int) -> int:
-    """Generalized Euler function: counts k mod r with (k, r)_A = 1."""
-    return prod(high - low for _, _, _, high, low in prime_power_types(system, r))
+    """Generalized Euler function: counts k mod r with (k, r)_A = 1;
+    multiplicative with p^a -> p^a - p^(a-t)."""
+    return _product("phiA", system, r)
 
 
 def gamma_A(system: RegularSystem, r: int) -> int:
     """Generalized core function, multiplicative with p^a -> p^(a - t + 1)."""
-    return prod(p * low for p, _, _, _, low in prime_power_types(system, r))
+    return _product("gammaA", system, r)
 
 
 def psi_A(system: RegularSystem, r: int) -> int:
     """Generalized Dedekind function, multiplicative with p^a -> p^a + p^(a-t)."""
-    return prod(high + low for _, _, _, high, low in prime_power_types(system, r))
+    return _product("psiA", system, r)
+
+
+def prime_power_walk(system: RegularSystem, limit: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(r1, (p, a, t, p^a, p^(a-t))) for r = 2, 3, ..., limit in turn: r's
+    smallest prime power p^a, t its type, and the cofactor r1 = r / p^a,
+    from one sieve (`arith.smallest_prime_powers`) with no cache. The entry
+    is shaped as in `prime_power_types`. p^a is typed only at moduli it
+    exactly divides, first at r = p^a, so the first prime power beyond the
+    system's bound is refused at the same r, with the same message, as by
+    `prime_power_types` over r = 1, 2, ..., limit."""
+    for r1, p, a, high in smallest_prime_powers(limit):
+        t = system.type_of(p, a)
+        yield r1, (p, a, t, high, p ** (a - t))
+
+
+def multiplicative_table(system: RegularSystem, name: str, limit: int) -> array:
+    """[f(r) for r = 1..limit] as 8-byte ints, f the A-function that
+    `ramlab table --what` calls `name`: muA, phiA, gammaA or psiA.
+
+    One product per modulus, f(r1) times the local factor at p^a, along
+    `prime_power_walk`: one sieve of 2 bytes per modulus and no
+    factorization. |f(r)| <= sigma(r), far below 2^63 at `table`'s row cap."""
+    local = _LOCAL_FACTORS[name]
+    values = array("q", [1])
+    for r1, entry in prime_power_walk(system, limit):
+        values.append(values[r1 - 1] * local(*entry))
+    return values
 
 
 def _integral(value):

@@ -1,4 +1,5 @@
 import cmath
+import random
 import time
 from math import gcd, isqrt, prod
 
@@ -14,6 +15,7 @@ from ramlab.arith import (
     moebius_sieve,
     primes_up_to,
     ramanujan_c,
+    smallest_prime_powers,
 )
 from ramlab.gensums import c_A_oracle
 from ramlab.systems import DIRICHLET, phi_A
@@ -101,6 +103,35 @@ class TestFactorize:
     def test_past_the_small_prime_table(self, n, expected):
         assert factorize(n) == expected
         assert_factorization(n)
+
+
+def _walk_agrees_with_factorize(r, r1, p, a, high):
+    # r = p^a r1 with p^a the first prime power of factorize(r) and r1 the rest
+    assert (high, high * r1) == (p**a, r), r
+    assert factorize(r) == ((p, a),) + factorize(r1), r
+
+
+class TestSmallestPrimePowers:
+    def test_every_modulus_to_2_14(self):
+        walk = list(smallest_prime_powers(2**14))
+        assert len(walk) == 2**14 - 1
+        for r, step in enumerate(walk, 2):
+            _walk_agrees_with_factorize(r, *step)
+
+    def test_seeded_moduli_to_2_18(self):
+        walk = list(smallest_prime_powers(2**18))
+        assert len(walk) == 2**18 - 1
+        for r in random.Random(18).sample(range(2, 2**18 + 1), 3000) + [2**18, 2**18 - 1, 262139]:
+            _walk_agrees_with_factorize(r, *walk[r - 2])
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 24, 25, 26, 121])
+    def test_small_limits(self, limit):
+        # around the squares of primes, where a smallest prime is first sieved
+        assert [high * r1 for r1, _, _, high in smallest_prime_powers(limit)] == list(range(2, limit + 1))
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="limit >= 0"):
+            list(smallest_prime_powers(-1))
 
 
 class TestDivisors:

@@ -189,16 +189,21 @@ class TestCommandTable:
         lookup = {(r["n"], r["r"]): r["value"] for r in rows}
         assert lookup[(2, 4)] == -1 and lookup[(4, 4)] == 3
 
+    @pytest.mark.parametrize("what", ["cA", "phiA", "psiA", "gammaA", "muA"])
     @pytest.mark.parametrize("rmax", [1, 30, 360])
-    def test_cA_column_factorizes_each_modulus_once(self, capsys, count_calls, rmax):
-        # with the per-prime cache cold, one factorize call per modulus r,
-        # and none for the single n
-        systems.prime_power_types.cache_clear()
+    def test_table_walks_one_sieve_and_factorizes_nothing(self, capsys, count_calls, what, rmax):
+        # every table comes from one sieve walk over its moduli: no trial
+        # division, and the per-modulus cache is neither read nor filled
+        sieves = count_calls(systems, "smallest_prime_powers")
         calls = [count_calls(module, "factorize") for module in (arith, systems)]
-        code, out, _ = run(capsys, "table", "--what", "cA", "--system", "D",
-                           "--rmax", str(rmax), "--nmax", "1", "--format", "csv")
+        cache = systems.prime_power_types.cache_info()
+        nmax = ["--nmax", "1"] if what == "cA" else []
+        code, out, _ = run(capsys, "table", "--what", what, "--system", "D",
+                           "--rmax", str(rmax), *nmax, "--format", "csv")
         assert code == EXIT_OK and len(out.splitlines()) == rmax + 1
-        assert sorted(n for module_calls in calls for (n,) in module_calls) == list(range(1, rmax + 1))
+        assert sieves == [(rmax,)]
+        assert calls == [[], []]
+        assert systems.prime_power_types.cache_info() == cache
 
     # MAX_TABLE_ROWS + 1 = 5 * 52429 rows
     @pytest.mark.parametrize(
@@ -214,9 +219,9 @@ class TestCommandTable:
         def refuse(*args):
             raise AssertionError("table started above its row cap")
 
+        # the system and the one sieve walk that every table is built from
         monkeypatch.setattr(cli, "load_system", refuse)
-        monkeypatch.setattr(gensums, "c_A_column", refuse)
-        monkeypatch.setattr(cli, "phi_A", refuse)
+        monkeypatch.setattr(systems, "smallest_prime_powers", refuse)
         code, out, err = run(capsys, "table", *argv)
         assert code == EXIT_USAGE
         assert out == ""
@@ -233,9 +238,7 @@ class TestCommandTable:
     )
     def test_rows_at_cap_accepted(self, capsys, monkeypatch, argv):
         emitted = []
-        monkeypatch.setattr(gensums, "c_A_column", lambda system, r, n_max: [0] * n_max)
-        monkeypatch.setattr(cli, "phi_A", lambda system, r: 0)
-        # rows may be a generator: count what the emitter would iterate; a
+        # the values are made as a run makes them, the text is not; rows may be a generator: count what the emitter would iterate; a
         # grid's rows are its cells, one per modulus and n
         def count(rows):
             if isinstance(rows, cli._Grid):
@@ -262,6 +265,16 @@ class TestCommandTable:
         assert code == EXIT_USAGE
         assert out == ""
         assert "2^4 exceeds declared exponent bound 3" in err
+
+    @pytest.mark.parametrize("what", ["cA", "phiA", "psiA", "gammaA", "muA"])
+    def test_walk_refuses_mix_at_2_17(self, capsys, what):
+        # every modulus below 2^17 is in MIX's scope and walked first; the
+        # refusal names 2^17, the first prime power beyond the bound
+        nmax = ["--nmax", "1"] if what == "cA" else []
+        code, out, err = run(capsys, "table", "--what", what, "--system", "MIX",
+                             "--rmax", "131072", *nmax)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "prime power 2^17 exceeds declared exponent bound 16\n"
 
     def test_main_never_holds_the_whole_output(self):
         # the square cap table's text is written chunk by chunk as it is made:
@@ -292,13 +305,13 @@ class TestCommandTable:
         [("cA", ["--nmax", "1"], "json"), ("phiA", [], "plain")],
         ids=["cA-one-row-json", "phiA-plain"],
     )
-    def test_tables_hold_no_object_per_modulus(self, monkeypatch, tmp_path, what, nmax, fmt):
+    def test_tables_hold_no_object_per_modulus(self, tmp_path, what, nmax, fmt):
         # a table holds its values in one flat sequence: no list per modulus
-        # (one-row cA) and no tuple per row (plain phiA). The values are
-        # stubbed, so the traced peak is what the table and its writer hold;
-        # a list per modulus or a tuple per row reads 1.6-2.5 MiB here
-        monkeypatch.setattr(gensums, "c_A_column", lambda system, r, n_max: [r % 5 - 2] * n_max)
-        monkeypatch.setattr(cli, "phi_A", lambda system, r: r % 251)
+        # (one-row cA) and no tuple per row (plain phiA). c_A(1, r) is
+        # mu_A(r), a small int that Python keeps once, and the phiA values
+        # are array cells, so the traced peak is what the table, its walk
+        # and its writer hold; a list per modulus or a tuple per row reads
+        # 1.6-2.5 MiB here
         out = tmp_path / "table"
 
         def table(rmax):

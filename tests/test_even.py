@@ -605,9 +605,24 @@ class TestPartialSumEven:
         mean, bound, _ = mean_and_bound(f)
         assert all(abs(total - mean * x) <= bound for x, total in zip(xs, sums, strict=True))
         # every x is checked before the transform runs
-        with pytest.raises(ValueError, match="x must be >= 1, got 0"):
-            partial_sum_numerators(f, [10, 0])
+        with pytest.raises(ValueError, match="x must be an int >= 0, got -1"):
+            partial_sum_numerators(f, [10, -1])
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("system", [DIRICHLET, UNITARY, MIX], ids=lambda s: s.name)
+    def test_one_domain_with_c_A_sum(self, system):
+        # both closed forms of a partial sum take every int x >= 0, the empty
+        # sum at 0 included, and refuse anything else rather than flooring it
+        f = c_A_even(system, 12)
+        _, _, denominator = mean_and_bound(f)
+        xs = [0, 1, 11, 12, 13, 1000]
+        assert partial_sum_numerators(f, xs) == [denominator * c_A_sum(system, 12, x) for x in xs]
+        assert partial_sum_numerators(f, [0]) == [0] == [c_A_sum(system, 12, 0)]
+        for x in (-1, 2.5, 3.0, True, Fraction(7)):
+            with pytest.raises(ValueError, match="x must be an int >= 0"):
+                partial_sum_numerators(f, [x])
+            with pytest.raises(ValueError, match="c_A_sum requires r >= 1, x >= 0, x an int"):
+                c_A_sum(system, 12, x)
 
     def test_constant_zero_residual(self):
         one = EvenFunction.from_callable(12, lambda d: 1)

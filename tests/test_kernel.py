@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramlab.arith import divisors, factorize, primes_up_to, ramanujan_c
-from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor, c_A_sum
+from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor, c_A_grid, c_A_sum
 from ramlab.systems import (
     DIRICHLET,
     MIX,
@@ -28,6 +28,7 @@ from ramlab.systems import (
     gamma_A,
     gcd_A,
     mu_A,
+    multiplicative_table,
     phi_A,
     psi_A,
     system_from_dict,
@@ -183,6 +184,52 @@ def test_column_far_below_its_prime_powers(system, r, n_max):
     start = time.perf_counter()
     assert c_A_column(system, r, n_max) == expected
     assert time.perf_counter() - start < 0.5
+
+
+A_FUNCTIONS = {"muA": mu_A, "phiA": phi_A, "psiA": psi_A, "gammaA": gamma_A}
+
+
+def _per_modulus_tables(system, r_max, n_max):
+    """Each table as the functions of one modulus build it, r = 1..r_max,
+    and the message of the first modulus the system refuses, if any."""
+    tables = {"cA": []} | {what: [] for what in A_FUNCTIONS}
+    for r in range(1, r_max + 1):
+        try:
+            row = {"cA": c_A_column(system, r, n_max)} | {
+                what: [fn(system, r)] for what, fn in A_FUNCTIONS.items()}
+        except ExponentOutOfScopeError as exc:
+            return tables, str(exc)
+        for what, values in row.items():
+            tables[what] += values
+    return tables, None
+
+
+def _assert_tables_match_per_modulus(system, r_max, n_max):
+    # every table from the one walk equals the per-modulus functions', and
+    # one the system refuses is refused with the same message
+    tables, refused = _per_modulus_tables(system, r_max, n_max)
+    build = {"cA": lambda: c_A_grid(system, r_max, n_max)} | {
+        what: (lambda what=what: list(multiplicative_table(system, what, r_max)))
+        for what in A_FUNCTIONS}
+    for what, want in tables.items():
+        if refused:
+            with pytest.raises(ExponentOutOfScopeError) as exc:
+                build[what]()
+            assert str(exc.value) == refused, what
+        else:
+            assert build[what]() == want, what
+
+
+@pytest.mark.parametrize("r_max, n_max", [(1, 1), (1, 9), (2, 1), (64, 1), (60, 7), (130, 130),
+                                          (17, 400)])
+def test_tables_match_per_modulus(any_system, r_max, n_max):
+    _assert_tables_match_per_modulus(any_system, r_max, n_max)
+
+
+@given(valid_specs(), st.integers(1, 300), st.integers(1, 40))
+@settings(max_examples=80, deadline=None)
+def test_tables_match_per_modulus_on_valid_systems(spec, r_max, n_max):
+    _assert_tables_match_per_modulus(system_from_dict(spec), r_max, n_max)
 
 
 def test_kernel_rejects_invalid_system():
