@@ -19,6 +19,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii
 from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
@@ -138,10 +139,14 @@ def format_value(v) -> str:
 
 def _json_cell(v):
     # an exact int is its own JSON text, and so is an integral rational's
-    # numerator; other rationals are the JSON string "p/q", written from the
-    # two integers, and floats text, as json.dumps of the row's dict has them
+    # numerator; a str is written by the escaper json.dumps itself calls
+    # under its default ensure_ascii; other rationals are the JSON string
+    # "p/q", written from the two integers, and floats text, as json.dumps
+    # of the row's dict has them
     if type(v) is int:
         return v
+    if type(v) is str:
+        return encode_basestring_ascii(v)
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else f'"{v.numerator}/{v.denominator}"'
     return json.dumps(format_value(v) if isinstance(v, float) else v)

@@ -20,11 +20,12 @@ An axis of size m = k+1 takes min(m^2, |A(r)|) Python-level steps, each a
 C-level map or sum (`_kron_apply`), and its matrices are built once per
 (q, k) (`_axis_matrices`).
 
-The partial sums reuse that transform. sum_{n<=X} f(n) is
-sum_{d in A(r)} h(d) sum_{n<=X} c_A(n, d), and each inner sum is
-sum_{e in A(d)} mu_A(d/e) e floor(X/e) (`gensums.c_A_sum`). Since e in A(d)
-and d in A(r) give e in A(r), the double sum regroups by e into
-sum_{e in A(r)} e floor(X/e) G(e), G(e) = sum_{d: e in A(d)} mu_A(d/e) h(d).
+The partial sums reuse that transform. sum_{n<=x} f(n) is
+sum_{d in A(r)} h(d) sum_{n<=x} c_A(n, d), and each inner sum is
+sum_{e in A(d)} mu_A(d/e) e floor(x/e) (`gensums.c_A_sum`'s closed form).
+Since e in A(d) and d in A(r) give e in A(r), the double sum regroups by e
+into sum_{e in A(r)} e floor(x/e) G(e), G(e) = sum_{d: e in A(d)} mu_A(d/e)
+h(d).
 On the axis (q, k), e in A(d) reads j <= i on the exponents, and mu_A(q^m)
 is 1, -1, 0 for m = 0, 1, >= 2, so G is h under the Kronecker product of
 the matrices with 1 on the diagonal and -1 just above it: one more
@@ -370,7 +371,7 @@ def partial_sum_numerators(f: EvenFunction, x_list: Sequence[int]) -> list[int]:
     S2(d) / (r L) from `fourier_coeffs`, the sum is regrouped by the
     members e of A(r):
 
-        T(x) = sum_d S2(d) c_A_sum(d, x) = sum_{e in A(r)} e floor(x/e) G(e),
+        T(x) = sum_d S2(d) sum_{n<=x} c_A(n, d) = sum_{e in A(r)} e floor(x/e) G(e),
         G(e) = sum_{d in A(r), e in A(d)} mu_A(d/e) S2(d).
 
     Proof. `gensums.c_A_sum` gives sum_{n<=x} c_A(n, d) = sum_{e in A(d)}

@@ -23,10 +23,12 @@ summed over the multiples d = g m, m | r/g, of the core g = gamma_A(r).
 Route 3 is the literal exponential sum over residues k with (k, r)_A = 1
 -- floating point, test oracle only.
 
-The partial sum `c_A_sum` uses the closed form over A(r),
+The partial sums `c_A_sum` use the closed form over A(r),
 sum_{d in A(r)} d mu_A(r/d) floor(x/d). Only the 2^omega(r) members d
 with mu_A(r/d) != 0 contribute: those taking p^a or p^(a-t) at each prime
-power p^a || r, the kernel's two terms.
+power p^a || r, the kernel's two terms. It takes a list of x, like
+`even.partial_sum_numerators`, and builds these signed terms once per
+modulus for all of them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import cmath
 from itertools import cycle
 from operator import mul
+from typing import Sequence
 
 from .arith import divisors, ramanujan_c
 from .systems import (
@@ -155,14 +158,18 @@ def c_A_oracle(system: RegularSystem, n: int, r: int) -> complex:
     return total
 
 
-def c_A_sum(system: RegularSystem, r: int, x: int) -> int:
-    """sum_{n<=x} c_A(n, r) for integer x >= 0, exactly.
+def c_A_sum(system: RegularSystem, r: int, x_list: Sequence[int]) -> list[int]:
+    """[sum_{n<=x} c_A(n, r) for x in `x_list`], each x an int >= 0, exactly.
 
     Closed form: sum_{d in A(r)} d * mu_A(r/d) * floor(x/d), over the
-    members d with mu_A(r/d) = +-1 only."""
-    if r < 1 or type(x) is not int or x < 0:
-        raise ValueError(f"c_A_sum requires r >= 1, x >= 0, x an int, got r={r}, x={x!r}")
+    members d with mu_A(r/d) = +-1 only. The signed terms are built once
+    per call, from one `prime_power_types` read, and serve every x."""
+    if r < 1:
+        raise ValueError(f"c_A_sum requires r >= 1, x >= 0, x an int, got r={r}")
+    for x in x_list:
+        if type(x) is not int or x < 0:
+            raise ValueError(f"c_A_sum requires r >= 1, x >= 0, x an int, got r={r}, x={x!r}")
     signed = [(1, 1)]  # (d, mu_A(r/d)) over the contributing d built so far
     for _, _, _, high, low in prime_power_types(system, r):
         signed = [(d * high, s) for d, s in signed] + [(d * low, -s) for d, s in signed]
-    return sum(s * d * (x // d) for d, s in signed)
+    return [sum(s * d * (x // d) for d, s in signed) for x in x_list]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import fsum, gcd, isqrt, lcm
@@ -39,10 +38,10 @@ from .systems import DIRICHLET, RegularSystem, divisor_set, gamma_A, gcd_A, phi_
 # at once" and "... a huge table power at once"
 MAX_WITNESS_WORK = 2**20
 
-# the cap on min(x, r) in `_tally`, which makes fewer than 2 min(x, r) gcd
-# calls per x. Rows "Prop 1 tallies an even literal at its tally cap"
-# (r = 2^23, --xmax 2^24 - 1) and "Prop 1 refuses an even literal past its
-# tally budget at once" (r = 2^40)
+# the cap on min(x, r) in `_tally`, which makes at most min(max x, r) gcd
+# calls for all its x together. Rows "Prop 1 tallies an even literal at its
+# tally cap" (r = 2^23, --xmax 2^24 - 1) and "Prop 1 refuses an even literal
+# past its tally budget at once" (r = 2^40)
 MAX_ORACLE_TALLY = 2**23
 
 # up to this many terms, `expansion_demo` adds every prefix sum of
@@ -339,38 +338,37 @@ def expansion_demo(n: int, terms: int) -> ExpansionResult:
 
 
 def _tally(f: EvenFunction, x_list: Sequence[int]) -> tuple[list[int], int]:
-    """(S, L): sum_{n<=x} f(n) = S(x) / L for each x in `x_list`, L the lcm
-    of the value denominators, by brute force.
+    """(S, L): sum_{n<=x} f(n) = S(x) / L for each x in `x_list`, each an
+    int >= 0 with S(0) = 0, and L the lcm of the value denominators, by
+    brute force.
 
-    The sum tallies n <= x by gcd class. Since gcd(n + r, r) = gcd(n, r),
-    that tally is q = x // r copies of the tally over one period n = 1..r
-    plus the tally over n = 1..x - q r, so each x costs O(min(x, r)) gcds;
-    an x with min(x, r) above MAX_ORACLE_TALLY is refused before any x is
-    tallied. The classes and counts are the same integers as a loop over
-    every n <= x gives, and S(x) is one integer sum of count times scaled
-    value over the classes. Only `f.values` and periodicity are used, never
-    phi, c(., q), `_form` or the Fourier coefficients: this is the oracle
-    side, independent of the closed form of `even.partial_sum_numerators`."""
+    Since gcd(n + r, r) = gcd(n, r), the prefix sums P(m) = L sum_{n<=m}
+    f(gcd(n, r)) give S(x) = (x // r) P(r) + P(x mod r), and P(x) itself
+    for x < r. The prefixes read, P(min(x, r)) and P(x mod r), come from
+    one streaming pass over n = 1..min(max x, r), cut at them in increasing
+    order, each segment one C-level sum of scaled f(gcd(n, r)): the whole
+    list costs at most min(max x, r) gcd calls, not O(min(x, r)) per x,
+    and holds no per-n state. An x that is not an int >= 0, or whose
+    min(x, r) is above MAX_ORACLE_TALLY, is refused before any gcd. Only
+    `f.values` and periodicity are used, never phi, c(., q), `_form` or the
+    Fourier coefficients: this is the oracle side, independent of the
+    closed form of `even.partial_sum_numerators`."""
+    r = f.r
     for x in x_list:
-        if x < 1:
-            raise ValueError(f"x must be >= 1, got {x}")
-        if min(x, f.r) > MAX_ORACLE_TALLY:
+        if type(x) is not int or x < 0:
+            raise ValueError(f"x must be an int >= 0, got {x!r}")
+        if min(x, r) > MAX_ORACLE_TALLY:
             raise ValueError(
-                f"the brute-force partial sum of an r={f.r} function up to x={x} needs "
+                f"the brute-force partial sum of an r={r} function up to x={x} needs "
                 f"min(x, r) at most {MAX_ORACLE_TALLY}"
             )
     scale = lcm(*(v.denominator for _, v in f.values))
-    scaled = {d: v.numerator * (scale // v.denominator) for d, v in f.values}
-    sums = []
-    for x in x_list:
-        q, rest = divmod(x, f.r)
-        counts = Counter(gcd(n, f.r) for n in range(1, min(x, f.r) + 1))
-        if q:
-            for d in counts:
-                counts[d] *= q
-            counts.update(gcd(n, f.r) for n in range(1, rest + 1))
-        sums.append(sum(scaled[d] * c for d, c in counts.items()))
-    return sums, scale
+    value = {d: v.numerator * (scale // v.denominator) for d, v in f.values}.__getitem__
+    prefix, total, done = {0: 0}, 0, 0
+    for cut in sorted({min(x, r) for x in x_list}.union(x % r for x in x_list)):
+        total += sum(map(value, map(gcd, range(done + 1, cut + 1), repeat(r))))
+        prefix[cut], done = total, cut
+    return [x // r * prefix[r] + prefix[x % r] if x >= r else prefix[x] for x in x_list], scale
 
 
 _SUM_HEADER = ["r", "x", "exact_sum", "main_term", "residual", "bound", "pass"]
@@ -423,17 +421,18 @@ def _mean_values(system, r_max, x_max, extra):
 
 def _partial_sums(system, r_max, x_max):
     # the x <= x_max among 1, 2, 3, 10, 100, and x_max itself. A row passes
-    # when the closed form of c_A_sum is within psi_A(r), read once per r,
-    # of its main term [r = 1] x, and equals the tally S(x) = (x // r) S(r)
-    # + S(x mod r), read from the prefix sums of one period of the kernel's
-    # column, which never uses c_A_sum
+    # when the closed form of c_A_sum, read once per r for every x, is
+    # within psi_A(r), also read once per r, of its main term [r = 1] x, and
+    # equals the tally S(x) = (x // r) S(r) + S(x mod r), read from the
+    # prefix sums of one period of the kernel's column, which never uses
+    # c_A_sum
     xs = sorted({min(x, x_max) for x in (1, 2, 3, 10, 100, x_max)})
     rows, passed = [], True
     for r in range(1, r_max + 1):
         period = list(accumulate(c_A_column(system, r, r)))
         bound = psi_A(system, r)
-        for x in xs:
-            exact, main = c_A_sum(system, r, x), x if r == 1 else 0
+        for x, exact in zip(xs, c_A_sum(system, r, xs)):
+            main = x if r == 1 else 0
             q, rest = divmod(x, r)
             tally = q * period[-1] + (period[rest - 1] if rest else 0)
             ok = exact == tally and abs(exact - main) <= bound

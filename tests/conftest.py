@@ -4,7 +4,7 @@ from math import prod
 import pytest
 from hypothesis import strategies as st
 
-from ramlab import even, verify
+from ramlab import even, gensums, verify
 from ramlab.arith import factorize
 from ramlab.even import EvenFunction
 from ramlab.gensums import c_A
@@ -69,6 +69,12 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def c_A_sum_at(system, r, x):
+    """sum_{n<=x} c_A(n, r) at one x, by the x-list `gensums.c_A_sum` read
+    through its module, so a test that rebinds it there reaches this too."""
+    return gensums.c_A_sum(system, r, [x])[0]
 
 
 PRIMES = (2, 3, 5, 7)

@@ -46,6 +46,7 @@ from ramlab.verify import OrthogonalityReport, check_propositions
 from conftest import (
     CUSTOM_OK,
     RATIONAL_VALUES,
+    c_A_sum_at,
     coeffs_h,
     euler_phi,
     in_scope_moduli,
@@ -348,11 +349,12 @@ class TestCommandTable:
         assert "--nmax NMAX cA only: n = 1..nmax, default rmax" in " ".join(out.split())
 
 
-# wrong closed forms for the c_A_sum that verify binds, each built from the real one
+# wrong closed forms for the x-list c_A_sum that verify binds, each built
+# from the real one
 PROP2_MUTANTS = {
     # the psi_A bound holds on every row, so only the period tally tells
-    "zeroed": lambda real: lambda system, r, x: x if r == 1 else 0,
-    "sign flip": lambda real: lambda system, r, x: -real(system, r, x),
+    "zeroed": lambda real: lambda system, r, xs: [x if r == 1 else 0 for x in xs],
+    "sign flip": lambda real: lambda system, r, xs: [-s for s in real(system, r, xs)],
 }
 
 
@@ -621,7 +623,7 @@ class TestCommandVerify:
         for r in range(1, 21):
             for row, x in zip(rows[2 * r - 2 : 2 * r], (100, 200)):
                 assert (row["r"], row["x"]) == (r, x)
-                assert row["exact_sum"] == gensums.c_A_sum(system, r, x)
+                assert row["exact_sum"] == c_A_sum_at(system, r, x)
         assert all(row["pass"] == "true" for row in rows)
 
     def test_prop1_with_literal(self, capsys):
@@ -664,7 +666,7 @@ class TestEmitter:
         for line in out.splitlines():
             row = json.loads(line)
             r, x = row["r"], row["x"]
-            exact, main = gensums.c_A_sum(MIX, r, x), x if r == 1 else 0
+            exact, main = c_A_sum_at(MIX, r, x), x if r == 1 else 0
             assert (row["exact_sum"], row["main_term"]) == (exact, main)
             assert (row["residual"], row["bound"]) == (exact - main, psi_A(MIX, r))
             assert row["pass"] == "true"
@@ -692,7 +694,7 @@ class TestEmitter:
         assert any(row[2].startswith("-") for row in rows)
         for r, x, exact, main, residual, bound, ok in rows:
             r, x = int(r), int(x)
-            want = gensums.c_A_sum(UNITARY, r, x)
+            want = c_A_sum_at(UNITARY, r, x)
             assert (int(exact), int(main), int(residual), int(bound)) == (
                 want, x if r == 1 else 0, want - (x if r == 1 else 0), psi_A(UNITARY, r)
             )
@@ -738,6 +740,24 @@ def test_json_cell_writes_a_fraction_as_json_dumps_did(v):
     want = json.dumps(v.numerator) if v.denominator == 1 else json.dumps(cli.format_value(v))
     assert "%s" % (cli._json_cell(v),) == want
     assert json.loads(want) == (v.numerator if v.denominator == 1 else str(v))
+
+
+STR_CELLS = st.one_of(
+    st.text(),
+    st.text(st.characters(exclude_categories=())),  # lone surrogates too
+    st.text(st.sampled_from('"\\/ab\x00\x08\x1f\x7f\u2028é€\ud800\udfff\U0001d538')),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=STR_CELLS)
+@example(v='say "p/q"\n')
+@example(v="\x00\t\x1f\\")
+@example(v="ψ_A ≤ σ(r) 𝔸")
+@example(v="\ud800 lone \udfff")
+def test_json_cell_writes_a_str_as_json_dumps_does(v):
+    # the escaper json.dumps calls for a str under its default ensure_ascii
+    assert cli._json_cell(v) == json.dumps(v)
 
 
 def _format_oracle(v) -> str:

@@ -38,6 +38,7 @@ from ramlab.systems import (
 
 from conftest import (
     RATIONAL_VALUES,
+    c_A_sum_at,
     coeff,
     coeffs_h,
     euler_phi,
@@ -95,7 +96,7 @@ def per_coefficient_partial_sums(f, xs):
     partial_sum_numerators."""
     system = f.system
     coeffs = reference_fourier_coeffs(f)
-    return [sum((hd * c_A_sum(system, d, x) for d, hd in coeffs), Fraction(0)) for x in xs]
+    return [sum((hd * c_A_sum_at(system, d, x) for d, hd in coeffs), Fraction(0)) for x in xs]
 
 
 def dense_kron_apply(mats, vec):
@@ -616,13 +617,13 @@ class TestPartialSumEven:
         f = c_A_even(system, 12)
         _, _, denominator = mean_and_bound(f)
         xs = [0, 1, 11, 12, 13, 1000]
-        assert partial_sum_numerators(f, xs) == [denominator * c_A_sum(system, 12, x) for x in xs]
-        assert partial_sum_numerators(f, [0]) == [0] == [c_A_sum(system, 12, 0)]
+        assert partial_sum_numerators(f, xs) == [denominator * s for s in c_A_sum(system, 12, xs)]
+        assert partial_sum_numerators(f, [0]) == [0] == c_A_sum(system, 12, [0])
         for x in (-1, 2.5, 3.0, True, Fraction(7)):
             with pytest.raises(ValueError, match="x must be an int >= 0"):
                 partial_sum_numerators(f, [x])
             with pytest.raises(ValueError, match="c_A_sum requires r >= 1, x >= 0, x an int"):
-                c_A_sum(system, 12, x)
+                c_A_sum_at(system, 12, x)
 
     def test_constant_zero_residual(self):
         one = EvenFunction.from_callable(12, lambda d: 1)

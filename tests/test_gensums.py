@@ -15,6 +15,8 @@ from ramlab.gensums import (
 )
 from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, gcd_A, mu_A, phi_A, psi_A
 
+from conftest import c_A_sum_at
+
 
 class TestDivisorRoute:
     def test_dirichlet_collapses_to_classical(self):
@@ -102,14 +104,14 @@ class TestIdentities:
 class TestPartialSum:
     def test_modulus_one(self, any_system):
         for x in (1, 17, 1000):
-            assert c_A_sum(any_system, 1, x) == x
+            assert c_A_sum_at(any_system, 1, x) == x
 
     def test_unitary_example(self):
-        exact = c_A_sum(UNITARY, 4, 10)
+        exact = c_A_sum_at(UNITARY, 4, 10)
         assert exact == -2 and abs(exact) <= psi_A(UNITARY, 4) == 5
 
     def test_dirichlet_example(self):
-        exact = c_A_sum(DIRICHLET, 6, 100)
+        exact = c_A_sum_at(DIRICHLET, 6, 100)
         assert abs(exact) <= psi_A(DIRICHLET, 6) == 12
         brute = sum(ramanujan_c(n, 6) for n in range(1, 101))
         assert exact == brute
@@ -117,7 +119,7 @@ class TestPartialSum:
     def test_closed_form_matches_brute(self, any_system):
         for r in range(1, 51):
             for x in (1, 7, 100, 731):
-                exact = c_A_sum(any_system, r, x)
+                exact = c_A_sum_at(any_system, r, x)
                 brute = sum(c_A_divisor(any_system, n, r) for n in range(1, x + 1))
                 assert exact == brute
                 assert abs(exact - (x if r == 1 else 0)) <= psi_A(any_system, r)
@@ -125,19 +127,33 @@ class TestPartialSum:
     def test_rejects_bad_input(self):
         for r, x in ((6, -1), (0, 10)):
             with pytest.raises(ValueError, match="c_A_sum requires r >= 1, x >= 0"):
-                c_A_sum(DIRICHLET, r, x)
+                c_A_sum_at(DIRICHLET, r, x)
+        # every x is checked, wherever it stands in the list
+        with pytest.raises(ValueError, match="c_A_sum requires r >= 1, x >= 0, x an int, got r=6, x=-1"):
+            c_A_sum(DIRICHLET, 6, [10, 0, -1])
+
+    @pytest.mark.parametrize("r", [1, 12, 360, 720720])
+    def test_answers_each_x_of_a_list_as_alone(self, any_system, r):
+        # unsorted and repeated x, 0 and the multiples of r included, each
+        # answer the column's own prefix sum
+        xs = [3 * r + 5, 0, r, 7, 3 * r + 5, 2 * r, 1, 0]
+        column = c_A_column(any_system, r, max(xs))
+        assert c_A_sum(any_system, r, xs) == [sum(column[:x]) for x in xs]
+        assert c_A_sum(any_system, r, []) == []
 
     @pytest.mark.parametrize("r", [1, 12, 360, 720720])
     def test_reads_the_types_once_and_lists_no_members(self, count_calls, any_system, r):
-        # the 2^omega(r) signed terms come from one prime_power_types call;
-        # A(r) is never listed and mu_A never evaluated
+        # the 2^omega(r) signed terms come from one prime_power_types call
+        # for every x of the list; A(r) is never listed and mu_A never
+        # evaluated
         types = count_calls(gensums, "prime_power_types")
         sets = count_calls(gensums, "divisor_set")
         mus = count_calls(gensums, "mu_A")
-        exact = c_A_sum(any_system, r, 10**6)
+        xs = [10**6, 0, r, 10**6 + 1, 7]
+        exact = c_A_sum(any_system, r, xs)
         assert (len(types), sets, mus) == (1, [], [])
-        assert exact == sum(d * mu_A(any_system, r // d) * (10**6 // d)
-                            for d in divisor_set(any_system, r))
+        assert exact == [sum(d * mu_A(any_system, r // d) * (x // d)
+                             for d in divisor_set(any_system, r)) for x in xs]
 
 
 class TestColumn:

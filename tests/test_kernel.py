@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramlab.arith import divisors, factorize, primes_up_to, ramanujan_c
-from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor, c_A_grid, c_A_sum
+from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor, c_A_grid
 from ramlab.systems import (
     DIRICHLET,
     MIX,
@@ -35,7 +35,7 @@ from ramlab.systems import (
 )
 from ramlab.verify import additive_closure_witness, mean_product_exact
 
-from conftest import valid_specs
+from conftest import c_A_sum_at, valid_specs
 from test_verify import h_fails_all_by_scan, is_A_even, witness_functions
 
 
@@ -139,8 +139,8 @@ def test_partial_sum_against_full_closed_form(spec, data):
     members = divisor_set(system, r)
     for x in (0, 1, data.draw(st.integers(2, 5000), label="x")):
         full = sum(d * mu_A(system, r // d) * (x // d) for d in members)
-        assert c_A_sum(system, r, x) == full
-    assert c_A_sum(system, r, 60) == sum(c_A_column(system, r, 60))
+        assert c_A_sum_at(system, r, x) == full
+    assert c_A_sum_at(system, r, 60) == sum(c_A_column(system, r, 60))
 
 
 @given(valid_specs(), st.data())
@@ -254,7 +254,7 @@ def test_kernel_rejects_bad_input():
     with pytest.raises(ValueError):
         c_A_column(DIRICHLET, 0, 4)
     with pytest.raises(ValueError):
-        c_A_sum(DIRICHLET, 4, -1)
+        c_A_sum_at(DIRICHLET, 4, -1)
 
 
 # every p^a with a >= 2 up to 7^6, the largest table entry the strategy draws;

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from array import array
 from collections import Counter
@@ -7,14 +8,20 @@ from itertools import combinations
 from math import fsum, gcd, lcm, pi, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramlab import cli, even, verify
 from ramlab.cli import MAX_TERMS
 from ramlab.arith import divisors, primes_up_to
-from ramlab.even import EvenFunction, FourierCoeffs, c_A_even, fourier_coeffs
-from ramlab.gensums import c_A_divisor
+from ramlab.even import (
+    EvenFunction,
+    FourierCoeffs,
+    c_A_even,
+    fourier_coeffs,
+    partial_sum_numerators,
+)
+from ramlab.gensums import c_A_divisor, c_A_sum
 from ramlab.systems import (
     DIRICHLET,
     MIX,
@@ -533,14 +540,15 @@ class TestPartialSums:
     """Prop 2's rows: c_A_sum against its bound psi_A(r) and the period tally."""
 
     def test_prop2_reads_each_bound_once_per_modulus(self, count_calls):
-        # psi_A once per r and c_A_sum once per row; the tally reads the
-        # kernel's column, never c_A_sum
+        # psi_A once per r and c_A_sum once per r, for all six x of its rows;
+        # the tally reads the kernel's column, never c_A_sum
         bounds = count_calls(verify, "psi_A")
         sums = count_calls(verify, "c_A_sum")
         ((_, rows, passed),) = check_propositions(["prop2"], UNITARY, 50, 1000)
         assert passed and len(rows) == 50 * 6
         assert [r for _, r in bounds] == list(range(1, 51))
-        assert len(sums) == 300
+        assert [r for _, r, _ in sums] == list(range(1, 51))
+        assert {tuple(xs) for _, _, xs in sums} == {(1, 2, 3, 10, 100, 1000)}
 
     def test_prop2_fails_exactly_the_rows_past_a_zero_bound(self, monkeypatch):
         # with psi_A read as 0 a row may pass only with a zero residual: the
@@ -572,29 +580,80 @@ class TestMeanValueCheckTally:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_equals_full_loop(self, data):
+        # one unsorted x list with repeats, over 0, an x < r, r, a multiple
+        # q r and a q r + rest, under D, U, MIX, random valid systems and
+        # untagged values on every divisor. Each of these tally mutants
+        # fails it: segment bounds off by one, the full period's prefix
+        # read for an x < r, and the rest of an x >= r read at min(x, r)
         r = data.draw(
             st.one_of(st.just(1), st.sampled_from(PRIME_POWERS), st.integers(1, 400)), label="r"
         )
         kind = data.draw(st.sampled_from(sorted(VALUES)), label="kind")
-        system = data.draw(st.sampled_from((None, DIRICHLET, UNITARY, MIX)), label="system")
+        system = data.draw(st.one_of(st.none(), SYSTEMS), label="system")
         if system is None:
             divs = divisors(r)
             vals = data.draw(st.lists(VALUES[kind], min_size=len(divs), max_size=len(divs)))
             f = EvenFunction.from_values(r, dict(zip(divs, vals)))
         else:
             # A-even: one value per element of A(r), read through (d, r)_A
+            assume(within_bound(system, r))
             a_divs = divisor_set(system, r)
             vals = data.draw(st.lists(VALUES[kind], min_size=len(a_divs), max_size=len(a_divs)))
             by_class = dict(zip(a_divs, vals))
             f = EvenFunction.from_callable(r, lambda d: by_class[gcd_A(system, d, r)], system)
         q = data.draw(st.integers(1, 6), label="q")
-        xs = [
-            data.draw(st.integers(1, r), label="x <= r"),
-            q * r,
-            q * r + data.draw(st.integers(0, r - 1), label="rest"),
-        ]
+        shapes = [0, data.draw(st.integers(0, r - 1), label="x < r"), r, q * r,
+                  q * r + data.draw(st.integers(0, r - 1), label="rest")]
+        repeats = data.draw(st.lists(st.sampled_from(shapes), max_size=4), label="repeats")
+        xs = data.draw(st.permutations(shapes + repeats), label="xs")
         sums, scale = verify._tally(f, xs)
         assert [Fraction(s, scale) for s in sums] == [full_loop_sum(f, x) for x in xs]
+
+    @pytest.mark.parametrize("r", [1, 12, 397, 5040])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda r: [],
+            lambda r: [0],
+            lambda r: [r // 2, 1, r // 2, 0],
+            lambda r: [5 * r + 3, r, 0, 2 * r, r - 1, 5 * r + 3],
+            lambda r: [10**12 + 396, 7, 10**12],
+        ],
+        ids=["empty", "zero", "below r", "at and past r", "huge"],
+    )
+    def test_one_pass_for_the_whole_list(self, r, shape, count_calls):
+        # every x of the list shares one pass over n <= min(max x, r): a
+        # tally that counts one period per x fails at the call past it
+        xs = shape(r)
+        limit = min(max(xs, default=0), r)
+        calls = count_calls(verify, "gcd", limit=limit)
+        f = EvenFunction.from_callable(r, lambda d: Fraction(d % 7 - 3, d % 5 + 1))
+        _, _, tallies, sums = prop1_fractions(f, xs)
+        assert len(calls) == limit
+        assert tallies == sums and len(sums) == len(xs)
+
+    @pytest.mark.parametrize("system", [DIRICHLET, UNITARY, MIX], ids=lambda s: s.name)
+    def test_one_domain_with_the_closed_forms(self, system, monkeypatch):
+        # the oracle takes every int x >= 0 with S(0) = 0, as the two closed
+        # forms do, and refuses anything else before any gcd
+        def value(d):
+            g = gcd_A(system, d, 12)
+            return Fraction(g % 7 - 3, g % 5 + 1)
+
+        f, g = c_A_even(system, 12), EvenFunction.from_callable(12, value, system)
+        xs = [0, 1, 11, 12, 13, 1000, 0]
+        assert verify._tally(f, xs) == (c_A_sum(system, 12, xs), 1)
+        assert verify._tally(f, [0]) == ([0], 1)
+        assert partial_sum_numerators(f, [0]) == [0] == c_A_sum(system, 12, [0])
+        assert verify._tally(g, [0])[0] == [0] == partial_sum_numerators(g, [0])
+
+        def refuse(*args):
+            raise AssertionError("tallied before refusing")
+
+        monkeypatch.setattr(verify, "gcd", refuse)
+        for x in (-1, 2.5, 3.0, True, Fraction(7)):
+            with pytest.raises(ValueError, match=re.escape(f"x must be an int >= 0, got {x!r}")):
+                verify._tally(g, [12, x])
 
     @pytest.mark.parametrize("r", [1, 397, 360, 5040])
     @pytest.mark.parametrize("x", [10**12, 10**12 + 396])
