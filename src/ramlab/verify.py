@@ -29,7 +29,7 @@ from .even import (
 from .gensums import c_A_column, c_A_sum
 from .systems import DIRICHLET, RegularSystem, divisor_set, gamma_A, gcd_A, phi_A, psi_A
 
-# the cap on p^t, the witness prime power in `additive_closure_witness`. Its
+# the cap on p^t, the witness prime power of Prop 4 (`_additive_closure`). Its
 # checks read the t + 3 divisors of p and p^t and make two gcd_A calls per
 # modulus, so their cost does not grow with r_max * p^t; inside the cap
 # p <= 2^10 when t >= 2, so trial division factorizes p^t at once. Rows of
@@ -55,12 +55,7 @@ PROPOSITIONS = ("prop1", "prop2", "prop3", "prop4")
 __all__ = [
     "PROPOSITIONS",
     "mean_product_exact",
-    "mean_product_empirical",
-    "OrthogonalityReport",
-    "orthogonality_report",
     "find_orthogonality_violation",
-    "Prop4Witness",
-    "additive_closure_witness",
     "ExpansionResult",
     "expansion_demo",
     "check_propositions",
@@ -82,43 +77,6 @@ def mean_product_exact(system: RegularSystem, r: int, s: int) -> int:
     if common % core:
         return 0
     return sum(phi_A(DIRICHLET, core * m) for m in divisors(common // core))
-
-
-def mean_product_empirical(system: RegularSystem, r: int, s: int, x: int) -> Fraction:
-    """(1/x) sum_{n<=x} c_A(n, r) c_A(n, s) as an exact rational.
-
-    The product has period lcm(r, s); at x a multiple of it the average
-    equals the exact mean. On the diagonal r = s one column serves both."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    column = c_A_column(system, r, x)
-    total = sum(a * b for a, b in zip(column, column if s == r else c_A_column(system, s, x)))
-    return Fraction(total, x)
-
-
-class OrthogonalityReport(NamedTuple):
-    """Mean of a product of two generalized Ramanujan sums, exact vs empirical."""
-
-    system: str
-    r: int
-    s: int
-    exact_mean: int
-    empirical_mean: Fraction
-
-    @property
-    def verdict(self) -> str:
-        """diagonal when r = s, else orthogonal or violating as the exact
-        mean is zero or not; derived, so it cannot contradict the mean."""
-        if self.r == self.s:
-            return "diagonal"
-        return "orthogonal" if self.exact_mean == 0 else "violating"
-
-
-def orthogonality_report(system: RegularSystem, r: int, s: int) -> OrthogonalityReport:
-    """Exact mean of the product and its average over one period lcm(r, s)."""
-    exact = mean_product_exact(system, r, s)
-    empirical = mean_product_empirical(system, r, s, lcm(r, s))
-    return OrthogonalityReport(system.label(), r, s, exact, empirical)
 
 
 def _powers_within(high_types, bound: int) -> list[tuple[int, int, int]]:
@@ -149,85 +107,6 @@ def find_orthogonality_violation(
         (p + pa, p, pa, p - 1) for pa, p, _ in _powers_within(system.high_types(), search_bound)
     ]
     return min(found)[1:] if found else None
-
-
-class Prop4Witness(NamedTuple):
-    """Two A-even functions whose sum is A-even for no modulus at all.
-
-    f(n) = (n, p)_A and g(n) = (n, p^t)_A for a prime power of type t > 1;
-    their sum h takes the three case values below and cannot be A-even.
-    f_even and g_even are checked on the divisors of p and of p^t, and
-    h_fails_all by one certificate n_r per modulus r <= r_checked."""
-
-    p: int
-    t: int
-    case_values: tuple[int, int, int]  # h on p^t | n, on p | n only, on p coprime
-    r_checked: int
-    f_even: bool
-    g_even: bool
-    h_fails_all: bool
-    core_contradiction: bool  # p absent from A(p^t), the structural obstruction
-
-
-def additive_closure_witness(
-    system: RegularSystem, r_max: int = 100
-) -> Optional[Prop4Witness]:
-    """For a system with a prime power of type t > 1, exhibit f, g A-even
-    with f + g A-even for no modulus r <= r_max, built at the smallest such
-    prime power p^t within MAX_WITNESS_WORK; None means not applicable
-    (every type is 1, as in D). ValueError when r_max < 1, or when every
-    prime power of type > 1 exceeds the budget.
-
-    f and g depend on n only through (n, p) and (n, p^t), and (n, r)_A =
-    ((n, r), r)_A, so f is A-even mod p iff f(d) = f((d, p)_A) for each
-    d | p, and g likewise on the divisors of p^t: t + 3 values.
-
-    h = f + g fails A-evenness mod r at one n_r, checked for each r. If
-    (p, r)_A = 1, take n_r = p: h(p) = p + 1 != 2 = h(1). Otherwise p is in
-    A(r), so the p-part p^v of r has type 1; type 1 at p^v forces type 1
-    below it and p^t has type t, so v < t. Take n_r = p^t: (p^t, r)_A = p^v
-    and h(p^t) = p + p^t != p + 1 = h(p^v). Each row costs two gcd_A calls,
-    so the budget bounds p^t alone, whatever r_max."""
-    if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
-    high = list(system.high_types())
-    if not high:
-        return None
-    fits = _powers_within(high, MAX_WITNESS_WORK)
-    if not fits:
-        powers = ", ".join(f"{p}^{a}" for p, a in high)
-        raise ValueError(
-            f"prop4: every prime power of type > 1 exceeds the witness budget "
-            f"{MAX_WITNESS_WORK}: {powers}"
-        )
-    pt, p, t = min(fits)
-
-    def f(n: int) -> int:
-        return p if n % p == 0 else 1
-
-    def g(n: int) -> int:
-        return pt if n % pt == 0 else 1
-
-    def h(n: int) -> int:
-        return f(n) + g(n)
-
-    def even_on_divisors(fn: Callable[[int], int], r: int) -> bool:
-        return all(fn(d) == fn(gcd_A(system, d, r)) for d in divisors(r))
-
-    def certified_failure(r: int) -> bool:
-        n = p if gcd_A(system, p, r) == 1 else pt
-        return h(n) != h(gcd_A(system, n, r))
-
-    return Prop4Witness(
-        p=p,
-        t=t,
-        case_values=(p + pt, 1 + p, 2),
-        r_checked=r_max,
-        f_even=even_on_divisors(f, p),
-        g_even=even_on_divisors(g, pt),
-        h_fails_all=all(certified_failure(r) for r in range(1, r_max + 1)),
-        core_contradiction=p not in divisor_set(system, pt),
-    )
 
 
 class ExpansionResult(NamedTuple):
@@ -442,27 +321,80 @@ def _partial_sums(system, r_max, x_max):
 
 
 def _orthogonality(system, r_max):
-    # the diagonal r = s <= r_max, then the first violating pair, if any
-    reports = [orthogonality_report(system, r, r) for r in range(1, r_max + 1)]
+    # the diagonal r = s <= r_max, then the first violating pair, if any.
+    # Each row tallies one period L = lcm(r, s) of c_A(., r) c_A(., s) from
+    # the kernel's columns, one column on the diagonal, and passes iff the
+    # tally is L times the exact mean; the violating pair's mean must also
+    # be nonzero. Only the printed empirical mean is a Fraction
+    label = system.label()
     hit = find_orthogonality_violation(system, r_max)
-    if hit is not None:
-        reports.append(orthogonality_report(system, hit[0], hit[1]))
-    passed = all(rep.empirical_mean == rep.exact_mean for rep in reports)
-    passed &= hit is None or reports[-1].verdict == "violating"
-    rows = [[rep.system, rep.r, rep.s, rep.exact_mean, str(rep.empirical_mean), rep.verdict]
-            for rep in reports]
+    pairs = [(r, r) for r in range(1, r_max + 1)] + ([hit[:2]] if hit else [])
+    rows, passed = [], True
+    for r, s in pairs:
+        period = lcm(r, s)
+        column = c_A_column(system, r, period)
+        total = sum(map(mul, column, column if s == r else c_A_column(system, s, period)))
+        exact = mean_product_exact(system, r, s)
+        verdict = "diagonal" if r == s else "violating" if exact else "orthogonal"
+        passed &= total == period * exact and verdict != "orthogonal"
+        rows.append([label, r, s, exact, str(Fraction(total, period)), verdict])
     if hit is None:
-        rows.append([system.label(), 0, 0, 0, "0", "none-found"])
+        rows.append([label, 0, 0, 0, "0", "none-found"])
     return ["system", "r", "s", "exact_mean", "empirical_mean", "verdict"], rows, passed
 
 
 def _additive_closure(system, r_max):
-    witness = additive_closure_witness(system, r_max=r_max)
-    if witness is None:
+    """Prop 4's table: for a system with a prime power of type t > 1, f and
+    g A-even with f + g A-even for no modulus r <= r_max, built at the
+    smallest such prime power p^t within MAX_WITNESS_WORK; a D-like system
+    (every type 1) is not applicable. ValueError when every prime power of
+    type > 1 exceeds the budget.
+
+    f(n) = (n, p)_A and g(n) = (n, p^t)_A depend on n only through (n, p)
+    and (n, p^t), and (n, r)_A = ((n, r), r)_A, so f is A-even mod p iff
+    f(d) = f((d, p)_A) for each d | p, and g likewise on the divisors of
+    p^t: t + 3 values. h = f + g is p + p^t on p^t | n, 1 + p on p | n only,
+    and 2 on n coprime to p.
+
+    h fails A-evenness mod r at one n_r, checked for each r. If
+    (p, r)_A = 1, take n_r = p: h(p) = p + 1 != 2 = h(1). Otherwise p is in
+    A(r), so the p-part p^v of r has type 1; type 1 at p^v forces type 1
+    below it and p^t has type t, so v < t. Take n_r = p^t: (p^t, r)_A = p^v
+    and h(p^t) = p + p^t != p + 1 = h(p^v). Each row costs two gcd_A calls,
+    so the budget bounds p^t alone, whatever r_max. The row passes when all
+    of these hold and p is absent from A(p^t), the structural obstruction."""
+    high = list(system.high_types())
+    if not high:
         return ["system", "status"], [[system.label(), "not-applicable"]], True
-    ok = witness.f_even and witness.g_even and witness.h_fails_all and witness.core_contradiction
-    row = [system.label(), witness.p, witness.t, *witness.case_values, witness.r_checked,
-           "true" if ok else "false"]
+    fits = _powers_within(high, MAX_WITNESS_WORK)
+    if not fits:
+        powers = ", ".join(f"{p}^{a}" for p, a in high)
+        raise ValueError(
+            f"prop4: every prime power of type > 1 exceeds the witness budget "
+            f"{MAX_WITNESS_WORK}: {powers}"
+        )
+    pt, p, t = min(fits)
+
+    def f(n: int) -> int:
+        return p if n % p == 0 else 1
+
+    def g(n: int) -> int:
+        return pt if n % pt == 0 else 1
+
+    def h(n: int) -> int:
+        return f(n) + g(n)
+
+    def even_on_divisors(fn: Callable[[int], int], r: int) -> bool:
+        return all(fn(d) == fn(gcd_A(system, d, r)) for d in divisors(r))
+
+    def certified_failure(r: int) -> bool:
+        n = p if gcd_A(system, p, r) == 1 else pt
+        return h(n) != h(gcd_A(system, n, r))
+
+    ok = (even_on_divisors(f, p) and even_on_divisors(g, pt)
+          and all(certified_failure(r) for r in range(1, r_max + 1))
+          and p not in divisor_set(system, pt))
+    row = [system.label(), p, t, p + pt, 1 + p, 2, r_max, "true" if ok else "false"]
     return ["system", "p", "t", "h_high", "h_mid", "h_low", "r_checked", "pass"], [row], ok
 
 
@@ -476,7 +408,16 @@ def check_propositions(
     In order they check mean values of (A, r)-even functions, with `extra`
     (the CLI's `--even` function) added to the battery; partial sums of
     c_A(., r); orthogonality and its first failure; and non-closure under
-    addition. r_max bounds the moduli, x_max the partial sums of the first two."""
+    addition. r_max bounds the moduli, x_max the partial sums of the first
+    two. A name outside PROPOSITIONS, or r_max or x_max below 1, is refused
+    with ValueError before any check runs: each would pass with nothing
+    checked."""
+    for name in names:
+        if name not in PROPOSITIONS:
+            raise ValueError(f"unknown proposition {name!r}, expected one of {', '.join(PROPOSITIONS)}")
+    for bound, value in (("r_max", r_max), ("x_max", x_max)):
+        if value < 1:
+            raise ValueError(f"{bound} must be >= 1, got {value}")
     checks = (
         (_mean_values, (system, r_max, x_max, extra)),
         (_partial_sums, (system, r_max, x_max)),

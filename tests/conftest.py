@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import strategies as st
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ramlab import even, gensums, verify
 from ramlab.arith import factorize
 from ramlab.even import EvenFunction
-from ramlab.gensums import c_A
+from ramlab.gensums import c_A, c_A_divisor
 from ramlab.systems import DIRICHLET, MIX, UNITARY, ExponentOutOfScopeError, system_from_dict
 
 # unitary-default with one non-trivial table entry: types at 5 are
@@ -172,3 +172,29 @@ def prop1_fractions(f, xs=()):
     sums = even.partial_sum_numerators(f, xs) if xs else []
     return (Fraction(mean, denominator), Fraction(bound, denominator),
             [Fraction(s, scale) for s in tallies], [Fraction(t, denominator) for t in sums])
+
+
+def product_mean(system, r, s, x):
+    """(1/x) sum_{n<=x} c_A(n, r) c_A(n, s) as a Fraction, each value read
+    pointwise from `c_A_divisor`: the oracle for Prop 3's period tally, with
+    no kernel column and no `mean_product_exact`."""
+    return Fraction(sum(c_A_divisor(system, n, r) * c_A_divisor(system, n, s)
+                        for n in range(1, x + 1)), x)
+
+
+def orthogonality_row(system, r, s):
+    """Prop 3's row for (r, s), composed from `verify.mean_product_exact`
+    and the pointwise `product_mean` over one period lcm(r, s); the verdict
+    is diagonal at r = s, else violating or orthogonal as the mean is
+    nonzero or zero."""
+    exact = verify.mean_product_exact(system, r, s)
+    verdict = "diagonal" if r == s else "violating" if exact else "orthogonal"
+    return [system.label(), r, s, exact, str(product_mean(system, r, s, lcm(r, s))), verdict]
+
+
+def prop4_row(system, r_max):
+    """Prop 4's one row as a dict by its header, with the table's pass flag
+    under "passed", from `verify.check_propositions`; None when the system
+    has no prime power of type > 1 (the not-applicable row)."""
+    ((header, (row,), passed),) = verify.check_propositions(["prop4"], system, r_max, 1)
+    return None if header == ["system", "status"] else {**dict(zip(header, row)), "passed": passed}

@@ -24,14 +24,13 @@ from ramlab.even import (
 from ramlab.gensums import c_A, c_A_core, c_A_divisor
 from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, gcd_A, mu_A, phi_A, psi_A
 from ramlab.verify import (
-    additive_closure_witness,
+    check_propositions,
     expansion_demo,
     find_orthogonality_violation,
-    mean_product_empirical,
     mean_product_exact,
 )
 
-from conftest import coeff, euler_phi, prop1_fractions, reconstruct, sigma
+from conftest import coeff, euler_phi, product_mean, prop1_fractions, prop4_row, reconstruct, sigma
 
 SYSTEMS = [("D", DIRICHLET), ("U", UNITARY), ("MIX", MIX)]
 
@@ -118,19 +117,20 @@ def test_criterion_5_orthogonality_violation():
     assert find_orthogonality_violation(UNITARY, 100) == (2, 4, 1)
     assert 1 == euler_phi(2)
     for k in (1, 2, 10, 250):
-        assert mean_product_empirical(UNITARY, 2, 4, 4 * k) == 1
+        assert product_mean(UNITARY, 2, 4, 4 * k) == 1
+    ((_, rows, passed),) = check_propositions(["prop3"], UNITARY, 4, 1)
+    assert rows[-1] == ["U", 2, 4, 1, "1", "violating"] and passed
     _report(5, "violation (r, s) = (2, 4) with mean 1; period averages exactly 1")
 
 
 def test_criterion_6_additive_non_closure():
     """f, g A-even but f + g A-even for no r <= 100; Dirichlet not applicable."""
     for name, system in [("U", UNITARY), ("MIX", MIX)]:
-        w = additive_closure_witness(system, r_max=100)
+        w = prop4_row(system, 100)
         assert w is not None, name
-        assert w.f_even and w.g_even, name
-        assert w.h_fails_all and w.r_checked == 100, name
-        assert w.core_contradiction, name
-    assert additive_closure_witness(DIRICHLET, r_max=100) is None
+        assert w["passed"] and w["pass"] == "true", name
+        assert w["r_checked"] == 100, name
+    assert prop4_row(DIRICHLET, 100) is None
     _report(6, "non-closure witnessed for U and MIX up to r = 100; D not applicable")
 
 

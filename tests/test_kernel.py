@@ -33,9 +33,9 @@ from ramlab.systems import (
     psi_A,
     system_from_dict,
 )
-from ramlab.verify import additive_closure_witness, mean_product_exact
+from ramlab.verify import mean_product_exact
 
-from conftest import c_A_sum_at, valid_specs
+from conftest import c_A_sum_at, prop4_row, valid_specs
 from test_verify import h_fails_all_by_scan, is_A_even, witness_functions
 
 
@@ -278,13 +278,14 @@ def test_witness_matches_scan(spec):
     # every r <= r_max stays inside each table prime's exponent bound
     table_primes = {entry["p"] for entry in spec["types"]}
     r_max = min([30] + [p ** (spec["a_max"] + 1) - 1 for p in table_primes])
-    w = additive_closure_witness(system, r_max=r_max)
-    assert (None if w is None else (w.p, w.t, w.t)) == scan  # t == a
+    w = prop4_row(system, r_max)
+    assert (None if w is None else (w["p"], w["t"], w["t"])) == scan  # t == a
     if w is None:
         return
-    pt = w.p**w.t
+    p, pt = w["p"], w["p"] ** w["t"]
     f, g, h = witness_functions(w)
-    assert w.f_even == is_A_even(system, f, w.p, 4 * w.p)
-    assert w.g_even == is_A_even(system, g, pt, 4 * pt)
-    assert w.h_fails_all == h_fails_all_by_scan(system, h, pt, r_max)
-    assert w.f_even and w.g_even and w.h_fails_all and w.core_contradiction
+    assert (w["h_high"], w["h_mid"], w["h_low"], w["r_checked"]) == (p + pt, p + 1, 2, r_max)
+    assert w["passed"] == (is_A_even(system, f, p, 4 * p) and is_A_even(system, g, pt, 4 * pt)
+                           and h_fails_all_by_scan(system, h, pt, r_max)
+                           and p not in divisor_set(system, pt))
+    assert w["passed"] and w["pass"] == "true"

@@ -17,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramlab.systems import InvalidSystemError, system_from_dict
-from ramlab.verify import additive_closure_witness
 
-from conftest import valid_specs
+from conftest import prop4_row, valid_specs
 
 BIG = 10**18
 SMALL = 10**6
@@ -92,7 +91,7 @@ def _loads_or_refuses(spec):
     # a loaded system answers its structural queries at once, whatever a_max:
     # Prop 4's witness is built or refused for the budget, never scanned for
     try:
-        additive_closure_witness(system, r_max=1)
+        prop4_row(system, 1)
     except ValueError as exc:
         assert "exceeds the witness budget" in str(exc)
 

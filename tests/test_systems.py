@@ -30,9 +30,9 @@ from ramlab.systems import (
     psi_A,
     system_from_dict,
 )
-from ramlab.verify import MAX_WITNESS_WORK, additive_closure_witness
+from ramlab.verify import MAX_WITNESS_WORK
 
-from conftest import CUSTOM_OK, PRIMES, euler_phi, sigma, valid_specs
+from conftest import CUSTOM_OK, PRIMES, euler_phi, prop4_row, sigma, valid_specs
 
 
 FIELDS = ("types", "default", "a_max", "name")
@@ -284,8 +284,8 @@ class TestCompiledSystem:
 
 def witness_power(system):
     """(p, t) of the Prop 4 witness, None when not applicable."""
-    w = additive_closure_witness(system, r_max=1)
-    return None if w is None else (w.p, w.t)
+    w = prop4_row(system, 1)
+    return None if w is None else (w["p"], w["t"])
 
 
 def refusal(*powers):
@@ -335,7 +335,7 @@ class TestWitnessPrimePower:
     def assert_refused_at_once(self, system, *powers):
         start = time.perf_counter()
         with pytest.raises(ValueError) as exc:
-            additive_closure_witness(system)
+            prop4_row(system, 100)
         assert time.perf_counter() - start < 1.0
         assert str(exc.value) == refusal(*powers)
 
