@@ -40,14 +40,14 @@ them only to print a row.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .arith import divisors, factorize
-from .systems import DIRICHLET, RegularSystem, divisor_set, gcd_A, prime_power_types
+from .systems import DIRICHLET, RegularSystem, gcd_A, prime_power_types
 from . import gensums
 
 __all__ = [
@@ -73,14 +73,13 @@ class EvenFunction:
     Stored as its values on the divisors of r, in increasing order, each an
     int or a Fraction; the system A asserts the A-even property (values
     constant on (., r)_A) and selects the basis c_A(., d), d in A(r), that
-    the closed forms use. Construction checks all three, so every instance
-    can be scaled to integers and transformed. An instance is immutable,
-    and equal and hash equal to another by r, values and system."""
+    the closed forms use. Construction checks all three, then builds the
+    integer form that the closed forms read (`_form`) from the same
+    per-prime pass. An instance is immutable, and equal and hash equal to
+    another by r, values and system."""
 
     def __init__(self, r: int, values: tuple[tuple[int, Numeric], ...],
                  system: RegularSystem = DIRICHLET):
-        # set in __dict__, where the two cached properties also go
-        vars(self).update(r=r, values=values, system=system)
         if type(r) is not int or r < 1:
             raise ValueError(f"modulus must be an int >= 1, got {r!r}")
         if type(values) is not tuple or any(type(i) is not tuple or len(i) != 2 for i in values):
@@ -89,17 +88,25 @@ class EvenFunction:
             raise ValueError(f"values must be given on exactly the divisors of {r}, in increasing order")
         if not isinstance(system, RegularSystem):
             raise ValueError(f"system must be a RegularSystem, got {system!r}")
+        axes, members, phis = _per_prime(system, r)
+        value_map, inside = dict(values), set(members)
         # (d, r)_A is d on A(r), so only a divisor outside A(r) (none under D)
         # is compared, with its smaller (d, r)_A, whose value is checked already
-        members = set(divisor_set(system, r))
         for d, v in values:
             if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise ValueError(f"value at divisor {d} must be an int or a Fraction, got {v!r}")
-            if d not in members and v != self.value_map[g := gcd_A(system, d, r)]:
+            if d not in inside and v != value_map[g := gcd_A(system, d, r)]:
                 raise ValueError(
                     f"not A-even mod {r}: value at {d} is {v}, "
-                    f"but ({d}, {r})_A = {g} has value {self.value_map[g]}"
+                    f"but ({d}, {r})_A = {g} has value {value_map[g]}"
                 )
+        # the form: `_per_prime`'s pass, then f(r/e) at its members e as
+        # integers over their lcm L, and L, read by the coefficients, mean
+        # and bound; set in __dict__, as __setattr__ refuses
+        scaled = [value_map[r // e] for e in members]
+        scale = lcm(*(v.denominator for v in scaled))
+        form = (axes, members, phis, [v.numerator * (scale // v.denominator) for v in scaled], scale)
+        vars(self).update(r=r, values=values, system=system, value_map=value_map, _form=form)
 
     def _key(self) -> tuple:
         return self.r, self.values, self.system
@@ -120,7 +127,7 @@ class EvenFunction:
 
     def __reduce__(self):
         # pickle by fields, as a RegularSystem does: the receiving process
-        # checks the values again, and no cached property travels
+        # checks the values again and builds its own form
         return (type(self), self._key())
 
     @classmethod
@@ -141,19 +148,6 @@ class EvenFunction:
     ) -> "EvenFunction":
         return cls.from_values(r, {d: fn(d) for d in divisors(r)}, system)
 
-    @cached_property
-    def value_map(self) -> dict[int, Numeric]:
-        return dict(self.values)
-
-    @cached_property
-    def _form(self) -> tuple:
-        # `_per_prime`'s pass, then f(r/e) at its members e as integers over
-        # their lcm L, and L: built once, read by the coefficients, mean and bound
-        axes, members, phis = _per_prime(self.system, self.r)
-        values = [self.value_map[self.r // e] for e in members]
-        scale = lcm(*(v.denominator for v in values))
-        return axes, members, phis, [v.numerator * (scale // v.denominator) for v in values], scale
-
     def __call__(self, n: int) -> Numeric:
         if n < 1:
             raise ValueError(f"evaluation requires n >= 1, got {n}")
@@ -168,9 +162,11 @@ def _per_prime(system: RegularSystem, r: int) -> tuple:
     for _, a, t, high, low in prime_power_types(system, r):
         q, k = high // low, a // t
         axes.append((q, k))
-        members = [d * q**i for d in members for i in range(k + 1)]
-        phis = [x * (q**i - q ** (i - 1) if i else 1) for x in phis for i in range(k + 1)]
-    return axes, members, phis
+        powers = [q**i for i in range(k + 1)]
+        local = [1] + [hi - lo for lo, hi in zip(powers, powers[1:])]
+        members = [d * e for d in members for e in powers]
+        phis = [x * y for x in phis for y in local]
+    return tuple(axes), tuple(members), phis
 
 
 class FourierCoeffs(NamedTuple):
@@ -226,7 +222,7 @@ def _axis_matrices(q: int, k: int) -> tuple:
     return k1, k2, diff
 
 
-def _kron_apply(mats: Sequence[Sequence[Sequence[int]]], vec: list) -> list:
+def _kron_apply(mats: Sequence[Sequence[Sequence[int]]], vec: Sequence[int]) -> list:
     # (mats[0] x mats[1] x ...) vec, vec indexed mixed-radix with the last
     # matrix's axis varying fastest. Each pass applies the fastest axis's
     # m-square matrix to all of vec and writes its rows as contiguous
@@ -284,7 +280,7 @@ def fourier_coeffs(f: EvenFunction) -> FourierCoeffs:
                     f"coefficient formulas disagree at d={d}: "
                     f"{Fraction(t1, r * scale * phi_d)} vs {Fraction(t2, r * scale)}"
                 )
-    return FourierCoeffs(r, f.system, tuple(axes), tuple(members), tuple(s2), r * scale)
+    return FourierCoeffs(r, f.system, axes, members, tuple(s2), r * scale)
 
 
 def c_A_even(system: RegularSystem, r: int) -> EvenFunction:
@@ -389,6 +385,6 @@ def partial_sum_numerators(f: EvenFunction, x_list: Sequence[int]) -> list[int]:
             raise ValueError(f"x must be an int >= 0, got {x!r}")
     coeffs = fourier_coeffs(f)
     diffs = [_axis_matrices(q, k)[2] for q, k in coeffs.axes]
-    grouped = _kron_apply(diffs, list(coeffs.numerators))
+    grouped = _kron_apply(diffs, coeffs.numerators)
     terms = [(e, g) for e, g in zip(coeffs.members, grouped) if g]
     return [sum(g * e * (x // e) for e, g in terms) for x in x_list]

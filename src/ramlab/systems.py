@@ -205,9 +205,9 @@ MIX = RegularSystem(types=tuple((2, a, a) for a in range(1, DEFAULT_A_MAX + 1)),
 
 
 # bounded: gcd_A, the kernel, every A-function and the divisor route's
-# mu_A(r/d) read it, so moduli recur (traced hits: 98 % of 1068 lookups on
-# even-fourier, 96 % of 3861 on verify-sweep, 57 % of 7458 on query-stream);
-# a long run of distinct moduli cannot grow it
+# mu_A(r/d) read it, so moduli recur (`bench/run.py --trace 1`, seed 7: hits
+# on 97 % of 636 lookups on even-fourier, 92 % of 1992 on verify-sweep and
+# 57 % of 7457 on query-stream); a long run of distinct moduli cannot grow it
 @lru_cache(maxsize=4096)
 def prime_power_types(system: RegularSystem, n: int) -> tuple[tuple[int, ...], ...]:
     """(p, a, t, p^a, p^(a-t)) for each prime power p^a exactly dividing n,

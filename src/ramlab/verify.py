@@ -409,9 +409,11 @@ def check_propositions(
     (the CLI's `--even` function) added to the battery; partial sums of
     c_A(., r); orthogonality and its first failure; and non-closure under
     addition. r_max bounds the moduli, x_max the partial sums of the first
-    two. A name outside PROPOSITIONS, or r_max or x_max below 1, is refused
-    with ValueError before any check runs: each would pass with nothing
-    checked."""
+    two. A str for `names`, a name outside PROPOSITIONS, or r_max or x_max
+    below 1, is refused with ValueError before any check runs: a str would
+    be read by character, and the rest would pass with nothing checked."""
+    if isinstance(names, str):
+        raise ValueError(f"names must be a sequence of proposition names, not the str {names!r}")
     for name in names:
         if name not in PROPOSITIONS:
             raise ValueError(f"unknown proposition {name!r}, expected one of {', '.join(PROPOSITIONS)}")

@@ -32,6 +32,7 @@ from ramlab.systems import (
     divisor_set,
     gcd_A,
     phi_A,
+    prime_power_types,
     psi_A,
     system_from_dict,
 )
@@ -221,18 +222,40 @@ class TestEvenFunction:
         with pytest.raises(ValueError, match=re.escape("not A-even mod 4: value at 2 ")):
             pickle.loads(text)
 
-    def test_copies_carry_no_cached_transform(self):
-        # a copy is built by its fields and checked again, so the transform
-        # cached on f is made afresh by the copy that needs it
+    def test_copies_carry_no_cached_transform(self, count_calls):
+        # a copy is built by its fields and checked again, so it builds its
+        # own form, equal to f's, in one per-prime pass, and shares none of it
         f = EvenFunction.from_callable(
             72, lambda n: Fraction(gcd_A(MIX, n, 72) ** 2 + 1, gcd_A(MIX, n, 72) + 2), MIX
         )
         want = fourier_coeffs(f)
-        assert "_form" in vars(f)
-        for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f)):
+        calls = count_calls(even, "_per_prime")
+        for make in (lambda: pickle.loads(pickle.dumps(f)), lambda: copy.copy(f)):
+            calls.clear()
+            copied = make()
             assert copied == f and copied is not f
-            assert "_form" not in vars(copied)
-            assert fourier_coeffs(copied) == want
+            assert calls == [(MIX, 72)]
+            assert copied._form == f._form and copied._form is not f._form
+            assert all(a is not b for a, b in zip(copied._form[2:4], f._form[2:4]))
+            assert fourier_coeffs(copied) == want and len(calls) == 1
+
+    @pytest.mark.parametrize("system", [DIRICHLET, UNITARY, MIX], ids=["D", "U", "MIX"])
+    @pytest.mark.parametrize("r", [1, 72, 360, 110880])
+    def test_construction_makes_one_per_prime_pass(self, system, r, count_calls):
+        # the cost contract: one `_per_prime` pass lists A(r) for both the
+        # A-even check and the form, and reading the form builds nothing;
+        # prime_power_types, which every listing of A(r) reads, is looked up
+        # once more than the evenness check's gcd_A calls
+        values = tuple((d, Fraction(gcd_A(system, d, r) % 7 - 3, gcd_A(system, d, r) % 5 + 1))
+                       for d in divisors(r))
+        passes, gcds = count_calls(even, "_per_prime"), count_calls(even, "gcd_A")
+        before = prime_power_types.cache_info()
+        f = EvenFunction(r, values, system)
+        after = prime_power_types.cache_info()
+        assert passes == [(system, r)]
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 1 + len(gcds)
+        fourier_coeffs(f), mean_and_bound(f), partial_sum_numerators(f, [10, r])
+        assert passes == [(system, r)]
 
     def test_evenness_compares_only_non_members(self):
         # a member d of A(r) is its own (d, r)_A, so its value is never

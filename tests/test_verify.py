@@ -448,6 +448,15 @@ class TestCheckPropositionsRefusals:
             check_propositions(names, UNITARY, r_max, x_max)
         assert calls == [[]] * 4
 
+    @pytest.mark.parametrize("names", ["prop3", "prop", "", "all"])
+    def test_a_str_is_not_a_list_of_names(self, names, count_calls):
+        # iterated, "prop3" would name 'p', and "" would check nothing
+        calls = [count_calls(verify, check) for check in self.CHECKS]
+        refused = f"names must be a sequence of proposition names, not the str {names!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            check_propositions(names, UNITARY, 10, 10)
+        assert calls == [[]] * 4
+
     def test_every_name_at_one(self):
         tables = check_propositions(PROPOSITIONS, UNITARY, 1, 1)
         assert len(tables) == 4 and all(passed for _, _, passed in tables)
@@ -638,17 +647,22 @@ class TestMeanValueCheck:
         assert sum(map(len, calls)) == 41
 
     def test_tally_reads_only_the_values(self, monkeypatch):
-        # the oracle side: no phi, c_A, per-prime pass or coefficients
+        # the oracle side: no phi, c_A, per-prime pass, coefficients or form;
+        # f's stored form is swapped for one that refuses any use
         def refuse(*args):
             raise AssertionError("the tally used the closed form's machinery")
+
+        class Refused:
+            __iter__ = __len__ = __getitem__ = __bool__ = __eq__ = __hash__ = __getattr__ = refuse
 
         f = EvenFunction.from_callable(360, lambda d: Fraction(d % 7 - 3, d % 5 + 1))
         for module, name in [(even, "_per_prime"), (even, "fourier_coeffs"),
                              (even, "mean_and_bound"), (verify, "phi_A"),
                              (verify, "mean_and_bound"), (verify, "partial_sum_numerators")]:
             monkeypatch.setattr(module, name, refuse)
+        vars(f)["_form"] = form = Refused()
         sums, scale = verify._tally(f, [7, 360, 1000])
-        assert "_form" not in vars(f)
+        assert vars(f)["_form"] is form
         assert [Fraction(s, scale) for s in sums] == [full_loop_sum(f, x) for x in (7, 360, 1000)]
 
     @pytest.mark.parametrize(
@@ -662,9 +676,10 @@ class TestMeanValueCheck:
     def test_one_per_prime_pass_per_function(self, make, count_calls):
         # a Prop 1 row of one function reads its mean and bound on the
         # brute-force side and its coefficients and bound on the closed-form
-        # side, all from one per-prime pass and one integer scaling
-        f = make()
+        # side, all from the one per-prime pass and integer scaling that
+        # built the function
         calls = count_calls(even, "_per_prime")
+        f = make()
         rows, passed = verify._mean_rows(f, [100, 1000])
         assert passed and len(rows) == 2
         assert [r for _, r in calls] == [360]
