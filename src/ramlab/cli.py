@@ -326,52 +326,83 @@ def _cmd_expansion(args) -> list:
     return [(["n", "terms", "truncated", "target", "abs_error"], rows, True)]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_output_options(p: argparse.ArgumentParser) -> None:
+    # every command's first two options, so its help lists them first
+    p.add_argument("--format", choices=FORMATS)
+    p.add_argument("-o", "--output", default=None, help="write output to a file")
+
+
+def _add_c_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", type=_positive_int)
+    p.add_argument("r", type=_positive_int)
+    p.add_argument("--system", default="D", help="D, U, MIX, or a JSON spec file")
+    p.add_argument("--route", choices=("divisor", "core", "oracle", "all"), default="divisor",
+                   help=f"oracle and all need r at most {MAX_ORACLE_R}")
+    p.set_defaults(func=_cmd_c)
+
+
+def _add_table_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--what", choices=("cA", "phiA", "psiA", "gammaA", "muA"), required=True)
+    p.add_argument("--system", default="D")
+    p.add_argument("--rmax", type=_positive_int, required=True,
+                   help=f"the table has rmax rows, rmax * nmax for cA, at most {MAX_TABLE_ROWS}")
+    p.add_argument("--nmax", type=_positive_int, default=None,
+                   help="cA only: n = 1..nmax, default rmax")
+    p.set_defaults(func=_cmd_table)
+
+
+def _add_verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("target", choices=(*verify.PROPOSITIONS, "all"))
+    p.add_argument("--system", default="D")
+    p.add_argument("--rmax", type=_positive_int, default=50, help=f"at most {MAX_RMAX}")
+    p.add_argument("--xmax", type=_positive_int, default=1000)
+    p.add_argument("--even", default=None,
+                   help="prop1 and all only: an extra (A, r)-even function literal, read in "
+                        "--system and refused if it is not A-even, e.g. 'r=6; 1:1, 2:-1, 3:0, 6:2'")
+    p.set_defaults(func=_cmd_verify)
+
+
+def _add_expansion_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", type=_positive_int)
+    p.add_argument("--terms", type=_positive_int, default=1000,
+                   help=f"at most {MAX_TERMS}")
+    p.set_defaults(func=_cmd_expansion)
+
+
+# each command's help line and the function that adds its own arguments
+_COMMANDS = {
+    "c": ("generalized Ramanujan sum c_A(n, r)", _add_c_arguments),
+    "table": ("tables of c_A, phi_A, psi_A, gamma_A, mu_A", _add_table_arguments),
+    "verify": ("run the proposition checkers", _add_verify_arguments),
+    "expansion": ("truncated harmonic expansion of sigma(n)/n", _add_expansion_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, each registered with its help line.
+
+    When `command` is exactly a command's name, only that command's
+    arguments are added: `main` passes argv[0], and argparse hands every
+    later argument to the command argv[0] names, so the others' arguments
+    are never read. Any other `command`, None included, adds every
+    command's arguments, so an argv that does not start with a command name
+    (empty, `--help`, `-x c 1 2`, `bogus c 1 2`) meets the whole tree."""
     parser = _Parser(prog="ramlab", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=FORMATS)
-    common.add_argument("-o", "--output", default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_c = sub.add_parser("c", help="generalized Ramanujan sum c_A(n, r)", parents=[common])
-    p_c.add_argument("n", type=_positive_int)
-    p_c.add_argument("r", type=_positive_int)
-    p_c.add_argument("--system", default="D", help="D, U, MIX, or a JSON spec file")
-    p_c.add_argument("--route", choices=("divisor", "core", "oracle", "all"), default="divisor",
-                     help=f"oracle and all need r at most {MAX_ORACLE_R}")
-    p_c.set_defaults(func=_cmd_c)
-
-    p_t = sub.add_parser("table", help="tables of c_A, phi_A, psi_A, gamma_A, mu_A", parents=[common])
-    p_t.add_argument("--what", choices=("cA", "phiA", "psiA", "gammaA", "muA"), required=True)
-    p_t.add_argument("--system", default="D")
-    p_t.add_argument("--rmax", type=_positive_int, required=True,
-                     help=f"the table has rmax rows, rmax * nmax for cA, at most {MAX_TABLE_ROWS}")
-    p_t.add_argument("--nmax", type=_positive_int, default=None,
-                     help="cA only: n = 1..nmax, default rmax")
-    p_t.set_defaults(func=_cmd_table)
-
-    p_v = sub.add_parser("verify", help="run the proposition checkers", parents=[common])
-    p_v.add_argument("target", choices=(*verify.PROPOSITIONS, "all"))
-    p_v.add_argument("--system", default="D")
-    p_v.add_argument("--rmax", type=_positive_int, default=50, help=f"at most {MAX_RMAX}")
-    p_v.add_argument("--xmax", type=_positive_int, default=1000)
-    p_v.add_argument("--even", default=None,
-                     help="prop1 and all only: an extra (A, r)-even function literal, read in "
-                          "--system and refused if it is not A-even, e.g. 'r=6; 1:1, 2:-1, 3:0, 6:2'")
-    p_v.set_defaults(func=_cmd_verify)
-
-    p_e = sub.add_parser("expansion", help="truncated harmonic expansion of sigma(n)/n", parents=[common])
-    p_e.add_argument("n", type=_positive_int)
-    p_e.add_argument("--terms", type=_positive_int, default=1000,
-                     help=f"at most {MAX_TERMS}")
-    p_e.set_defaults(func=_cmd_expansion)
+    whole = command not in _COMMANDS
+    for name, (text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if whole or name == command:
+            _add_output_options(p)
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
     """Every command computes its tables before `main` writes a byte, so a
     failed run prints nothing; each text is written as `_emit_rows` makes it."""
-    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -55,15 +55,17 @@ def any_system(request):
 def count_calls(monkeypatch):
     """`count_calls(module, name)` rebinds `module.name` to a wrapper that
     calls it and records each call's arguments, and returns that list of
-    argument tuples. With `limit`, the call past the limit fails at once,
-    so a test of a bound never runs the unbounded loop it guards against."""
+    argument tuples; keyword arguments are passed on, not recorded. `module`
+    may be a class, whose method then records `self` first. With `limit`,
+    the call past the limit fails at once, so a test of a bound never runs
+    the unbounded loop it guards against."""
     def install(module, name, limit=None):
         calls, real = [], getattr(module, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
             assert limit is None or len(calls) <= limit, f"more than {limit} calls to {name}"
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
         return calls

@@ -39,8 +39,10 @@ def test_row_is_well_formed_and_parses(row, tmp_path):
     assert {"name", "argv", "exit", "timeout_s"} <= set(row) <= FIELDS
     assert "cap" not in row or row["cap"] in CAPS
     assert ("spec" in row) == ("{spec}" in row["argv"])
-    # a renamed or removed flag fails here, not only in the runner
-    cli.build_parser().parse_args(_argv(row, tmp_path))
+    # a renamed or removed flag fails here, not only in the runner; the
+    # command's own tree, which `main` builds, reads it the same
+    argv = _argv(row, tmp_path)
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("cap", CAPS)

@@ -963,6 +963,15 @@ def _assert_grid_writes_its_rows(header, grid, rows, chunk):
             assert all(text.endswith("\n") for text in texts), fmt
 
 
+# one valid run of each command, in the order `build_parser` adds them
+VALID_RUNS = {
+    "c": ["c", "2", "4"],
+    "table": ["table", "--what", "phiA", "--system", "U", "--rmax", "6"],
+    "verify": ["verify", "prop4", "--system", "U", "--rmax", "3", "--format", "json"],
+    "expansion": ["expansion", "6", "--terms", "10"],
+}
+
+
 class TestErrorsAndPlumbing:
     def test_usage_error_exit_1(self, capsys):
         assert run(capsys, "nope")[0] == EXIT_USAGE
@@ -1134,12 +1143,16 @@ class TestErrorsAndPlumbing:
         assert code == EXIT_OK
         assert json.loads(out)["value"] == 1
 
-    def test_parser_reads_no_environment(self, monkeypatch):
-        # RAMLAB_FORMAT is resolved by `main` per call, not baked into a default
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole-tree", "one-command"])
+    @pytest.mark.parametrize("argv", VALID_RUNS.values(), ids=VALID_RUNS)
+    def test_parser_reads_no_environment(self, monkeypatch, argv, whole):
+        # RAMLAB_FORMAT is resolved by `main` per call, not baked into a
+        # default, in the whole tree and in each command's own
+        command = () if whole else (argv[0],)
         monkeypatch.delenv("RAMLAB_FORMAT", raising=False)
-        unset = cli.build_parser().parse_args(["c", "2", "4"])
+        unset = cli.build_parser(*command).parse_args(argv)
         monkeypatch.setenv("RAMLAB_FORMAT", "json")
-        assert cli.build_parser().parse_args(["c", "2", "4"]) == unset
+        assert cli.build_parser(*command).parse_args(argv) == unset
 
     def test_env_format_unknown_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("RAMLAB_FORMAT", "xml")
@@ -1222,6 +1235,79 @@ def _literal(f):
 
 
 # a token's ASCII digits rewritten as int() or Fraction() may still read them
+# argv whose bytes and exit code must not depend on how much of the tree
+# `main` builds: the help texts, the usage errors before, at and after the
+# command name, and a valid run of each command
+PARSER_CORPUS = [
+    [], ["--help"], ["-h", "c"], *([name, "--help"] for name in VALID_RUNS),
+    ["c"], ["bogus", "c", "1", "2"], ["-x", "c", "1", "2"], ["--", "c", "5", "6"],
+    ["c", "5", "6", "extra"], ["c", "5", "6", "--sys", "U"],
+    ["c", "5", "6", "--format", "json", "--format", "csv"], ["c", "5", "6", "-o"],
+    ["--format", "json", "c", "1", "2"], *VALID_RUNS.values(),
+]
+
+HELP = ("-h", "--help")
+
+
+def option_strings(calls):
+    # what each recorded `add_argument(self, *names)` call added, sorted
+    return sorted(args[1:] for args in calls)
+
+
+class TestParserPerCommand:
+    """`main` adds the arguments of the command argv[0] names, and no
+    other's; every other argv, and `build_parser()`, get the whole tree."""
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=map(" ".join, PARSER_CORPUS))
+    def test_same_bytes_as_the_whole_tree(self, capsys, monkeypatch, argv):
+        ours = run(capsys, *argv)
+        whole = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: whole())
+        assert ours == run(capsys, *argv)
+
+    def test_c_adds_only_its_own_arguments(self, capsys, count_calls):
+        calls = count_calls(cli._Parser, "add_argument")
+        assert run(capsys, "c", "2", "4")[0] == EXIT_OK
+        # one help action per parser: the top level and each of four commands
+        own = [("--format",), ("-o", "--output"), ("n",), ("r",), ("--system",), ("--route",)]
+        assert option_strings(calls) == sorted([HELP] * 5 + own)
+
+    def test_whole_tree_holds_every_commands_arguments(self, count_calls):
+        calls = count_calls(cli._Parser, "add_argument")
+
+        def added(*command):
+            calls.clear()
+            cli.build_parser(*command)
+            return option_strings(calls)
+
+        own = {name: [a for a in added(name) if a != HELP] for name in VALID_RUNS}
+        assert all(own.values())
+        whole = sorted([HELP] * 5 + [a for args in own.values() for a in args])
+        assert added() == added(None) == added("bogus") == added("-x") == whole
+
+    @pytest.mark.parametrize("argv, code", [(["verify", "--help"], EXIT_OK),
+                                            (["-x", "c", "1", "2"], EXIT_USAGE)])
+    def test_argv_none_reads_sys_argv_once(self, capsys, monkeypatch, argv, code):
+        expected = run(capsys, *argv)
+        reads = []
+
+        class Argv(list):
+            def __getitem__(self, index):
+                reads.append(index)
+                return super().__getitem__(index)
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *command: built.append(command) or real(*command))
+        monkeypatch.setattr(sys, "argv", Argv(["ramlab", *argv]))
+        assert main() == code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        # one slice of sys.argv, whose first item picks the tree
+        assert reads == [slice(1, None)]
+        assert built == [(argv[0],)]
+
+
 TOKEN_REWRITES = {
     "plus": lambda digits: "+" + digits,
     "underscore": lambda digits: digits + "_0",
