@@ -139,7 +139,7 @@ def moebius_sieve(limit: int) -> array:
 
     Every entry but mu[0] starts at 1; each prime p <= limit negates its
     multiples (one `bytes.translate` pass) and zeroes those of p^2. It serves
-    `verify._in_order_limit(R)` entries: at most 2^17, 46415 at the cap R = 10^7."""
+    `expansion._in_order_limit(R)` entries: at most 2^17, 46415 at R = 10^7."""
     if limit < 0:
         raise ValueError(f"moebius_sieve requires limit >= 0, got {limit}")
     mu = bytearray(b"\0" + b"\1" * limit)

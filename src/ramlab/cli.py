@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
-from . import gensums, verify
+from . import expansion, gensums, verify
 from .even import EvenFunction
 from .systems import InvalidSystemError, RegularSystem, load_system, multiplicative_table
 
@@ -310,20 +310,18 @@ def _cmd_table(args) -> list:
 def _cmd_verify(args) -> list:
     if args.rmax > MAX_RMAX:
         raise ValueError(f"--rmax must be at most {MAX_RMAX}, got {args.rmax}")
-    if args.even is not None and args.target not in ("prop1", "all"):
-        raise ValueError(f"--even applies only to prop1 and all, not {args.target}")
+    if args.even is not None and args.target not in _even_targets():
+        raise ValueError(f"--even applies only to {' and '.join(_even_targets())}, not {args.target}")
     system = load_system(args.system)
     extra = None if args.even is None else _even_function(args.even, system)
-    names = verify.PROPOSITIONS if args.target == "all" else (args.target,)
+    names = tuple(verify.CHECKS) if args.target == "all" else (args.target,)
     return verify.check_propositions(names, system, args.rmax, args.xmax, extra)
 
 
 def _cmd_expansion(args) -> list:
     if args.terms > MAX_TERMS:
         raise ValueError(f"--terms must be at most {MAX_TERMS}, got {args.terms}")
-    res = verify.expansion_demo(args.n, args.terms)
-    rows = [[res.n, res.terms, res.truncated_value, res.target, res.abs_error]]
-    return [(["n", "terms", "truncated", "target", "abs_error"], rows, True)]
+    return [expansion.expansion_demo(args.n, args.terms)]
 
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:
@@ -351,14 +349,20 @@ def _add_table_arguments(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=_cmd_table)
 
 
+def _even_targets() -> list[str]:
+    # the targets that read --even: each check of verify.CHECKS that reads `extra`, and all
+    return [name for name, (_, reads_extra) in verify.CHECKS.items() if reads_extra] + ["all"]
+
+
 def _add_verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("target", choices=(*verify.PROPOSITIONS, "all"))
+    p.add_argument("target", choices=(*verify.CHECKS, "all"))
     p.add_argument("--system", default="D")
     p.add_argument("--rmax", type=_positive_int, default=50, help=f"at most {MAX_RMAX}")
     p.add_argument("--xmax", type=_positive_int, default=1000)
     p.add_argument("--even", default=None,
-                   help="prop1 and all only: an extra (A, r)-even function literal, read in "
-                        "--system and refused if it is not A-even, e.g. 'r=6; 1:1, 2:-1, 3:0, 6:2'")
+                   help=f"{' and '.join(_even_targets())} only: an extra (A, r)-even function "
+                        "literal, read in --system and refused if it is not A-even, e.g. "
+                        "'r=6; 1:1, 2:-1, 3:0, 6:2'")
     p.set_defaults(func=_cmd_verify)
 
 

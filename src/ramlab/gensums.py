@@ -1,8 +1,8 @@
 """Generalized Ramanujan sums c_A(n, r): one kernel and three cross-checks.
 
-The kernel is the hot path: `c_A` for one value, `c_A_column` for many n
-at one modulus (the empirical means in `verify`, `even.c_A_even`), and
-`c_A_grid` for every modulus up to a bound (the CLI's `table --what cA`).
+The kernel is the hot path: `c_A` for one value (`even.c_A_even`),
+`c_A_column` for many n at one modulus (`verify`'s Prop 2 and 3 tallies),
+and `c_A_grid` for every modulus up to a bound (the CLI's `table --what cA`).
 For a regular system c_A(n, r) is multiplicative in r, and since mu_A
 vanishes on p^(jt) for j >= 2, at a prime power p^a of type t it is
 

@@ -1,24 +1,23 @@
-"""Executable checkers for the exact identities: mean values of products of
-generalized Ramanujan sums, orthogonality and its failure outside the
-Dirichlet system, non-closure of A-even functions under addition, and the
-truncated harmonic expansion of sigma(n)/n.
+"""Executable checkers for the paper's four propositions: mean values of
+(A, r)-even functions, partial sums of c_A, orthogonality and its failure
+outside the Dirichlet system, and non-closure of A-even functions under
+addition.
 
-`check_propositions` runs the paper's four propositions: each one's battery
-of inputs, its pass rule, and its rows for the CLI to print.
+`CHECKS` lists them in order, and `check_propositions` runs those it is
+named: each one's battery of inputs, its pass rule, and its rows for the
+CLI to print.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from array import array
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
-from math import fsum, gcd, isqrt, lcm
-from operator import mul, sub, truediv
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import accumulate, repeat
+from math import gcd, lcm
+from operator import mul
+from typing import Callable, Optional, Sequence
 
-from .arith import divisors, factorize, moebius_sieve
+from .arith import divisors
 from .even import (
     EvenFunction,
     c_A_even,
@@ -44,20 +43,10 @@ MAX_WITNESS_WORK = 2**20
 # past its tally budget at once" (r = 2^40)
 MAX_ORACLE_TALLY = 2**23
 
-# up to this many terms, `expansion_demo` adds every prefix sum of
-# mu(m)/m^2 in increasing m; above it, only those up to floor(R^(2/3)), and
-# the larger cuts come from a recursion, more accurate and O(R^(2/3))
-IN_ORDER_TERMS = 2**17
-
-# the names `check_propositions` takes, in the order it runs them
-PROPOSITIONS = ("prop1", "prop2", "prop3", "prop4")
-
 __all__ = [
-    "PROPOSITIONS",
+    "CHECKS",
     "mean_product_exact",
     "find_orthogonality_violation",
-    "ExpansionResult",
-    "expansion_demo",
     "check_propositions",
 ]
 
@@ -107,113 +96,6 @@ def find_orthogonality_violation(
         (p + pa, p, pa, p - 1) for pa, p, _ in _powers_within(system.high_types(), search_bound)
     ]
     return min(found)[1:] if found else None
-
-
-class ExpansionResult(NamedTuple):
-    """Truncation of the harmonic expansion of sigma(n)/n."""
-
-    n: int
-    terms: int
-    truncated_value: float
-    target: float
-    abs_error: float
-
-
-def _square_tail(y: int) -> float:
-    """T(y) = sum_{d>y} 1/d^2 for y >= 1 by its Euler-Maclaurin series
-    1/y - 1/(2y^2) + 1/(6y^3) - 1/(30y^5), in Horner form; the series
-    alternates, so the error is below the first omitted term 1/(42y^7)."""
-    t = 1.0 / y
-    return t - t * t * (0.5 - t * (1.0 / 6.0 - t * t / 30.0))
-
-
-def _in_order_limit(terms: int) -> int:
-    """U: R itself up to IN_ORDER_TERMS, else floor(R^(2/3)) in integers,
-    so that every platform picks the same U."""
-    if terms <= IN_ORDER_TERMS:
-        return terms
-    square = terms * terms
-    u = round(square ** (1 / 3))
-    while u**3 > square:
-        u -= 1
-    while (u + 1) ** 3 <= square:
-        u += 1
-    return u
-
-
-def _moebius_square_sums(terms: int) -> tuple[array, dict[int, float]]:
-    """F(x) = sum_{m<=x} mu(m)/m^2 as (prefix, above): prefix[x] for every
-    x <= U = `_in_order_limit(terms)`, and above[x] for each x = R // k > U.
-    See `expansion_demo` for the method."""
-    limit = _in_order_limit(terms)
-    ms = range(1, limit + 1)
-    quotients = map(truediv, moebius_sieve(limit)[1:], map(mul, ms, ms))
-    prefix = array("d", accumulate(quotients, initial=0.0))
-    above: dict[int, float] = {}
-    if terms == limit:
-        return prefix, above
-    # tails[y] = T(y) for y <= U, added downwards from the series at U
-    down = range(limit, 0, -1)
-    reciprocals = map(truediv, repeat(1.0), map(mul, down, down))
-    tails = array("d", accumulate(reciprocals, initial=_square_tail(limit)))
-    tails.reverse()
-    for k in range(terms // (limit + 1), 0, -1):
-        x = terms // k
-        root = isqrt(x)
-        last = x // (root + 1)
-        # d <= last one at a time, each x // d > root already known
-        ds = range(2, last + 1)
-        singles = [above[v] if v > limit else prefix[v] for v in (x // d for d in ds)]
-        weights = map(mul, ds, ds)
-        # the rest in blocks of one quotient q <= root: d in (x // (q+1), x // q]
-        ys = (x // q for q in range(1, root + 2))
-        ends = [tails[y] if y <= limit else _square_tail(y) for y in ys]
-        blocks = map(mul, prefix[1 : root + 1], map(sub, ends[1:], ends[:-1]))
-        total = fsum(chain(map(truediv, singles, weights), blocks))
-        above[x] = 1.0 - total
-    return prefix, above
-
-
-def expansion_demo(n: int, terms: int) -> ExpansionResult:
-    """(pi^2/6) sum_{r<=R} c(n, r)/r^2 against sigma(n)/n.
-
-    Regrouped by the divisor form: sum_{r<=R} c(n,r)/r^2 =
-    sum_{d|n} (1/d) F(R // d), term for term the same truncation, with
-    F(x) = sum_{m<=x} mu(m)/m^2. A divisor d > R has F(0) = 0, so only the
-    d <= R are listed, from factorize(n), and added left to right.
-
-    Up to U = `_in_order_limit(R)` (R itself when R <= IN_ORDER_TERMS,
-    else floor(R^(2/3))), F is a prefix table of one Moebius sieve, added
-    in increasing m; for R <= IN_ORDER_TERMS that is every cut, bit for
-    bit the values of a loop adding mu(m)/m^2 over the squarefree m, since
-    F > 0 and adding +0.0 changes nothing. Above U, F(x) at x = R // k comes
-    in increasing x from the identity
-
-        sum_{d<=x} F(x // d) / d^2 = 1   (x >= 1):
-
-    the double sum is sum_{k<=x} k^-2 sum_{m|k} mu(m), and the inner sum is
-    1 at k = 1 and 0 otherwise. So F(x) = 1 - sum_{2<=d<=x} F(x // d)/d^2,
-    and x // d = R // (k d) is again a cut of R. With s = isqrt(x), the
-    d <= x // (s + 1) are taken one at a time, and the remaining d, where
-    q = x // d <= s, in blocks d in (x // (q+1), x // q] of weight
-    T(x // (q+1)) - T(x // q), T(y) = sum_{d>y} 1/d^2. T comes from a table
-    added downwards for y <= U and from `_square_tail` above U, whose
-    remainder is below 1/(42 y^7). That costs O(R / sqrt(U)) = O(R^(2/3))
-    steps and a sieve of U bytes, not R.
-
-    Only +, -, *, / and math.fsum touch a float, never built-in sum(),
-    which from CPython 3.12 on adds floats with compensation: the printed
-    digits are the same on every interpreter version."""
-    if n < 1 or terms < 1:
-        raise ValueError(f"expansion_demo requires n, terms >= 1, got n={n}, terms={terms}")
-    prefix, above = _moebius_square_sums(terms)
-    total = 0.0
-    for d in divisors(n, terms):
-        cut = terms // d
-        total += (prefix[cut] if cut < len(prefix) else above[cut]) / d
-    truncated = (math.pi**2 / 6) * total
-    target = math.prod((p ** (a + 1) - 1) // (p - 1) for p, a in factorize(n)) / n
-    return ExpansionResult(n, terms, truncated, target, abs(truncated - target))
 
 
 def _tally(f: EvenFunction, x_list: Sequence[int]) -> tuple[list[int], int]:
@@ -298,7 +180,7 @@ def _mean_values(system, r_max, x_max, extra):
     return _SUM_HEADER, rows, passed
 
 
-def _partial_sums(system, r_max, x_max):
+def _partial_sums(system, r_max, x_max, extra):
     # the x <= x_max among 1, 2, 3, 10, 100, and x_max itself. A row passes
     # when the closed form of c_A_sum, read once per r for every x, is
     # within psi_A(r), also read once per r, of its main term [r = 1] x, and
@@ -320,7 +202,7 @@ def _partial_sums(system, r_max, x_max):
     return _SUM_HEADER, rows, passed
 
 
-def _orthogonality(system, r_max):
+def _orthogonality(system, r_max, x_max, extra):
     # the diagonal r = s <= r_max, then the first violating pair, if any.
     # Each row tallies one period L = lcm(r, s) of c_A(., r) c_A(., s) from
     # the kernel's columns, one column on the diagonal, and passes iff the
@@ -343,7 +225,7 @@ def _orthogonality(system, r_max):
     return ["system", "r", "s", "exact_mean", "empirical_mean", "verdict"], rows, passed
 
 
-def _additive_closure(system, r_max):
+def _additive_closure(system, r_max, x_max, extra):
     """Prop 4's table: for a system with a prime power of type t > 1, f and
     g A-even with f + g A-even for no modulus r <= r_max, built at the
     smallest such prime power p^t within MAX_WITNESS_WORK; a D-like system
@@ -398,32 +280,38 @@ def _additive_closure(system, r_max):
     return ["system", "p", "t", "h_high", "h_mid", "h_low", "r_checked", "pass"], [row], ok
 
 
+# (check, reads `extra`) by name, in run order; each check takes (system, r_max, x_max, extra)
+CHECKS = {
+    "prop1": (_mean_values, True),
+    "prop2": (_partial_sums, False),
+    "prop3": (_orthogonality, False),
+    "prop4": (_additive_closure, False),
+}
+
+
 def check_propositions(
     names: Sequence[str], system: RegularSystem, r_max: int, x_max: int,
     extra: Optional[EvenFunction] = None,
 ) -> list[tuple[list[str], list[list], bool]]:
-    """Check each proposition of PROPOSITIONS named in `names`, in that order,
-    as a table (header, rows, passed); every check runs, even after one fails.
+    """Check each entry of CHECKS named in `names`, in the table's order, as
+    a table (header, rows, passed); every check runs, even after one fails.
 
     In order they check mean values of (A, r)-even functions, with `extra`
     (the CLI's `--even` function) added to the battery; partial sums of
     c_A(., r); orthogonality and its first failure; and non-closure under
     addition. r_max bounds the moduli, x_max the partial sums of the first
-    two. A str for `names`, a name outside PROPOSITIONS, or r_max or x_max
-    below 1, is refused with ValueError before any check runs: a str would
-    be read by character, and the rest would pass with nothing checked."""
+    two. A str for `names`, a name outside CHECKS, r_max or x_max below 1,
+    or an `extra` that no named check reads, is refused with ValueError
+    before any check runs: a str would be read by character, and the rest
+    would pass with nothing checked."""
     if isinstance(names, str):
         raise ValueError(f"names must be a sequence of proposition names, not the str {names!r}")
     for name in names:
-        if name not in PROPOSITIONS:
-            raise ValueError(f"unknown proposition {name!r}, expected one of {', '.join(PROPOSITIONS)}")
+        if name not in CHECKS:
+            raise ValueError(f"unknown proposition {name!r}, expected one of {', '.join(CHECKS)}")
     for bound, value in (("r_max", r_max), ("x_max", x_max)):
         if value < 1:
             raise ValueError(f"{bound} must be >= 1, got {value}")
-    checks = (
-        (_mean_values, (system, r_max, x_max, extra)),
-        (_partial_sums, (system, r_max, x_max)),
-        (_orthogonality, (system, r_max)),
-        (_additive_closure, (system, r_max)),
-    )
-    return [check(*args) for name, (check, args) in zip(PROPOSITIONS, checks) if name in names]
+    if extra is not None and not any(CHECKS[name][1] for name in names):
+        raise ValueError(f"no check of {list(names)} reads extra: it would pass unchecked")
+    return [check(system, r_max, x_max, extra) for name, (check, _) in CHECKS.items() if name in names]

@@ -1,14 +1,24 @@
+import os
 from fractions import Fraction
 from math import lcm, prod
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
-from ramlab import even, gensums, verify
+from ramlab import even, expansion, gensums, verify
 from ramlab.arith import factorize
 from ramlab.even import EvenFunction
 from ramlab.gensums import c_A, c_A_divisor
 from ramlab.systems import DIRICHLET, MIX, UNITARY, ExponentOutOfScopeError, system_from_dict
+
+# Tier-1 draws the same examples on every run: derandomized, with no example
+# database, so no run replays what an earlier one found. Every @given test
+# sets its own max_examples. HYPOTHESIS_PROFILE=explore draws from a fresh
+# random seed instead, and prints the blob that reproduces a failure
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 # unitary-default with one non-trivial table entry: types at 5 are
 # 1, 2, 3, 2, 5, 6, ... (exponent 4 demoted to type 2)
@@ -77,6 +87,13 @@ def c_A_sum_at(system, r, x):
     """sum_{n<=x} c_A(n, r) at one x, by the x-list `gensums.c_A_sum` read
     through its module, so a test that rebinds it there reaches this too."""
     return gensums.c_A_sum(system, r, [x])[0]
+
+
+def expansion_row(n, terms):
+    """The one row of `expansion.expansion_demo`'s table as a dict by its
+    header: n, terms, truncated, target, abs_error."""
+    header, (row,), _ = expansion.expansion_demo(n, terms)
+    return dict(zip(header, row))
 
 
 PRIMES = (2, 3, 5, 7)

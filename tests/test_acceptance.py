@@ -23,14 +23,18 @@ from ramlab.even import (
 )
 from ramlab.gensums import c_A, c_A_core, c_A_divisor
 from ramlab.systems import DIRICHLET, MIX, UNITARY, divisor_set, gcd_A, mu_A, phi_A, psi_A
-from ramlab.verify import (
-    check_propositions,
-    expansion_demo,
-    find_orthogonality_violation,
-    mean_product_exact,
-)
+from ramlab.verify import check_propositions, find_orthogonality_violation, mean_product_exact
 
-from conftest import coeff, euler_phi, product_mean, prop1_fractions, prop4_row, reconstruct, sigma
+from conftest import (
+    coeff,
+    euler_phi,
+    expansion_row,
+    product_mean,
+    prop1_fractions,
+    prop4_row,
+    reconstruct,
+    sigma,
+)
 
 SYSTEMS = [("D", DIRICHLET), ("U", UNITARY), ("MIX", MIX)]
 
@@ -139,8 +143,8 @@ def test_criterion_7_expansion_truncation():
     start = time.monotonic()
     big, small = 10**5, 10**3
     for n in range(1, 21):
-        e_small = expansion_demo(n, small).abs_error
-        e_big = expansion_demo(n, big).abs_error
+        e_small = expansion_row(n, small)["abs_error"]
+        e_big = expansion_row(n, big)["abs_error"]
         assert e_big < 2 * sigma(n) / big * (pi**2 / 6), n
         assert e_big <= e_small + 1e-9, n
     elapsed = time.monotonic() - start

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramlab import arith, cli, even, gensums, systems, verify
+from ramlab import arith, cli, even, expansion, gensums, systems, verify
 from ramlab.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -514,6 +514,42 @@ class TestCommandVerify:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"--even applies only to prop1 and all, not {target}" in err
+
+    @pytest.mark.parametrize("reads_extra", [False, True], ids=["ignores-extra", "reads-extra"])
+    def test_a_check_added_to_the_table_is_a_target(self, capsys, monkeypatch, reads_extra):
+        # the targets, the --even refusal and the --even help all come from
+        # verify.CHECKS: a fifth entry is a target, runs last under all, and
+        # takes --even exactly when its entry says it reads extra
+        seen = []
+
+        def prop5(system, r_max, x_max, extra):
+            seen.append(extra)
+            return ["check"], [["fifth"]], True
+
+        monkeypatch.setitem(verify.CHECKS, "prop5", (prop5, reads_extra))
+        fifth = '{"check": "fifth"}\n'
+        argv = ("--system", "U", "--rmax", "3", "--xmax", "10", "--format", "json")
+        assert run(capsys, "verify", "prop5", *argv) == (EXIT_OK, fifth, "")
+        want = "".join(run(capsys, "verify", name, *argv)[1] for name in ("prop1", "prop2", "prop3", "prop4"))
+        assert run(capsys, "verify", "all", *argv) == (EXIT_OK, want + fifth, "")
+        help_text = " ".join(run(capsys, "verify", "--help")[1].split())
+        assert "{prop1,prop2,prop3,prop4,prop5,all}" in help_text
+        readers = "prop1 and prop5 and all" if reads_extra else "prop1 and all"
+        assert f"--even EVEN {readers} only:" in help_text
+        seen.clear()
+        if reads_extra:
+            assert run(capsys, "verify", "prop5", *argv, "--even", "r=2; 1:1, 2:3")[0] == EXIT_OK
+            assert [(f.r, f.values) for f in seen] == [(2, ((1, 1), (2, 3)))]
+            return
+
+        def refuse(*args):
+            raise AssertionError("verify started with an --even it would not read")
+
+        monkeypatch.setattr(cli, "load_system", refuse)
+        code, out, err = run(capsys, "verify", "prop5", "--even", "x")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--even applies only to prop1 and all, not prop5" in err
+        assert seen == []
 
     def test_even_literal_within_the_tally_budget_answers(self, capsys):
         # r = 2^3 3^2 5 7 11 13 17, tau = 384 on 7 axes: the closed form's
@@ -1198,7 +1234,7 @@ class TestErrorsAndPlumbing:
         def refuse(limit):
             raise AssertionError(f"sieve of {limit} allocated")
 
-        monkeypatch.setattr(verify, "moebius_sieve", refuse)
+        monkeypatch.setattr(expansion, "moebius_sieve", refuse)
         code, out, err = run(capsys, "expansion", "6", "--terms", str(MAX_TERMS + 1))
         assert code == EXIT_USAGE
         assert out == ""
@@ -1209,9 +1245,9 @@ class TestErrorsAndPlumbing:
 
         def fake(n, terms):
             seen.append((n, terms))
-            return verify.ExpansionResult(n, terms, 2.0, 2.0, 0.0)
+            return ["n", "terms", "truncated", "target", "abs_error"], [[n, terms, 2.0, 2.0, 0.0]], True
 
-        monkeypatch.setattr(verify, "expansion_demo", fake)
+        monkeypatch.setattr(expansion, "expansion_demo", fake)
         code, _, _ = run(capsys, "expansion", "6", "--terms", str(MAX_TERMS))
         assert code == EXIT_OK
         assert seen == [(6, MAX_TERMS)]

@@ -4,8 +4,8 @@ The digests in `golden_cli.json` were recorded from the divisor-route
 implementation of `table` and `c`, and the `verify prop1 --even` ones from
 the tau^2 double-sum implementation of `even.fourier_coeffs`. The
 `expansion` digests up to 10^5 terms were recorded from the prefix-table
-evaluation of `verify.expansion_demo`, and the 10^6 and 10^7 ones from
-its Mertens-type recursion above floor(R^(2/3)). `verify all` under D was
+evaluation of `expansion.expansion_demo` (then in `verify`), and the 10^6
+and 10^7 ones from its Mertens-type recursion above floor(R^(2/3)). `verify all` under D was
 recorded from the checkers that read the system's `kind` tag. `verify all` under U, MIX and the custom
 system (with the `--xmax 100003` ones under U and MIX) were recorded from
 the Prop 1 battery of (A, r)-even functions expanded in c_A(., d),

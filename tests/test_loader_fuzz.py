@@ -12,6 +12,10 @@ open limit of the factorizer, not something this test checks.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,3 +113,20 @@ def test_valid_specs_with_bounds_up_to_1e18(spec):
     # entry of type > 1 at the old bound now has type 1 above it), so
     # refusal is allowed; hanging or any other error is not
     _loads_or_refuses(spec)
+
+
+def test_tier1_draws_the_same_specs_on_every_run():
+    # the default profile is conftest's derandomized tier1: two fresh
+    # interpreters, each with its own str hash seed, draw the same specs for
+    # the loader fuzz test, whose inner test is swapped for a recorder
+    code = ("import hashlib, test_loader_fuzz as fuzz; drawn = []; "
+            "test = fuzz.test_json_shaped_specs_load_or_refuse; "
+            "test.hypothesis.inner_test = lambda spec: drawn.append(repr(spec)); test(); "
+            "print(len(drawn), hashlib.sha256(repr(drawn).encode()).hexdigest())")
+    tests = Path(__file__).parent
+    env = {k: v for k, v in os.environ.items() if k not in ("HYPOTHESIS_PROFILE", "PYTHONHASHSEED")}
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True,
+                           timeout=120, check=True).stdout for _ in range(2)]
+    count, digest = runs[0].split()
+    assert runs[0] == runs[1] and int(count) >= 200

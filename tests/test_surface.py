@@ -1,9 +1,10 @@
 """The package's public surface: private names stay inside their module,
-every exported name resolves and has a caller, each layer imports and loads
-only the layers before it, and every cache is bounded.
+every exported name resolves and has a caller, each module imports only the
+modules it depends on and loads exactly their closure, and every cache is
+bounded.
 
 Read from the sources with `ast`, so a private import is caught even when
-it happens to work; what a layer loads, of the package and of the
+it happens to work; what a module loads, of the package and of the
 standard library's `dataclasses` and `inspect`, is read from `sys.modules`
 in a fresh interpreter. The package itself re-exports nothing: each name is
 imported from its module."""
@@ -70,21 +71,35 @@ def test_cross_module_names_are_exported(stem):
     assert stray == []
 
 
-# each module imports only modules before it
-LAYERS = ("arith", "systems", "gensums", "even", "verify", "cli", "__main__")
+# the modules each module may import: the map has no cycle, and the
+# expansion, which checks no proposition, needs only arith
+DEPENDS = {
+    "arith": (),
+    "systems": ("arith",),
+    "gensums": ("arith", "systems"),
+    "even": ("arith", "systems", "gensums"),
+    "expansion": ("arith",),
+    "verify": ("arith", "systems", "gensums", "even"),
+    "cli": ("systems", "gensums", "even", "expansion", "verify"),
+    "__main__": ("cli",),
+}
+
+
+def _closure(stem: str) -> set[str]:
+    # the module and every module it depends on, directly or not
+    return {stem}.union(*map(_closure, DEPENDS[stem]))
 
 
 def test_modules_are_the_layers():
-    assert MODULES == sorted(LAYERS)
+    assert MODULES == sorted(DEPENDS)
 
 
 @pytest.mark.parametrize("stem", MODULES)
 def test_imports_only_lower_layers(stem):
-    below = LAYERS[: LAYERS.index(stem)] if stem in LAYERS else ()
     imported = set()
     for module, name in _ramlab_imports(_tree(stem)):
         imported.add(module or name)  # `from .mod import x` or `from . import mod`
-    assert imported <= set(below)
+    assert imported <= set(DEPENDS[stem])
 
 
 @pytest.mark.parametrize("stem", MODULES + ["__init__"])
@@ -100,10 +115,10 @@ def test_only_cli_parses_text(stem):
     assert stem == "cli" or not imported & {"re", "argparse"}
 
 
-@pytest.mark.parametrize("stem", LAYERS)
+@pytest.mark.parametrize("stem", DEPENDS)
 def test_importing_a_layer_loads_only_the_layers_before_it(stem):
-    # a fresh interpreter, run on this package's source, imports the layer
-    # and lists the package's modules it then holds
+    # a fresh interpreter, run on this package's source, imports the module
+    # and lists the package's modules it then holds: exactly its closure
     src = str(PACKAGE.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (f"import sys, ramlab.{stem}; "
@@ -112,7 +127,7 @@ def test_importing_a_layer_loads_only_the_layers_before_it(stem):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True,
                           timeout=60, check=True)
     loaded, heavy = done.stdout.split("\n")[:2]
-    assert loaded.split() == sorted(f"ramlab.{layer}" for layer in LAYERS[: LAYERS.index(stem) + 1])
+    assert loaded.split() == sorted(f"ramlab.{module}" for module in _closure(stem))
     # dataclasses brings inspect, ast, dis and tokenize, and exec-builds each
     # record's methods: 12-13 ms of a start with bytecode on CPython 3.11
     assert heavy.split() == []

@@ -1,19 +1,15 @@
 import random
 import re
-import time
-from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import fsum, gcd, lcm, pi, prod
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramlab import cli, even, verify
-from ramlab.cli import MAX_TERMS
-from ramlab.arith import divisors, primes_up_to
+from ramlab.arith import divisors
 from ramlab.even import (
     EvenFunction,
     FourierCoeffs,
@@ -34,16 +30,12 @@ from ramlab.systems import (
     system_from_dict,
 )
 from ramlab.verify import (
-    IN_ORDER_TERMS,
-    ExpansionResult,
+    CHECKS,
     MAX_ORACLE_TALLY,
-    PROPOSITIONS,
     check_propositions,
-    expansion_demo,
     find_orthogonality_violation,
     mean_product_exact,
 )
-from ramlab.verify import _in_order_limit, _moebius_square_sums, _square_tail
 
 from conftest import (
     RATIONAL_VALUES,
@@ -55,10 +47,8 @@ from conftest import (
     product_mean,
     prop1_fractions,
     prop4_row,
-    sigma,
     valid_specs,
 )
-from test_arith import linear_moebius_sieve
 
 
 class TestMeanProductExact:
@@ -426,182 +416,51 @@ class TestOrthogonalityRows:
 class TestCheckPropositionsRefusals:
     # each input that would pass with nothing checked is refused before any
     # check runs
-    CHECKS = ("_mean_values", "_partial_sums", "_orthogonality", "_additive_closure")
+
+    @pytest.fixture
+    def refuse(self, monkeypatch):
+        # every entry of the table keeps its flag, and its check fails the test
+        def refuse(*args):
+            raise AssertionError("a check ran on refused input")
+
+        for name, (_, reads_extra) in list(CHECKS.items()):
+            monkeypatch.setitem(CHECKS, name, (refuse, reads_extra))
 
     @pytest.mark.parametrize("names", [["prop5"], ["prop1", "all"], ["prop3", "Prop4"]])
-    def test_unknown_name(self, names, count_calls):
-        calls = [count_calls(verify, check) for check in self.CHECKS]
-        bad = next(name for name in names if name not in PROPOSITIONS)
+    def test_unknown_name(self, names, refuse):
+        bad = next(name for name in names if name not in CHECKS)
         with pytest.raises(ValueError, match=f"unknown proposition {bad!r}"):
             check_propositions(names, UNITARY, 10, 10)
-        assert calls == [[]] * 4
 
-    @pytest.mark.parametrize("names", [["prop1"], ["prop2"], ["prop3"], ["prop4"], PROPOSITIONS])
+    @pytest.mark.parametrize("names", [["prop1"], ["prop2"], ["prop3"], ["prop4"], tuple(CHECKS)])
     @pytest.mark.parametrize("r_max, x_max, refused", [
         (0, 10, "r_max must be >= 1, got 0"), (-3, 10, "r_max must be >= 1, got -3"),
         (10, 0, "x_max must be >= 1, got 0"), (0, 0, "r_max must be >= 1, got 0"),
         (10, -1, "x_max must be >= 1, got -1"),
     ])
-    def test_bounds_below_one(self, names, r_max, x_max, refused, count_calls):
-        calls = [count_calls(verify, check) for check in self.CHECKS]
+    def test_bounds_below_one(self, names, r_max, x_max, refused, refuse):
         with pytest.raises(ValueError, match=f"^{refused}$"):
             check_propositions(names, UNITARY, r_max, x_max)
-        assert calls == [[]] * 4
 
     @pytest.mark.parametrize("names", ["prop3", "prop", "", "all"])
-    def test_a_str_is_not_a_list_of_names(self, names, count_calls):
+    def test_a_str_is_not_a_list_of_names(self, names, refuse):
         # iterated, "prop3" would name 'p', and "" would check nothing
-        calls = [count_calls(verify, check) for check in self.CHECKS]
         refused = f"names must be a sequence of proposition names, not the str {names!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
             check_propositions(names, UNITARY, 10, 10)
-        assert calls == [[]] * 4
+
+    @pytest.mark.parametrize("names", [["prop2"], ["prop3"], ["prop4"], ["prop2", "prop4"], []])
+    def test_an_extra_no_named_check_reads(self, names, refuse):
+        # only Prop 1 reads the extra function: without it, the extra would
+        # pass unchecked
+        extra = c_A_even(DIRICHLET, 6)
+        refused = f"no check of {names} reads extra: it would pass unchecked"
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            check_propositions(names, DIRICHLET, 5, 5, extra)
 
     def test_every_name_at_one(self):
-        tables = check_propositions(PROPOSITIONS, UNITARY, 1, 1)
+        tables = check_propositions(tuple(CHECKS), UNITARY, 1, 1)
         assert len(tables) == 4 and all(passed for _, _, passed in tables)
-
-
-class TestExpansionDemo:
-    def test_target(self):
-        res = expansion_demo(6, 1000)
-        assert res.target == 2.0
-
-    def test_n1_converges(self):
-        res = expansion_demo(1, 10**5)
-        assert res.abs_error < 1e-4
-
-    def test_first_terms_shape(self):
-        # four-term truncation written out by hand from the divisor form
-        n = 4
-        expected = (pi**2 / 6) * (
-            1 + (-1) ** n / 4 + 2 * __import__("math").cos(2 * pi * n / 3) / 9
-            + 2 * __import__("math").cos(pi * n / 2) / 16
-        )
-        res = expansion_demo(n, 4)
-        assert res.truncated_value == pytest.approx(expected, abs=1e-9)
-
-    def test_matches_literal_truncation(self):
-        from ramlab.arith import ramanujan_c
-
-        for n in (1, 6, 12):
-            for terms in (10, 100, 500):
-                literal = (pi**2 / 6) * sum(
-                    ramanujan_c(n, r) / r**2 for r in range(1, terms + 1)
-                )
-                assert expansion_demo(n, terms).truncated_value == pytest.approx(
-                    literal, abs=1e-9
-                )
-
-    @staticmethod
-    def prefix_table_reference(n, terms, mu):
-        # the same truncation read from a full table of the prefix sums
-        # sum_{m<=k} mu(m)/m^2, k = 0..terms, with mu from the linear sieve
-        prefix = [0.0] * (terms + 1)
-        acc = 0.0
-        for m in range(1, terms + 1):
-            if mu[m]:
-                acc += mu[m] / (m * m)
-            prefix[m] = acc
-        # left to right: built-in sum() adds floats with compensation from
-        # CPython 3.12 on
-        total = 0.0
-        for d in divisors(n):
-            total += prefix[terms // d] / d
-        return (pi**2 / 6) * total
-
-    @pytest.mark.parametrize("terms", [1, 2, 7, 100, 1000, 12345])
-    @pytest.mark.parametrize("n", [1, 2, 6, 12, 97, 360, 5040, 720720, 2**20])
-    def test_equals_prefix_table(self, n, terms):
-        # most n here have divisors above terms, whose cut point is 0
-        reference = self.prefix_table_reference(n, terms, linear_moebius_sieve(terms))
-        assert expansion_demo(n, terms).truncated_value == reference
-
-    def test_bit_identical_at_the_in_order_cap(self):
-        # the golden CLI corpus stops at 10^5 terms; up to IN_ORDER_TERMS
-        # every cut is the left-to-right prefix sum, bit for bit
-        terms = IN_ORDER_TERMS
-        mu = linear_moebius_sieve(terms)
-        for n in (720720, 997920):
-            reference = self.prefix_table_reference(n, terms, mu)
-            assert expansion_demo(n, terms).truncated_value == reference
-
-    def test_accurate_at_a_million_terms(self):
-        # against each cut's correctly rounded sum, the recursion is within
-        # 1e-14; a left-to-right sum over every m <= 10^6 is 6-9e-14 off
-        terms = 10**6
-        mu = linear_moebius_sieve(terms)
-        quotients = array("d", (mu[m] / (m * m) if m else 0.0 for m in range(terms + 1)))
-        for n in (1, 5040, 720720, 997920):
-            exact = sum(Fraction(fsum(quotients[1 : terms // d + 1])) / d for d in divisors(n))
-            reference = Fraction(pi**2 / 6) * exact
-            truncated = expansion_demo(n, terms).truncated_value
-            assert abs(Fraction(truncated) - reference) <= 1e-14
-
-    def test_recursion_keeps_the_identity(self):
-        # sum_{d<=x} F(x // d) / d^2 = 1 at cuts x > U, each F(x) within
-        # 1e-15 of the correctly rounded sum of mu(m)/m^2 over m <= x
-        terms = 10**6
-        prefix, above = _moebius_square_sums(terms)
-        limit = len(prefix) - 1
-        assert limit == _in_order_limit(terms) == 10**4 and min(above) > limit
-        mu = linear_moebius_sieve(terms)
-        for x in (terms, terms // 3, terms // 10, terms // 64, min(above)):
-            values = [above[v] if v > limit else prefix[v] for v in (x // d for d in range(1, x + 1))]
-            assert abs(fsum(f / (d * d) for d, f in enumerate(values, 1)) - 1) <= 1e-15
-            assert abs(above[x] - fsum(mu[m] / (m * m) for m in range(1, x + 1) if mu[m])) <= 1e-15
-
-    def test_tail_series(self):
-        # T(a) - T(b) = sum_{a<d<=b} 1/d^2 at the split point of 10^6 terms,
-        # the in-order cap and 10^6
-        for a, b in combinations((_in_order_limit(10**6), IN_ORDER_TERMS, 10**6), 2):
-            expected = fsum(1.0 / (d * d) for d in range(a + 1, b + 1))
-            assert abs(_square_tail(a) - _square_tail(b) - expected) <= 1e-13 * expected
-
-    def test_divisors_up_to_terms_match_the_full_list(self):
-        # only the divisors d <= R are listed; sigma(n) comes from the
-        # factorization, and the truncation equals the full-divisor
-        # reference, whose divisors above R add F(0) = 0
-        rng = random.Random(1048576)
-        ns = [rng.randint(1, 2**20) for _ in range(300)] + [720720, 831600, 997920, 2**20]
-        terms_list = (1, 12, 1000)
-        mu = linear_moebius_sieve(max(terms_list))
-        for n in ns:
-            for terms in terms_list:
-                assert divisors(n, terms) == tuple(d for d in divisors(n) if d <= terms)
-                res = expansion_demo(n, terms)
-                assert res.target == sum(divisors(n)) / n
-                assert res.truncated_value == self.prefix_table_reference(n, terms, mu)
-
-    def test_primorial_costs_only_the_divisors_below_terms(self):
-        # the product of the first 26 primes has 2^26 divisors; listing them
-        # all took seconds and hundreds of MB at 22 primes
-        n = prod(primes_up_to(101))
-        start = time.perf_counter()
-        res = expansion_demo(n, 1000)
-        assert time.perf_counter() - start < 1.0
-        assert res.target == sigma(n) / n
-
-    def test_sieve_stays_within_2_17_entries_up_to_MAX_TERMS_and_IN_ORDER_TERMS(self, count_calls):
-        # moebius_sieve is the textbook sieve, one slice pass per prime,
-        # sized for the at most 2^17 entries its one caller reads: R itself
-        # up to IN_ORDER_TERMS = 2^17, and floor(R^(2/3)) above, which stays
-        # within 2^17 while R <= 2^25.5 (about 4.7e7, past MAX_TERMS = 10^7).
-        # A rise in either constant that breaks this asks the sieve to be
-        # measured again at its new size
-        calls = count_calls(verify, "moebius_sieve")
-        for terms in (2**17 - 1, 2**17, 2**17 + 1, 10**6, MAX_TERMS):
-            expansion_demo(1, terms)
-        limits = [limit for (limit,) in calls]
-        assert limits == [2**17 - 1, 2**17, 2580, 10**4, 46415]
-        assert max(limits) <= 2**17
-
-    def test_error_shrinks(self):
-        for n in (1, 6, 20):
-            e3 = expansion_demo(n, 10**3).abs_error
-            e5 = expansion_demo(n, 10**5).abs_error
-            assert e5 <= e3 + 1e-9
-            assert e5 < 2 * sigma(n) / 10**5 * (pi**2 / 6)
 
 
 class TestMeanValueCheck:
@@ -962,18 +821,15 @@ class TestReports:
         assert {row[-1] for row in rows[:4]} == {"diagonal"}
         assert rows[-1][1:3] == [2, 4] and rows[-1][-1] == verdict and passed == ok
 
-    @pytest.mark.parametrize(
-        "record", ["RegularSystem", "EvenFunction", "FourierCoeffs", "ExpansionResult"],
-    )
+    @pytest.mark.parametrize("record", ["RegularSystem", "EvenFunction", "FourierCoeffs"])
     def test_every_record_is_immutable(self, record):
         f = c_A_even(UNITARY, 12)
-        instances = {
+        coeffs = fourier_coeffs(f)
+        rec, fields = {
             "RegularSystem": (MIX, ("types", "default", "a_max", "name")),
             "EvenFunction": (f, ("r", "values", "system")),
-        }
-        for rec in (fourier_coeffs(f), expansion_demo(6, 10)):
-            instances[type(rec).__name__] = (rec, rec._fields)
-        rec, fields = instances[record]
+            "FourierCoeffs": (coeffs, coeffs._fields),
+        }[record]
         for field in fields:
             before = getattr(rec, field)
             with pytest.raises(AttributeError):
@@ -983,10 +839,9 @@ class TestReports:
             assert getattr(rec, field) is before
 
     def test_result_records_are_tuples_of_their_fields(self):
-        # the two result records are NamedTuples: iterable, and equal to
-        # the tuple of their fields
-        for cls in (FourierCoeffs, ExpansionResult):
-            assert issubclass(cls, tuple)
-        res = expansion_demo(6, 10)
-        fields = (6, 10, res.truncated_value, res.target, res.abs_error)
-        assert res == fields and list(res) == list(fields)
+        # the one result record is a NamedTuple: iterable, and equal to the
+        # tuple of its fields
+        assert issubclass(FourierCoeffs, tuple)
+        coeffs = fourier_coeffs(c_A_even(UNITARY, 12))
+        fields = tuple(getattr(coeffs, name) for name in coeffs._fields)
+        assert coeffs == fields and list(coeffs) == list(fields)
