@@ -2,7 +2,7 @@
 
 Exit codes: 0 pass/success, 1 usage or input error, 2 internal cross-check
 mismatch or failed check. Exact quantities print as integer/rational text;
-only the oracle and expansion commands print floats (12 significant digits).
+only the expansion command prints floats (12 significant digits).
 
 Each command returns its output as tables (header, rows, passed); `main`
 alone writes them and picks the exit code.
@@ -66,11 +66,12 @@ MAX_TABLE_ROWS = 2**18
 # made, so one chunk's text is held at a time
 CHUNK_ROWS = 4096
 
-# the oracle and all routes sum r floating-point terms, each after a
-# per-prime (k, r)_A. Of the r tried below the cap, 98280 was the slowest:
-# rows "c at the slowest r below the oracle cap under D", U and MIX
-# (--route all), and "The oracle route refuses r just above its cap" and
-# "... far above its cap"
+# the oracle and all routes count r residues, each after a per-prime
+# (k, r)_A. Of the r tried below the cap, 98670 and 99330 (six primes each)
+# were the slowest, 2-4 % above 98280 (the least of 15 in-process runs of
+# every route), which the rows "c at the slowest r below the oracle cap
+# under D", U and MIX (--route all) run; and "The oracle route refuses r
+# just above its cap" and "... far above its cap"
 MAX_ORACLE_R = 10**5
 
 
@@ -279,17 +280,14 @@ def _cmd_c(args) -> list:
         raise ValueError(f"--route {args.route} needs r at most {MAX_ORACLE_R}, got {args.r}")
     system = load_system(args.system)
     n, r = args.n, args.r
-    exact = {"divisor": gensums.c_A_divisor, "core": gensums.c_A_core}
-    if args.route in exact:
-        return [(["n", "r", "value"], [[n, r, exact[args.route](system, n, r)]], True)]
-    ov = gensums.c_A_oracle(system, n, r)
-    if args.route == "oracle":
-        return [(["n", "r", "re", "im"], [[n, r, ov.real, ov.imag]], True)]
-    dv, cv = gensums.c_A_divisor(system, n, r), gensums.c_A_core(system, n, r)
-    match = dv == cv == gensums.c_A(system, n, r)
-    match = match and abs(ov.imag) <= 1e-6 and abs(ov.real - dv) <= 1e-6
-    row = [n, r, dv, cv, ov.real, "true" if match else "false"]
-    return [(["n", "r", "divisor", "core", "oracle", "match"], [row], match)]
+    routes = {"divisor": gensums.c_A_divisor, "core": gensums.c_A_core, "oracle": gensums.c_A_oracle}
+    if args.route in routes:
+        return [(["n", "r", "value"], [[n, r, routes[args.route](system, n, r)]], True)]
+    values = [route(system, n, r) for route in routes.values()]
+    kernel = gensums.c_A(system, n, r)
+    match = all(value == kernel for value in values)
+    row = [n, r, *values, "true" if match else "false"]
+    return [(["n", "r", *routes, "match"], [row], match)]
 
 
 def _cmd_table(args) -> list:

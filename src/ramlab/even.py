@@ -51,7 +51,6 @@ from .systems import DIRICHLET, RegularSystem, gcd_A, prime_power_types
 from . import gensums
 
 __all__ = [
-    "Numeric",
     "EvenFunction",
     "FourierCoeffs",
     "inner_product",

@@ -20,8 +20,9 @@ Three independent routes stay as the references the kernel is checked
 against. Route 1 (divisor form): d * mu_A(r/d) summed over A((n, r)_A),
 the members of A(r) dividing n. Route 2 (core form): classical c(n, d)
 summed over the multiples d = g m, m | r/g, of the core g = gamma_A(r).
-Route 3 is the literal exponential sum over residues k with (k, r)_A = 1
--- floating point, test oracle only.
+Route 3 (the oracle) evaluates the defining exponential sum over the
+residues k with (k, r)_A = 1 exactly, by counting them: O(r) `gcd_A`
+calls, test oracle only.
 
 The partial sums `c_A_sum` use the closed form over A(r),
 sum_{d in A(r)} d mu_A(r/d) floor(x/d). Only the 2^omega(r) members d
@@ -33,18 +34,21 @@ modulus for all of them.
 
 from __future__ import annotations
 
-import cmath
+from collections import Counter
 from itertools import cycle
+from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .arith import divisors, ramanujan_c
+from .arith import divisors, moebius, ramanujan_c
 from .systems import (
+    DIRICHLET,
     RegularSystem,
     divisor_set,
     gamma_A,
     gcd_A,
     mu_A,
+    phi_A,
     prime_power_types,
     prime_power_walk,
 )
@@ -144,17 +148,41 @@ def c_A_core(system: RegularSystem, n: int, r: int) -> int:
     return sum(ramanujan_c(n, g * m) for m in divisors(r // g))
 
 
-def c_A_oracle(system: RegularSystem, n: int, r: int) -> complex:
-    """The defining exponential sum over k mod r with (k, r)_A = 1.
+def c_A_oracle(system: RegularSystem, n: int, r: int) -> int:
+    """The defining sum c_A(n, r) = sum e(kn/r) over k mod r with
+    (k, r)_A = 1, e(x) = exp(2 pi i x), counted in integers:
 
-    O(r) floating point; test oracle only.
+        c_A(n, r) = sum_{g | r} mu(r/g) N_g / phi(r/g),
+        N_g = #{k mod r : (k, r)_A = 1, gcd(kn, r) = g}.
+
+    mu and phi are the classical functions (`arith.moebius`, and `phi_A`
+    under D).
+
+    Proof. Every member of A(r) divides r, so it divides k exactly when it
+    divides gcd(k, r): (k, r)_A depends on k only through gcd(k, r). A
+    classical unit u mod r keeps gcd(k, r), so k -> uk permutes the A-units
+    mod r. The class gcd(j, r) = g is j = g j1, j1 a unit mod r/g, so it
+    has phi(r/g) residues, and any two of them have j' = uj (mod r) for
+    such a u (a unit mod r/g lifts to one mod r). Then k -> uk maps the
+    A-units k with kn = j onto those with kn = j' (mod r). So M_g, the
+    number of A-units k with kn = j (mod r), is the same for every j of the
+    class, and N_g = phi(r/g) M_g. Summing e(j/r) = e(j1/(r/g)) over the
+    class gives the classical c_{r/g}(1) = mu(r/g), so the sum over k is
+    sum_{g | r} M_g mu(r/g).
+
+    O(r) `gcd_A` calls; it uses none of the kernel, divisor or core routes.
+    A nonzero remainder of N_g / phi(r/g) would contradict the proof and
+    raises ArithmeticError.
     """
     if n < 1 or r < 1:
         raise ValueError(f"c_A_oracle requires n, r >= 1, got n={n}, r={r}")
-    total = 0j
-    for k in range(1, r + 1):
-        if gcd_A(system, k, r) == 1:
-            total += cmath.exp(2j * cmath.pi * ((k * n) % r) / r)
+    counts = Counter(gcd(k * n, r) for k in range(1, r + 1) if gcd_A(system, k, r) == 1)
+    total = 0
+    for g, count in counts.items():
+        per_residue, remainder = divmod(count, phi_A(DIRICHLET, r // g))
+        if remainder:
+            raise ArithmeticError(f"N_g = {count} is not a multiple of phi(r/g) at n={n}, r={r}, g={g}")
+        total += moebius(r // g) * per_residue
     return total
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "DIRICHLET",
     "UNITARY",
     "MIX",
-    "DEFAULT_A_MAX",
     "prime_power_types",
     "divisor_set",
     "gcd_A",

@@ -1,3 +1,4 @@
+import cmath
 import os
 from fractions import Fraction
 from math import lcm, prod
@@ -10,7 +11,7 @@ from ramlab import even, expansion, gensums, verify
 from ramlab.arith import factorize
 from ramlab.even import EvenFunction
 from ramlab.gensums import c_A, c_A_divisor
-from ramlab.systems import DIRICHLET, MIX, UNITARY, ExponentOutOfScopeError, system_from_dict
+from ramlab.systems import DIRICHLET, MIX, UNITARY, ExponentOutOfScopeError, gcd_A, system_from_dict
 
 # Tier-1 draws the same examples on every run: derandomized, with no example
 # database, so no run replays what an earlier one found. Every @given test
@@ -150,6 +151,15 @@ def in_scope_moduli(draw, system):
 def euler_phi(n):
     """Euler totient, multiplicative with phi(p^a) = p^a - p^(a-1)."""
     return prod(p**a - p ** (a - 1) for p, a in factorize(n))
+
+
+def c_A_exponential(system, n, r):
+    """The defining sum of c_A(n, r) in floating point: exp(2 pi i kn/r)
+    summed over k mod r with (k, r)_A = 1. The reference that
+    `gensums.c_A_oracle`, which counts the same sum in integers, is checked
+    against at small r."""
+    return sum(cmath.exp(2j * cmath.pi * (k * n % r) / r)
+               for k in range(1, r + 1) if gcd_A(system, k, r) == 1)
 
 
 def sigma(n):

@@ -98,13 +98,13 @@ class TestCommandC:
                            "--format", "json")
         assert code == EXIT_OK
         obj = json.loads(out)
-        assert float(obj["re"]) == pytest.approx(-1, abs=1e-9)
+        assert obj == {"n": 2, "r": 4, "value": -1}
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "c", "2", "4", "--system", "U", "--route", "all",
                            "--format", "json")
         obj = json.loads(out)
-        assert obj["divisor"] == obj["core"] == -1
+        assert obj["divisor"] == obj["core"] == obj["oracle"] == -1
         assert obj["match"] == "true"
 
     def test_all_routes_require_kernel(self, capsys, monkeypatch):
@@ -143,7 +143,7 @@ class TestCommandC:
 
         def fake(system, n, r):
             seen.append((n, r))
-            return complex(gensums.c_A(system, n, r))
+            return gensums.c_A(system, n, r)
 
         monkeypatch.setattr(gensums, "c_A_oracle", fake)
         code, _, _ = run(capsys, "c", "1", str(MAX_ORACLE_R), "--route", route)

@@ -3,9 +3,9 @@
 The strategy `conftest.valid_specs` draws custom systems that satisfy the
 chain rule (type t at p^a forces type t at every p^(it), i <= a/t), under
 both default rules.
-On each one the kernel must agree with the divisor and core routes, and
-mu_A, phi_A, psi_A, gamma_A and the partial sum c_A_sum with definitions
-built directly from A(r).
+On each one the kernel must agree with the divisor, core and oracle
+routes, and mu_A, phi_A, psi_A, gamma_A and the partial sum c_A_sum with
+definitions built directly from A(r).
 """
 
 import time
@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramlab.arith import divisors, factorize, primes_up_to, ramanujan_c
-from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor, c_A_grid
+from ramlab.gensums import c_A, c_A_column, c_A_core, c_A_divisor, c_A_grid, c_A_oracle
 from ramlab.systems import (
     DIRICHLET,
     MIX,
@@ -64,6 +64,17 @@ def test_kernel_matches_divisor_and_core(spec, data):
         )
         assert c_A(system, n, r) == c_A_divisor(system, n, r) == c_A_core(system, n, r)
     assert c_A_column(system, r, 60) == [c_A_divisor(system, n, r) for n in range(1, 61)]
+
+
+@given(valid_specs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_oracle_counts_the_defining_sum_exactly(spec, data):
+    # n over two periods, and three n far past them
+    system = system_from_dict(spec)
+    r = _modulus(data, system, limit=119)
+    ns = [*range(1, 2 * r + 1), *(data.draw(st.integers(1, 10**12), label="n") for _ in range(3))]
+    for n in ns:
+        assert c_A_oracle(system, n, r) == c_A(system, n, r), n
 
 
 @given(valid_specs(), st.data())
