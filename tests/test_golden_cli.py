@@ -1,8 +1,13 @@
 """Byte-identical CLI output on a fixed corpus, checked against stored digests.
 
 The digests in `golden_cli.json` were recorded from the divisor-route
-implementation of `table` and `c`, and the `verify prop1 --even` ones from
-the tau^2 double-sum implementation of `even.fourier_coeffs`. The
+implementation of `table` and `c`, except 29 of `c`'s, recorded again from
+the integer count of `gensums.c_A_oracle`: all 20 `--route oracle` ones,
+which print n, r and one value, the 8 `--route all --format json` ones,
+whose oracle cell is a JSON number, and `c 15625 5000 --system D --route
+all --format csv`, whose oracle cell was float noise for 0. The
+`verify prop1 --even` ones were recorded from the tau^2 double-sum
+implementation of `even.fourier_coeffs`. The
 `expansion` digests up to 10^5 terms were recorded from the prefix-table
 evaluation of `expansion.expansion_demo` (then in `verify`), and the 10^6
 and 10^7 ones from its Mertens-type recursion above floor(R^(2/3)). `verify all` under D was
